@@ -148,7 +148,11 @@ mod tests {
         let mut m = StealingMapper::new(1);
         assert_eq!(m.steal_victim(TileId(0), &[0, 3, 7, 2]), Some(TileId(2)));
         assert_eq!(m.steal_victim(TileId(2), &[0, 0, 9, 0]), None, "thief is the only loaded tile");
-        assert_eq!(m.steal_victim(TileId(0), &[0, 0, 0, 0]), None);
+        // The engine skips the victim search when no tile holds an idle
+        // task; that is exact only because the search finds nothing then.
+        for thief in 0..64 {
+            assert_eq!(m.steal_victim(TileId(thief), &[0; 64]), None);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use swarm_types::{SimError, SystemConfig};
 
-use crate::conformance::MapperSpec;
+use crate::conformance::{drained_state_violation, MapperSpec};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::{RunStats, Sim, SwarmApp};
 
@@ -57,7 +57,8 @@ impl Default for ChaosOptions {
 #[derive(Debug, PartialEq)]
 pub enum ChaosOutcome {
     /// The run completed, the app's `validate()` accepted the final memory
-    /// (the engine checks it internally) and the line table drained.
+    /// (the engine checks it internally), the line table drained and the
+    /// idle-task count agrees with the (empty) tile idle lists.
     Completed {
         /// Statistics of the faulted run.
         stats: Box<RunStats>,
@@ -234,12 +235,8 @@ fn run_planned(
             .map_err(|e| format!("invalid simulation: {e}"))?;
         match engine.run() {
             Ok(stats) => {
-                let leaked = engine.state().line_table.len();
-                if leaked != 0 {
-                    return Err(format!(
-                        "run completed but left {leaked} lines registered in the speculative \
-                         line table"
-                    ));
+                if let Some(violation) = drained_state_violation(engine.state()) {
+                    return Err(format!("run completed but {violation}"));
                 }
                 let mem: Vec<(u64, u64)> = engine.state().mem.iter().collect();
                 Ok(ChaosOutcome::Completed { stats: Box::new(stats), mem })

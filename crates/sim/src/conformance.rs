@@ -24,7 +24,8 @@
 //! 3. **Accounting invariants**: committed work is positive and consistent
 //!    with the per-tile ledger, aborted cycles exist iff aborted tasks do,
 //!    busy cycles fit in the wall-clock budget, the speculative line table
-//!    drains to empty, and a single core never misspeculates unless a
+//!    drains to empty, the engine's idle-task count agrees with the tile
+//!    idle lists (both empty), and a single core never misspeculates unless a
 //!    task-queue overflow forced tasks to execute out of commit order.
 //! 4. Optionally, **commit-count stability**: the number of committed tasks
 //!    is a property of the program, not the schedule (enable via
@@ -33,7 +34,7 @@
 
 use swarm_types::SystemConfig;
 
-use crate::{RunStats, Sim, SwarmApp, TaskMapper};
+use crate::{RunStats, Sim, SimState, SwarmApp, TaskMapper};
 
 /// A named way of building a scheduler for a given machine configuration.
 pub struct MapperSpec<'a> {
@@ -181,16 +182,32 @@ fn run_once(
     let stats = engine
         .run()
         .map_err(|e| format!("{name} under {} at {cores} cores failed: {e}", mapper.name))?;
-    if !engine.state().line_table.is_empty() {
-        return Err(format!(
-            "{name} under {} at {cores} cores left {} lines registered in the speculative \
-             line table after completion",
-            mapper.name,
-            engine.state().line_table.len()
-        ));
+    if let Some(violation) = drained_state_violation(engine.state()) {
+        return Err(format!("{name} under {} at {cores} cores {violation}", mapper.name));
     }
     let mem: Vec<(u64, u64)> = engine.state().mem.iter().collect();
     Ok((stats, mem))
+}
+
+/// What a completed run must leave behind: an empty speculative line table,
+/// and an idle-task count that agrees with the tile idle lists, all empty.
+/// Returns a description of the first violation.
+pub(crate) fn drained_state_violation(state: &SimState) -> Option<String> {
+    if !state.line_table.is_empty() {
+        return Some(format!(
+            "left {} lines registered in the speculative line table after completion",
+            state.line_table.len()
+        ));
+    }
+    let listed: usize = state.tiles.iter().map(|t| t.idle.len()).sum();
+    let counted = state.idle_task_count();
+    if counted != listed || listed != 0 {
+        return Some(format!(
+            "ended with an idle-task count of {counted} while the tile idle lists hold \
+             {listed} tasks (both must be 0)"
+        ));
+    }
+    None
 }
 
 /// The per-run commit/abort accounting invariants.

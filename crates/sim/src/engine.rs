@@ -50,6 +50,10 @@ enum Event {
     Finish(CoreId),
     /// A core should (re)attempt to dispatch a task.
     TryDispatch(CoreId),
+    /// Under a work-stealing mapper, every core of the mask at this index
+    /// in [`Engine::sweep_masks`] (the cores that were not busy when the
+    /// wake was processed) re-attempts dispatch, in core-index order.
+    Sweep(u32),
     /// Periodic global-virtual-time update (commits).
     Gvt,
     /// Periodic load-balancer reconfiguration opportunity.
@@ -72,10 +76,19 @@ pub struct Engine {
     /// become visible when the core's execution finishes un-aborted. The
     /// buffers recycle their capacity across dispatches.
     pending_children: Vec<Vec<PendingChild>>,
-    /// Queued `Finish`/`TryDispatch` events. When this hits zero with tasks
-    /// remaining and a GVT tick commits nothing, no future event can change
-    /// the state: the run is deadlocked (see [`SimError::Deadlock`]).
+    /// Queued `Finish`/`TryDispatch` events, with a `Sweep` counting once
+    /// per core in its mask. When this hits zero with tasks remaining and a
+    /// GVT tick commits nothing, no future event can change the state: the
+    /// run is deadlocked (see [`SimError::Deadlock`]).
     pending_core_events: u64,
+    /// Events popped from the event queue so far.
+    events_processed: u64,
+    /// Core bitmasks (64 cores per word) of the queued `Sweep` events,
+    /// indexed by the event's payload; slots listed in `sweep_free` are
+    /// spare and all-zero, so sweeps allocate nothing once the pool is warm.
+    sweep_masks: Vec<Vec<u64>>,
+    /// Indices of the spare slots in `sweep_masks`.
+    sweep_free: Vec<u32>,
     validate_result: bool,
     /// The fault plan to execute, if any (see [`crate::fault`]). `None`
     /// leaves every fault hook a constant-false branch.
@@ -116,6 +129,9 @@ impl Engine {
             task_limit: DEFAULT_TASK_LIMIT,
             pending_children: vec![Vec::new(); num_cores],
             pending_core_events: 0,
+            events_processed: 0,
+            sweep_masks: Vec::new(),
+            sweep_free: Vec::new(),
             validate_result: true,
             fault_plan: None,
             wall_start: None,
@@ -152,20 +168,11 @@ impl Engine {
         self
     }
 
-    /// Fault injection hook: plant a task that is registered as remaining
-    /// work but has no task-queue entry and no pending wake — the "lost
-    /// wake" fault class the deadlock detector exists for. A healthy engine
-    /// cannot reach this state through the public API (every enqueue wakes
-    /// its tile), so [`Engine::run`] on a faulted engine must terminate
-    /// with [`SimError::Deadlock`] once all healthy work drains, counting
-    /// the planted task in `remaining`. Call before [`Engine::run`], or let
-    /// a [`FaultPlan`] with [`FaultKind::LostTaskWake`] invoke it mid-run
-    /// at a deterministic cycle.
-    pub fn inject_lost_task(&mut self, ts: u64) -> &mut Self {
-        self.plant_lost_task(ts);
-        self
-    }
-
+    /// Execute [`FaultKind::LostTaskWake`]: plant a task that is registered
+    /// as remaining work but has no task-queue entry and no pending wake. A
+    /// healthy engine cannot reach this state (every enqueue wakes its
+    /// tile), so the run must end in [`SimError::Deadlock`] once all healthy
+    /// work drains, counting the planted task in `remaining`.
     fn plant_lost_task(&mut self, ts: Timestamp) {
         // Drop only the wake this add produces (if any): pre-existing wakes
         // belong to healthy work and must survive a mid-run injection.
@@ -182,7 +189,7 @@ impl Engine {
         };
         let lost = self.state.add_task(desc);
         let key = self.state.tasks.key(lost);
-        self.state.tiles[0].idle.remove(&key);
+        self.state.idle_remove(TileId(0), &key);
         self.state.wake_tiles.truncate(wakes_before);
     }
 
@@ -197,6 +204,13 @@ impl Engine {
     /// Read-only access to the simulation state (for tests and tools).
     pub fn state(&self) -> &SimState {
         &self.state
+    }
+
+    /// Number of events popped from the event queue so far: a deterministic
+    /// count of the engine's scheduling work (a `Sweep` over many cores
+    /// counts once).
+    pub fn events_processed(&self) -> u64 {
+        self.events_processed
     }
 
     /// Schedule a core event (`Finish`/`TryDispatch`), tracking the count of
@@ -246,6 +260,7 @@ impl Engine {
                 // deadlock itself when the system quiesces.)
                 return Err(self.deadlock_error());
             };
+            self.events_processed += 1;
             self.now = at.max(self.now);
             // Mirror the clock into the state so mechanisms triggered by
             // this event can timestamp the messages they send.
@@ -259,13 +274,12 @@ impl Engine {
                     self.pending_core_events -= 1;
                     self.handle_try_dispatch(core)?;
                 }
+                Event::Sweep(slot) => self.handle_sweep(slot)?,
                 Event::Gvt => self.handle_gvt()?,
                 Event::LbEpoch => self.handle_lb_epoch(),
                 Event::Fault(index) => self.handle_fault(index as usize),
             }
-            if self.executed_bodies > self.task_limit {
-                return Err(SimError::TaskLimitExceeded(self.task_limit));
-            }
+            self.check_task_limit()?;
         }
 
         let runtime = self.now;
@@ -365,6 +379,13 @@ impl Engine {
         }
         let (min_ts, stuck_task) = min.unwrap_or((0, TaskId(0)));
         SimError::Deadlock { remaining: self.state.remaining_tasks, min_ts, stuck_task }
+    }
+
+    fn check_task_limit(&self) -> SimResult<()> {
+        if self.executed_bodies > self.task_limit {
+            return Err(SimError::TaskLimitExceeded(self.task_limit));
+        }
+        Ok(())
     }
 
     /// Cheap per-GVT-epoch budget watchdogs (see `SystemConfig::max_cycles`
@@ -512,16 +533,11 @@ impl Engine {
         // the engine mutably.
         std::mem::swap(&mut self.wake_scratch, &mut self.state.wake_tiles);
         // Under a work-stealing scheduler, new work anywhere is a stealing
-        // opportunity for every out-of-work tile, so wake all non-busy cores;
-        // otherwise only the tiles that received work or freed queue slots
-        // need to re-attempt dispatch.
+        // opportunity for every out-of-work tile, so wake all non-busy cores
+        // with one sweep; otherwise only the tiles that received work or
+        // freed queue slots need to re-attempt dispatch.
         if self.mapper.steals() {
-            for c in 0..self.state.cfg.num_cores() as u32 {
-                let core = CoreId(c);
-                if !matches!(self.state.cores[core.index()], CoreState::Busy { .. }) {
-                    self.schedule_core(self.now, Event::TryDispatch(core));
-                }
-            }
+            self.schedule_sweep();
         } else {
             for i in 0..self.wake_scratch.len() {
                 let tile = self.wake_scratch[i];
@@ -535,6 +551,55 @@ impl Engine {
             }
         }
         self.wake_scratch.clear();
+    }
+
+    /// Schedule one `Sweep` at the current cycle over every core that is not
+    /// busy now. It stands in for one `TryDispatch` per such core scheduled
+    /// back to back: those would sit next to each other in one wheel slot,
+    /// so nothing could run between them, and [`Engine::handle_sweep`] runs
+    /// the same attempts in the same order.
+    fn schedule_sweep(&mut self) {
+        let slot = match self.sweep_free.pop() {
+            Some(slot) => slot,
+            None => {
+                let words = self.state.cores.len().div_ceil(64);
+                self.sweep_masks.push(vec![0; words]);
+                (self.sweep_masks.len() - 1) as u32
+            }
+        };
+        let mask = &mut self.sweep_masks[slot as usize];
+        let mut cores = 0;
+        for (c, state) in self.state.cores.iter().enumerate() {
+            if !matches!(state, CoreState::Busy { .. }) {
+                mask[c / 64] |= 1 << (c % 64);
+                cores += 1;
+            }
+        }
+        if cores == 0 {
+            self.sweep_free.push(slot);
+            return;
+        }
+        self.pending_core_events += cores;
+        self.events.schedule(self.now, Event::Sweep(slot));
+    }
+
+    /// Run a `Sweep`: a dispatch attempt for each core of its mask, in
+    /// core-index order, with the task-limit check the main loop makes
+    /// after every event.
+    fn handle_sweep(&mut self, slot: u32) -> SimResult<()> {
+        let mut mask = std::mem::take(&mut self.sweep_masks[slot as usize]);
+        self.pending_core_events -= mask.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        for (w, word) in mask.iter_mut().enumerate() {
+            while *word != 0 {
+                let core = CoreId((w * 64) as u32 + word.trailing_zeros());
+                *word &= *word - 1;
+                self.handle_try_dispatch(core)?;
+                self.check_task_limit()?;
+            }
+        }
+        self.sweep_masks[slot as usize] = mask;
+        self.sweep_free.push(slot);
+        Ok(())
     }
 
     /// Pick the next dispatchable task for `tile` respecting same-hint
@@ -578,6 +643,18 @@ impl Engine {
         }
         let tile = self.state.tile_of_core(core);
 
+        // A futile stealing attempt: no tile holds an idle task and this one
+        // has nothing to refill, so the full path below would find no
+        // victim and no candidate. Make the same idle transition and skip
+        // the per-tile scans.
+        if self.state.idle_task_count() == 0
+            && self.mapper.steals()
+            && self.state.tiles[tile.index()].spilled.is_empty()
+        {
+            self.account_core_transition(core, CoreState::Idle { since: self.now });
+            return Ok(());
+        }
+
         // Refill spilled tasks if the queue ran dry, or if a spilled task
         // now precedes everything left in the queue (it must run before the
         // GVT can pass it).
@@ -596,7 +673,12 @@ impl Engine {
         }
 
         // Work stealing (idealized): grab the earliest task of the victim.
-        if self.state.tiles[tile.index()].idle.is_empty() && self.mapper.steals() {
+        // With no idle task anywhere there is no victim (the
+        // `TaskMapper::steal_victim` contract), so the mapper is not asked.
+        if self.state.tiles[tile.index()].idle.is_empty()
+            && self.state.idle_task_count() > 0
+            && self.mapper.steals()
+        {
             self.state.idle_per_tile_into(&mut self.idle_scratch);
             if let Some(victim) = self.mapper.steal_victim(tile, &self.idle_scratch) {
                 self.state.steal_task(tile, victim);
@@ -635,7 +717,7 @@ impl Engine {
 
         // Dispatch: remove from the idle queue and execute the body.
         let key = self.state.tasks.key(candidate);
-        self.state.tiles[tile.index()].idle.remove(&key);
+        self.state.idle_remove(tile, &key);
         self.state.tiles[tile.index()].running.push(candidate);
         self.account_core_transition(core, CoreState::Busy { task: candidate });
         // The built-in statistics observer ignores dequeues, so the event is
@@ -865,25 +947,29 @@ mod tests {
 
     #[test]
     fn lost_task_reports_deadlock_instead_of_spinning() {
-        // The app's own task runs and commits, but a second task planted
-        // directly in the state is never made dispatchable (it is registered
-        // as remaining work without a task-queue entry or a wake — the
-        // lost-wake class of bug the deadlock detector exists for). The seed
-        // engine spun on GVT events forever here; it must now return a typed
-        // error naming the outstanding work.
+        // The app's own task runs and commits, but a lost-wake fault at
+        // cycle 0 plants a second task that is never made dispatchable (it
+        // is registered as remaining work without a task-queue entry or a
+        // wake — the class of bug the deadlock detector exists for). The
+        // seed engine spun on GVT events forever here; it must now return a
+        // typed error naming the outstanding work.
+        use crate::fault::{FaultEvent, FaultPlan};
         let mut engine =
             Engine::new(SystemConfig::single_core(), Box::new(OneShot), Box::new(PinnedMapper));
-        engine.inject_lost_task(99);
+        engine.set_fault_plan(FaultPlan::from(FaultEvent {
+            at_cycle: 0,
+            kind: FaultKind::LostTaskWake { ts: 99 },
+        }));
 
         let err = engine.run().expect_err("a lost task must be detected, not spun on");
-        // The diagnosis names the wedged work: the planted task (id 0,
-        // planted before the app's own task) at its timestamp.
+        // The diagnosis names the wedged work: the planted task (id 1, after
+        // the app's one initial task) at its timestamp.
         let SimError::Deadlock { remaining, min_ts, stuck_task } = err else {
             panic!("expected a deadlock, got {err}");
         };
         assert_eq!(remaining, 1);
         assert_eq!(min_ts, 99);
-        assert_eq!(stuck_task, TaskId(0));
+        assert_eq!(stuck_task, TaskId(1));
     }
 
     #[test]
@@ -950,25 +1036,6 @@ mod tests {
         let mut engine = Engine::new(cfg, Box::new(OneShot), Box::new(PinnedMapper));
         let stats = engine.run().expect("well under both budgets");
         assert_eq!(stats.tasks_committed, 1);
-    }
-
-    #[test]
-    fn fault_plan_lost_wake_matches_the_direct_hook() {
-        // The plan-driven lost wake reports the same typed diagnosis as the
-        // pre-run hook (planted later, so ids differ, but the class and the
-        // outstanding count match).
-        use crate::fault::{FaultEvent, FaultPlan};
-        let mut engine =
-            Engine::new(SystemConfig::single_core(), Box::new(OneShot), Box::new(PinnedMapper));
-        engine.set_fault_plan(FaultPlan::from(FaultEvent {
-            at_cycle: 0,
-            kind: FaultKind::LostTaskWake { ts: 7 },
-        }));
-        let err = engine.run().expect_err("the planted task can never run");
-        assert!(
-            matches!(err, SimError::Deadlock { remaining: 1, min_ts: 7, .. }),
-            "expected a deadlock on the planted task, got {err}"
-        );
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! plan with [`crate::SimBuilder::fault_plan`]; each execution is announced
 //! through [`crate::SimObserver::on_fault_injected`].
 //!
-//! The fault family generalizes the lost-task hook the deadlock detector
-//! was originally tested with (`Engine::inject_lost_task`):
+//! Faults fall into two classes:
 //!
 //! * **Recoverable faults** ([`FaultKind::DelayedMessage`],
 //!   [`FaultKind::DuplicateMessage`], [`FaultKind::QueueSqueeze`],

@@ -75,18 +75,19 @@ impl KeyList {
         self.keys[self.head..].binary_search(key).is_ok()
     }
 
-    /// Insert `key`; a no-op if it is already present (set semantics).
-    pub fn insert(&mut self, key: OrderKey) {
+    /// Insert `key`; returns whether it was newly added (set semantics: a
+    /// duplicate insert is a no-op).
+    pub fn insert(&mut self, key: OrderKey) -> bool {
         if self.is_empty() {
             self.keys.clear();
             self.head = 0;
             self.keys.push(key);
-            return;
+            return true;
         }
         let last = *self.keys.last().expect("non-empty");
         if key > last {
             self.keys.push(key);
-            return;
+            return true;
         }
         let first = self.keys[self.head];
         if key < first {
@@ -97,11 +98,14 @@ impl KeyList {
             } else {
                 self.keys.insert(0, key);
             }
-            return;
+            return true;
         }
         match self.keys[self.head..].binary_search(&key) {
-            Ok(_) => {}
-            Err(pos) => self.keys.insert(self.head + pos, key),
+            Ok(_) => false,
+            Err(pos) => {
+                self.keys.insert(self.head + pos, key);
+                true
+            }
         }
     }
 
@@ -152,7 +156,7 @@ mod tests {
         for key in [k(5, 1), k(1, 2), k(3, 3), k(1, 1), k(9, 0)] {
             list.insert(key);
         }
-        list.insert(k(3, 3)); // duplicate: no-op
+        assert!(!list.insert(k(3, 3)), "duplicate insert is a no-op");
         assert_eq!(list.len(), 5);
         assert_eq!(list.first(), Some(&k(1, 1)));
         assert_eq!(list.last(), Some(&k(9, 0)));
@@ -208,8 +212,7 @@ mod tests {
             if step() % 3 == 0 {
                 assert_eq!(list.remove(&key), reference.remove(&key));
             } else {
-                list.insert(key);
-                reference.insert(key);
+                assert_eq!(list.insert(key), reference.insert(key));
             }
             assert_eq!(list.len(), reference.len());
             assert_eq!(list.first(), reference.first());

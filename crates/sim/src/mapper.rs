@@ -45,6 +45,11 @@ pub trait TaskMapper {
     /// Pick a victim tile for `thief` to steal from, given the number of
     /// idle (dispatchable) tasks in every tile. Returning `None` means no
     /// profitable victim exists.
+    ///
+    /// The engine calls this only when some tile holds an idle task: a
+    /// core finding no idle task anywhere goes idle without asking. That
+    /// shortcut is exact only because an implementation returns `None` on
+    /// an all-zero slice (nothing to steal) — every implementation must.
     fn steal_victim(&mut self, _thief: TileId, _idle_per_tile: &[usize]) -> Option<TileId> {
         None
     }
@@ -121,6 +126,9 @@ mod tests {
         assert!(!m.steals());
         assert_eq!(m.bucket_of(Hint::value(3)), None);
         assert_eq!(m.steal_victim(TileId(0), &[1, 2]), None);
+        // The `steal_victim` contract the engine's no-idle-task shortcut
+        // relies on.
+        assert_eq!(m.steal_victim(TileId(3), &[0; 64]), None);
         assert!(!m.on_lb_epoch(0, &[1, 2]));
     }
 

@@ -98,8 +98,13 @@ pub struct SimState {
     /// All task records: hot scalars in struct-of-arrays form, heavy bodies
     /// in free-listed slots reclaimed on commit/discard.
     pub tasks: TaskArena,
-    /// Per-tile task unit state.
+    /// Per-tile task unit state. Change a tile's idle list only through the
+    /// state's own `idle_insert`/`idle_remove`, which keep
+    /// [`SimState::idle_task_count`] in step.
     pub tiles: Vec<TileState>,
+    /// Idle tasks across all tiles (the sum of every `tiles[t].idle.len()`),
+    /// so a thief learns in O(1) that there is nothing to steal.
+    idle_tasks: usize,
     /// Per-core state.
     pub cores: Vec<CoreState>,
     /// Number of tasks that are neither committed nor discarded; the run
@@ -185,6 +190,7 @@ impl SimState {
             line_table: LineTable::new(),
             tasks: TaskArena::new(),
             tiles: vec![TileState::default(); num_tiles],
+            idle_tasks: 0,
             cores: vec![CoreState::Idle { since: 0 }; num_cores],
             remaining_tasks: 0,
             conflict_checks: 0,
@@ -356,6 +362,27 @@ impl SimState {
         out.extend(self.tiles.iter().map(|t| t.idle.len()));
     }
 
+    /// Number of idle (dispatchable) tasks across all tiles, in O(1).
+    pub fn idle_task_count(&self) -> usize {
+        self.idle_tasks
+    }
+
+    /// Insert `key` into `tile`'s idle list, keeping the idle-task count in
+    /// step.
+    fn idle_insert(&mut self, tile: TileId, key: OrderKey) {
+        if self.tiles[tile.index()].idle.insert(key) {
+            self.idle_tasks += 1;
+        }
+    }
+
+    /// Remove `key` from `tile`'s idle list, keeping the idle-task count in
+    /// step.
+    pub(crate) fn idle_remove(&mut self, tile: TileId, key: &OrderKey) {
+        if self.tiles[tile.index()].idle.remove(key) {
+            self.idle_tasks -= 1;
+        }
+    }
+
     /// The global virtual time: the commit key of the earliest unfinished
     /// task. `None` means every remaining task has finished executing, so
     /// all of them may commit.
@@ -440,7 +467,7 @@ impl SimState {
         if self.tiles[tile.index()].task_queue_occupancy() >= cap {
             self.spill_from_tile(tile);
         }
-        self.tiles[tile.index()].idle.insert(key);
+        self.idle_insert(tile, key);
         self.note_wake(tile);
         id
     }
@@ -458,7 +485,7 @@ impl SimState {
             if self.tiles[tile.index()].idle.len() <= 1 {
                 break;
             }
-            self.tiles[tile.index()].idle.remove(&key);
+            self.idle_remove(tile, &key);
             self.tiles[tile.index()].spilled.insert(key);
             self.tasks.set_status(key.1, TaskStatus::Spilled);
             spilled += 1;
@@ -489,7 +516,7 @@ impl SimState {
             }
             let Some(&key) = self.tiles[tile.index()].spilled.first() else { break };
             self.tiles[tile.index()].spilled.remove(&key);
-            self.tiles[tile.index()].idle.insert(key);
+            self.idle_insert(tile, key);
             self.tasks.set_status(key.1, TaskStatus::Idle);
             refilled += 1;
         }
@@ -520,7 +547,7 @@ impl SimState {
         let tile = self.tasks.tile(task);
         let key = self.tasks.key(task);
         self.tiles[tile.index()].spilled.remove(&key);
-        self.tiles[tile.index()].idle.insert(key);
+        self.idle_insert(tile, key);
         self.tasks.set_status(task, TaskStatus::Idle);
         self.observers.spill(&SpillEvent {
             tile,
@@ -547,8 +574,8 @@ impl SimState {
         if self.tasks.ready_at(key.1) > self.now_cycle {
             return None;
         }
-        self.tiles[victim.index()].idle.remove(&key);
-        self.tiles[thief.index()].idle.insert(key);
+        self.idle_remove(victim, &key);
+        self.idle_insert(thief, key);
         self.tasks.set_tile(key.1, thief);
         Some(key.1)
     }
@@ -843,7 +870,7 @@ impl SimState {
             }
             match status {
                 TaskStatus::Idle => {
-                    self.tiles[tile.index()].idle.remove(&key);
+                    self.idle_remove(tile, &key);
                 }
                 TaskStatus::Spilled => {
                     self.tiles[tile.index()].spilled.remove(&key);
@@ -880,7 +907,7 @@ impl SimState {
             } else {
                 self.tasks.set_status(t, TaskStatus::Idle);
                 self.tasks.set_aborted(t, false);
-                self.tiles[tile.index()].idle.insert(key);
+                self.idle_insert(tile, key);
                 self.note_wake(tile);
             }
         }
@@ -918,7 +945,7 @@ impl SimState {
             false
         } else {
             self.tasks.set_status(task, TaskStatus::Idle);
-            self.tiles[tile.index()].idle.insert(key);
+            self.idle_insert(tile, key);
             self.note_wake(tile);
             true
         }

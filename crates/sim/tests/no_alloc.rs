@@ -1,6 +1,7 @@
 //! Locks the "zero heap allocation in the steady-state hot loop" guarantee
 //! for the engine: once its structures are warm (arena slots, recycled
-//! execution buffers, timing-wheel slots, per-tile key lists, line table),
+//! execution buffers, timing-wheel slots, per-tile key lists, line table,
+//! the stealing sweep masks),
 //! executing more tasks must not touch the allocator.
 //!
 //! The engine has no public stepping API — a run goes to completion — so
@@ -18,8 +19,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use swarm_sim::{InitialTask, RoundRobinMapper, RunStats, Sim, SwarmApp, TaskCtx};
-use swarm_types::{Hint, SystemConfig};
+use swarm_sim::{InitialTask, RoundRobinMapper, RunStats, Sim, SwarmApp, TaskCtx, TaskMapper};
+use swarm_types::{Hint, SystemConfig, TileId};
 
 struct CountingAllocator;
 
@@ -262,4 +263,107 @@ fn churn_storm_still_commits_every_task_exactly_once() {
     let chain = 48u64;
     let (_, stats) = churn_run(chain);
     assert_eq!(stats.tasks_committed, chain * (1 + WAVE + WAVE * LEAVES));
+}
+
+/// The idealized work-stealing policy of the paper's Stealing scheduler
+/// (enqueue on the creating tile, steal the earliest task of the tile with
+/// the most idle tasks), restated here because the paper's schedulers live
+/// in a crate above this one. Initial tasks go round-robin.
+#[derive(Default)]
+struct LocalStealer {
+    next: u32,
+}
+
+impl TaskMapper for LocalStealer {
+    fn name(&self) -> &str {
+        "local-stealer"
+    }
+
+    fn map_task(&mut self, _hint: Hint, creator: Option<TileId>, num_tiles: usize) -> TileId {
+        creator.unwrap_or_else(|| {
+            self.next += 1;
+            TileId((self.next - 1) % num_tiles as u32)
+        })
+    }
+
+    fn steals(&self) -> bool {
+        true
+    }
+
+    fn steal_victim(&mut self, thief: TileId, idle_per_tile: &[usize]) -> Option<TileId> {
+        let (victim, &count) =
+            idle_per_tile.iter().enumerate().max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))?;
+        (count > 0 && victim != thief.index()).then_some(TileId(victim as u32))
+    }
+}
+
+/// A chain whose every link also drops `FAN` leaf tasks on its own tile.
+/// Under a stealing mapper the leaves pile up on the chain's tile while the
+/// other tiles run dry, so idle cores steal them, and every wake sweeps the
+/// whole machine.
+struct FanChain {
+    chain: u64,
+}
+
+const FAN: u64 = 8;
+/// Timestamp distance between links; the leaves of a link fill the gap.
+const LINK: u64 = 16;
+
+impl SwarmApp for FanChain {
+    fn name(&self) -> &str {
+        "fan_chain"
+    }
+
+    fn initial_tasks(&self) -> Vec<InitialTask> {
+        vec![InitialTask::new(0, 0, Hint::value(0), vec![])]
+    }
+
+    fn run_task(&self, fid: u16, ts: u64, _args: &[u64], ctx: &mut TaskCtx<'_>) {
+        // The link (fid 0) and each of its leaves (fid 1) bump their own line.
+        let line = u64::from(fid) * LINK + ts % LINK;
+        ctx.update(0x30_0000 + line * 64, |v| v.wrapping_add(1));
+        if fid == 0 && ts / LINK < self.chain {
+            ctx.enqueue(0, ts + LINK, Hint::value(0), vec![]);
+            for leaf in 0..FAN {
+                ctx.enqueue(1, ts + 1 + leaf, Hint::value(0), vec![]);
+            }
+        }
+    }
+
+    fn num_task_fns(&self) -> usize {
+        2
+    }
+}
+
+/// Allocation count and statistics of one stealing run on 64 tiles.
+fn stealing_run(chain: u64) -> (u64, RunStats) {
+    let mut stats = None;
+    let allocs = measured(|| {
+        let mut engine = Sim::builder()
+            .app(FanChain { chain })
+            .mapper(Box::new(LocalStealer::default()))
+            .cores(256)
+            .build()
+            .expect("stealing workload builds");
+        stats = Some(engine.run().expect("stealing workload runs"));
+    });
+    (allocs, stats.expect("run completed"))
+}
+
+#[test]
+fn stealing_sweeps_on_64_tiles_allocate_no_more_than_a_short_run() {
+    stealing_run(64);
+    let (short, short_stats) = stealing_run(256);
+    let (long, long_stats) = stealing_run(2048);
+    assert_eq!(short_stats.committed_cycles_per_tile.len(), 64);
+    // The chain runs on one tile; committed work on other tiles means its
+    // leaves were stolen.
+    let busy_tiles = long_stats.committed_cycles_per_tile.iter().filter(|&&c| c > 0).count();
+    assert!(busy_tiles > 1, "leaves must be stolen, only {busy_tiles} tile did work");
+    assert_eq!(long_stats.tasks_committed, 1 + 2048 * (1 + FAN));
+    assert!(
+        long >= short && long - short <= DOUBLING_ALLOWANCE,
+        "8x more stealing sweeps must add at most a few metadata-array doublings, \
+         got {short} -> {long}"
+    );
 }

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use swarm_repro::apps::synth::{Hostile, HostileWorkload};
 use swarm_repro::prelude::*;
 use swarm_repro::sim::conformance::MapperSpec;
-use swarm_repro::sim::fault::FaultPlan;
+use swarm_repro::sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use swarm_repro::sim::fuzz::{
     check_scenario, check_scenario_with_faults, fault_plan, scenario, ScenarioSpec,
 };
@@ -186,30 +186,38 @@ fn spill_induced_inversion_is_the_single_core_abort_source() {
 }
 
 /// The deadlock detector, end to end: a real hostile workload runs through
-/// spills and aborts, drains — and then the engine discovers the planted
-/// lost task (a task registered as remaining work with no queue entry and
-/// no wake, the fault class `Engine::inject_lost_task` documents) and
-/// reports `SimError::Deadlock` instead of spinning on GVT events forever.
+/// spills and aborts, drains — and then the engine discovers the task a
+/// `lost-wake` fault planted at cycle 0 (a task registered as remaining
+/// work with no queue entry and no wake) and reports `SimError::Deadlock`
+/// instead of spinning on GVT events forever.
 #[test]
 fn wedged_run_reports_deadlock_with_remaining_work() {
     for (cores, scheduler) in [(1u32, Scheduler::Hints), (16, Scheduler::Stealing)] {
         let w = HostileWorkload::spill_storm(48, 2, 20, 33);
+        let app = Hostile::new(w);
+        let initial = app.initial_tasks().len() as u64;
+        // Far past all real work, so every healthy task drains first.
+        let plan = FaultPlan::from(FaultEvent {
+            at_cycle: 0,
+            kind: FaultKind::LostTaskWake { ts: u64::MAX / 2 },
+        });
         let mut engine = Sim::builder()
             .cores(cores)
-            .app(Hostile::new(w))
+            .app(app)
             .scheduler(scheduler)
+            .fault_plan(plan)
             .build()
             .expect("valid simulation");
-        // Far past all real work, so every healthy task drains first.
-        engine.inject_lost_task(u64::MAX / 2);
         let err = engine.run().expect_err("a wedged run must error, not hang");
         let SimError::Deadlock { remaining, min_ts, stuck_task } = &err else {
             panic!("at {cores} cores under {}, expected a deadlock, got {err}", scheduler.name());
         };
         assert_eq!(*remaining, 1, "the planted task must be the only remainder");
         assert_eq!(*min_ts, u64::MAX / 2, "diagnostics must name the planted timestamp");
-        // Injection precedes run(), so the planted task fills the first
-        // arena slot — the diagnosis must name it exactly.
-        assert_eq!(*stuck_task, TaskId(0), "diagnostics must name the planted task");
+        // The fault fires at cycle 0, after the initial tasks are enqueued
+        // and before any task finishes and creates children, so the planted
+        // task takes the next arena slot — the diagnosis must name it
+        // exactly.
+        assert_eq!(*stuck_task, TaskId(initial), "diagnostics must name the planted task");
     }
 }

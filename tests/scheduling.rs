@@ -229,3 +229,25 @@ fn lbhints_spreads_hot_buckets_over_time() {
     assert!(stats.gvt_updates > 0);
     assert!(stats.tasks_committed == 6 * 48);
 }
+
+#[test]
+fn stealing_wakes_cost_a_constant_number_of_events_per_task() {
+    // Under Stealing every wake is a stealing opportunity for every idle
+    // core. One sweep event per wake covers them all: at 256 cores with the
+    // contention NoC, bfs takes 2.2 and kmeans 3.2 events per executed task,
+    // where one dispatch-attempt event per non-busy core took 249 and 142.
+    for app in [BenchmarkId::Bfs, BenchmarkId::Kmeans] {
+        let mut cfg = SystemConfig::with_cores(256);
+        cfg.noc.model = swarm_repro::types::NocModel::Contention;
+        let mut engine = Sim::builder()
+            .config(cfg)
+            .app_boxed(AppSpec::coarse(app).build(InputScale::Tiny, 1))
+            .scheduler(Scheduler::Stealing)
+            .build()
+            .expect("a valid simulation description");
+        let stats = engine.run().expect("must validate");
+        let executed = stats.tasks_committed + stats.tasks_aborted;
+        let per_task = engine.events_processed() as f64 / executed as f64;
+        assert!(per_task <= 8.0, "{app:?}: {per_task:.2} wheel events per executed task");
+    }
+}
