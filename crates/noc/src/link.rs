@@ -15,8 +15,20 @@
 //! a work-conserving FIFO drains in the same order and at the same rate
 //! regardless of how the backlog is buffered, so clamping only the statistic
 //! keeps the model simple and the delays exact.
-
-use std::collections::VecDeque;
+//!
+//! The depth also bounds the backlog each link *stores*, without changing
+//! any statistic. A link's departures strictly increase (each is at least
+//! one service time past the previous one), and an arrival only ever drops
+//! departures at or before its own cycle from the front. The stored backlog
+//! is therefore always a suffix of the link's departure history, and the
+//! occupancy an arrival sees is `min(len, depth)` of the unbounded suffix.
+//! Keeping only its newest `depth` entries keeps that minimum exact. The
+//! dropped entries are older than every kept one, so an arrival that drains
+//! into the kept entries has drained every dropped one first, and both
+//! backlogs agree entry for entry; an arrival that does not still finds at
+//! least `depth` entries either way. The stored backlog grows with the real
+//! one and never past `depth`, so a large configured depth costs no memory
+//! up front.
 
 use swarm_types::NocConfig;
 
@@ -79,20 +91,107 @@ impl LinkStats {
     }
 }
 
+/// One link a message crossed, as [`LinkNet::walk`] reports it per hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// The directed link id (see [`crate::Mesh::route_links`]).
+    pub link: u32,
+    /// Cycle the message arrived at the link.
+    pub enter: u64,
+    /// Cycle the message cleared the link (service plus any queueing).
+    pub depart: u64,
+    /// Cycles spent waiting behind earlier messages on this link.
+    pub queue_cycles: u64,
+}
+
 /// The live contention state of every directed link in the mesh.
 #[derive(Debug, Clone)]
 pub struct LinkNet {
     flits_per_cycle: u64,
-    queue_depth: u64,
-    /// Cycle at which each link finishes serving everything accepted so far.
-    busy_until: Vec<u64>,
-    /// Departure cycles of the messages still in flight on each link, in
-    /// FIFO (= ascending) order; drained lazily to measure the backlog a new
-    /// arrival queues behind. Capacity is retained across messages, so the
-    /// steady state allocates nothing.
-    in_flight: Vec<VecDeque<u64>>,
-    counters: Vec<LinkCounters>,
+    queue_depth: usize,
+    /// One record per directed link slot, so a hop touches one record.
+    links: Vec<Link>,
     class_queue_cycles: [u64; TrafficClass::ALL.len()],
+}
+
+/// Everything one directed link keeps.
+#[derive(Debug, Clone, Default)]
+struct Link {
+    /// Cycle at which the link finishes serving everything accepted so far.
+    busy_until: u64,
+    /// Totals reported by [`LinkNet::snapshot`].
+    counters: LinkCounters,
+    /// Departures of the messages still on the link.
+    backlog: Backlog,
+}
+
+/// Departure cycles of the messages still on one link, oldest first, in a
+/// ring that holds at most the queue depth of them (see the module docs for
+/// why that is exact). The ring doubles as the backlog grows, never past the
+/// depth, and keeps its storage, so the steady state allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Backlog {
+    /// Ring storage; every slot is initialised and `slots.len()` is the
+    /// ring size.
+    slots: Vec<u64>,
+    /// Slot of the oldest departure.
+    head: usize,
+    /// Departures held.
+    len: usize,
+}
+
+impl Backlog {
+    /// Admit a message arriving at `enter` that departs at `depart`: forget
+    /// the departures at or before `enter`, record `depart` (displacing the
+    /// oldest when `depth` are held), and return how many messages were
+    /// still ahead of it, at most `depth`.
+    #[inline]
+    fn admit(&mut self, enter: u64, depart: u64, depth: usize) -> u64 {
+        while self.len > 0 && self.slots[self.head] <= enter {
+            self.head = self.next(self.head);
+            self.len -= 1;
+        }
+        let ahead = self.len;
+        if ahead == depth {
+            // Full at the cap, where the ring size is `depth`: the newest
+            // departure takes the oldest one's slot.
+            self.slots[self.head] = depart;
+            self.head = self.next(self.head);
+        } else {
+            if ahead == self.slots.len() {
+                self.grow(depth);
+            }
+            let mut tail = self.head + ahead;
+            if tail >= self.slots.len() {
+                tail -= self.slots.len();
+            }
+            self.slots[tail] = depart;
+            self.len += 1;
+        }
+        ahead as u64
+    }
+
+    #[inline]
+    fn next(&self, slot: usize) -> usize {
+        if slot + 1 == self.slots.len() {
+            0
+        } else {
+            slot + 1
+        }
+    }
+
+    /// Double the full ring, capped at `depth`, unrolled so the oldest
+    /// departure sits in slot 0.
+    #[cold]
+    fn grow(&mut self, depth: usize) {
+        let size = (self.slots.len() * 2).max(4).min(depth);
+        let mut slots = Vec::with_capacity(size);
+        slots.extend_from_slice(&self.slots[self.head..]);
+        slots.extend_from_slice(&self.slots[..self.head]);
+        slots.resize(size, 0);
+        self.slots = slots;
+        self.head = 0;
+    }
 }
 
 impl LinkNet {
@@ -108,44 +207,59 @@ impl LinkNet {
         assert!(cfg.link_queue_depth > 0, "link_queue_depth must be positive");
         LinkNet {
             flits_per_cycle: cfg.link_flits_per_cycle,
-            queue_depth: cfg.link_queue_depth,
-            busy_until: vec![0; num_links],
-            in_flight: vec![VecDeque::new(); num_links],
-            counters: vec![LinkCounters::default(); num_links],
+            queue_depth: usize::try_from(cfg.link_queue_depth).unwrap_or(usize::MAX),
+            links: vec![Link::default(); num_links],
             class_queue_cycles: [0; TrafficClass::ALL.len()],
         }
     }
 
-    /// Pass one `flits`-flit message of `class` through `link`, arriving at
-    /// cycle `enter`. Returns the departure cycle; the difference between
-    /// `depart - enter` and the link's raw service time is the queueing
-    /// delay, which is also accumulated into the link's counters.
-    pub fn traverse(&mut self, link: u32, class: TrafficClass, flits: u64, enter: u64) -> u64 {
-        let i = link as usize;
-        let busy = self.busy_until[i];
-        let wait = busy.saturating_sub(enter);
-        let service = flits.div_ceil(self.flits_per_cycle).max(1);
-        let depart = enter.max(busy) + service;
-        self.busy_until[i] = depart;
-
-        let queue = &mut self.in_flight[i];
-        while queue.front().is_some_and(|&d| d <= enter) {
-            queue.pop_front();
+    /// Walk one `flits`-flit message of `class` over `route` (link ids in
+    /// traversal order). It arrives at the first link at cycle `enter` and
+    /// at each later link when it clears the one before; every link serves
+    /// it behind everything it accepted earlier. `on_hop` sees each link
+    /// crossed, in order. Returns the message's total queueing delay, which
+    /// is also accumulated into the link and class counters.
+    #[inline]
+    pub fn walk(
+        &mut self,
+        route: &[u32],
+        class: TrafficClass,
+        flits: u64,
+        enter: u64,
+        mut on_hop: impl FnMut(Hop),
+    ) -> u64 {
+        let service = self.service_cycles(flits);
+        let mut at = enter;
+        let mut queued = 0;
+        for &link in route {
+            let l = &mut self.links[link as usize];
+            let wait = l.busy_until.saturating_sub(at);
+            let depart = at + wait + service;
+            l.busy_until = depart;
+            let occupancy = l.backlog.admit(at, depart, self.queue_depth);
+            let c = &mut l.counters;
+            c.messages += 1;
+            c.flits += flits;
+            c.queue_cycles += wait;
+            c.occupancy_sum += occupancy;
+            c.max_occupancy = c.max_occupancy.max(occupancy);
+            on_hop(Hop { link, enter: at, depart, queue_cycles: wait });
+            queued += wait;
+            at = depart;
         }
-        let occupancy = (queue.len() as u64).min(self.queue_depth);
-        queue.push_back(depart);
+        self.class_queue_cycles[class.index()] += queued;
+        queued
+    }
 
-        let c = &mut self.counters[i];
-        c.messages += 1;
-        c.flits += flits;
-        c.queue_cycles += wait;
-        c.occupancy_sum += occupancy;
-        c.max_occupancy = c.max_occupancy.max(occupancy);
-        self.class_queue_cycles[class.index()] += wait;
-        depart
+    /// Pass one `flits`-flit message of `class` through the single link
+    /// `link`, arriving at cycle `enter`. Returns the departure cycle: the
+    /// raw service time plus the queueing delay.
+    pub fn traverse(&mut self, link: u32, class: TrafficClass, flits: u64, enter: u64) -> u64 {
+        enter + self.service_cycles(flits) + self.walk(&[link], class, flits, enter, |_| {})
     }
 
     /// Raw service time of a `flits`-flit message on an idle link.
+    #[inline]
     pub fn service_cycles(&self, flits: u64) -> u64 {
         flits.div_ceil(self.flits_per_cycle).max(1)
     }
@@ -157,7 +271,10 @@ impl LinkNet {
 
     /// Snapshot the counters for end-of-run statistics.
     pub fn snapshot(&self) -> LinkStats {
-        LinkStats { links: self.counters.clone(), class_queue_cycles: self.class_queue_cycles }
+        LinkStats {
+            links: self.links.iter().map(|l| l.counters).collect(),
+            class_queue_cycles: self.class_queue_cycles,
+        }
     }
 }
 
@@ -253,5 +370,49 @@ mod tests {
         // Service time is at least one cycle regardless of width.
         assert_eq!(n.traverse(0, TrafficClass::Gvt, 1, 0), 1);
         assert_eq!(n.service_cycles(1), 1);
+    }
+
+    #[test]
+    fn stored_backlog_never_exceeds_depth_and_grows_lazily() {
+        for depth in [1u64, 2, 5, 16, 1 << 40] {
+            let mut n = net(1, depth);
+            // An untouched link holds no storage, whatever the depth.
+            assert_eq!(n.links[0].backlog.slots.capacity(), 0);
+            // 100 same-cycle arrivals saturate link 0; its backlog keeps at
+            // most `depth` departures while the statistic still clamps.
+            for k in 0..100u64 {
+                n.traverse(0, TrafficClass::Memory, 3, 0);
+                let cap = n.links[0].backlog.slots.capacity() as u64;
+                assert!(cap <= depth, "depth {depth}: capacity {cap}");
+                assert!(cap <= (2 * k).max(4), "depth {depth}: grew ahead of the backlog");
+            }
+            let c = n.snapshot().links[0];
+            let expect: u64 = (0..100u64).map(|k| k.min(depth)).sum();
+            assert_eq!(c.occupancy_sum, expect, "depth {depth}");
+            // A late arrival drains the whole ring and finds the link idle.
+            assert_eq!(n.traverse(0, TrafficClass::Memory, 3, 10_000), 10_003);
+            assert_eq!(n.links[0].backlog.len, 1);
+        }
+    }
+
+    #[test]
+    fn a_walk_chains_hops_and_reports_each_one() {
+        let mut n = net(2, 16);
+        // Link 4 is busy until cycle 7, so the message queues there.
+        assert_eq!(n.traverse(4, TrafficClass::Task, 6, 4), 7);
+        let mut hops = Vec::new();
+        let queued = n.walk(&[1, 4, 6], TrafficClass::Gvt, 3, 2, |h| hops.push(h));
+        assert_eq!(
+            hops,
+            [
+                Hop { link: 1, enter: 2, depart: 4, queue_cycles: 0 },
+                Hop { link: 4, enter: 4, depart: 9, queue_cycles: 3 },
+                Hop { link: 6, enter: 9, depart: 11, queue_cycles: 0 },
+            ]
+        );
+        assert_eq!(queued, 3);
+        assert_eq!(n.snapshot().class_queue_cycles[TrafficClass::Gvt.index()], 3);
+        // An empty route crosses nothing and charges nothing.
+        assert_eq!(n.walk(&[], TrafficClass::Gvt, 3, 0, |_| unreachable!()), 0);
     }
 }

@@ -824,13 +824,7 @@ impl Engine {
         self.check_budgets()?;
         self.state.observers.gvt_update(self.now);
         // Each tile exchanges a GVT update with the arbiter (tile 0).
-        let arbiter = TileId(0);
-        for t in 0..self.state.cfg.num_tiles() {
-            let tile = TileId(t as u32);
-            let hops = self.state.mesh.hops(tile, arbiter);
-            let flits = self.state.mesh.control_flits();
-            self.state.send_message(TrafficClass::Gvt, tile, arbiter, hops, 2 * flits, self.now);
-        }
+        self.state.exchange_gvt(self.now);
 
         let frontier = self.state.gvt();
         // If the earliest unfinished task was spilled to memory, no commit

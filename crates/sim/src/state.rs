@@ -13,7 +13,7 @@
 //! conflict, so a steady-state simulation step performs no heap allocation.
 
 use swarm_mem::{AccessKind, CacheModel, HitLevel, SimMemory, UndoEntry};
-use swarm_noc::{LinkNet, Mesh, TrafficClass};
+use swarm_noc::{Hop, LinkNet, Mesh, RouteTable, TrafficClass};
 use swarm_types::{Addr, CoreId, LineAddr, NocModel, SystemConfig, TaskId, TileId};
 
 use crate::arena::TaskArena;
@@ -83,6 +83,9 @@ pub struct SimState {
     pub caches: CacheModel,
     /// Network model.
     pub mesh: Mesh,
+    /// Every tile's route to the GVT arbiter (tile 0), precomputed: the
+    /// per-epoch GVT exchange sends one message from every tile along these.
+    arbiter_routes: RouteTable,
     /// Per-link contention state: `Some` only under
     /// [`NocModel::Contention`]; `None` keeps the analytic fast path intact.
     pub(crate) links: Option<LinkNet>,
@@ -145,7 +148,7 @@ pub struct SimState {
     scratch_abort_discard: Vec<bool>,
     /// [`SimState::abort_task`]: combined undo log of the abort set.
     scratch_undo: Vec<UndoEntry>,
-    /// [`SimState::route_message`]: link ids of the route being walked.
+    /// [`SimState::send_message`]: link ids of the route being walked.
     scratch_route: Vec<u32>,
 
     // Execution-context buffers recycled between task-body executions (at
@@ -184,6 +187,7 @@ impl SimState {
         SimState {
             mem: SimMemory::new(),
             caches: CacheModel::new(cfg.cache.clone(), num_tiles, cfg.cores_per_tile),
+            arbiter_routes: mesh.routes_to(TileId(0)),
             mesh,
             links,
             now_cycle: 0,
@@ -228,13 +232,7 @@ impl SimState {
     /// models contention when enabled.
     #[inline]
     pub(crate) fn record_traffic(&mut self, class: TrafficClass, hops: u64, flits: u64) {
-        self.observers.network(&NetworkEvent { class, hops, flits, queue_cycles: 0 });
-        // An armed DuplicateMessage fault delivers (and accounts) the next
-        // message a second time.
-        if self.faults.duplicate_next {
-            self.faults.duplicate_next = false;
-            self.observers.network(&NetworkEvent { class, hops, flits, queue_cycles: 0 });
-        }
+        self.deliver(class, &[], hops, flits, self.now_cycle);
     }
 
     /// Deliver one message from `from` to `to`: walk its dimension-ordered
@@ -259,11 +257,46 @@ impl SimState {
         flits: u64,
         enter: u64,
     ) -> u64 {
-        let queue_cycles = self.route_message(class, from, to, flits, enter);
+        if self.links.is_none() || from == to {
+            return self.deliver(class, &[], event_hops, flits, enter);
+        }
+        let mut route = std::mem::take(&mut self.scratch_route);
+        debug_assert!(route.is_empty());
+        self.mesh.route_links(from, to, |l| route.push(l));
+        let queued = self.deliver(class, &route, event_hops, flits, enter);
+        route.clear();
+        self.scratch_route = route;
+        queued
+    }
+
+    /// The per-epoch GVT exchange: every tile, in tile order, sends the
+    /// arbiter (tile 0) an update over its precomputed route, all leaving
+    /// at cycle `enter`.
+    pub(crate) fn exchange_gvt(&mut self, enter: u64) {
+        let flits = 2 * self.mesh.control_flits();
+        let routes = std::mem::take(&mut self.arbiter_routes);
+        for t in 0..self.cfg.num_tiles() as u32 {
+            let route = routes.route(TileId(t));
+            self.deliver(TrafficClass::Gvt, route, route.len() as u64, flits, enter);
+        }
+        self.arbiter_routes = routes;
+    }
+
+    /// Walk `route` and announce the message (see
+    /// [`SimState::send_message`]); the one place a message is delivered.
+    fn deliver(
+        &mut self,
+        class: TrafficClass,
+        route: &[u32],
+        event_hops: u64,
+        flits: u64,
+        enter: u64,
+    ) -> u64 {
+        let queue_cycles = self.walk_route(class, route, flits, enter);
         self.observers.network(&NetworkEvent { class, hops: event_hops, flits, queue_cycles });
         if self.faults.duplicate_next {
             self.faults.duplicate_next = false;
-            let dup = self.route_message(class, from, to, flits, enter);
+            let dup = self.walk_route(class, route, flits, enter);
             self.observers.network(&NetworkEvent {
                 class,
                 hops: event_hops,
@@ -274,48 +307,27 @@ impl SimState {
         queue_cycles
     }
 
-    /// Walk `flits` of `class` hop by hop from `from` to `to` through the
-    /// link FIFOs, entering the first link at cycle `enter`. Returns the
-    /// total queueing delay across the route. No-op (returning zero) under
-    /// [`NocModel::Analytic`] or when source and destination coincide.
-    fn route_message(
-        &mut self,
-        class: TrafficClass,
-        from: TileId,
-        to: TileId,
-        flits: u64,
-        enter: u64,
-    ) -> u64 {
-        if self.links.is_none() || from == to {
-            return 0;
+    /// Walk `flits` of `class` over `route` through the link FIFOs, entering
+    /// the first link at cycle `enter`, and return the total queueing delay.
+    /// Per-link occupancy events are built only when a custom observer
+    /// listens. Returns zero under [`NocModel::Analytic`].
+    #[inline]
+    fn walk_route(&mut self, class: TrafficClass, route: &[u32], flits: u64, enter: u64) -> u64 {
+        let Some(links) = self.links.as_mut() else { return 0 };
+        if !self.observers.wants_link_occupancy() {
+            return links.walk(route, class, flits, enter, |_| {});
         }
-        let mut route = std::mem::take(&mut self.scratch_route);
-        debug_assert!(route.is_empty());
-        self.mesh.route_links(from, to, |l| route.push(l));
-        let links = self.links.as_mut().expect("contention mode checked above");
-        let want_events = self.observers.wants_link_occupancy();
-        let service = links.service_cycles(flits);
-        let mut at = enter;
-        let mut queued = 0;
-        for &link in &route {
-            let depart = links.traverse(link, class, flits, at);
-            let wait = depart - at - service;
-            queued += wait;
-            if want_events {
-                self.observers.link_occupancy(&LinkOccupancyEvent {
-                    link,
-                    class,
-                    flits,
-                    enter: at,
-                    depart,
-                    queue_cycles: wait,
-                });
-            }
-            at = depart;
-        }
-        route.clear();
-        self.scratch_route = route;
-        queued
+        let observers = &mut self.observers;
+        links.walk(route, class, flits, enter, |hop: Hop| {
+            observers.link_occupancy(&LinkOccupancyEvent {
+                link: hop.link,
+                class,
+                flits,
+                enter: hop.enter,
+                depart: hop.depart,
+                queue_cycles: hop.queue_cycles,
+            });
+        })
     }
 
     /// The tile a core belongs to.

@@ -10,7 +10,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use swarm_repro::noc::TrafficClass;
 use swarm_repro::prelude::*;
+use swarm_repro::sim::observer::LinkOccupancyEvent;
+use swarm_repro::types::NocModel;
 
 /// A from-scratch reimplementation of the headline counters, fed only by
 /// observer hooks.
@@ -105,4 +108,45 @@ fn attaching_an_observer_does_not_change_the_results() {
         .expect("a valid simulation description");
     let without_observer = engine.run().expect("run must validate");
     assert_eq!(with_observer, without_observer);
+}
+
+/// Counts the per-link occupancy events of GVT updates.
+#[derive(Default)]
+struct GvtHopCounter {
+    gvt_hops: u64,
+}
+
+impl SimObserver for GvtHopCounter {
+    fn on_link_occupancy(&mut self, event: &LinkOccupancyEvent) {
+        if event.class == TrafficClass::Gvt {
+            self.gvt_hops += 1;
+        }
+    }
+}
+
+#[test]
+fn contention_link_walks_agree_with_and_without_an_observer() {
+    // 256 cores = an 8x8 mesh under the contention NoC. Without a custom
+    // observer the link walk skips building per-hop events; with one it
+    // builds them inside the same walk. Both must leave identical stats.
+    let run = |observer: Option<Rc<RefCell<GvtHopCounter>>>| {
+        let mut cfg = SystemConfig::with_cores(256);
+        cfg.noc.model = NocModel::Contention;
+        let mut builder = Sim::builder()
+            .config(cfg)
+            .app_boxed(AppSpec::coarse(BenchmarkId::Bfs).build(InputScale::Tiny, 1))
+            .scheduler(Scheduler::Random);
+        if let Some(observer) = observer {
+            builder = builder.observer(observer);
+        }
+        builder.build().expect("a valid simulation description").run().expect("must validate")
+    };
+    let counter = Rc::new(RefCell::new(GvtHopCounter::default()));
+    let with_observer = run(Some(Rc::clone(&counter)));
+    let without_observer = run(None);
+    assert_eq!(with_observer, without_observer);
+    // Every GVT epoch each tile walks its X-Y route to the arbiter (tile
+    // 0): 448 links in all on the 8x8 mesh.
+    assert!(with_observer.gvt_updates > 0);
+    assert_eq!(counter.borrow().gvt_hops, with_observer.gvt_updates * 448);
 }

@@ -295,6 +295,74 @@ mod seed_reference {
             self.heap.pop().map(|std::cmp::Reverse((at, _, item))| (at, item))
         }
     }
+
+    use std::collections::VecDeque;
+
+    use swarm_repro::noc::{LinkCounters, LinkStats, TrafficClass};
+    use swarm_types::NocConfig;
+
+    /// The seed's per-link contention state: parallel per-link vectors and
+    /// an unbounded `VecDeque` backlog per link, walked one `traverse` per
+    /// hop. The packed, depth-capped `LinkNet` must reproduce every
+    /// departure and counter of it.
+    #[derive(Debug, Clone)]
+    pub struct SeedLinkNet {
+        flits_per_cycle: u64,
+        queue_depth: u64,
+        /// Cycle at which each link finishes serving everything accepted so far.
+        busy_until: Vec<u64>,
+        /// Departure cycles of the messages still in flight on each link, in
+        /// FIFO (= ascending) order; drained lazily to measure the backlog a new
+        /// arrival queues behind. Capacity is retained across messages, so the
+        /// steady state allocates nothing.
+        in_flight: Vec<VecDeque<u64>>,
+        counters: Vec<LinkCounters>,
+        class_queue_cycles: [u64; TrafficClass::ALL.len()],
+    }
+
+    impl SeedLinkNet {
+        pub fn new(cfg: &NocConfig, num_links: usize) -> Self {
+            assert!(cfg.link_flits_per_cycle > 0, "link_flits_per_cycle must be positive");
+            assert!(cfg.link_queue_depth > 0, "link_queue_depth must be positive");
+            SeedLinkNet {
+                flits_per_cycle: cfg.link_flits_per_cycle,
+                queue_depth: cfg.link_queue_depth,
+                busy_until: vec![0; num_links],
+                in_flight: vec![VecDeque::new(); num_links],
+                counters: vec![LinkCounters::default(); num_links],
+                class_queue_cycles: [0; TrafficClass::ALL.len()],
+            }
+        }
+
+        pub fn traverse(&mut self, link: u32, class: TrafficClass, flits: u64, enter: u64) -> u64 {
+            let i = link as usize;
+            let busy = self.busy_until[i];
+            let wait = busy.saturating_sub(enter);
+            let service = flits.div_ceil(self.flits_per_cycle).max(1);
+            let depart = enter.max(busy) + service;
+            self.busy_until[i] = depart;
+
+            let queue = &mut self.in_flight[i];
+            while queue.front().is_some_and(|&d| d <= enter) {
+                queue.pop_front();
+            }
+            let occupancy = (queue.len() as u64).min(self.queue_depth);
+            queue.push_back(depart);
+
+            let c = &mut self.counters[i];
+            c.messages += 1;
+            c.flits += flits;
+            c.queue_cycles += wait;
+            c.occupancy_sum += occupancy;
+            c.max_occupancy = c.max_occupancy.max(occupancy);
+            self.class_queue_cycles[class.index()] += wait;
+            depart
+        }
+
+        pub fn snapshot(&self) -> LinkStats {
+            LinkStats { links: self.counters.clone(), class_queue_cycles: self.class_queue_cycles }
+        }
+    }
 }
 
 /// A randomly generated "ledger" program: a set of add operations over a
@@ -747,5 +815,67 @@ proptest! {
             let (src, _) = mesh.link_endpoints(link);
             prop_assert!(src.index() < mesh.num_tiles());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The packed `LinkNet`, whose stored backlog is capped at the queue
+    /// depth, matches the seed's unbounded-`VecDeque` model departure for
+    /// departure. Messages walk random multi-link routes over a few links:
+    /// same-cycle bursts grow backlogs far past every depth tried, and idle
+    /// gaps drain them part way, so arrivals land in the middle of stored
+    /// backlogs. Arrival cycles jump backwards as well as forwards, flit
+    /// counts vary, and the link width and depth cover the narrow, wide,
+    /// shallow and deep cases. The final counter snapshots must be equal
+    /// too.
+    #[test]
+    fn link_net_matches_seed_unbounded_backlog(
+        width_idx in 0usize..3,
+        depth_idx in 0usize..4,
+        msgs in proptest::collection::vec(
+            (0u64..8, 0usize..4, 1u64..13, 0u64..48, 1usize..5, any::<u32>()),
+            1..400,
+        ),
+    ) {
+        use swarm_repro::noc::{LinkNet, TrafficClass};
+        const NUM_LINKS: u32 = 6;
+        let cfg = swarm_types::NocConfig {
+            link_flits_per_cycle: [1, 2, 4][width_idx],
+            link_queue_depth: [1, 2, 16, 64][depth_idx],
+            ..swarm_types::NocConfig::default()
+        };
+        let mut net = LinkNet::new(&cfg, NUM_LINKS as usize);
+        let mut seed = seed_reference::SeedLinkNet::new(&cfg, NUM_LINKS as usize);
+        let mut now = 0u64;
+        let mut route = Vec::new();
+        for (step, &(advance, class_idx, flits, jitter, hops, route_bits)) in msgs.iter().enumerate() {
+            // Mostly the clock creeps forward slower than the links drain;
+            // now and then it jumps ahead by up to ~190 cycles.
+            now += if advance == 7 { 4 * jitter } else { advance };
+            let enter = if advance % 2 == 0 { now.saturating_sub(jitter) } else { now + jitter };
+            let class = TrafficClass::ALL[class_idx];
+            route.clear();
+            route.extend((0..hops).map(|k| (route_bits >> (4 * k)) % NUM_LINKS));
+
+            let mut got = Vec::new();
+            let queued = net.walk(&route, class, flits, enter, |hop| got.push(hop));
+            let service = flits.div_ceil(cfg.link_flits_per_cycle).max(1);
+            let mut at = enter;
+            let mut want_queued = 0;
+            prop_assert_eq!(got.len(), route.len());
+            for (k, &link) in route.iter().enumerate() {
+                let depart = seed.traverse(link, class, flits, at);
+                prop_assert_eq!(got[k].link, link);
+                prop_assert_eq!(got[k].enter, at, "step {} hop {}", step, k);
+                prop_assert_eq!(got[k].depart, depart, "step {} hop {}", step, k);
+                prop_assert_eq!(got[k].queue_cycles, depart - at - service);
+                want_queued += depart - at - service;
+                at = depart;
+            }
+            prop_assert_eq!(queued, want_queued, "step {}", step);
+        }
+        prop_assert_eq!(net.snapshot(), seed.snapshot());
     }
 }
