@@ -1,14 +1,15 @@
 //! Criterion benchmarks behind the evaluation figures: for each figure
 //! family, time the simulated runs that regenerate it (at tiny scale, so
 //! `cargo bench` completes quickly). The figure *content* (speedups,
-//! breakdowns) is produced by the harness binaries; these benches track the
-//! cost of regenerating them and act as end-to-end performance regressions.
+//! breakdowns) is produced by the `swarm` figure commands; these benches
+//! track the cost of regenerating them and act as end-to-end performance
+//! regressions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
 
 use spatial_hints::{classify_accesses, ClassifierConfig, Scheduler};
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
-use swarm_bench::{run_app, run_app_profiled, Pool, RunRequest};
+use swarm_bench::{run_point_result, Pool, RunRequest};
 
 const CORES: u32 = 16;
 
@@ -22,12 +23,15 @@ fn bench_fig_scheduler_comparison(c: &mut Criterion) {
             &scheduler,
             |b, &scheduler| {
                 b.iter(|| {
-                    run_app(RunRequest::new(
-                        AppSpec::coarse(BenchmarkId::Des),
-                        scheduler,
-                        CORES,
-                        InputScale::Tiny,
-                    ))
+                    run_point_result(
+                        RunRequest::new(
+                            AppSpec::coarse(BenchmarkId::Des),
+                            scheduler,
+                            CORES,
+                            InputScale::Tiny,
+                        ),
+                        false,
+                    )
                 })
             },
         );
@@ -42,12 +46,9 @@ fn bench_fig_access_classification(c: &mut Criterion) {
     for bench in [BenchmarkId::Sssp, BenchmarkId::Kmeans] {
         group.bench_with_input(CriterionId::from_parameter(bench.name()), &bench, |b, &bench| {
             b.iter(|| {
-                let stats = run_app_profiled(RunRequest::new(
-                    AppSpec::coarse(bench),
-                    Scheduler::Hints,
-                    4,
-                    InputScale::Tiny,
-                ));
+                let request =
+                    RunRequest::new(AppSpec::coarse(bench), Scheduler::Hints, 4, InputScale::Tiny);
+                let stats = run_point_result(request, true).expect("a tiny point runs");
                 classify_accesses(&stats.committed_accesses, ClassifierConfig::default())
             })
         });
@@ -64,7 +65,12 @@ fn bench_fig_fine_grain(c: &mut Criterion) {
         ("sssp-fg", AppSpec::fine(BenchmarkId::Sssp)),
     ] {
         group.bench_with_input(CriterionId::from_parameter(label), &spec, |b, &spec| {
-            b.iter(|| run_app(RunRequest::new(spec, Scheduler::Hints, CORES, InputScale::Tiny)))
+            b.iter(|| {
+                run_point_result(
+                    RunRequest::new(spec, Scheduler::Hints, CORES, InputScale::Tiny),
+                    false,
+                )
+            })
         });
     }
     group.finish();
@@ -80,12 +86,15 @@ fn bench_fig_load_balancer(c: &mut Criterion) {
             &scheduler,
             |b, &scheduler| {
                 b.iter(|| {
-                    run_app(RunRequest::new(
-                        AppSpec::coarse(BenchmarkId::Nocsim),
-                        scheduler,
-                        CORES,
-                        InputScale::Tiny,
-                    ))
+                    run_point_result(
+                        RunRequest::new(
+                            AppSpec::coarse(BenchmarkId::Nocsim),
+                            scheduler,
+                            CORES,
+                            InputScale::Tiny,
+                        ),
+                        false,
+                    )
                 })
             },
         );
@@ -105,7 +114,7 @@ fn bench_fig_matrix_parallelism(c: &mut Criterion) {
         .collect();
     for (label, pool) in [("serial", Pool::serial()), ("parallel", Pool::new(0))] {
         group.bench_with_input(CriterionId::from_parameter(label), &pool, |b, pool| {
-            b.iter(|| pool.speedup_curves(&series, &[1, 4, 16], InputScale::Tiny, 0xF1605))
+            b.iter(|| pool.try_speedup_curves(&series, &[1, 4, 16], InputScale::Tiny, 0xF1605))
         });
     }
     group.finish();

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Cri
 
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
-use swarm_bench::{run_app, RunRequest};
+use swarm_bench::{run_point_result, RunRequest};
 
 fn bench_table1_single_core_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_single_core");
@@ -14,12 +14,10 @@ fn bench_table1_single_core_runs(c: &mut Criterion) {
     for bench in BenchmarkId::ALL {
         group.bench_with_input(CriterionId::from_parameter(bench.name()), &bench, |b, &bench| {
             b.iter(|| {
-                run_app(RunRequest::new(
-                    AppSpec::coarse(bench),
-                    Scheduler::Random,
-                    1,
-                    InputScale::Tiny,
-                ))
+                run_point_result(
+                    RunRequest::new(AppSpec::coarse(bench), Scheduler::Random, 1, InputScale::Tiny),
+                    false,
+                )
             })
         });
     }

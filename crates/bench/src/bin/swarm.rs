@@ -1,17 +1,16 @@
-//! The unified harness binary: every figure and table of the evaluation as
-//! one subcommand each, driven by the [`swarm_bench::registry`].
+//! The harness binary: every figure and table of the evaluation as one
+//! subcommand each, driven by the [`swarm_bench::registry`].
 //!
 //! ```text
 //! swarm list                 # what can I run?
-//! swarm fig2 --scale small   # any figure, same flags as the legacy binary
+//! swarm fig2 --scale small   # any figure
 //! swarm summary --json
 //! swarm sysconfig
 //! swarm bench --out BENCH_mechanisms.json
 //! ```
 //!
-//! The legacy per-figure binaries (`fig2`, `table2`, ...) still work; they
-//! are two-line shims over the same registry, and their output is
-//! byte-identical to the corresponding `swarm` subcommand.
+//! It is the only binary: the old per-figure names (`ablation_lb`,
+//! `bench_snapshot`, ...) resolve as subcommand aliases.
 
 use swarm_bench::registry;
 
@@ -31,7 +30,7 @@ fn print_usage() {
     println!("  --jobs N              worker threads (output is identical at any N)");
     println!("  --on-error fail|collect|retry:N");
     println!("                        failure policy: stop promptly (default), run");
-    println!("                        everything and print n/a cells, or retry");
+    println!("                        everything, or retry; failed points print n/a");
     println!();
     println!("exit codes: 0 ok, 2 usage error, 3 some points failed, 4 chaos violation");
     println!();

@@ -1,5 +1,4 @@
-//! Command-line parsing shared by every harness entry point (the unified
-//! `swarm` binary's subcommands and the legacy per-figure shims).
+//! Command-line parsing shared by every subcommand of the `swarm` binary.
 //!
 //! Every figure command accepts:
 //!
@@ -14,8 +13,9 @@
 //! * `--jobs N` — worker threads for the experiment matrix (default: all
 //!   available hardware threads; `--jobs 1` forces the serial path);
 //! * `--on-error fail|collect|retry:N` — what the pool does when a point
-//!   fails (default `fail`: stop promptly; `collect` runs everything and
-//!   reports `n/a` cells; `retry:N` re-runs a failed point up to N times).
+//!   fails (default `fail`: stop promptly; `collect` runs everything;
+//!   `retry:N` re-runs a failed point up to N times). Under every policy a
+//!   missing point prints as an `n/a` cell and the command exits 3.
 //!
 //! Parsing is strict: an unknown `--flag`, a flag missing its value, or an
 //! unrecognised value is a usage error (exit 2 with a diagnostic on stderr),

@@ -32,26 +32,35 @@ pub fn run(args: &[String]) -> i32 {
                 .map(move |&scheduler| args.request(AppSpec::coarse(bench), scheduler, cores))
         })
         .collect();
-    let all_stats = args.pool().run_matrix(&requests);
+    let all_stats = args.pool().try_run_matrix(&requests);
 
     println!("Section VI-A ablation at {cores} cores: load-balancer signal comparison");
     println!(
         "{:<8}{:>12}{:>12}{:>12}{:>16}{:>16}",
         "app", "Hints", "LBHints", "IdleLB", "LB vs Hints", "Idle vs Hints"
     );
-    for (bench, stats) in benches.iter().zip(all_stats.chunks(SIGNALS.len())) {
-        let [hints, lb, idle] = [0, 1, 2].map(|i| stats[i].runtime_cycles as f64);
+    for (bench, results) in benches.iter().zip(all_stats.chunks(SIGNALS.len())) {
+        let [hints, lb, idle] =
+            [0, 1, 2].map(|i| results[i].as_ref().ok().map(|s| s.runtime_cycles as f64));
+        let cycles = |c: Option<f64>| match c {
+            Some(c) => format!("{c:>12.0}"),
+            None => format!("{:>12}", "n/a"),
+        };
+        let gain = |other: Option<f64>| match (hints, other) {
+            (Some(hints), Some(other)) => format!("{:>15.1}%", (hints / other - 1.0) * 100.0),
+            _ => format!("{:>16}", "n/a"),
+        };
         println!(
-            "{:<8}{:>12.0}{:>12.0}{:>12.0}{:>15.1}%{:>15.1}%",
+            "{:<8}{}{}{}{}{}",
             bench.name(),
-            hints,
-            lb,
-            idle,
-            (hints / lb - 1.0) * 100.0,
-            (hints / idle - 1.0) * 100.0
+            cycles(hints),
+            cycles(lb),
+            cycles(idle),
+            gain(lb),
+            gain(idle)
         );
     }
     println!("(positive percentages mean the load balancer improved over plain Hints)");
 
-    crate::exit_code::OK
+    super::report_failures(all_stats.iter().filter_map(|r| r.as_ref().err()))
 }

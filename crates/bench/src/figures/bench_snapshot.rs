@@ -24,7 +24,7 @@ use swarm_mem::{AccessKind, CacheModel, LruSet, SimMemory};
 use swarm_sim::{BloomFilter, InitialTask, RoundRobinMapper, Sim, SwarmApp, TaskCtx};
 use swarm_types::{CacheConfig, CoreId, Hint, LineAddr, NocModel};
 
-use crate::runner::{run_app, RunRequest};
+use crate::runner::{run_point_result, RunError, RunRequest};
 
 /// Samples taken per mechanism; the median is reported.
 const SAMPLES: usize = 20;
@@ -210,16 +210,16 @@ pub fn run(args: &[String]) -> i32 {
     // These runs are deterministic (cycle counts, not wall time), and the
     // series is the machine-readable record that hint-based spatial
     // locality pays measurably fewer queueing cycles than random mapping.
-    let mut noc_queueing: Vec<(String, u64)> = Vec::new();
+    // A failed run leaves its series out of the JSON and prints `n/a`.
+    let mut noc_queueing: Vec<(String, Result<u64, RunError>)> = Vec::new();
     for bench in [BenchmarkId::Bfs, BenchmarkId::Des] {
         for scheduler in [Scheduler::Random, Scheduler::Hints] {
-            let stats = run_app(
-                RunRequest::new(AppSpec::coarse(bench), scheduler, 16, InputScale::Tiny)
-                    .with_noc(NocModel::Contention),
-            );
+            let request = RunRequest::new(AppSpec::coarse(bench), scheduler, 16, InputScale::Tiny)
+                .with_noc(NocModel::Contention);
             let name =
                 format!("noc_queueing_{}_{}", bench.name(), scheduler.name().to_ascii_lowercase());
-            noc_queueing.push((name, stats.noc_queue_cycles));
+            let cycles = run_point_result(request, false).map(|stats| stats.noc_queue_cycles);
+            noc_queueing.push((name, cycles));
         }
     }
 
@@ -233,7 +233,9 @@ pub fn run(args: &[String]) -> i32 {
         "    {{\"name\": \"engine_cycles_per_sec\", \"cycles_per_sec\": {engine_cycles_per_sec:.0}}}"
     ));
     for (name, cycles) in &noc_queueing {
-        entries.push(format!("    {{\"name\": \"{name}\", \"queue_cycles\": {cycles}}}"));
+        if let Ok(cycles) = cycles {
+            entries.push(format!("    {{\"name\": \"{name}\", \"queue_cycles\": {cycles}}}"));
+        }
     }
     // The `serve_*` series belong to `bench-serve`; rewriting this file
     // must not drop them (and vice versa — bench-serve preserves ours).
@@ -261,9 +263,12 @@ pub fn run(args: &[String]) -> i32 {
     }
     println!("{:<32}{engine_cycles_per_sec:>12.0}", "engine_cycles_per_sec");
     for (name, cycles) in &noc_queueing {
-        println!("{name:<32}{cycles:>12}");
+        match cycles {
+            Ok(cycles) => println!("{name:<32}{cycles:>12}"),
+            Err(_) => println!("{name:<32}{:>12}", "n/a"),
+        }
     }
     println!("wrote {out}");
 
-    crate::exit_code::OK
+    super::report_failures(noc_queueing.iter().filter_map(|(_, c)| c.as_ref().err()))
 }

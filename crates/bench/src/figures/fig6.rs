@@ -3,6 +3,7 @@
 //! total of the same application, so values above 1.0 show the extra
 //! accesses (work) fine-grain tasks perform.
 
+use crate::report::format_classification_na_row;
 use crate::{classification_header, format_classification_row, HarnessArgs, RunRequest};
 use spatial_hints::{classify_accesses, ClassifierConfig, Scheduler};
 use swarm_apps::{AppSpec, BenchmarkId};
@@ -29,21 +30,27 @@ pub fn run(args: &[String]) -> i32 {
         .collect();
     let requests: Vec<RunRequest> =
         labeled.iter().map(|&(_, spec)| args.request(spec, Scheduler::Hints, 4)).collect();
-    let all_stats = args.pool().run_matrix_profiled(&requests);
+    let all_stats = args.pool().try_run_matrix_profiled(&requests);
 
     println!("Fig. 6: access classification, coarse-grain vs fine-grain (normalized to CG total)");
     print!("{}", classification_header());
-    let mut cg_total = 0;
-    for (i, ((label, _), stats)) in labeled.iter().zip(&all_stats).enumerate() {
-        let classification =
-            classify_accesses(&stats.committed_accesses, ClassifierConfig::default());
+    let mut cg_total = None;
+    for (i, ((label, _), result)) in labeled.iter().zip(&all_stats).enumerate() {
+        let classification = result
+            .as_ref()
+            .ok()
+            .map(|stats| classify_accesses(&stats.committed_accesses, ClassifierConfig::default()));
         // Even entries are the CG runs: they set the normalization baseline
-        // for themselves and the FG run that follows.
+        // for themselves and the FG run that follows, so an FG row whose CG
+        // run failed is `n/a` too.
         if i % 2 == 0 {
-            cg_total = classification.total();
+            cg_total = classification.as_ref().map(|c| c.total());
         }
-        print!("{}", format_classification_row(label, &classification, cg_total));
+        match (&classification, cg_total) {
+            (Some(c), Some(total)) => print!("{}", format_classification_row(label, c, total)),
+            _ => print!("{}", format_classification_na_row(label)),
+        }
     }
 
-    crate::exit_code::OK
+    super::report_failures(all_stats.iter().filter_map(|r| r.as_ref().err()))
 }

@@ -2,7 +2,7 @@
 //! sssp, astar and color under Random, Stealing and Hints. All speedups are
 //! relative to the CG version on one core.
 
-use crate::{format_speedup_table, CurveSpec, HarnessArgs, RunRequest};
+use crate::{format_speedup_table_results, CurveSpec, HarnessArgs, RunRequest};
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId};
 
@@ -37,15 +37,17 @@ pub fn run(args: &[String]) -> i32 {
             (baseline, series)
         })
         .collect();
-    let results = args.pool().speedup_curve_groups(&groups, &args.cores, args.scale, args.seed);
+    let results = args.pool().try_speedup_curve_groups(&groups, &args.cores, args.scale, args.seed);
 
-    for (bench, (_, curves)) in benches.iter().zip(&results) {
+    for (bench, curves) in benches.iter().zip(&results) {
         println!(
             "Fig. 7 [{}]: CG and FG speedup vs cores (relative to CG at 1 core)",
             bench.name()
         );
-        println!("{}", format_speedup_table(curves));
+        println!("{}", format_speedup_table_results(curves));
     }
 
-    crate::exit_code::OK
+    super::report_failures(
+        results.iter().flatten().flat_map(|(_, points)| points).filter_map(|p| p.as_ref().err()),
+    )
 }

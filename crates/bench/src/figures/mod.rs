@@ -4,11 +4,15 @@
 //! taking the argument slice that follows the subcommand name and returning
 //! the process exit code (see [`crate::exit_code`]); the
 //! [`registry`](crate::registry) maps subcommand names to these entry
-//! points, and both the unified `swarm` binary and the legacy per-figure
-//! shim binaries dispatch through it. Keeping the bodies here (instead of
-//! in `src/bin/*.rs`) means the figure logic is ordinary library code:
-//! unit-testable, documented, and free of per-binary argument-plumbing
+//! points, and the `swarm` binary dispatches through it. Keeping the bodies
+//! here (instead of in `src/bin/`) means the figure logic is ordinary
+//! library code: unit-testable, documented, and free of argument-plumbing
 //! boilerplate.
+//!
+//! Every figure runs its points through the Result-typed [`crate::Pool`]
+//! methods, renders a failed point as `n/a`, and ends with
+//! `report_failures`, which names each root cause once on stderr and picks
+//! the exit code.
 
 use crate::runner::RunError;
 

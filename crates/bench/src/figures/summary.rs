@@ -6,17 +6,25 @@
 use crate::{gmean, HarnessArgs, RunRequest};
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId};
+use swarm_sim::RunStats;
 
+/// The per-app metrics, in column order, by their JSON names.
+const METRICS: [&str; 7] = [
+    "random_speedup",
+    "stealing_speedup",
+    "hints_speedup",
+    "hints_fg_speedup",
+    "lbhints_speedup",
+    "abort_cycle_reduction_hints_vs_random",
+    "traffic_reduction_hints_vs_random",
+];
+
+/// One app's row. A metric is `None` when a run it depends on failed; it
+/// then prints as `n/a` (`null` in the JSON).
 struct AppSummary {
     app: String,
     cores: u32,
-    random_speedup: f64,
-    stealing_speedup: f64,
-    hints_speedup: f64,
-    hints_fg_speedup: f64,
-    lbhints_speedup: f64,
-    abort_cycle_reduction_hints_vs_random: f64,
-    traffic_reduction_hints_vs_random: f64,
+    metrics: [Option<f64>; METRICS.len()],
 }
 
 /// Hand-rolled JSON dump (the offline build has no serde_json). Strings
@@ -25,25 +33,43 @@ fn to_json_pretty(summaries: &[AppSummary]) -> String {
     let objects: Vec<String> = summaries
         .iter()
         .map(|s| {
+            let fields: Vec<String> = METRICS
+                .iter()
+                .zip(s.metrics)
+                .map(|(name, v)| match v {
+                    Some(v) => format!("    \"{name}\": {v}"),
+                    None => format!("    \"{name}\": null"),
+                })
+                .collect();
             format!(
-                "  {{\n    \"app\": \"{}\",\n    \"cores\": {},\n    \"random_speedup\": {},\n    \
-                 \"stealing_speedup\": {},\n    \"hints_speedup\": {},\n    \
-                 \"hints_fg_speedup\": {},\n    \"lbhints_speedup\": {},\n    \
-                 \"abort_cycle_reduction_hints_vs_random\": {},\n    \
-                 \"traffic_reduction_hints_vs_random\": {}\n  }}",
+                "  {{\n    \"app\": \"{}\",\n    \"cores\": {},\n{}\n  }}",
                 s.app,
                 s.cores,
-                s.random_speedup,
-                s.stealing_speedup,
-                s.hints_speedup,
-                s.hints_fg_speedup,
-                s.lbhints_speedup,
-                s.abort_cycle_reduction_hints_vs_random,
-                s.traffic_reduction_hints_vs_random
+                fields.join(",\n")
             )
         })
         .collect();
     format!("[\n{}\n]", objects.join(",\n"))
+}
+
+/// The table's column widths, metric by metric.
+const WIDTHS: [usize; METRICS.len()] = [10, 10, 10, 12, 10, 14, 14];
+
+/// The metrics from this column on are reduction factors, printed `1.9x`.
+const FIRST_REDUCTION: usize = 5;
+
+/// One table row: the label, five speedups and two reduction factors, with
+/// `n/a` for a missing metric.
+fn table_row(label: &str, metrics: [Option<f64>; METRICS.len()]) -> String {
+    let mut row = format!("{label:<8}");
+    for (i, (v, width)) in metrics.into_iter().zip(WIDTHS).enumerate() {
+        row.push_str(&match v {
+            Some(v) if i >= FIRST_REDUCTION => format!("{v:>w$.1}x", w = width - 1),
+            Some(v) => format!("{v:>width$.2}"),
+            None => format!("{:>width$}", "n/a"),
+        });
+    }
+    row
 }
 
 /// The six runs the summary needs per app, in matrix order.
@@ -84,34 +110,40 @@ pub fn run(args: &[String]) -> i32 {
             .map(|(spec, scheduler, c)| args.request(spec, scheduler, c))
         })
         .collect();
-    let all_stats = args.pool().run_matrix(&requests);
+    let all_stats = args.pool().try_run_matrix(&requests);
 
     let summaries: Vec<AppSummary> = args
         .apps
         .iter()
         .zip(all_stats.chunks(RUNS_PER_APP))
-        .map(|(&bench, stats)| {
+        .map(|(&bench, results)| {
             let [baseline, random, stealing, hints, hints_fg, lbhints] =
-                [0, 1, 2, 3, 4, 5].map(|i| &stats[i]);
+                [0, 1, 2, 3, 4, 5].map(|i| results[i].as_ref().ok());
+            let speedup = |run: Option<&RunStats>| Some(run?.speedup_over(baseline?));
+            let vs_random = |measure: fn(&RunStats) -> u64| {
+                let (random, hints) = (random?, hints?);
+                Some(measure(random).max(1) as f64 / measure(hints).max(1) as f64)
+            };
             AppSummary {
                 app: bench.name().to_string(),
                 cores,
-                random_speedup: random.speedup_over(baseline),
-                stealing_speedup: stealing.speedup_over(baseline),
-                hints_speedup: hints.speedup_over(baseline),
-                hints_fg_speedup: hints_fg.speedup_over(baseline),
-                lbhints_speedup: lbhints.speedup_over(baseline),
-                abort_cycle_reduction_hints_vs_random: random.breakdown.aborted.max(1) as f64
-                    / hints.breakdown.aborted.max(1) as f64,
-                traffic_reduction_hints_vs_random: random.traffic.total().max(1) as f64
-                    / hints.traffic.total().max(1) as f64,
+                metrics: [
+                    speedup(random),
+                    speedup(stealing),
+                    speedup(hints),
+                    speedup(hints_fg),
+                    speedup(lbhints),
+                    vs_random(|s| s.breakdown.aborted),
+                    vs_random(|s| s.traffic.total()),
+                ],
             }
         })
         .collect();
+    let failures = || all_stats.iter().filter_map(|r| r.as_ref().err());
 
     if json {
         println!("{}", to_json_pretty(&summaries));
-        return crate::exit_code::OK;
+        return super::report_failures(failures());
     }
 
     println!("Section VI-B summary at {cores} cores (speedups over 1-core Random)");
@@ -120,31 +152,15 @@ pub fn run(args: &[String]) -> i32 {
         "app", "Random", "Stealing", "Hints", "Hints(FG)", "LBHints", "abort red.", "traffic red."
     );
     for s in &summaries {
-        println!(
-            "{:<8}{:>10.2}{:>10.2}{:>10.2}{:>12.2}{:>10.2}{:>13.1}x{:>13.1}x",
-            s.app,
-            s.random_speedup,
-            s.stealing_speedup,
-            s.hints_speedup,
-            s.hints_fg_speedup,
-            s.lbhints_speedup,
-            s.abort_cycle_reduction_hints_vs_random,
-            s.traffic_reduction_hints_vs_random
-        );
+        println!("{}", table_row(&s.app, s.metrics));
     }
-    let col =
-        |f: fn(&AppSummary) -> f64| -> f64 { gmean(&summaries.iter().map(f).collect::<Vec<_>>()) };
-    println!(
-        "{:<8}{:>10.2}{:>10.2}{:>10.2}{:>12.2}{:>10.2}{:>13.1}x{:>13.1}x",
-        "gmean",
-        col(|s| s.random_speedup),
-        col(|s| s.stealing_speedup),
-        col(|s| s.hints_speedup),
-        col(|s| s.hints_fg_speedup),
-        col(|s| s.lbhints_speedup),
-        col(|s| s.abort_cycle_reduction_hints_vs_random),
-        col(|s| s.traffic_reduction_hints_vs_random)
-    );
+    // A gmean over a column with a missing value would describe a different
+    // app set than the column above it, so that column's gmean is `n/a`.
+    let gmeans = std::array::from_fn(|col| {
+        let values: Option<Vec<f64>> = summaries.iter().map(|s| s.metrics[col]).collect();
+        values.map(|v| gmean(&v))
+    });
+    println!("{}", table_row("gmean", gmeans));
 
-    crate::exit_code::OK
+    super::report_failures(failures())
 }

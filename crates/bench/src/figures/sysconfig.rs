@@ -1,7 +1,7 @@
 //! Table II: configuration of the simulated system (formerly the `table2`
 //! binary; renamed so `table2` can report the beyond-Table-I workloads).
 //!
-//! This is the one harness binary that runs no simulations (it only prints
+//! This is the one figure command that runs no simulations (it only prints
 //! the machine parameters), so it takes no sweep or `--jobs` flags.
 
 use swarm_types::SystemConfig;

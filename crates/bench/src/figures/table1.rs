@@ -22,30 +22,38 @@ pub fn run(args: &[String]) -> i32 {
         .iter()
         .map(|&bench| args.request(AppSpec::coarse(bench), Scheduler::Random, 1))
         .collect();
-    let all_stats = args.pool().run_matrix(&requests);
+    let all_stats = args.pool().try_run_matrix(&requests);
 
     println!("Table I: benchmark information (scale: {:?}, seed: {:#x})", args.scale, args.seed);
     println!(
         "{:<8} {:<20} {:<22} {:>14} {:>12} {:>6}  hint pattern",
         "bench", "source", "paper input", "1c run (cyc)", "vs serial", "#fns"
     );
-    for (&bench, stats) in args.apps.iter().zip(&all_stats) {
+    for (&bench, result) in args.apps.iter().zip(&all_stats) {
         let num_fns = AppSpec::coarse(bench).build(args.scale, args.seed).num_task_fns();
-        // Idealized serial time: the committed work minus queueing overheads
-        // is what a tuned serial implementation would execute.
-        let serial_estimate = stats.breakdown.committed.max(1);
-        let vs_serial = serial_estimate as f64 / stats.runtime_cycles.max(1) as f64;
+        let (runtime, vs_serial) = match result {
+            Ok(stats) => {
+                // Idealized serial time: the committed work minus queueing
+                // overheads is what a tuned serial implementation would
+                // execute.
+                let serial_estimate = stats.breakdown.committed.max(1);
+                let vs_serial = serial_estimate as f64 / stats.runtime_cycles.max(1) as f64;
+                (
+                    format!("{:>14}", stats.runtime_cycles),
+                    format!("{:>11.0}%", (vs_serial - 1.0) * 100.0),
+                )
+            }
+            Err(_) => (format!("{:>14}", "n/a"), format!("{:>12}", "n/a")),
+        };
         println!(
-            "{:<8} {:<20} {:<22} {:>14} {:>11.0}% {:>6}  {}",
+            "{:<8} {:<20} {:<22} {runtime} {vs_serial} {:>6}  {}",
             bench.name(),
             bench.source(),
             bench.paper_input(),
-            stats.runtime_cycles,
-            (vs_serial - 1.0) * 100.0,
             num_fns,
             bench.hint_pattern()
         );
     }
 
-    crate::exit_code::OK
+    super::report_failures(all_stats.iter().filter_map(|r| r.as_ref().err()))
 }

@@ -15,17 +15,18 @@
 //! * [`figures`] — the body of every figure/table command, parameterized by
 //!   [`HarnessArgs`] (`--cores`, `--scale`, `--seed`, `--apps`,
 //!   `--schedulers`, `--jobs`, `--on-error`);
-//! * [`registry`] — the name → figure table behind the unified `swarm`
-//!   binary (`swarm list`, `swarm fig2 ...`) and the legacy per-figure shim
-//!   binaries (see `REPRODUCING.md` in the repository root for the full
-//!   index).
+//! * [`registry`] — the name → figure table behind the `swarm` binary
+//!   (`swarm list`, `swarm fig2 ...`; see `REPRODUCING.md` in the
+//!   repository root for the full index).
 //!
 //! Failure handling: every point runs through [`runner::run_point_result`],
 //! which converts panics and typed simulator errors into [`RunError`]
-//! values; the [`Pool`]'s [`FailurePolicy`] decides whether a failure stops
-//! the matrix (`FailFast`, the default), lets the rest finish (`CollectAll`,
-//! rendering failed points as `n/a` cells), or retries. Commands exit with
-//! the codes in [`exit_code`].
+//! values, and every [`Pool`] method hands those back per slot. The pool's
+//! [`FailurePolicy`] decides whether a failure stops the matrix (`FailFast`,
+//! the default: points not yet started come back skipped), lets the rest
+//! finish (`CollectAll`), or retries. Either way every figure renders its
+//! missing points as `n/a` cells, names each root cause once on stderr, and
+//! exits with the codes in [`exit_code`].
 
 #![warn(missing_docs)]
 
@@ -36,8 +37,7 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 
-/// Process exit codes shared by the `swarm` subcommands and the legacy shim
-/// binaries.
+/// Process exit codes of the `swarm` subcommands.
 pub mod exit_code {
     /// Everything ran and validated.
     pub const OK: i32 = 0;
@@ -52,17 +52,14 @@ pub mod exit_code {
 }
 
 pub use cli::{ExtraFlag, HarnessArgs, ListArg, UsageError};
-pub use pool::{
-    CurveGroup, CurveSpec, FailurePolicy, LabeledCurve, PointResult, Pool, ResultCurve, StatsResult,
-};
+pub use pool::{CurveSpec, FailurePolicy, PointResult, Pool, ResultCurve, StatsResult};
 pub use registry::{find as find_command, FigureSpec, REGISTRY};
 pub use report::{
-    classification_header, format_breakdown_table, format_breakdown_table_results,
-    format_classification_row, format_speedup_table, format_speedup_table_results,
-    format_traffic_queueing_table_results, format_traffic_table, format_traffic_table_results,
-    gmean,
+    classification_header, format_breakdown_table_results, format_classification_row,
+    format_speedup_table_results, format_traffic_queueing_table_results,
+    format_traffic_table_results, gmean,
 };
 pub use runner::{
-    run_app, run_app_profiled, run_point_result, run_point_result_observed, speedup_curve,
-    ExperimentPoint, RunError, RunRequest,
+    run_point_result, run_point_result_observed, speedup_curve, ExperimentPoint, RunError,
+    RunRequest,
 };

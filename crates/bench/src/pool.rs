@@ -11,9 +11,11 @@
 //! every sweep byte-identical to the serial path — `tests/parallel_runner.rs`
 //! in the workspace root locks this property down.
 //!
-//! All harness binaries construct a [`Pool`] from the `--jobs N` flag (see
-//! [`crate::HarnessArgs`]); the default is the machine's available
-//! parallelism.
+//! Every figure command constructs a [`Pool`] from the `--jobs N` flag
+//! (see [`crate::HarnessArgs`]); the default is the machine's available
+//! parallelism. Every method is Result-typed: a failed point comes back as
+//! a [`RunError`] in its own slot, so a figure renders it as `n/a` instead
+//! of panicking.
 //!
 //! # Example
 //!
@@ -22,6 +24,7 @@
 //! use swarm_apps::{AppSpec, BenchmarkId, InputScale};
 //! use swarm_bench::{Pool, RunRequest};
 //!
+//! # fn main() -> Result<(), swarm_bench::RunError> {
 //! let pool = Pool::new(2);
 //! let requests: Vec<RunRequest> = [1, 4]
 //!     .iter()
@@ -34,9 +37,11 @@
 //!         )
 //!     })
 //!     .collect();
-//! let stats = pool.run_matrix(&requests);
+//! let stats = pool.try_run_matrix(&requests).into_iter().collect::<Result<Vec<_>, _>>()?;
 //! assert_eq!(stats.len(), 2);
 //! assert!(stats[0].runtime_cycles >= stats[1].runtime_cycles);
+//! # Ok(())
+//! # }
 //! ```
 
 use std::collections::HashMap;
@@ -50,17 +55,9 @@ use crate::runner::{run_point_result, ExperimentPoint, RunError, RunRequest};
 
 /// One labelled speedup curve to sweep: `(label, app, scheduler)`.
 ///
-/// The label is what [`crate::format_speedup_table`] prints as the column
-/// header; app and scheduler identify the simulations to run.
+/// The label is what [`crate::format_speedup_table_results`] prints as the
+/// column header; app and scheduler identify the simulations to run.
 pub type CurveSpec = (String, AppSpec, Scheduler);
-
-/// A swept curve as the sweeps return it: the label plus one
-/// [`ExperimentPoint`] per core count.
-pub type LabeledCurve = (String, Vec<ExperimentPoint>);
-
-/// One baseline-normalized group of curves: the shared baseline's stats
-/// plus the group's curves (see [`Pool::speedup_curve_groups`]).
-pub type CurveGroup = (RunStats, Vec<LabeledCurve>);
 
 /// One finished matrix slot: the stats, or the typed reason they are
 /// missing.
@@ -150,55 +147,24 @@ impl Pool {
         self.policy
     }
 
-    /// Run every request and return the stats **in request order**,
-    /// regardless of which worker finished which request first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any simulation fails validation against its serial
-    /// reference (the panic of the failing run is propagated).
-    pub fn run_matrix(&self, requests: &[RunRequest]) -> Vec<RunStats> {
-        Self::unwrap_all(self.execute(requests, false))
-    }
-
-    /// Like [`Pool::run_matrix`], but a failed point comes back as a typed
-    /// [`RunError`] in its slot instead of panicking; which points still run
-    /// after a failure is governed by the pool's [`FailurePolicy`].
+    /// Run every request and return one result per request **in request
+    /// order**, regardless of which worker finished which request first. A
+    /// failed point comes back as a typed [`RunError`] in its slot; which
+    /// points still run after a failure is governed by the pool's
+    /// [`FailurePolicy`].
     pub fn try_run_matrix(&self, requests: &[RunRequest]) -> Vec<StatsResult> {
         self.execute(requests, false)
     }
 
-    /// Like [`Pool::run_matrix`], with access profiling enabled on every run
-    /// (needed by the Fig. 3 / Fig. 6 classification binaries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any simulation fails validation against its serial
-    /// reference.
-    pub fn run_matrix_profiled(&self, requests: &[RunRequest]) -> Vec<RunStats> {
-        Self::unwrap_all(self.execute(requests, true))
-    }
-
-    /// [`Pool::try_run_matrix`] with access profiling enabled on every run.
+    /// [`Pool::try_run_matrix`] with access profiling enabled on every run
+    /// (needed by the Fig. 3 / Fig. 6 classification commands).
     pub fn try_run_matrix_profiled(&self, requests: &[RunRequest]) -> Vec<StatsResult> {
         self.execute(requests, true)
     }
 
     /// Run a labelled set of requests, preserving labels and order — the
-    /// shape the breakdown/traffic tables consume.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any simulation fails validation against its serial
-    /// reference.
-    pub fn run_labeled(&self, entries: Vec<(String, RunRequest)>) -> Vec<(String, RunStats)> {
-        let requests: Vec<RunRequest> = entries.iter().map(|(_, r)| *r).collect();
-        let stats = self.run_matrix(&requests);
-        entries.into_iter().zip(stats).map(|((label, _), s)| (label, s)).collect()
-    }
-
-    /// Like [`Pool::run_labeled`], but each slot carries its own
-    /// [`StatsResult`] so a failed row degrades to `n/a` in the tables
+    /// shape the breakdown/traffic tables consume. Each slot carries its own
+    /// [`StatsResult`], so a failed row degrades to `n/a` in the tables
     /// instead of tearing the figure down.
     pub fn try_run_labeled(
         &self,
@@ -209,64 +175,15 @@ impl Pool {
         entries.into_iter().zip(results).map(|((label, _), r)| (label, r)).collect()
     }
 
-    /// Sweep core counts for one app/scheduler, with speedups relative to
-    /// the 1-core run of the same configuration (the parallel equivalent of
-    /// [`crate::speedup_curve`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any simulation fails validation against its serial
-    /// reference.
-    pub fn sweep_cores(
-        &self,
-        spec: AppSpec,
-        scheduler: Scheduler,
-        core_counts: &[u32],
-        scale: InputScale,
-        seed: u64,
-    ) -> Vec<ExperimentPoint> {
-        let series = vec![(String::new(), spec, scheduler)];
-        let mut curves = self.speedup_curves(&series, core_counts, scale, seed);
-        curves.pop().map(|(_, points)| points).unwrap_or_default()
-    }
-
     /// Sweep several labelled curves at once, each relative to its own
-    /// 1-core baseline. All runs of all curves go through one shared matrix,
-    /// so parallelism is harvested across series as well as within them.
+    /// 1-core baseline (the parallel equivalent of [`crate::speedup_curve`]).
+    /// All runs of all curves go through one shared matrix, so parallelism
+    /// is harvested across series as well as within them.
     ///
-    /// # Panics
-    ///
-    /// Panics if any simulation fails validation against its serial
-    /// reference.
-    pub fn speedup_curves(
-        &self,
-        series: &[CurveSpec],
-        core_counts: &[u32],
-        scale: InputScale,
-        seed: u64,
-    ) -> Vec<LabeledCurve> {
-        let curves = self.try_speedup_curves(series, core_counts, scale, seed);
-        if let Some(err) = curves
-            .iter()
-            .flat_map(|(_, points)| points)
-            .filter_map(|p| p.as_ref().err())
-            .find(|e| e.is_root_cause())
-        {
-            panic!("{err}");
-        }
-        curves
-            .into_iter()
-            .map(|(label, points)| {
-                (label, points.into_iter().map(|p| p.expect("no root cause above")).collect())
-            })
-            .collect()
-    }
-
-    /// Like [`Pool::speedup_curves`], but each point is its own
-    /// [`PointResult`], so a failed point renders as `n/a` instead of
-    /// aborting the sweep. A point whose 1-core baseline failed reports the
-    /// baseline's error (its speedup is undefined) even if its own run
-    /// completed.
+    /// Each point is its own [`PointResult`], so a failed point renders as
+    /// `n/a` instead of aborting the sweep. A point whose 1-core baseline
+    /// failed reports the baseline's error (its speedup is undefined) even
+    /// if its own run completed.
     pub fn try_speedup_curves(
         &self,
         series: &[CurveSpec],
@@ -294,19 +211,12 @@ impl Pool {
                     .map(|&cores| {
                         let request =
                             RunRequest::new(*spec, *scheduler, cores, scale).with_seed(seed);
-                        let point_stats = if cores == 1 {
+                        let stats = if cores == 1 {
                             baseline.clone()
                         } else {
                             results.next().expect("one run per non-1 core count")
                         };
-                        match (&baseline, point_stats) {
-                            (Ok(base), Ok(stats)) => {
-                                let speedup = stats.speedup_over(base);
-                                Ok(ExperimentPoint { request, stats, speedup })
-                            }
-                            (_, Err(e)) => Err(e),
-                            (Err(base_err), Ok(_)) => Err(base_err.clone()),
-                        }
+                        speedup_point(request, &baseline, stats)
                     })
                     .collect();
                 (label.clone(), points)
@@ -314,45 +224,20 @@ impl Pool {
             .collect()
     }
 
-    /// Sweep several labelled curves against one *shared* baseline request
-    /// (Fig. 7 normalizes every fine-/coarse-grain series to the coarse
-    /// 1-core run). Returns the baseline stats alongside the curves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any simulation fails validation against its serial
-    /// reference.
-    pub fn speedup_curves_vs(
-        &self,
-        baseline: RunRequest,
-        series: &[CurveSpec],
-        core_counts: &[u32],
-        scale: InputScale,
-        seed: u64,
-    ) -> CurveGroup {
-        let groups = vec![(baseline, series.to_vec())];
-        self.speedup_curve_groups(&groups, core_counts, scale, seed)
-            .pop()
-            .expect("one group in, one group out")
-    }
-
     /// Sweep several independent *groups* of curves, each normalized to its
     /// own shared baseline request, through one flat matrix — so parallelism
-    /// is harvested across groups too (Fig. 7 runs one group per benchmark).
-    /// Returns each group's baseline stats alongside its curves, in group
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any simulation fails validation against its serial
-    /// reference.
-    pub fn speedup_curve_groups(
+    /// is harvested across groups too (Fig. 7 runs one group per benchmark
+    /// and normalizes every fine-/coarse-grain series to the coarse 1-core
+    /// run). Returns each group's curves, in group order; a point whose
+    /// group baseline failed reports the baseline's error, as in
+    /// [`Pool::try_speedup_curves`].
+    pub fn try_speedup_curve_groups(
         &self,
         groups: &[(RunRequest, Vec<CurveSpec>)],
         core_counts: &[u32],
         scale: InputScale,
         seed: u64,
-    ) -> Vec<CurveGroup> {
+    ) -> Vec<Vec<ResultCurve>> {
         let mut requests = Vec::new();
         for (baseline, series) in groups {
             requests.push(*baseline);
@@ -362,12 +247,12 @@ impl Pool {
                 }
             }
         }
-        let mut stats = self.run_matrix(&requests).into_iter();
+        let mut results = self.execute(&requests, false).into_iter();
         groups
             .iter()
             .map(|(_, series)| {
-                let baseline_stats = stats.next().expect("one baseline per group");
-                let curves = series
+                let baseline = results.next().expect("one baseline per group");
+                series
                     .iter()
                     .map(|(label, spec, scheduler)| {
                         let points = core_counts
@@ -375,16 +260,14 @@ impl Pool {
                             .map(|&cores| {
                                 let request = RunRequest::new(*spec, *scheduler, cores, scale)
                                     .with_seed(seed);
-                                let point_stats =
-                                    stats.next().expect("one run per series per core count");
-                                let speedup = point_stats.speedup_over(&baseline_stats);
-                                ExperimentPoint { request, stats: point_stats, speedup }
+                                let stats =
+                                    results.next().expect("one run per series per core count");
+                                speedup_point(request, &baseline, stats)
                             })
                             .collect();
                         (label.clone(), points)
                     })
-                    .collect();
-                (baseline_stats, curves)
+                    .collect()
             })
             .collect()
     }
@@ -488,16 +371,19 @@ impl Pool {
             .map(|(i, slot)| slot.unwrap_or(Err(RunError::Skipped { request: requests[i] })))
             .collect()
     }
+}
 
-    /// Panic with the first root-cause error, exactly as the pre-Result
-    /// harness did, or hand back the unwrapped stats.
-    fn unwrap_all(results: Vec<StatsResult>) -> Vec<RunStats> {
-        if let Some(err) =
-            results.iter().filter_map(|r| r.as_ref().err()).find(|e| e.is_root_cause())
-        {
-            panic!("{err}");
+/// One sweep point: `stats` measured against `baseline`. A failed run
+/// reports its own error; a completed run over a failed baseline reports the
+/// baseline's error, since its speedup is undefined.
+fn speedup_point(request: RunRequest, baseline: &StatsResult, stats: StatsResult) -> PointResult {
+    match (baseline, stats) {
+        (Ok(base), Ok(stats)) => {
+            let speedup = stats.speedup_over(base);
+            Ok(ExperimentPoint { request, stats, speedup })
         }
-        results.into_iter().map(|r| r.expect("no root cause above")).collect()
+        (_, Err(e)) => Err(e),
+        (Err(base_err), Ok(_)) => Err(base_err.clone()),
     }
 }
 
@@ -542,15 +428,20 @@ mod tests {
         assert_eq!(Pool::new(3).jobs(), 3);
     }
 
+    /// Unwrap a matrix whose points are all expected to succeed.
+    fn all_ok(results: Vec<StatsResult>) -> Vec<RunStats> {
+        results.into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).collect()
+    }
+
     #[test]
     fn empty_matrix_is_empty() {
-        assert!(Pool::new(4).run_matrix(&[]).is_empty());
+        assert!(Pool::new(4).try_run_matrix(&[]).is_empty());
     }
 
     #[test]
     fn matrix_results_are_in_request_order() {
         let requests = vec![request(4), request(1), request(2)];
-        let stats = Pool::new(3).run_matrix(&requests);
+        let stats = all_ok(Pool::new(3).try_run_matrix(&requests));
         assert_eq!(stats.len(), 3);
         for (req, s) in requests.iter().zip(&stats) {
             assert_eq!(s.cores, req.cores as usize);
@@ -560,15 +451,16 @@ mod tests {
     #[test]
     fn parallel_matches_serial_exactly() {
         let requests = vec![request(1), request(2), request(4), request(8)];
-        let serial = Pool::serial().run_matrix(&requests);
-        let parallel = Pool::new(4).run_matrix(&requests);
+        let serial = Pool::serial().try_run_matrix(&requests);
+        let parallel = Pool::new(4).try_run_matrix(&requests);
+        assert!(serial.iter().all(Result::is_ok));
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     }
 
     #[test]
     fn duplicate_requests_are_deduplicated_but_all_answered() {
         let requests = vec![request(2), request(4), request(2), request(2)];
-        let stats = Pool::new(2).run_matrix(&requests);
+        let stats = all_ok(Pool::new(2).try_run_matrix(&requests));
         assert_eq!(stats.len(), 4);
         // Duplicates get the same (deterministic) result as their first
         // occurrence.
@@ -580,10 +472,10 @@ mod tests {
     #[test]
     fn labeled_runs_keep_their_labels() {
         let entries = vec![("a".to_string(), request(1)), ("b".to_string(), request(2))];
-        let out = Pool::new(2).run_labeled(entries);
+        let out = Pool::new(2).try_run_labeled(entries);
         assert_eq!(out[0].0, "a");
         assert_eq!(out[1].0, "b");
-        assert_eq!(out[1].1.cores, 2);
+        assert_eq!(out[1].1.as_ref().expect("a tiny point runs").cores, 2);
     }
 
     #[test]
@@ -592,9 +484,10 @@ mod tests {
         let cores = [1, 2, 4];
         let serial =
             crate::runner::speedup_curve(spec, Scheduler::Hints, &cores, InputScale::Tiny, 7);
-        let parallel =
-            Pool::new(4).sweep_cores(spec, Scheduler::Hints, &cores, InputScale::Tiny, 7);
-        assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+        let series = [(String::new(), spec, Scheduler::Hints)];
+        let mut curves = Pool::new(4).try_speedup_curves(&series, &cores, InputScale::Tiny, 7);
+        let expected: Vec<PointResult> = serial.into_iter().map(Ok).collect();
+        assert_eq!(format!("{:?}", curves.remove(0).1), format!("{expected:?}"));
     }
 
     #[test]
@@ -602,17 +495,23 @@ mod tests {
         let spec = AppSpec::coarse(BenchmarkId::Bfs);
         let baseline = RunRequest::new(spec, Scheduler::Hints, 1, InputScale::Tiny);
         let series = vec![("H".to_string(), spec, Scheduler::Hints)];
-        let (baseline_stats, curves) =
-            Pool::new(2).speedup_curves_vs(baseline, &series, &[1, 4], InputScale::Tiny, 0xF1605);
+        let groups = Pool::new(2).try_speedup_curve_groups(
+            &[(baseline, series)],
+            &[1, 4],
+            InputScale::Tiny,
+            0xF1605,
+        );
         // The 1-core point of the same config is the baseline re-run, so its
         // speedup is exactly 1.
-        assert_eq!(baseline_stats.runtime_cycles, curves[0].1[0].stats.runtime_cycles);
-        assert!((curves[0].1[0].speedup - 1.0).abs() < 1e-12);
+        let one_core = groups[0][0].1[0].as_ref().expect("the baseline config runs");
+        assert_eq!(one_core.request, baseline);
+        assert!((one_core.speedup - 1.0).abs() < 1e-12);
+        assert!(groups[0][0].1[1].is_ok());
     }
 
     #[test]
     fn profiled_matrix_collects_accesses() {
-        let stats = Pool::new(2).run_matrix_profiled(&[request(2), request(4)]);
+        let stats = all_ok(Pool::new(2).try_run_matrix_profiled(&[request(2), request(4)]));
         assert!(stats.iter().all(|s| !s.committed_accesses.is_empty()));
     }
 
@@ -671,12 +570,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_matrix_panics_with_the_root_cause() {
-        let result = std::panic::catch_unwind(|| {
-            Pool::serial().run_matrix(&[request(1), doomed(2)]);
-        });
-        let payload = result.expect_err("the legacy path panics");
-        let msg = payload.downcast_ref::<String>().expect("panic message");
-        assert!(msg.contains("sssp under Hints at 2 cores failed:"), "{msg}");
+    fn a_doomed_group_baseline_fails_only_its_own_group() {
+        let spec = AppSpec::coarse(BenchmarkId::Sssp);
+        let series = vec![("H".to_string(), spec, Scheduler::Hints)];
+        let groups = vec![(doomed(1), series.clone()), (request(1), series)];
+        let pool = Pool::new(2).with_policy(FailurePolicy::CollectAll);
+        let curves = pool.try_speedup_curve_groups(&groups, &[1, 4], InputScale::Tiny, 0xF1605);
+        assert_eq!(curves.len(), 2);
+        // Every point of the doomed group carries the baseline's error, even
+        // though its own runs completed...
+        for point in &curves[0][0].1 {
+            let err = point.as_ref().expect_err("the baseline failed");
+            assert_eq!(err.request(), &doomed(1), "{err}");
+            assert!(err.is_root_cause());
+        }
+        // ...while the healthy group's points are untouched.
+        assert!(curves[1][0].1.iter().all(Result::is_ok));
+        // Same requests in the same order at any job count.
+        let serial = Pool::serial().with_policy(FailurePolicy::CollectAll);
+        let again = serial.try_speedup_curve_groups(&groups, &[1, 4], InputScale::Tiny, 0xF1605);
+        assert_eq!(format!("{curves:?}"), format!("{again:?}"));
     }
 }

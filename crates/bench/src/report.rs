@@ -1,12 +1,10 @@
-//! Plain-text table formatting for the harness binaries, matching the
+//! Plain-text table formatting for the figure commands, matching the
 //! quantities the paper's figures plot.
 
 use spatial_hints::{AccessClass, AccessClassification};
 use swarm_noc::TrafficClass;
-use swarm_sim::RunStats;
 
 use crate::pool::{ResultCurve, StatsResult};
-use crate::runner::ExperimentPoint;
 
 /// Geometric mean of a slice of positive values (0 if empty).
 pub fn gmean(values: &[f64]) -> f64 {
@@ -18,30 +16,8 @@ pub fn gmean(values: &[f64]) -> f64 {
 }
 
 /// Format a speedup-vs-cores table: one row per core count, one column per
-/// labelled series (the layout of Fig. 2a / Fig. 4 / Fig. 7 / Fig. 10).
-pub fn format_speedup_table(series: &[(String, Vec<ExperimentPoint>)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:>8}", "cores"));
-    for (label, _) in series {
-        out.push_str(&format!("{label:>14}"));
-    }
-    out.push('\n');
-    if let Some((_, first)) = series.first() {
-        for (i, point) in first.iter().enumerate() {
-            out.push_str(&format!("{:>8}", point.request.cores));
-            for (_, points) in series {
-                let speedup = points.get(i).map(|p| p.speedup).unwrap_or(f64::NAN);
-                out.push_str(&format!("{speedup:>14.2}"));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// [`format_speedup_table`] over Result-typed curves: a failed point renders
-/// as an `n/a` cell instead of aborting the figure, and for an all-`Ok`
-/// input the output is byte-identical to the legacy formatter.
+/// labelled series (the layout of Fig. 2a / Fig. 4 / Fig. 7 / Fig. 10). A
+/// failed point renders as an `n/a` cell instead of aborting the figure.
 pub fn format_speedup_table_results(series: &[ResultCurve]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:>8}", "cores"));
@@ -70,35 +46,9 @@ pub fn format_speedup_table_results(series: &[ResultCurve]) -> String {
     out
 }
 
-/// Format a cycle-breakdown table normalized to the first entry's total
-/// (the layout of Fig. 2b / Fig. 5a / Fig. 8a / Fig. 11).
-pub fn format_breakdown_table(entries: &[(String, RunStats)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
-        "scheduler", "total", "commit", "abort", "spill", "stall", "empty"
-    ));
-    let baseline_total = entries.first().map(|(_, s)| s.breakdown.total().max(1)).unwrap_or(1);
-    for (label, stats) in entries {
-        let b = stats.breakdown;
-        let norm = |v: u64| v as f64 / baseline_total as f64;
-        out.push_str(&format!(
-            "{:>12}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>10.3}\n",
-            label,
-            norm(b.total()),
-            norm(b.committed),
-            norm(b.aborted),
-            norm(b.spill),
-            norm(b.stall),
-            norm(b.empty)
-        ));
-    }
-    out
-}
-
-/// [`format_breakdown_table`] over Result-typed rows: a failed row renders
-/// as `n/a` cells. Normalization uses the first `Ok` row's total, so for an
-/// all-`Ok` input the output is byte-identical to the legacy formatter.
+/// Format a cycle-breakdown table normalized to the first `Ok` row's total
+/// (the layout of Fig. 2b / Fig. 5a / Fig. 8a / Fig. 11). A failed row
+/// renders as `n/a` cells.
 pub fn format_breakdown_table_results(entries: &[(String, StatsResult)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -132,34 +82,9 @@ pub fn format_breakdown_table_results(entries: &[(String, StatsResult)]) -> Stri
     out
 }
 
-/// Format a NoC-traffic breakdown table normalized to the first entry's
-/// total (the layout of Fig. 5b / Fig. 8b).
-pub fn format_traffic_table(entries: &[(String, RunStats)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
-        "scheduler", "total", "mem", "abort", "task", "gvt"
-    ));
-    let baseline_total = entries.first().map(|(_, s)| s.traffic.total().max(1)).unwrap_or(1);
-    for (label, stats) in entries {
-        let t = stats.traffic;
-        let norm = |v: u64| v as f64 / baseline_total as f64;
-        out.push_str(&format!(
-            "{:>12}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>10.3}\n",
-            label,
-            norm(t.total()),
-            norm(t.of(TrafficClass::Memory)),
-            norm(t.of(TrafficClass::Abort)),
-            norm(t.of(TrafficClass::Task)),
-            norm(t.of(TrafficClass::Gvt))
-        ));
-    }
-    out
-}
-
-/// [`format_traffic_table`] over Result-typed rows: a failed row renders as
-/// `n/a` cells, normalization uses the first `Ok` row's total, and an
-/// all-`Ok` input matches the legacy formatter byte for byte.
+/// Format a NoC-traffic breakdown table normalized to the first `Ok` row's
+/// total (the layout of Fig. 5b / Fig. 8b). A failed row renders as `n/a`
+/// cells.
 pub fn format_traffic_table_results(entries: &[(String, StatsResult)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -229,7 +154,8 @@ pub fn format_traffic_queueing_table_results(entries: &[(String, StatsResult)]) 
     out
 }
 
-/// One table row of `n/a` cells for a failed entry.
+/// One table row of `n/a` cells for a failed entry: the label right-aligned
+/// in 12 columns, then `columns` cells of `width` each.
 fn na_row(label: &str, columns: usize, width: usize) -> String {
     let mut row = format!("{label:>12}");
     for _ in 0..columns {
@@ -254,6 +180,12 @@ pub fn format_classification_row(
     row.push_str(&format!("{:>12.3}", c.total() as f64 / denom));
     row.push('\n');
     row
+}
+
+/// The row [`format_classification_row`] prints in place of a failed point:
+/// the label, then `n/a` in every column.
+pub(crate) fn format_classification_na_row(label: &str) -> String {
+    na_row(label, AccessClass::ALL.len() + 1, 12)
 }
 
 /// Header row matching [`format_classification_row`].
@@ -284,7 +216,7 @@ mod tests {
 
     #[test]
     fn breakdown_and_traffic_tables_render() {
-        let entries = Pool::new(2).run_labeled(vec![(
+        let entries = Pool::new(2).try_run_labeled(vec![(
             "Random".to_string(),
             RunRequest::new(
                 AppSpec::coarse(BenchmarkId::Nocsim),
@@ -293,49 +225,29 @@ mod tests {
                 InputScale::Tiny,
             ),
         )]);
-        let b = format_breakdown_table(&entries);
+        let b = format_breakdown_table_results(&entries);
         assert!(b.contains("Random"));
         assert!(b.contains("commit"));
-        let t = format_traffic_table(&entries);
+        assert!(!b.contains("n/a"), "{b}");
+        // The only row is its own baseline.
+        assert!(b.lines().nth(1).expect("a Random row").contains("1.000"), "{b}");
+        let t = format_traffic_table_results(&entries);
         assert!(t.contains("gvt"));
     }
 
     #[test]
     fn speedup_table_renders_pool_curves() {
-        let curves = Pool::new(2).speedup_curves(
+        let curves = Pool::new(2).try_speedup_curves(
             &[("Hints".to_string(), AppSpec::coarse(BenchmarkId::Nocsim), Scheduler::Hints)],
             &[1, 4],
             InputScale::Tiny,
             0xF1605,
         );
-        let table = format_speedup_table(&curves);
+        let table = format_speedup_table_results(&curves);
         assert!(table.contains("cores"));
         assert!(table.contains("Hints"));
+        assert!(!table.contains("n/a"), "{table}");
         assert_eq!(table.lines().count(), 3, "header + one row per core count");
-    }
-
-    #[test]
-    fn result_formatters_match_legacy_output_when_everything_passes() {
-        let pool = Pool::new(2);
-        let series =
-            [("Hints".to_string(), AppSpec::coarse(BenchmarkId::Nocsim), Scheduler::Hints)];
-        let curves = pool.speedup_curves(&series, &[1, 4], InputScale::Tiny, 0xF1605);
-        let try_curves = pool.try_speedup_curves(&series, &[1, 4], InputScale::Tiny, 0xF1605);
-        assert_eq!(format_speedup_table(&curves), format_speedup_table_results(&try_curves));
-
-        let entries = vec![(
-            "Random".to_string(),
-            RunRequest::new(
-                AppSpec::coarse(BenchmarkId::Nocsim),
-                Scheduler::Random,
-                4,
-                InputScale::Tiny,
-            ),
-        )];
-        let legacy = pool.run_labeled(entries.clone());
-        let tried = pool.try_run_labeled(entries);
-        assert_eq!(format_breakdown_table(&legacy), format_breakdown_table_results(&tried));
-        assert_eq!(format_traffic_table(&legacy), format_traffic_table_results(&tried));
     }
 
     #[test]
@@ -403,5 +315,8 @@ mod tests {
         }
         let row = format_classification_row("x", &AccessClassification::default(), 10);
         assert!(row.starts_with(&format!("{:>12}", "x")));
+        let na = format_classification_na_row("x");
+        assert_eq!(na.len(), row.len(), "an n/a row keeps the column layout");
+        assert_eq!(na.matches("n/a").count(), AccessClass::ALL.len() + 1);
     }
 }

@@ -158,31 +158,6 @@ pub struct ExperimentPoint {
     pub speedup: f64,
 }
 
-/// Run one point.
-///
-/// # Panics
-///
-/// Panics if the simulation fails validation against the serial reference —
-/// an experiment must never silently report numbers from a wrong execution.
-pub fn run_app(request: RunRequest) -> RunStats {
-    run_point(request, false)
-}
-
-/// Run one point with access profiling enabled (needed for Fig. 3 / Fig. 6).
-///
-/// # Panics
-///
-/// Panics if the simulation fails validation against the serial reference.
-pub fn run_app_profiled(request: RunRequest) -> RunStats {
-    run_point(request, true)
-}
-
-/// Shared single-point entry used by the serial helpers above and legacy
-/// callers that want the historical panic-on-failure behavior.
-pub(crate) fn run_point(request: RunRequest, profiled: bool) -> RunStats {
-    run_point_result(request, profiled).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Run one point, converting every failure mode — an invalid description, a
 /// typed simulator error, even a panic inside the app or engine — into a
 /// structured [`RunError`] instead of unwinding.
@@ -257,6 +232,12 @@ fn run_point_guarded(
 /// This is the hand-written *serial reference path*: [`crate::Pool`] sweeps
 /// are defined to produce byte-identical results to it at any `--jobs`
 /// level, and `tests/parallel_runner.rs` compares the two.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`] if any point fails: a reference that
+/// silently skipped points would not be a reference. Figures use the
+/// Result-typed [`crate::Pool::try_speedup_curves`] instead.
 pub fn speedup_curve(
     spec: AppSpec,
     scheduler: Scheduler,
@@ -264,12 +245,13 @@ pub fn speedup_curve(
     scale: InputScale,
     seed: u64,
 ) -> Vec<ExperimentPoint> {
-    let baseline = run_app(RunRequest::new(spec, scheduler, 1, scale).with_seed(seed));
+    let run = |request| run_point_result(request, false).unwrap_or_else(|e| panic!("{e}"));
+    let baseline = run(RunRequest::new(spec, scheduler, 1, scale).with_seed(seed));
     core_counts
         .iter()
         .map(|&cores| {
             let request = RunRequest::new(spec, scheduler, cores, scale).with_seed(seed);
-            let stats = if cores == 1 { baseline.clone() } else { run_app(request) };
+            let stats = if cores == 1 { baseline.clone() } else { run(request) };
             let speedup = stats.speedup_over(&baseline);
             ExperimentPoint { request, stats, speedup }
         })
@@ -282,25 +264,27 @@ mod tests {
     use swarm_apps::BenchmarkId;
 
     #[test]
-    fn run_app_produces_stats() {
-        let stats = run_app(RunRequest::new(
+    fn run_point_result_produces_stats() {
+        let request = RunRequest::new(
             AppSpec::coarse(BenchmarkId::Sssp),
             Scheduler::Hints,
             4,
             InputScale::Tiny,
-        ));
+        );
+        let stats = run_point_result(request, false).expect("a tiny point runs");
         assert!(stats.tasks_committed > 0);
         assert!(stats.runtime_cycles > 0);
     }
 
     #[test]
     fn profiled_run_collects_accesses() {
-        let stats = run_app_profiled(RunRequest::new(
+        let request = RunRequest::new(
             AppSpec::coarse(BenchmarkId::Kmeans),
             Scheduler::Hints,
             4,
             InputScale::Tiny,
-        ));
+        );
+        let stats = run_point_result(request, true).expect("a tiny point runs");
         assert!(!stats.committed_accesses.is_empty());
     }
 

@@ -326,8 +326,9 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if any dimension or capacity is zero, or a percentage
-    /// parameter exceeds 100.
+    /// Returns `Err` if any dimension or capacity is zero, a percentage
+    /// parameter exceeds 100, or the machine has more load-balancer buckets
+    /// than a `u16` bucket id can name (65,536).
     pub fn validate(&self) -> Result<(), String> {
         if self.tiles_x == 0 || self.tiles_y == 0 {
             return Err("mesh dimensions must be positive".into());
@@ -361,6 +362,15 @@ impl SystemConfig {
         }
         if self.noc.link_queue_depth == 0 {
             return Err("noc.link_queue_depth must be positive".into());
+        }
+        let max_buckets = u16::MAX as usize + 1;
+        if self.num_buckets() > max_buckets {
+            return Err(format!(
+                "{} tiles x {} load-balancer buckets per tile exceed the {max_buckets} \
+                 buckets a bucket id can name",
+                self.num_tiles(),
+                self.lb_buckets_per_tile
+            ));
         }
         Ok(())
     }
@@ -426,6 +436,17 @@ mod tests {
         let mut cfg = SystemConfig::small();
         cfg.spec.gvt_epoch = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_caps_the_bucket_count_at_a_u16_id() {
+        // 4096 tiles x 16 buckets is exactly 65,536 bucket ids...
+        let cfg = SystemConfig::with_cores(4 * 4096);
+        assert_eq!(cfg.num_buckets(), 65_536);
+        assert!(cfg.validate().is_ok());
+        // ...and one more tile no longer fits in a u16 bucket id.
+        let err = SystemConfig::with_cores(4 * 4097).validate().unwrap_err();
+        assert!(err.contains("4097 tiles"), "{err}");
     }
 
     #[test]

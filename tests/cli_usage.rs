@@ -83,6 +83,31 @@ fn partially_bad_lists_warn_but_proceed() {
 }
 
 #[test]
+fn failed_points_degrade_to_na_instead_of_panicking() {
+    // A zero-core point is not a valid simulation. These figures used to
+    // panic on it (exit 101 with a backtrace); like every other figure they
+    // must print the table with `n/a` cells (`null` in JSON), name the
+    // cause once on stderr and exit 3.
+    let cases: &[(&[&str], &str)] = &[
+        (&["summary", "--apps", "bfs"], "n/a"),
+        (&["summary", "--apps", "bfs", "--json"], "null"),
+        (&["fig7", "--apps", "bfs"], "n/a"),
+        (&["ablation-lb", "--apps", "des"], "n/a"),
+    ];
+    for (args, missing) in cases {
+        let args = [*args, &["--scale", "tiny", "--cores", "0"]].concat();
+        let (code, stdout, stderr) = swarm(&args);
+        assert_eq!(code, 3, "swarm {args:?} must exit 3, stderr:\n{stderr}");
+        assert!(stdout.contains(missing), "swarm {args:?} must print {missing:?}:\n{stdout}");
+        assert!(
+            stderr.contains("is not a valid simulation"),
+            "swarm {args:?} must name the cause, got:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "swarm {args:?} panicked:\n{stderr}");
+    }
+}
+
+#[test]
 fn command_help_exits_zero_with_usage() {
     let (code, stdout, _) = swarm(&["fig2", "--help"]);
     assert_eq!(code, 0);

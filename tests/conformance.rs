@@ -158,11 +158,13 @@ fn contention_runs_are_byte_identical_across_pool_jobs() {
             })
         })
         .collect();
-    let serial = Pool::new(1).run_matrix(&requests);
-    let parallel = Pool::new(8).run_matrix(&requests);
+    let serial = Pool::new(1).try_run_matrix(&requests);
+    let parallel = Pool::new(8).try_run_matrix(&requests);
     assert_eq!(serial, parallel, "a contention-mode matrix diverged from --jobs 1");
     assert!(
-        serial.iter().all(|s| s.noc_queue_cycles > 0 && s.link_stats.is_some()),
+        serial
+            .iter()
+            .all(|s| s.as_ref().is_ok_and(|s| s.noc_queue_cycles > 0 && s.link_stats.is_some())),
         "contention-mode runs must accumulate link queueing statistics"
     );
 }
@@ -198,7 +200,8 @@ fn every_app_is_byte_identical_across_pool_jobs() {
             })
         })
         .collect();
-    let serial = Pool::new(1).run_matrix(&requests);
-    let parallel = Pool::new(8).run_matrix(&requests);
+    let serial = Pool::new(1).try_run_matrix(&requests);
+    let parallel = Pool::new(8).try_run_matrix(&requests);
+    assert!(serial.iter().all(Result::is_ok), "every app runs: {serial:#?}");
     assert_eq!(serial, parallel, "a multi-threaded matrix diverged from --jobs 1");
 }

@@ -14,7 +14,8 @@
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
 use swarm_bench::{
-    format_speedup_table, speedup_curve, CurveSpec, FailurePolicy, Pool, RunRequest,
+    format_speedup_table_results, speedup_curve, CurveSpec, FailurePolicy, PointResult, Pool,
+    RunRequest,
 };
 use swarm_sim::{FaultEvent, FaultKind};
 use swarm_types::TileId;
@@ -38,15 +39,16 @@ fn series() -> Vec<CurveSpec> {
 #[test]
 fn multi_threaded_sweep_is_byte_identical_to_jobs_1() {
     let series = series();
-    let serial = Pool::new(1).speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
-    let parallel = Pool::new(4).speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
+    let serial = Pool::new(1).try_speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
+    let parallel = Pool::new(4).try_speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
+    assert!(serial.iter().flat_map(|(_, points)| points).all(Result::is_ok));
 
     // Byte-identical ExperimentPoints: requests, full stats (cycle
     // breakdowns, traffic, per-tile counters) and speedups, in order.
     assert_eq!(format!("{serial:#?}"), format!("{parallel:#?}"));
 
     // And the rendered figure output is byte-identical too.
-    assert_eq!(format_speedup_table(&serial), format_speedup_table(&parallel));
+    assert_eq!(format_speedup_table_results(&serial), format_speedup_table_results(&parallel));
 }
 
 #[test]
@@ -54,8 +56,15 @@ fn pool_sweep_matches_the_hand_written_serial_reference() {
     for &app in &APPS {
         for &scheduler in &SCHEDULERS {
             let spec = AppSpec::coarse(app);
-            let reference = speedup_curve(spec, scheduler, &CORES, InputScale::Tiny, SEED);
-            let pooled = Pool::new(4).sweep_cores(spec, scheduler, &CORES, InputScale::Tiny, SEED);
+            let reference: Vec<PointResult> =
+                speedup_curve(spec, scheduler, &CORES, InputScale::Tiny, SEED)
+                    .into_iter()
+                    .map(Ok)
+                    .collect();
+            let series = [(String::new(), spec, scheduler)];
+            let mut curves =
+                Pool::new(4).try_speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
+            let pooled = curves.remove(0).1;
             assert_eq!(
                 format!("{reference:#?}"),
                 format!("{pooled:#?}"),
@@ -82,10 +91,10 @@ fn run_matrix_preserves_request_order_under_contention() {
             )
         })
         .collect();
-    let serial = Pool::new(1).run_matrix(&requests);
-    let parallel = Pool::new(3).run_matrix(&requests);
+    let serial = Pool::new(1).try_run_matrix(&requests);
+    let parallel = Pool::new(3).try_run_matrix(&requests);
     for ((req, s), p) in requests.iter().zip(&serial).zip(&parallel) {
-        assert_eq!(s.cores, req.cores as usize);
+        assert_eq!(s.as_ref().expect("a tiny point runs").cores, req.cores as usize);
         assert_eq!(format!("{s:?}"), format!("{p:?}"));
     }
 }
@@ -111,8 +120,9 @@ fn faulted_matrix_is_byte_identical_across_jobs() {
                 .with_fault(fault)
         })
         .collect();
-    let serial = Pool::new(1).run_matrix(&requests);
-    let parallel = Pool::new(8).run_matrix(&requests);
+    let serial = Pool::new(1).try_run_matrix(&requests);
+    let parallel = Pool::new(8).try_run_matrix(&requests);
+    assert!(serial.iter().all(Result::is_ok), "benign faults complete: {serial:#?}");
     assert_eq!(format!("{serial:#?}"), format!("{parallel:#?}"));
 }
 
@@ -150,8 +160,8 @@ fn profiled_matrix_is_deterministic_across_jobs() {
         .iter()
         .map(|&app| RunRequest::new(AppSpec::coarse(app), Scheduler::Hints, 4, InputScale::Tiny))
         .collect();
-    let serial = Pool::new(1).run_matrix_profiled(&requests);
-    let parallel = Pool::new(2).run_matrix_profiled(&requests);
+    let serial = Pool::new(1).try_run_matrix_profiled(&requests);
+    let parallel = Pool::new(2).try_run_matrix_profiled(&requests);
     assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
-    assert!(serial.iter().all(|s| !s.committed_accesses.is_empty()));
+    assert!(serial.iter().all(|s| s.as_ref().is_ok_and(|s| !s.committed_accesses.is_empty())));
 }
