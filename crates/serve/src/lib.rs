@@ -46,4 +46,4 @@ pub use proto::{
     ProtoError, Request, SubmitRequest,
 };
 pub use queue::FairQueue;
-pub use server::{PipeSummary, ServeOptions, Server, TcpServer};
+pub use server::{PipeSummary, ServeOptions, Server, TcpServer, MAX_LINE_BYTES};

@@ -41,6 +41,8 @@ pub enum ErrorCode {
     BadField,
     /// A run point inside a submit request is invalid.
     BadPoint,
+    /// The line exceeded the server's request-line limit and was skipped.
+    LineTooLong,
 }
 
 impl ErrorCode {
@@ -52,6 +54,7 @@ impl ErrorCode {
             ErrorCode::MissingField => "missing-field",
             ErrorCode::BadField => "bad-field",
             ErrorCode::BadPoint => "bad-point",
+            ErrorCode::LineTooLong => "line-too-long",
         }
     }
 
@@ -62,6 +65,7 @@ impl ErrorCode {
             "missing-field" => ErrorCode::MissingField,
             "bad-field" => ErrorCode::BadField,
             "bad-point" => ErrorCode::BadPoint,
+            "line-too-long" => ErrorCode::LineTooLong,
             _ => return None,
         })
     }

@@ -26,7 +26,8 @@ use crate::cache::ResultCache;
 use crate::exec::PointRunner;
 use crate::point::RunPoint;
 use crate::proto::{
-    parse_request, render_event, CacheReport, CacheSource, Event, PointFailure, Request,
+    parse_request, render_event, CacheReport, CacheSource, ErrorCode, Event, PointFailure,
+    ProtoError, Request,
 };
 use crate::queue::FairQueue;
 
@@ -220,16 +221,22 @@ impl<R: PointRunner + 'static> Server<R> {
     fn session_loop(
         &self,
         client: u64,
-        reader: impl BufRead,
+        mut reader: impl BufRead,
         writer: &mut impl Write,
         summary: &mut PipeSummary,
     ) -> io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
+        let mut buf = Vec::new();
+        while let Some(line) = read_line_bounded(&mut reader, &mut buf)? {
+            let Line::Text(line) = line else {
+                summary.saw_protocol_error = true;
+                let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                emit(writer, &Event::Protocol(ProtoError::new(ErrorCode::LineTooLong, message)))?;
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_request(&line) {
+            match parse_request(line) {
                 Err(err) => {
                     summary.saw_protocol_error = true;
                     emit(writer, &Event::Protocol(err))?;
@@ -441,6 +448,75 @@ fn complete(state: &mut State, key: CanonKey, outcome: Result<RunStats, PointFai
             state.failed.insert(key, failure);
         }
     }
+}
+
+/// The longest request line a session buffers, in bytes, not counting its
+/// line terminator.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One request line read by [`read_line_bounded`].
+enum Line<'a> {
+    /// The line, without its terminator.
+    Text(&'a str),
+    /// A line longer than [`MAX_LINE_BYTES`]; its bytes were consumed
+    /// without being buffered.
+    TooLong,
+}
+
+/// Read the next line of `reader`, using `buf` as its storage; `None` at
+/// end of input.
+///
+/// Like [`BufRead::lines`], a final line needs no terminator, a `\r\n`
+/// ending is stripped whole, and a line that is not UTF-8 is an
+/// [`io::ErrorKind::InvalidData`] error.
+fn read_line_bounded<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> io::Result<Option<Line<'a>>> {
+    buf.clear();
+    let mut read_any = false;
+    let mut too_long = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            if !read_any {
+                return Ok(None);
+            }
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        if !too_long {
+            let content = buf.len() + take - usize::from(newline.is_some());
+            if content > MAX_LINE_BYTES {
+                too_long = true;
+                buf.clear();
+            } else {
+                buf.extend_from_slice(&chunk[..take]);
+            }
+        }
+        reader.consume(take);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if too_long {
+        return Ok(Some(Line::TooLong));
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    std::str::from_utf8(buf).map(|line| Some(Line::Text(line))).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
 }
 
 fn emit(writer: &mut impl Write, event: &Event) -> io::Result<()> {

@@ -120,10 +120,7 @@ impl Engine {
             state,
             app,
             mapper,
-            // Worst same-cycle burst: one TryDispatch per core (a wake after
-            // a commit batch) plus one Finish per core, plus the two
-            // periodic events.
-            events: TimingWheel::with_slot_capacity(2 * num_cores + 2),
+            events: TimingWheel::new(),
             now: 0,
             executed_bodies: 0,
             task_limit: DEFAULT_TASK_LIMIT,

@@ -7,12 +7,14 @@
 //! with a calendar queue keyed by cycle:
 //!
 //! * events within [`WHEEL_SLOTS`] cycles of the current cursor live in a
-//!   ring of per-cycle slots (one `Vec` each, capacity retained across
-//!   reuse, occupancy tracked by a bitmap so the next non-empty slot is a
-//!   couple of `trailing_zeros` scans away);
+//!   ring of per-cycle FIFO lists, with an occupancy bitmap so the next
+//!   non-empty slot is a couple of `trailing_zeros` scans away;
 //! * events further out (in this simulator essentially only the
-//!   load-balancer epoch) wait in a `BTreeMap` overflow keyed by cycle and
-//!   migrate into the ring when the cursor's window reaches them.
+//!   load-balancer epoch) wait in a `BTreeMap` of such lists keyed by
+//!   cycle, spliced into the ring when the cursor's window reaches them.
+//!
+//! All lists thread through one node pool whose popped nodes go on a free
+//! list: it grows to the high-water mark of queued events, then recycles.
 //!
 //! # Ordering contract
 //!
@@ -20,14 +22,14 @@
 //! order)`: earlier cycles first, and events scheduled for the same cycle
 //! in exactly the order [`TimingWheel::schedule`] was called — the same
 //! total order the seed's `(cycle, seq)` heap produced, with the sequence
-//! number now implied by slot append order instead of stored per event.
+//! number now implied by list order instead of stored per event.
 //! Scheduling in the past (`at` below the cycle of the last popped event)
 //! is a contract violation and panics.
 //!
 //! `tests/properties.rs` in the workspace root cross-checks this structure
 //! against the seed `BinaryHeap` implementation under randomized
-//! schedule/pop interleavings, including same-cycle FIFO order and
-//! far-future (overflow + ring wraparound) schedules.
+//! schedule/pop interleavings, including same-cycle FIFO order, far-future
+//! (overflow + ring wraparound) schedules and drains to empty.
 
 use std::collections::BTreeMap;
 
@@ -38,19 +40,23 @@ pub const WHEEL_SLOTS: usize = 1024;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const WORDS: usize = WHEEL_SLOTS / 64;
 
-/// One ring slot: the events of a single cycle, in schedule order.
-/// `head` marks how many have already been popped; the `Vec` keeps its
-/// capacity when the slot is drained and reused for a later cycle.
-#[derive(Debug, Clone)]
-struct Slot<T> {
-    head: usize,
-    items: Vec<T>,
+/// The null node index: end of a list, or an empty list.
+const NIL: u32 = u32::MAX;
+
+/// A FIFO list of pool nodes: the events of one cycle, in schedule order.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
 }
 
-impl<T> Default for Slot<T> {
-    fn default() -> Self {
-        Slot { head: 0, items: Vec::new() }
-    }
+const EMPTY: List = List { head: NIL, tail: NIL };
+
+/// A pool node: one queued event (or, on the free list, a spare).
+#[derive(Debug, Clone, Copy)]
+struct Node<T> {
+    item: T,
+    next: u32,
 }
 
 /// A calendar-queue / timing-wheel priority queue of `(cycle, T)` events.
@@ -60,47 +66,32 @@ impl<T> Default for Slot<T> {
 /// queue never clones anything larger than that.
 #[derive(Debug)]
 pub struct TimingWheel<T: Copy> {
-    slots: Vec<Slot<T>>,
-    /// Occupancy bitmap over `slots` (bit i == slot i has unpopped items).
+    /// One list per cycle of the window `cursor..cursor + WHEEL_SLOTS`.
+    ring: Vec<List>,
+    /// Occupancy bitmap over `ring` (bit i == slot i has unpopped items).
     occupied: [u64; WORDS],
     /// Cycle of the most recent pop; every queued event is at or after it.
     cursor: u64,
-    /// Events at cycles `>= cursor + WHEEL_SLOTS`, in schedule order per
-    /// cycle; migrated into the ring as the cursor window reaches them.
-    overflow: BTreeMap<u64, Vec<T>>,
-    /// Spent overflow buffers, recycled by [`TimingWheel::schedule`] so a
-    /// steady drip of far-future events (the load-balancer epoch
-    /// rescheduling itself forever) does not allocate one `Vec` per event.
-    /// Bounded: the overflow population is tiny, so a few buffers suffice.
-    free: Vec<Vec<T>>,
+    /// Events at cycles `>= cursor + WHEEL_SLOTS`; spliced into the ring
+    /// as the cursor window reaches them.
+    overflow: BTreeMap<u64, List>,
+    /// Node storage shared by every list, plus the free list.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list threaded through `nodes`.
+    free: u32,
     len: usize,
 }
-
-/// Retained spent-overflow buffers; more simultaneous overflow cycles than
-/// this simply fall back to allocating (and the excess buffer is dropped).
-const FREE_POOL: usize = 32;
 
 impl<T: Copy> TimingWheel<T> {
     /// An empty queue with its cursor at cycle 0.
     pub fn new() -> Self {
-        Self::with_slot_capacity(0)
-    }
-
-    /// An empty queue whose ring slots are pre-sized for `capacity` events
-    /// each. Sizing for the worst same-cycle burst the caller can produce
-    /// (for the engine: every core waking at once) keeps the steady-state
-    /// hot loop entirely allocation-free — otherwise slot `Vec`s keep
-    /// ratcheting their capacities as event bursts rotate through ring
-    /// positions. Pushes beyond the pre-size still grow normally.
-    pub fn with_slot_capacity(capacity: usize) -> Self {
         TimingWheel {
-            slots: (0..WHEEL_SLOTS)
-                .map(|_| Slot { head: 0, items: Vec::with_capacity(capacity) })
-                .collect(),
+            ring: vec![EMPTY; WHEEL_SLOTS],
             occupied: [0; WORDS],
             cursor: 0,
             overflow: BTreeMap::new(),
-            free: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
             len: 0,
         }
     }
@@ -127,21 +118,20 @@ impl<T: Copy> TimingWheel<T> {
     #[inline]
     pub fn schedule(&mut self, at: u64, item: T) {
         assert!(at >= self.cursor, "event scheduled in the past ({at} < {})", self.cursor);
-        if at - self.cursor < WHEEL_SLOTS as u64 {
+        let node = self.alloc(item);
+        let list = if at - self.cursor < WHEEL_SLOTS as u64 {
             let idx = (at & SLOT_MASK) as usize;
-            self.slots[idx].items.push(item);
             self.occupied[idx / 64] |= 1 << (idx % 64);
+            &mut self.ring[idx]
         } else {
-            use std::collections::btree_map::Entry;
-            match self.overflow.entry(at) {
-                Entry::Occupied(e) => e.into_mut().push(item),
-                Entry::Vacant(v) => {
-                    let mut buf = self.free.pop().unwrap_or_default();
-                    buf.push(item);
-                    v.insert(buf);
-                }
-            }
+            self.overflow.entry(at).or_insert(EMPTY)
+        };
+        if list.tail == NIL {
+            list.head = node;
+        } else {
+            self.nodes[list.tail as usize].next = node;
         }
+        list.tail = node;
         self.len += 1;
     }
 
@@ -151,26 +141,44 @@ impl<T: Copy> TimingWheel<T> {
         if self.len == 0 {
             return None;
         }
-        let at = match self.next_ring_cycle() {
-            Some(at) => at,
-            // Ring empty: jump to the earliest overflow cycle.
-            None => *self.overflow.keys().next().expect("len > 0 with an empty ring"),
-        };
+        // With the ring empty, jump to the earliest overflow cycle.
+        let at = self
+            .next_ring_cycle()
+            .unwrap_or_else(|| *self.overflow.keys().next().expect("len > 0 with an empty ring"));
         if at != self.cursor {
             self.cursor = at;
             self.migrate_overflow();
         }
         let idx = (at & SLOT_MASK) as usize;
-        let slot = &mut self.slots[idx];
-        let item = slot.items[slot.head];
-        slot.head += 1;
-        if slot.head == slot.items.len() {
-            slot.items.clear();
-            slot.head = 0;
+        let list = &mut self.ring[idx];
+        let head = list.head;
+        let Node { item, next } = self.nodes[head as usize];
+        list.head = next;
+        if next == NIL {
+            list.tail = NIL;
             self.occupied[idx / 64] &= !(1 << (idx % 64));
         }
+        self.nodes[head as usize].next = self.free;
+        self.free = head;
         self.len -= 1;
         Some((at, item))
+    }
+
+    /// A pool node holding `item`: the most recently freed one, or a new
+    /// one at the end of the pool.
+    fn alloc(&mut self, item: T) -> u32 {
+        let node = Node { item, next: NIL };
+        if self.free == NIL {
+            // The pool grows one node at a time, so this stops it at NIL,
+            // before an index could truncate.
+            assert!(self.nodes.len() < NIL as usize, "more than u32::MAX - 1 queued events");
+            self.nodes.push(node);
+            return (self.nodes.len() - 1) as u32;
+        }
+        let idx = self.free;
+        self.free = self.nodes[idx as usize].next;
+        self.nodes[idx as usize] = node;
+        idx
     }
 
     /// Cycle of the earliest ring event at or after the cursor, if any.
@@ -192,37 +200,20 @@ impl<T: Copy> TimingWheel<T> {
         None
     }
 
-    /// Move every overflow cycle now inside the cursor's window into the
+    /// Splice every overflow cycle now inside the cursor's window into the
     /// ring. Runs on cursor advance, before any same-cycle `schedule`
     /// call, so the target slots are empty and FIFO order is preserved
     /// (overflow entries always predate ring entries of the same cycle).
     fn migrate_overflow(&mut self) {
         let horizon = self.cursor + WHEEL_SLOTS as u64;
-        while let Some((&at, _)) = self.overflow.iter().next() {
-            if at >= horizon {
+        while let Some(entry) = self.overflow.first_entry() {
+            if *entry.key() >= horizon {
                 break;
             }
-            let mut items = self.overflow.remove(&at).expect("first key present");
+            let (at, list) = entry.remove_entry();
             let idx = (at & SLOT_MASK) as usize;
-            let slot = &mut self.slots[idx];
-            debug_assert!(slot.items.is_empty(), "migration target slot must be empty");
-            if slot.items.capacity() >= items.len() {
-                // Keep the slot's retained capacity and recycle the spent
-                // overflow buffer for the next far-future schedule.
-                slot.items.extend_from_slice(&items);
-                items.clear();
-                if self.free.len() < FREE_POOL {
-                    self.free.push(items);
-                }
-            } else {
-                // The slot takes ownership of the bigger buffer; its old
-                // (empty) one goes back to the pool instead of the floor.
-                let old = std::mem::replace(&mut slot.items, items);
-                if self.free.len() < FREE_POOL {
-                    self.free.push(old);
-                }
-            }
-            slot.head = 0;
+            debug_assert!(self.ring[idx].head == NIL, "migration target slot must be empty");
+            self.ring[idx] = list;
             self.occupied[idx / 64] |= 1 << (idx % 64);
         }
     }
@@ -237,6 +228,13 @@ impl<T: Copy> Default for TimingWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Copy> TimingWheel<T> {
+        /// Nodes ever allocated: the high-water mark of queued events.
+        fn pool_len(&self) -> usize {
+            self.nodes.len()
+        }
+    }
 
     #[test]
     fn pops_in_cycle_then_fifo_order() {
@@ -296,6 +294,28 @@ mod tests {
         q.schedule(t, 2);
         assert_eq!(q.pop(), Some((t, 1)));
         assert_eq!(q.pop(), Some((t, 2)));
+    }
+
+    #[test]
+    fn drained_bursts_recycle_the_node_pool() {
+        const K: u64 = 40;
+        let mut q = TimingWheel::new();
+        for burst in 0..50u64 {
+            // Bursts spread over the ring and the overflow map; each one
+            // drains to empty before the next begins.
+            let base = burst * 3 * WHEEL_SLOTS as u64;
+            for i in 0..K {
+                q.schedule(base + (i * 97) % (2 * WHEEL_SLOTS as u64), i);
+            }
+            let mut last = base;
+            for _ in 0..K {
+                let (at, _) = q.pop().expect("burst event queued");
+                assert!(at >= last);
+                last = at;
+            }
+            assert!(q.is_empty());
+            assert_eq!(q.pool_len(), K as usize, "burst {burst} grew the pool");
+        }
     }
 
     #[test]

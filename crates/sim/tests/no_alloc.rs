@@ -1,7 +1,7 @@
 //! Locks the "zero heap allocation in the steady-state hot loop" guarantee
 //! for the engine: once its structures are warm (arena slots, recycled
-//! execution buffers, timing-wheel slots, per-tile key lists, line table,
-//! the stealing sweep masks),
+//! execution buffers, the timing wheel's node pool, per-tile key lists,
+//! line table, the stealing sweep masks),
 //! executing more tasks must not touch the allocator.
 //!
 //! The engine has no public stepping API — a run goes to completion — so
@@ -15,6 +15,9 @@
 //! not tasks in flight). A handful of doublings across a 7x task-count
 //! increase is the signature of amortised `Vec` growth; anything linear in
 //! the extra ~1.8k–14k tasks blows through the bound immediately.
+//!
+//! A byte counter beside the allocation counter also bounds what building
+//! a 256-core engine costs before its run starts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,19 +27,26 @@ use swarm_types::{Hint, SystemConfig, TileId};
 
 struct CountingAllocator;
 
-// Per-thread counter so the libtest harness (and other tests running on
-// their own threads) cannot bump the count mid-measurement. The const
-// initializer keeps the first per-thread access allocation-free, and
+// Per-thread counters so the libtest harness (and other tests running on
+// their own threads) cannot bump the counts mid-measurement. The const
+// initializers keep the first per-thread access allocation-free, and
 // `Cell<u64>` has no destructor to register.
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: delegates every operation to `System` unchanged; the counter is a
-// plain thread-local cell with no other side effects.
+/// Count one allocation (or reallocation) of `size` bytes.
+fn count(size: usize) {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+    BYTES.with(|bytes| bytes.set(bytes.get() + size as u64));
+}
+
+// SAFETY: delegates every operation to `System` unchanged; the counters are
+// plain thread-local cells with no other side effects.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -45,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,6 +67,14 @@ fn measured(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Bytes requested from the allocator while `f` runs (a reallocation
+/// counts its whole new size), and `f`'s result.
+fn measured_bytes<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BYTES.with(Cell::get);
+    let result = f();
+    (result, BYTES.with(Cell::get) - before)
 }
 
 /// `roots` ordered chains of `chain + 1` tasks, argument-free (the chain
@@ -102,6 +120,32 @@ fn allocs_for(roots: u64, chain: u64) -> u64 {
             .expect("workload builds");
         engine.run().expect("workload runs");
     })
+}
+
+/// Ceiling on the bytes one 256-core engine build may allocate. The
+/// machine itself (caches, directory, mesh, queues for 64 tiles) needs
+/// under 200 KB; anything sized per wheel slot times per core, such as
+/// pre-sizing the 1,024 ring slots for a whole-machine wake burst, costs
+/// megabytes.
+const BUILD_256_BYTES: u64 = 512 * 1024;
+
+#[test]
+fn building_a_256_core_engine_allocates_under_512_kib() {
+    let build = || {
+        Sim::builder()
+            .app(SilentChains { roots: 1, chain: 1 })
+            .mapper(Box::new(RoundRobinMapper::new()))
+            .cores(256)
+            .build()
+            .expect("256-core engine builds")
+    };
+    // First build warms up thread-locals and lazy runtime state.
+    drop(build());
+    let (_engine, bytes) = measured_bytes(build);
+    assert!(
+        bytes < BUILD_256_BYTES,
+        "a 256-core engine build allocated {bytes} bytes, over {BUILD_256_BYTES}"
+    );
 }
 
 /// Allowance for the per-task metadata arrays doubling a few times between

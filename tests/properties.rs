@@ -717,15 +717,28 @@ proptest! {
     /// randomized schedule/pop interleavings that stress all three of its
     /// regimes: same-cycle bursts, in-ring scheduling, and far-future
     /// events that round-trip through the overflow map and wrap the ring.
+    /// Occasional drains to empty mid-sequence make later schedules reuse
+    /// the node free list, both from empty and from a partly-full queue.
     #[test]
     fn timing_wheel_matches_seed_binary_heap(
-        ops in proptest::collection::vec((0u8..6, 0u64..8 * WHEEL_SLOTS as u64), 1..500),
+        ops in proptest::collection::vec((0u8..25, 0u64..8 * WHEEL_SLOTS as u64), 1..500),
     ) {
         let mut wheel = TimingWheel::new();
         let mut seed = seed_reference::SeedEventQueue::new();
         let mut now = 0u64;
         let mut next_item = 0u32;
         for (step, &(mode, raw)) in ops.iter().enumerate() {
+            // Mode 24 (one op in 25) drains; the rest split evenly six ways.
+            if mode == 24 {
+                while let Some((at, item)) = seed.pop() {
+                    now = at;
+                    prop_assert_eq!(wheel.pop(), Some((at, item)), "drain diverged at step {}", step);
+                }
+                prop_assert_eq!(wheel.pop(), None, "wheel not empty after drain at step {}", step);
+                prop_assert!(wheel.is_empty());
+                continue;
+            }
+            let mode = mode % 6;
             if mode == 0 {
                 let want = seed.pop();
                 if let Some((at, _)) = want {

@@ -18,10 +18,10 @@ use proptest::prelude::*;
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
 use swarm_bench::{run_point_result, run_point_result_observed, RunError, RunRequest};
-use swarm_serve::proto::{render_request, stats_to_json};
+use swarm_serve::proto::{render_request, stats_to_json, ErrorCode};
 use swarm_serve::{
     parse_event, CacheSource, Event, FailureKind, PipeSummary, PointFailure, PointOutcome,
-    PointRunner, Request, RunPoint, ServeOptions, Server, SubmitRequest, TcpServer,
+    PointRunner, Request, RunPoint, ServeOptions, Server, SubmitRequest, TcpServer, MAX_LINE_BYTES,
 };
 use swarm_sim::RunStats;
 use swarm_types::{CanonKey, Canonical, FastHashMap};
@@ -231,6 +231,21 @@ fn malformed_lines_get_typed_errors_and_the_session_continues() {
     assert!(matches!(&events[2], Event::Accepted { points: 1, .. }));
     assert!(matches!(events.last().unwrap(), Event::Bye));
     assert_eq!(finished_stats(&events).len(), 1);
+}
+
+#[test]
+fn an_over_long_line_gets_one_typed_error_and_the_session_continues() {
+    let server = Server::new(DirectRunner, ServeOptions::default()).unwrap();
+    let input = format!("{}\n{{\"type\":\"stats\"}}\n", "x".repeat(2 * MAX_LINE_BYTES));
+    let (summary, events) = pipe(&server, input);
+    assert!(summary.saw_protocol_error);
+    assert_eq!(events.len(), 2, "{events:?}");
+    assert!(
+        matches!(&events[0], Event::Protocol(e) if e.code == ErrorCode::LineTooLong),
+        "{:?}",
+        events[0]
+    );
+    assert!(matches!(events[1], Event::ServerStats { .. }), "{:?}", events[1]);
 }
 
 #[test]
