@@ -6,11 +6,11 @@
 //! swarm fig2 --scale small   # any figure
 //! swarm summary --json
 //! swarm sysconfig
-//! swarm bench --out BENCH_mechanisms.json
+//! swarm serve --tcp 127.0.0.1:7433
 //! ```
 //!
 //! It is the only binary: the old per-figure names (`ablation_lb`,
-//! `bench_snapshot`, ...) resolve as subcommand aliases.
+//! `noc_profile`) resolve as subcommand aliases.
 
 use swarm_bench::registry;
 

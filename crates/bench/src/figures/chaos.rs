@@ -49,6 +49,14 @@ pub fn run(raw: &[String]) -> i32 {
         }
     };
     let cores = args.cores_or(&[1, 16]);
+    // A machine that cannot be built is a bad command line, not a
+    // chaos-contract violation.
+    for &n in &cores {
+        if let Err(e) = SystemConfig::with_cores(n).validate() {
+            eprintln!("error: --cores {n} is not a valid machine: {e}");
+            return crate::exit_code::USAGE;
+        }
+    }
 
     type Builder = Box<dyn Fn(&SystemConfig) -> Box<dyn TaskMapper>>;
     let builders: Vec<(Scheduler, Builder)> = args

@@ -17,8 +17,6 @@
 use crate::runner::RunError;
 
 pub mod ablation_lb;
-pub mod bench_serve;
-pub mod bench_snapshot;
 pub mod chaos;
 pub mod fig10;
 pub mod fig11;

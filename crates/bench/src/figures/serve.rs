@@ -25,21 +25,7 @@ use swarm_serve::{
 use swarm_sim::SimObserver;
 
 use crate::pool::{FailurePolicy, Pool};
-use crate::runner::{run_point_result_observed, RunError, RunRequest};
-
-/// A serve [`RunPoint`] as a harness [`RunRequest`] — field for field; the
-/// two types exist so `swarm_serve` does not depend on this crate.
-fn to_request(point: &RunPoint) -> RunRequest {
-    RunRequest {
-        spec: point.spec,
-        scheduler: point.scheduler,
-        cores: point.cores,
-        scale: point.scale,
-        seed: point.seed,
-        fault: point.fault,
-        noc: point.noc,
-    }
-}
+use crate::runner::{run_point_result_observed, RunError};
 
 /// Project a [`RunError`] onto the protocol failure taxonomy. The wire
 /// message is the error's display form, which already names the point.
@@ -70,32 +56,30 @@ impl SimObserver for GvtSender {
 /// work-sharing [`Pool`] under [`FailurePolicy::CollectAll`] (one bad point
 /// must not skip its batch-mates), observed runs get a [`GvtSender`]
 /// attached.
-pub(crate) struct PoolRunner {
+struct PoolRunner {
     pool: Pool,
 }
 
 impl PoolRunner {
-    pub(crate) fn new(jobs: usize) -> PoolRunner {
+    fn new(jobs: usize) -> PoolRunner {
         PoolRunner { pool: Pool::new(jobs).with_policy(FailurePolicy::CollectAll) }
     }
 }
 
 impl PointRunner for PoolRunner {
     fn run_batch(&self, points: &[RunPoint]) -> Vec<PointOutcome> {
-        let requests: Vec<RunRequest> = points.iter().map(to_request).collect();
         self.pool
-            .try_run_matrix(&requests)
+            .try_run_matrix(points)
             .into_iter()
             .map(|result| result.map_err(|err| to_failure(&err)))
             .collect()
     }
 
     fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
-        let request = to_request(point);
         let result = std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel();
             let engine =
-                scope.spawn(move || run_point_result_observed(request, false, GvtSender { tx }));
+                scope.spawn(move || run_point_result_observed(*point, false, GvtSender { tx }));
             // Drain until the engine drops its sender (run complete).
             for gvt in rx {
                 on_gvt(gvt);
@@ -270,7 +254,7 @@ mod tests {
             4,
             InputScale::Tiny,
         );
-        let direct = crate::runner::run_point_result(to_request(&point), false).unwrap();
+        let direct = crate::runner::run_point_result(point, false).unwrap();
         let via_pool = PoolRunner::new(1).run_batch(&[point]).pop().unwrap().unwrap();
         assert_eq!(via_pool, direct);
     }
@@ -281,7 +265,7 @@ mod tests {
             RunPoint::new(AppSpec::coarse(BenchmarkId::Des), Scheduler::Hints, 4, InputScale::Tiny);
         let mut gvts: Vec<u64> = Vec::new();
         let observed = PoolRunner::new(1).run_observed(&point, &mut |gvt| gvts.push(gvt)).unwrap();
-        let direct = crate::runner::run_point_result(to_request(&point), false).unwrap();
+        let direct = crate::runner::run_point_result(point, false).unwrap();
         assert_eq!(observed, direct, "observation must not perturb the run");
         assert!(!gvts.is_empty(), "a real run advances GVT at least once");
         assert!(gvts.windows(2).all(|w| w[0] <= w[1]), "GVT is monotonic: {gvts:?}");
@@ -289,12 +273,12 @@ mod tests {
 
     #[test]
     fn failures_project_onto_the_protocol_taxonomy() {
-        let request = to_request(&RunPoint::new(
+        let request = RunPoint::new(
             AppSpec::coarse(BenchmarkId::Bfs),
             Scheduler::Random,
             2,
             InputScale::Tiny,
-        ));
+        );
         let cases = [
             (
                 RunError::InvalidPoint { request, error: swarm_sim::BuildError::ZeroTaskLimit },

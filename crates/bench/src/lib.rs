@@ -4,9 +4,9 @@
 //!
 //! The crate splits into these layers:
 //!
-//! * [`runner`] — describing and executing one simulation point
-//!   ([`RunRequest`] → [`swarm_sim::RunStats`]), plus the hand-written
-//!   serial sweep used as the determinism reference;
+//! * [`runner`] — executing one simulation point ([`RunRequest`], the
+//!   harness's name for [`swarm_serve::RunPoint`], → [`swarm_sim::RunStats`]),
+//!   plus the hand-written serial sweep used as the determinism reference;
 //! * [`pool`] — the parallel experiment runner: a dynamic work-sharing
 //!   thread pool ([`Pool`]) that executes whole scheduler × app × core-count
 //!   matrices across OS threads and joins results in deterministic request

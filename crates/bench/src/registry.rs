@@ -13,8 +13,7 @@ pub struct FigureSpec {
     pub name: &'static str,
     /// Alternative names accepted by [`find`] — in particular the old
     /// standalone binary's name when it differs from the subcommand
-    /// (`ablation_lb`, `bench_snapshot`), so older command lines keep
-    /// resolving.
+    /// (`ablation_lb`), so older command lines keep resolving.
     pub aliases: &'static [&'static str],
     /// One-line description shown by `swarm list`.
     pub about: &'static str,
@@ -110,12 +109,6 @@ pub const REGISTRY: &[FigureSpec] = &[
         run: figures::ablation_lb::run,
     },
     FigureSpec {
-        name: "bench",
-        aliases: &["bench_snapshot"],
-        about: "microbenchmark snapshot of the memory-system hot path (writes JSON)",
-        run: figures::bench_snapshot::run,
-    },
-    FigureSpec {
         name: "chaos",
         aliases: &[],
         about: "fault-injection battery: every fault must fail typed or complete clean",
@@ -132,12 +125,6 @@ pub const REGISTRY: &[FigureSpec] = &[
         aliases: &[],
         about: "long-lived simulation service with a content-addressed result cache",
         run: figures::serve::run,
-    },
-    FigureSpec {
-        name: "bench-serve",
-        aliases: &["bench_serve"],
-        about: "load-generate against an in-process serve stack; commits req/s and hit-rate series",
-        run: figures::bench_serve::run,
     },
 ];
 
@@ -176,9 +163,11 @@ mod tests {
 
     #[test]
     fn registry_covers_all_fifteen_legacy_binaries() {
-        // The names of the fifteen standalone binaries that `swarm`
-        // replaced still resolve, as a subcommand name or an alias, so
-        // scripts written against them need only a `swarm` prefix.
+        // Fourteen of the fifteen standalone binaries that `swarm` replaced
+        // still resolve, as a subcommand name or an alias, so scripts
+        // written against them need only a `swarm` prefix. The fifteenth,
+        // `bench_snapshot`, was deleted with its `bench` command: perfbench
+        // is the one measurement instrument.
         let legacy = [
             "fig2",
             "fig3",
@@ -194,19 +183,18 @@ mod tests {
             "sysconfig",
             "summary",
             "ablation_lb",
-            "bench_snapshot",
         ];
-        assert_eq!(legacy.len(), 15);
+        assert_eq!(legacy.len(), 14);
         for name in legacy {
             assert!(find(name).is_some(), "{name} missing from the registry");
         }
-        // The registry carries those fifteen commands plus `chaos`,
-        // `noc-profile`, `serve`, and `bench-serve` (which never had
-        // standalone binaries).
-        assert_eq!(REGISTRY.len(), 19);
+        assert!(find("bench_snapshot").is_none());
+        // The registry carries those fourteen commands plus `chaos`,
+        // `noc-profile` and `serve` (which never had standalone binaries).
+        assert_eq!(REGISTRY.len(), 17);
         assert!(find("chaos").is_some());
         assert_eq!(find("noc_profile").unwrap().name, "noc-profile");
         assert!(find("serve").is_some());
-        assert_eq!(find("bench_serve").unwrap().name, "bench-serve");
+        assert!(find("bench-serve").is_none());
     }
 }

@@ -4,73 +4,12 @@ use std::fmt;
 
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, InputScale};
-use swarm_sim::{BuildError, FaultEvent, FaultPlan, RunStats, Sim};
-use swarm_types::{NocModel, SimError, SystemConfig};
+use swarm_sim::{BuildError, FaultPlan, RunStats, Sim};
+use swarm_types::SimError;
 
-/// Everything needed to run one simulation point.
-///
-/// Equal requests produce equal results (runs are deterministic), which is
-/// what lets [`crate::Pool`] deduplicate repeated points inside a matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RunRequest {
-    /// Which application (and granularity).
-    pub spec: AppSpec,
-    /// Which scheduler.
-    pub scheduler: Scheduler,
-    /// Number of simulated cores.
-    pub cores: u32,
-    /// Input scale.
-    pub scale: InputScale,
-    /// Workload seed (the same seed produces the same input for every
-    /// scheduler and core count, as the paper's methodology requires).
-    pub seed: u64,
-    /// Optional deterministic fault to inject into the run (see
-    /// [`swarm_sim::fault`]). `None` — the case for every figure sweep —
-    /// leaves the simulation byte-identical to a fault-free build; the
-    /// chaos/robustness suites set it to stress the pipeline.
-    pub fault: Option<FaultEvent>,
-    /// Which network model to simulate under. `Analytic` — the case for
-    /// every pinned figure — is the paper's fixed-latency mesh;
-    /// `Contention` adds per-link queueing (`--noc contention`).
-    pub noc: NocModel,
-}
-
-impl RunRequest {
-    /// A convenience constructor with the default seed, no fault, and the
-    /// analytic network model.
-    pub fn new(spec: AppSpec, scheduler: Scheduler, cores: u32, scale: InputScale) -> Self {
-        RunRequest {
-            spec,
-            scheduler,
-            cores,
-            scale,
-            seed: 0xF1605,
-            fault: None,
-            noc: NocModel::Analytic,
-        }
-    }
-
-    /// The same request with a different workload seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The same request with `fault` injected into the run.
-    #[must_use]
-    pub fn with_fault(mut self, fault: FaultEvent) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// The same request under the given network model.
-    #[must_use]
-    pub fn with_noc(mut self, noc: NocModel) -> Self {
-        self.noc = noc;
-        self
-    }
-}
+/// Everything needed to run one simulation point: the harness's name for
+/// the one point type, [`swarm_serve::RunPoint`].
+pub use swarm_serve::RunPoint as RunRequest;
 
 /// Why one simulation point has no statistics: the typed, per-point failure
 /// the pool records instead of tearing the whole process down (see
@@ -186,20 +125,9 @@ fn run_point_guarded(
     attach: impl FnOnce(swarm_sim::SimBuilder) -> swarm_sim::SimBuilder,
 ) -> Result<RunStats, RunError> {
     let guarded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // The machine description: plain `.cores(n)` for the analytic
-        // model, a full `SystemConfig` when contention is on (the builder
-        // rejects combining `.cores` with `.config`).
-        let machine = Sim::builder();
-        let machine = match request.noc {
-            NocModel::Analytic => machine.cores(request.cores),
-            NocModel::Contention => {
-                let mut cfg = SystemConfig::with_cores(request.cores);
-                cfg.noc.model = NocModel::Contention;
-                machine.config(cfg)
-            }
-        };
         let mut builder = attach(
-            machine
+            Sim::builder()
+                .config(request.system_config())
                 .app_boxed(request.spec.build(request.scale, request.seed))
                 .scheduler(request.scheduler)
                 .profiling(profiled),

@@ -7,9 +7,6 @@
 //! The `*_matches_legacy` names date from when each test compared the
 //! subcommand against a standalone per-figure binary; `swarm` is now the
 //! only binary, and the names are kept so the test ids stay stable.
-//!
-//! `bench` (the old `bench_snapshot`) is deliberately absent: it measures
-//! wall-clock times and writes a file.
 
 use std::process::{Command, Output};
 
@@ -177,10 +174,9 @@ fn swarm_list_names_every_command() {
     for spec in swarm_bench::REGISTRY {
         assert!(listing.contains(spec.name), "swarm list omits {}", spec.name);
     }
-    // Explicit pins for the serving stack: `swarm list` is the discovery
-    // surface the docs point at, so these names are part of the contract.
+    // Explicit pin for the serving stack: `swarm list` is the discovery
+    // surface the docs point at, so the name is part of the contract.
     assert!(listing.contains("serve"), "{listing}");
-    assert!(listing.contains("bench-serve"), "{listing}");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! A small, strict JSON value model, parser and writer.
 //!
 //! The offline build has no serde_json; until this crate, the repo's JSON
-//! support was write-only (`summary --json`, `swarm bench`). The serving
+//! support was write-only (`summary --json`). The serving
 //! protocol needs to *read* JSON too, so this module adds the missing half:
 //! a recursive-descent parser that accepts exactly the JSON grammar —
 //! no trailing garbage, no duplicate object keys, no unquoted anything —
@@ -104,20 +104,11 @@ impl Value {
     /// protocol wire form.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, false);
+        self.write(&mut out);
         out
     }
 
-    /// Render with a space after each `:` and `,` — the style of the
-    /// committed `BENCH_*.json` snapshots.
-    pub fn render_spaced(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, true);
-        out
-    }
-
-    fn write(&self, out: &mut String, spaced: bool) {
-        let pad = if spaced { " " } else { "" };
+    fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
@@ -142,9 +133,8 @@ impl Value {
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
-                        out.push_str(pad);
                     }
-                    item.write(out, spaced);
+                    item.write(out);
                 }
                 out.push(']');
             }
@@ -153,12 +143,10 @@ impl Value {
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
-                        out.push_str(pad);
                     }
                     write_escaped(out, k);
                     out.push(':');
-                    out.push_str(pad);
-                    v.write(out, spaced);
+                    v.write(out);
                 }
                 out.push('}');
             }
@@ -544,6 +532,11 @@ mod tests {
                 Value::Obj(vec![("ok".into(), Value::Bool(true)), ("x".into(), Value::Null)]),
             ),
         ]);
+        assert_eq!(
+            v.render(),
+            "{\"name\":\"serve\",\"counts\":[1,2],\"inner\":{\"ok\":true,\"x\":null}}",
+            "the wire form has no whitespace"
+        );
         round_trip(&v);
     }
 
@@ -583,17 +576,6 @@ mod tests {
         let v = parse("\"\\ud83d\\ude00\"").unwrap();
         assert_eq!(v, Value::str("\u{1F600}"));
         assert!(parse("\"\\ud83d\"").is_err(), "lone high surrogate rejected");
-    }
-
-    #[test]
-    fn spaced_rendering_differs_only_in_whitespace() {
-        let v = Value::Obj(vec![
-            ("name".into(), Value::str("x")),
-            ("ns_per_op".into(), Value::Float(8.3)),
-        ]);
-        assert_eq!(v.render(), "{\"name\":\"x\",\"ns_per_op\":8.3}");
-        assert_eq!(v.render_spaced(), "{\"name\": \"x\", \"ns_per_op\": 8.3}");
-        assert_eq!(parse(&v.render_spaced()).unwrap(), v);
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! its [`RunPoint`] (app × scheduler × cores × scale × seed × NoC model ×
 //! fault plan). This crate turns that property into a service:
 //!
+//! * [`point`] — [`RunPoint`], the one type that names a simulation point
+//!   (the harness re-exports it as `swarm_bench::RunRequest`), with its
+//!   JSON form and the one [`Canonical`](swarm_types::Canonical) impl;
 //! * [`proto`] — a line-delimited JSON protocol (strict parser + writer,
 //!   hand-rolled: the offline build has no serde_json) with typed request,
 //!   event, and error messages;
@@ -23,8 +26,7 @@
 //!   `std::net` TCP listener mode, both speaking the same protocol, with
 //!   cross-client deduplication of in-flight points.
 //!
-//! The `swarm serve` subcommand and the `swarm bench-serve` load generator
-//! live in `swarm_bench::figures`.
+//! The `swarm serve` subcommand lives in `swarm_bench::figures`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,10 +1,10 @@
-//! The unit of work the service schedules and caches: one run point.
+//! The one type that names a simulation point.
 //!
-//! [`RunPoint`] mirrors `swarm_bench::RunRequest` field for field — the
-//! definition lives here (below the bench crate in the dependency graph) so
-//! the server, cache, and protocol can speak it without depending on the
-//! harness; `swarm_bench` converts it into a `RunRequest` inside its
-//! [`PointRunner`](crate::exec::PointRunner) implementation.
+//! [`RunPoint`] is the unit of work the service schedules and caches, and
+//! the unit the harness runs: `swarm_bench` re-exports it as `RunRequest`.
+//! It is defined here, the lowest crate that sees [`AppSpec`], [`Scheduler`]
+//! and [`FaultEvent`], so the server, cache and protocol speak it without
+//! depending on the harness.
 //!
 //! A point's [`Canonical`] form covers every input that determines the
 //! simulation's output — the app and granularity, scheduler, core count,
@@ -22,6 +22,10 @@ use crate::json::Value;
 use crate::proto::ProtoError;
 
 /// Everything that determines one simulation's output.
+///
+/// Equal points produce equal results (runs are deterministic), which is
+/// what lets the harness's pool deduplicate repeated points inside a matrix
+/// and the server cache results by [`Canonical`] key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunPoint {
     /// Which application (and granularity).
@@ -32,20 +36,25 @@ pub struct RunPoint {
     pub cores: u32,
     /// Input scale.
     pub scale: InputScale,
-    /// Workload seed.
+    /// Workload seed (the same seed produces the same input for every
+    /// scheduler and core count, as the paper's methodology requires).
     pub seed: u64,
-    /// Optional deterministic fault to inject (see [`swarm_sim::fault`]).
+    /// Optional deterministic fault to inject into the run (see
+    /// [`swarm_sim::fault`]). `None` — the case for every figure sweep —
+    /// leaves the simulation byte-identical to a fault-free build; the
+    /// chaos/robustness suites set it to stress the pipeline.
     pub fault: Option<FaultEvent>,
-    /// Which network model to simulate under.
+    /// Which network model to simulate under. `Analytic` — the case for
+    /// every pinned figure — is the paper's fixed-latency mesh;
+    /// `Contention` adds per-link queueing (`--noc contention`).
     pub noc: NocModel,
 }
 
-/// The default workload seed, matching `swarm_bench::RunRequest::new`.
+/// The default workload seed of [`RunPoint::new`].
 pub const DEFAULT_SEED: u64 = 0xF1605;
 
 impl RunPoint {
-    /// A point with the default seed, no fault, and the analytic NoC —
-    /// the same defaults as `swarm_bench::RunRequest::new`.
+    /// A point with the default seed, no fault, and the analytic NoC.
     pub fn new(spec: AppSpec, scheduler: Scheduler, cores: u32, scale: InputScale) -> RunPoint {
         RunPoint {
             spec,
@@ -58,9 +67,32 @@ impl RunPoint {
         }
     }
 
-    /// The machine configuration this point simulates under, mirroring how
-    /// the harness builds it: `SystemConfig::with_cores(cores)` with the
-    /// NoC model applied.
+    /// The same point with a different workload seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// The same point with `fault` injected into the run.
+    #[must_use]
+    pub fn with_fault(mut self, fault: FaultEvent) -> Self {
+        self.fault = Some(fault);
+        self
+    }
+
+    /// The same point under the given network model.
+    #[must_use]
+    pub fn with_noc(mut self, noc: NocModel) -> Self {
+        self.noc = noc;
+        self
+    }
+
+    /// The machine configuration this point simulates under:
+    /// `SystemConfig::with_cores(cores)` with the NoC model applied. The
+    /// harness builds every machine from it, so the config the cache keys
+    /// on is the config that runs. Zero cores yield a config that
+    /// [`SystemConfig::validate`] rejects.
     pub fn system_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::with_cores(self.cores);
         cfg.noc.model = self.noc;

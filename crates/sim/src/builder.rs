@@ -258,9 +258,6 @@ impl SimBuilder {
         let scheduler = self.scheduler.ok_or(BuildError::MissingScheduler)?;
         let cfg = match (self.cores, self.config) {
             (Some(_), Some(_)) => return Err(BuildError::AmbiguousMachine),
-            (Some(0), None) => {
-                return Err(BuildError::InvalidConfig("core count must be positive".into()))
-            }
             (Some(n), None) => SystemConfig::with_cores(n),
             (None, Some(cfg)) => cfg,
             (None, None) => SystemConfig::small(),

@@ -223,6 +223,7 @@ fn run_planned(
     let app = make_app();
     let name = app.name().to_string();
     let at = || format!("{name} under {} at {cores} cores with plan [{plan}]", mapper.name);
+    cfg.validate().map_err(|e| format!("{}: invalid simulation: {e}", at()))?;
     let mapper_impl = (mapper.build)(&cfg);
     let plan = plan.clone();
     let guarded = catch_unwind(AssertUnwindSafe(move || {

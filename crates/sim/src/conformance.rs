@@ -174,11 +174,18 @@ fn run_once(
     let cfg = config(cores);
     let app = make_app();
     let name = app.name().to_string();
+    let invalid = |e: String| {
+        format!("{name} under {} at {cores} cores: invalid simulation: {e}", mapper.name)
+    };
+    // Mappers size their tables from the config: validate before building one.
+    cfg.validate().map_err(invalid)?;
     let mapper_impl = (mapper.build)(&cfg);
-    let mut engine =
-        Sim::builder().config(cfg).app_boxed(app).mapper(mapper_impl).build().map_err(|e| {
-            format!("{name} under {} at {cores} cores: invalid simulation: {e}", mapper.name)
-        })?;
+    let mut engine = Sim::builder()
+        .config(cfg)
+        .app_boxed(app)
+        .mapper(mapper_impl)
+        .build()
+        .map_err(|e| invalid(e.to_string()))?;
     let stats = engine
         .run()
         .map_err(|e| format!("{name} under {} at {cores} cores failed: {e}", mapper.name))?;

@@ -264,11 +264,9 @@ impl SystemConfig {
     /// (matching how the paper scales K×K tile systems); smaller counts use
     /// one core per tile.
     ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
+    /// Zero cores yield a machine with no tiles, which
+    /// [`SystemConfig::validate`] rejects.
     pub fn with_cores(cores: u32) -> Self {
-        assert!(cores > 0, "core count must be positive");
         let mut cfg = SystemConfig::default();
         let (cores_per_tile, tiles) =
             if cores.is_multiple_of(4) { (4, cores / 4) } else { (1, cores) };

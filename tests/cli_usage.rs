@@ -47,9 +47,9 @@ fn malformed_invocations_exit_2_with_a_diagnostic() {
         (&["serve", "--tpc", "127.0.0.1:0"], "did you mean '--tcp'"),
         (&["serve", "--cache-dir"], "--cache-dir requires a value"),
         (&["serve", "--mem-entries", "lots"], "not a valid number"),
-        // `bench-serve` routes through the shared strict parser.
-        (&["bench-serve", "--clients"], "--clients requires a value"),
-        (&["bench-serve", "--cleints", "2"], "did you mean '--clients'"),
+        // The old measurement commands are gone: perfbench measures.
+        (&["bench"], "unknown command"),
+        (&["bench-serve"], "unknown command"),
     ];
     for (args, needle) in cases {
         let (code, _, stderr) = swarm(args);
@@ -84,25 +84,28 @@ fn partially_bad_lists_warn_but_proceed() {
 
 #[test]
 fn failed_points_degrade_to_na_instead_of_panicking() {
-    // A zero-core point is not a valid simulation. These figures used to
+    // A zero-core point is not a valid simulation. These commands used to
     // panic on it (exit 101 with a backtrace); like every other figure they
     // must print the table with `n/a` cells (`null` in JSON), name the
-    // cause once on stderr and exit 3.
-    let cases: &[(&[&str], &str)] = &[
-        (&["summary", "--apps", "bfs"], "n/a"),
-        (&["summary", "--apps", "bfs", "--json"], "null"),
-        (&["fig7", "--apps", "bfs"], "n/a"),
-        (&["ablation-lb", "--apps", "des"], "n/a"),
+    // cause once on stderr and exit 3. `noc-profile` prints no table for a
+    // failed point, and `chaos` rejects the machine up front as a usage
+    // error (exit 2), since a bad machine is not a contract violation.
+    const INVALID: &str = "is not a valid simulation";
+    let cases: &[(&[&str], i32, &str, &str)] = &[
+        (&["summary", "--apps", "bfs"], 3, "n/a", INVALID),
+        (&["summary", "--apps", "bfs", "--json"], 3, "null", INVALID),
+        (&["summary", "--apps", "bfs", "--noc", "contention"], 3, "n/a", INVALID),
+        (&["fig7", "--apps", "bfs"], 3, "n/a", INVALID),
+        (&["ablation-lb", "--apps", "des"], 3, "n/a", INVALID),
+        (&["noc-profile", "--apps", "bfs"], 3, "", INVALID),
+        (&["chaos", "--apps", "bfs"], 2, "", "--cores 0"),
     ];
-    for (args, missing) in cases {
+    for (args, expect, missing, cause) in cases {
         let args = [*args, &["--scale", "tiny", "--cores", "0"]].concat();
         let (code, stdout, stderr) = swarm(&args);
-        assert_eq!(code, 3, "swarm {args:?} must exit 3, stderr:\n{stderr}");
+        assert_eq!(code, *expect, "swarm {args:?} must exit {expect}, stderr:\n{stderr}");
         assert!(stdout.contains(missing), "swarm {args:?} must print {missing:?}:\n{stdout}");
-        assert!(
-            stderr.contains("is not a valid simulation"),
-            "swarm {args:?} must name the cause, got:\n{stderr}"
-        );
+        assert!(stderr.contains(cause), "swarm {args:?} must name the cause, got:\n{stderr}");
         assert!(!stderr.contains("panicked"), "swarm {args:?} panicked:\n{stderr}");
     }
 }

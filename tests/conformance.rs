@@ -23,8 +23,9 @@
 use spatial_hints::Scheduler;
 use swarm_bench::{Pool, RunRequest};
 use swarm_repro::prelude::*;
+use swarm_repro::sim::chaos::{check_chaos, ChaosOptions};
 use swarm_repro::sim::conformance::{check_app, ConformanceOptions, MapperSpec};
-use swarm_repro::sim::TaskMapper;
+use swarm_repro::sim::{standard_faults, TaskMapper};
 
 const SEED: u64 = 99;
 
@@ -204,4 +205,20 @@ fn every_app_is_byte_identical_across_pool_jobs() {
     let parallel = Pool::new(8).try_run_matrix(&requests);
     assert!(serial.iter().all(Result::is_ok), "every app runs: {serial:#?}");
     assert_eq!(serial, parallel, "a multi-threaded matrix diverged from --jobs 1");
+}
+
+#[test]
+fn an_unbuildable_machine_fails_typed_instead_of_panicking() {
+    // Zero cores yield a config `validate()` rejects. Both kits must say so
+    // before a mapper sizes its tables from it: LBHints would panic.
+    let build = |cfg: &SystemConfig| Scheduler::LbHints.build(cfg);
+    let mappers = [MapperSpec { name: "LBHints", build: &build }];
+    let make = || AppSpec::coarse(BenchmarkId::Bfs).build(InputScale::Tiny, SEED);
+    let opts = ConformanceOptions { core_counts: vec![0], ..ConformanceOptions::default() };
+    let err = check_app(&make, &mappers, &opts).expect_err("zero cores is not a machine");
+    assert!(err.contains("invalid simulation"), "{err}");
+    let opts = ChaosOptions { core_counts: vec![0], ..ChaosOptions::default() };
+    let err = check_chaos(&make, &mappers, &standard_faults(100), &opts)
+        .expect_err("zero cores is not a machine");
+    assert!(err.contains("invalid simulation"), "{err}");
 }

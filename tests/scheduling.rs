@@ -251,3 +251,98 @@ fn stealing_wakes_cost_a_constant_number_of_events_per_task() {
         assert!(per_task <= 8.0, "{app:?}: {per_task:.2} wheel events per executed task");
     }
 }
+
+/// Deterministic work counters of every app × scheduler at tiny scale, seed
+/// 1, 16 cores, analytic NoC: `(app, scheduler, events processed, tasks
+/// committed, tasks aborted, GVT updates)`. Wall-clock timings hide an
+/// algorithmic regression in machine noise; these counts move exactly
+/// when the work the engine does moves. A deliberate behaviour change
+/// re-pins the table from the assertion's output.
+const WORK_COUNTERS: &[(&str, &str, u64, u64, u64, u64)] = &[
+    ("bfs", "Random", 1397, 192, 251, 36),
+    ("bfs", "Stealing", 1080, 192, 331, 37),
+    ("bfs", "Hints", 1335, 192, 236, 38),
+    ("bfs", "LBHints", 1431, 192, 213, 37),
+    ("sssp", "Random", 1488, 227, 307, 35),
+    ("sssp", "Stealing", 1106, 227, 345, 31),
+    ("sssp", "Hints", 1570, 227, 287, 36),
+    ("sssp", "LBHints", 1618, 226, 283, 36),
+    ("astar", "Random", 1867, 295, 564, 51),
+    ("astar", "Stealing", 1695, 296, 586, 46),
+    ("astar", "Hints", 2278, 296, 583, 58),
+    ("astar", "LBHints", 2458, 297, 705, 60),
+    ("color", "Random", 1235, 150, 507, 33),
+    ("color", "Stealing", 1408, 150, 621, 37),
+    ("color", "Hints", 2078, 150, 899, 50),
+    ("color", "LBHints", 2127, 150, 925, 52),
+    ("des", "Random", 1309, 669, 249, 34),
+    ("des", "Stealing", 1383, 669, 273, 36),
+    ("des", "Hints", 1082, 669, 37, 31),
+    ("des", "LBHints", 1255, 669, 28, 33),
+    ("nocsim", "Random", 496, 192, 100, 12),
+    ("nocsim", "Stealing", 492, 192, 85, 11),
+    ("nocsim", "Hints", 534, 192, 68, 11),
+    ("nocsim", "LBHints", 525, 192, 77, 12),
+    ("silo", "Random", 2571, 1356, 538, 63),
+    ("silo", "Stealing", 1925, 1356, 278, 55),
+    ("silo", "Hints", 2481, 1356, 489, 60),
+    ("silo", "LBHints", 2527, 1356, 537, 61),
+    ("genome", "Random", 1163, 708, 101, 27),
+    ("genome", "Stealing", 1141, 708, 40, 25),
+    ("genome", "Hints", 1162, 708, 89, 26),
+    ("genome", "LBHints", 1043, 708, 31, 25),
+    ("kmeans", "Random", 3066, 405, 1225, 134),
+    ("kmeans", "Stealing", 3177, 405, 1257, 146),
+    ("kmeans", "Hints", 2156, 405, 594, 124),
+    ("kmeans", "LBHints", 3049, 405, 914, 143),
+    ("maxflow", "Random", 3177, 429, 1279, 62),
+    ("maxflow", "Stealing", 500, 429, 0, 26),
+    ("maxflow", "Hints", 1636, 429, 147, 93),
+    ("maxflow", "LBHints", 1711, 429, 161, 95),
+    ("triangle", "Random", 891, 443, 169, 31),
+    ("triangle", "Stealing", 915, 443, 261, 32),
+    ("triangle", "Hints", 658, 443, 0, 29),
+    ("triangle", "LBHints", 630, 443, 0, 26),
+    ("kvstore", "Random", 1484, 250, 579, 25),
+    ("kvstore", "Stealing", 1475, 250, 629, 26),
+    ("kvstore", "Hints", 1104, 250, 289, 35),
+    ("kvstore", "LBHints", 1311, 250, 288, 36),
+    ("stream", "Random", 3101, 173, 1123, 67),
+    ("stream", "Stealing", 2357, 172, 1087, 59),
+    ("stream", "Hints", 1752, 172, 346, 54),
+    ("stream", "LBHints", 2230, 173, 353, 56),
+    ("pipeline", "Random", 435, 120, 127, 8),
+    ("pipeline", "Stealing", 494, 120, 144, 8),
+    ("pipeline", "Hints", 393, 120, 19, 9),
+    ("pipeline", "LBHints", 444, 120, 21, 9),
+    ("hostile", "Random", 104, 48, 0, 8),
+    ("hostile", "Stealing", 54, 48, 0, 5),
+    ("hostile", "Hints", 262, 48, 0, 68),
+    ("hostile", "LBHints", 262, 48, 0, 68),
+];
+
+#[test]
+fn work_counters_match_the_golden_table() {
+    let mut actual = Vec::new();
+    for app in BenchmarkId::ALL {
+        for scheduler in Scheduler::ALL {
+            let mut engine = Sim::builder()
+                .cores(16)
+                .app_boxed(AppSpec::coarse(app).build(InputScale::Tiny, 1))
+                .scheduler(scheduler)
+                .build()
+                .expect("a valid simulation description");
+            let stats = engine.run().expect("must validate");
+            actual.push((
+                app.name(),
+                scheduler.name(),
+                engine.events_processed(),
+                stats.tasks_committed,
+                stats.tasks_aborted,
+                stats.gvt_updates,
+            ));
+        }
+    }
+    let table: String = actual.iter().map(|row| format!("    {row:?},\n")).collect();
+    assert!(actual == WORK_COUNTERS, "work counters moved; the run gave:\n{table}");
+}

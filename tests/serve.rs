@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
-use swarm_bench::{run_point_result, run_point_result_observed, RunError, RunRequest};
+use swarm_bench::{run_point_result, run_point_result_observed, RunError};
 use swarm_serve::proto::{render_request, stats_to_json, ErrorCode};
 use swarm_serve::{
     parse_event, CacheSource, Event, FailureKind, PipeSummary, PointFailure, PointOutcome,
@@ -25,18 +25,6 @@ use swarm_serve::{
 };
 use swarm_sim::RunStats;
 use swarm_types::{CanonKey, Canonical, FastHashMap};
-
-fn to_request(point: &RunPoint) -> RunRequest {
-    RunRequest {
-        spec: point.spec,
-        scheduler: point.scheduler,
-        cores: point.cores,
-        scale: point.scale,
-        seed: point.seed,
-        fault: point.fault,
-        noc: point.noc,
-    }
-}
 
 fn to_failure(err: &RunError) -> PointFailure {
     let kind = match err {
@@ -53,10 +41,7 @@ struct DirectRunner;
 
 impl PointRunner for DirectRunner {
     fn run_batch(&self, points: &[RunPoint]) -> Vec<PointOutcome> {
-        points
-            .iter()
-            .map(|p| run_point_result(to_request(p), false).map_err(|e| to_failure(&e)))
-            .collect()
+        points.iter().map(|p| run_point_result(*p, false).map_err(|e| to_failure(&e))).collect()
     }
 
     fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
@@ -67,7 +52,7 @@ impl PointRunner for DirectRunner {
             }
         }
         let gvts = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let result = run_point_result_observed(to_request(point), false, Collect(gvts.clone()));
+        let result = run_point_result_observed(*point, false, Collect(gvts.clone()));
         for &gvt in gvts.lock().unwrap().iter() {
             on_gvt(gvt);
         }
@@ -154,7 +139,7 @@ fn pipe_session_matches_direct_runs_byte_for_byte() {
     assert_eq!(finished.len(), points.len());
     for ((index, source, stats), p) in finished.iter().zip(&points) {
         assert_eq!(*source, CacheSource::Fresh, "first sight of a point is simulated");
-        let direct = run_point_result(to_request(p), false).unwrap();
+        let direct = run_point_result(*p, false).unwrap();
         assert_eq!(*stats, direct, "point {index} diverged from the direct run");
         // Bit-for-bit through the wire codec too, not just PartialEq.
         assert_eq!(stats_to_json(stats).render(), stats_to_json(&direct).render());
@@ -282,7 +267,7 @@ fn failing_points_fail_typed_without_poisoning_the_matrix() {
     // The good point still ran and matches its direct result.
     let finished = finished_stats(&events);
     assert_eq!(finished.len(), 2);
-    assert_eq!(finished[0].2, run_point_result(to_request(&good), false).unwrap());
+    assert_eq!(finished[0].2, run_point_result(good, false).unwrap());
     let dones: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
@@ -318,7 +303,7 @@ fn progress_mode_streams_gvt_without_perturbing_the_result() {
     let finished = finished_stats(&events);
     assert_eq!(finished.len(), 1);
     assert_eq!(finished[0].1, CacheSource::Fresh);
-    assert_eq!(finished[0].2, run_point_result(to_request(&p), false).unwrap());
+    assert_eq!(finished[0].2, run_point_result(p, false).unwrap());
 }
 
 #[test]
@@ -337,7 +322,7 @@ fn disk_cache_survives_a_server_restart() {
     let (_, events) = pipe(&server, submit_line("cold", &points, false));
     let finished = finished_stats(&events);
     assert_eq!(finished[0].1, CacheSource::Disk);
-    assert_eq!(finished[0].2, run_point_result(to_request(&points[0]), false).unwrap());
+    assert_eq!(finished[0].2, run_point_result(points[0], false).unwrap());
     match events.last().unwrap() {
         Event::RunDone { cache, .. } => {
             assert_eq!((cache.hits, cache.misses, cache.disk_hits), (1, 0, 1));
@@ -409,7 +394,7 @@ fn concurrent_overlapping_clients_simulate_each_point_exactly_once() {
     for (matrix, got) in [(&matrix_a, &got_a), (&matrix_b, &got_b)] {
         assert_eq!(got.len(), matrix.len());
         for (index, _, stats) in got {
-            let direct = run_point_result(to_request(&matrix[*index as usize]), false).unwrap();
+            let direct = run_point_result(matrix[*index as usize], false).unwrap();
             assert_eq!(*stats, direct);
         }
     }
