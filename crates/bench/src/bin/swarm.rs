@@ -28,9 +28,9 @@ fn print_usage() {
     println!("                        network model: fixed-latency mesh (default) or");
     println!("                        per-link queueing (see 'swarm noc-profile')");
     println!("  --jobs N              worker threads (output is identical at any N)");
-    println!("  --on-error fail|collect|retry:N");
-    println!("                        failure policy: stop promptly (default), run");
-    println!("                        everything, or retry; failed points print n/a");
+    println!("  --on-error fail|collect");
+    println!("                        failure policy: stop promptly (default) or run");
+    println!("                        everything; failed points print n/a");
     println!();
     println!("exit codes: 0 ok, 2 usage error, 3 some points failed, 4 chaos violation");
     println!();

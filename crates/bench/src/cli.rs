@@ -12,10 +12,10 @@
 //!   paper's fixed-latency mesh; `contention` adds per-link queueing);
 //! * `--jobs N` — worker threads for the experiment matrix (default: all
 //!   available hardware threads; `--jobs 1` forces the serial path);
-//! * `--on-error fail|collect|retry:N` — what the pool does when a point
-//!   fails (default `fail`: stop promptly; `collect` runs everything;
-//!   `retry:N` re-runs a failed point up to N times). Under every policy a
-//!   missing point prints as an `n/a` cell and the command exits 3.
+//! * `--on-error fail|collect` — what the pool does when a point fails
+//!   (default `fail`: stop promptly; `collect` runs everything). Under
+//!   either policy a missing point prints as an `n/a` cell and the command
+//!   exits 3. There is no retry: runs are deterministic.
 //!
 //! Parsing is strict: an unknown `--flag`, a flag missing its value, or an
 //! unrecognised value is a usage error (exit 2 with a diagnostic on stderr),
@@ -113,10 +113,11 @@ impl<T: Clone> ListArg<T> {
     }
 
     /// Overwrite with values parsed from a comma-separated flag argument and
-    /// mark the flag explicit. Each element that fails to parse is reported
-    /// via `warnings`; a list that ends up selecting nothing is a usage
-    /// error (a silently empty selection used to make figures print headers
-    /// over zero rows).
+    /// mark the flag explicit. Each element that fails to parse, and each
+    /// repeat of an earlier element (which would print the same row or
+    /// column twice), is dropped and reported via `warnings`; a list that
+    /// ends up selecting nothing is a usage error (a silently empty
+    /// selection used to make figures print headers over zero rows).
     fn set_from_csv(
         &mut self,
         flag: &str,
@@ -125,22 +126,22 @@ impl<T: Clone> ListArg<T> {
         warnings: &mut Vec<String>,
     ) -> Result<(), UsageError>
     where
-        T: FromStr,
+        T: FromStr + PartialEq,
     {
         let mut values = Vec::new();
-        let mut dropped = Vec::new();
         for part in raw.split(',') {
             let part = part.trim();
             if part.is_empty() {
                 continue;
             }
             match part.parse() {
+                Ok(v) if values.contains(&v) => {
+                    warnings.push(format!("{flag}: ignoring repeated value '{part}'"));
+                }
                 Ok(v) => values.push(v),
-                Err(_) => dropped.push(part.to_string()),
+                Err(_) => warnings
+                    .push(format!("{flag}: ignoring unrecognized value '{part}' (valid: {valid})")),
             }
-        }
-        for part in &dropped {
-            warnings.push(format!("{flag}: ignoring unrecognized value '{part}' (valid: {valid})"));
         }
         if values.is_empty() {
             return Err(UsageError::invalid(format!(
@@ -161,17 +162,12 @@ impl<T> std::ops::Deref for ListArg<T> {
     }
 }
 
-/// Parse an `--on-error` value: `fail`, `collect`, or `retry[:N]` (N defaults
-/// to 2 total attempts).
+/// Parse an `--on-error` value: `fail` or `collect`.
 fn parse_policy(raw: &str) -> Option<FailurePolicy> {
     match raw.to_ascii_lowercase().as_str() {
         "fail" => Some(FailurePolicy::FailFast),
         "collect" => Some(FailurePolicy::CollectAll),
-        "retry" => Some(FailurePolicy::Retry { attempts: 2 }),
-        other => {
-            let attempts = other.strip_prefix("retry:")?.parse().ok()?;
-            Some(FailurePolicy::Retry { attempts })
-        }
+        _ => None,
     }
 }
 
@@ -275,7 +271,7 @@ fn print_flag_usage() {
     println!("  --noc analytic|contention");
     println!("                          network model (default analytic)");
     println!("  --jobs N                worker threads (default: all hardware threads)");
-    println!("  --on-error fail|collect|retry:N");
+    println!("  --on-error fail|collect");
     println!("                          failure policy for the experiment pool");
 }
 
@@ -411,7 +407,7 @@ impl HarnessArgs {
                     let v = value("--on-error")?;
                     parsed.policy = parse_policy(&v).ok_or_else(|| {
                         UsageError::invalid(format!(
-                            "unknown --on-error policy '{v}' (valid: fail, collect, retry:N)"
+                            "unknown --on-error policy '{v}' (valid: fail, collect)"
                         ))
                     })?;
                 }
@@ -626,6 +622,20 @@ mod tests {
     }
 
     #[test]
+    fn repeated_list_elements_keep_the_first_and_warn() {
+        let args = parse(&["--cores", "4,1,4", "--schedulers", "hints,random,hints"]);
+        assert_eq!(&*args.cores, [4, 1]);
+        assert_eq!(&*args.schedulers, [Scheduler::Hints, Scheduler::Random]);
+        assert_eq!(args.warnings.len(), 2, "got: {:?}", args.warnings);
+        assert!(args.warnings[0].contains("--cores") && args.warnings[0].contains("'4'"));
+        assert!(args.warnings[1].contains("--schedulers") && args.warnings[1].contains("'hints'"));
+        // Repeats are found by value, not spelling.
+        let apps = parse(&["--apps", "bfs,BFS"]);
+        assert_eq!(&*apps.apps, [BenchmarkId::Bfs]);
+        assert!(apps.warnings[0].contains("repeated value 'BFS'"), "got: {:?}", apps.warnings);
+    }
+
+    #[test]
     fn bad_seed_jobs_and_noc_are_usage_errors() {
         assert!(parse_err(&["--seed", "nine"]).contains("--seed"));
         assert!(parse_err(&["--jobs", "many"]).contains("--jobs"));
@@ -676,12 +686,12 @@ mod tests {
         let collect = parse(&["--on-error", "collect"]);
         assert_eq!(collect.policy, FailurePolicy::CollectAll);
         assert_eq!(collect.pool().policy(), FailurePolicy::CollectAll);
-        let retry = parse(&["--on-error", "retry:5"]);
-        assert_eq!(retry.policy, FailurePolicy::Retry { attempts: 5 });
-        assert_eq!(parse(&["--on-error", "retry"]).policy, FailurePolicy::Retry { attempts: 2 });
         // A malformed policy is a usage error, not a silent default.
         let msg = parse_err(&["--on-error", "explode"]);
-        assert!(msg.contains("explode") && msg.contains("retry:N"), "got: {msg}");
+        assert!(msg.contains("explode") && msg.contains("fail, collect"), "got: {msg}");
+        // There is no retry policy: runs are deterministic.
+        let retry = parse_err(&["--on-error", "retry:3"]);
+        assert!(retry.contains("retry:3"), "got: {retry}");
         let fail = parse(&["--on-error", "collect", "--on-error", "fail"]);
         assert_eq!(fail.policy, FailurePolicy::FailFast);
     }

@@ -2,6 +2,7 @@
 //! largest core count under Random, Stealing, Hints and LBHints (normalized
 //! to Random) — the benchmarks where the data-centric load balancer matters.
 
+use crate::report::baseline_label;
 use crate::{format_breakdown_table_results, HarnessArgs};
 use swarm_apps::{AppSpec, BenchmarkId};
 
@@ -34,8 +35,9 @@ pub fn run(args: &[String]) -> i32 {
 
     for (bench, bench_entries) in benches.iter().zip(entries.chunks(args.schedulers.len())) {
         println!(
-            "Fig. 11 [{}]: core-cycle breakdown at {cores} cores (normalized to Random)",
-            bench.name()
+            "Fig. 11 [{}]: core-cycle breakdown at {cores} cores (normalized to {})",
+            bench.name(),
+            baseline_label(bench_entries)
         );
         println!("{}", format_breakdown_table_results(bench_entries));
     }

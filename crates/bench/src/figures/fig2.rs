@@ -2,6 +2,7 @@
 //! (a) speedup from 1 to N cores and (b) cycle breakdown at the largest
 //! core count, normalized to Random.
 
+use crate::report::baseline_label;
 use crate::{format_breakdown_table_results, format_speedup_table_results, CurveSpec, HarnessArgs};
 use swarm_apps::{AppSpec, BenchmarkId};
 
@@ -24,7 +25,6 @@ pub fn run(args: &[String]) -> i32 {
     println!("{}", format_speedup_table_results(&curves));
 
     let max = args.max_cores();
-    println!("Fig. 2b: des cycle breakdown at {max} cores (normalized to Random)");
     let entries: Vec<_> = curves
         .iter()
         .map(|(label, points)| {
@@ -41,6 +41,10 @@ pub fn run(args: &[String]) -> i32 {
             (label.clone(), at_max.clone().map(|p| p.stats))
         })
         .collect();
+    println!(
+        "Fig. 2b: des cycle breakdown at {max} cores (normalized to {})",
+        baseline_label(&entries)
+    );
     println!("{}", format_breakdown_table_results(&entries));
 
     super::report_failures(

@@ -2,6 +2,7 @@
 //! application at the largest core count, under Random, Stealing and Hints,
 //! normalized to Random.
 
+use crate::report::baseline_label;
 use crate::{
     format_breakdown_table_results, format_traffic_queueing_table_results,
     format_traffic_table_results, HarnessArgs,
@@ -36,13 +37,14 @@ pub fn run(args: &[String]) -> i32 {
     );
 
     for (bench, app_entries) in args.apps.iter().zip(entries.chunks(schedulers.len())) {
+        let baseline = baseline_label(app_entries);
         println!(
-            "Fig. 5a [{}]: core-cycle breakdown at {cores} cores (normalized to Random)",
+            "Fig. 5a [{}]: core-cycle breakdown at {cores} cores (normalized to {baseline})",
             bench.name()
         );
         println!("{}", format_breakdown_table_results(app_entries));
         println!(
-            "Fig. 5b [{}]: NoC data breakdown at {cores} cores (normalized to Random)",
+            "Fig. 5b [{}]: NoC data breakdown at {cores} cores (normalized to {baseline})",
             bench.name()
         );
         // Under the contention model, add the queueing-delay column; the

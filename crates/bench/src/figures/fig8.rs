@@ -2,6 +2,7 @@
 //! of bfs, sssp, astar and color at the largest core count, under Random,
 //! Stealing and Hints, normalized to the coarse-grain version under Random.
 
+use crate::report::baseline_label;
 use crate::{
     format_breakdown_table_results, format_traffic_queueing_table_results,
     format_traffic_table_results, HarnessArgs,
@@ -41,13 +42,14 @@ pub fn run(args: &[String]) -> i32 {
     );
 
     for (bench, bench_entries) in benches.iter().zip(entries.chunks(schedulers.len() + 1)) {
+        let baseline = baseline_label(bench_entries);
         println!(
-            "Fig. 8a [{}]: FG core-cycle breakdown at {cores} cores (normalized to CG-Random)",
+            "Fig. 8a [{}]: FG core-cycle breakdown at {cores} cores (normalized to {baseline})",
             bench.name()
         );
         println!("{}", format_breakdown_table_results(bench_entries));
         println!(
-            "Fig. 8b [{}]: FG NoC data breakdown at {cores} cores (normalized to CG-Random)",
+            "Fig. 8b [{}]: FG NoC data breakdown at {cores} cores (normalized to {baseline})",
             bench.name()
         );
         // The contention model adds the queueing-delay column; analytic

@@ -91,21 +91,11 @@ impl PointRunner for PoolRunner {
 }
 
 /// The flags `serve` accepts (all optional), for usage and did-you-mean.
-const SERVE_FLAGS: &[&str] = &[
-    "--tcp",
-    "--cache-dir",
-    "--jobs",
-    "--mem-entries",
-    "--inflight",
-    "--batch",
-    "--progress-every",
-    "--help",
-];
+const SERVE_FLAGS: &[&str] = &["--tcp", "--cache-dir", "--jobs", "--mem-entries", "--help"];
 
 fn usage() -> String {
     [
-        "usage: swarm serve [--tcp ADDR] [--cache-dir DIR] [--jobs N]",
-        "                   [--mem-entries N] [--inflight N] [--batch N] [--progress-every N]",
+        "usage: swarm serve [--tcp ADDR] [--cache-dir DIR] [--jobs N] [--mem-entries N]",
         "",
         "Long-lived simulation service speaking line-delimited JSON.",
         "Default is pipe mode (requests on stdin, events on stdout);",
@@ -115,9 +105,6 @@ fn usage() -> String {
         "  --cache-dir DIR       persist results to DIR (content-addressed, survives restarts)",
         "  --jobs N              simulation worker threads (0 = available parallelism)",
         "  --mem-entries N       in-memory cache capacity in results (default 1024)",
-        "  --inflight N          max queued points per client per batch (default 4)",
-        "  --batch N             max points per dispatch batch (default 16)",
-        "  --progress-every N    emit one progress event per N GVT updates (default 64)",
     ]
     .join("\n")
 }
@@ -146,16 +133,6 @@ fn parse_serve_args(args: &[String]) -> Result<Option<ServeArgs>, String> {
             }
             "--mem-entries" => {
                 options.mem_entries = parse_num(&value("--mem-entries")?, "--mem-entries")?;
-            }
-            "--inflight" => {
-                options.inflight_per_client = parse_num(&value("--inflight")?, "--inflight")?;
-            }
-            "--batch" => {
-                options.batch_points = parse_num(&value("--batch")?, "--batch")?;
-            }
-            "--progress-every" => {
-                options.progress_every =
-                    parse_num(&value("--progress-every")?, "--progress-every")?;
             }
             other => {
                 let mut msg = format!("unknown flag '{other}'");
@@ -281,7 +258,7 @@ mod tests {
         );
         let cases = [
             (
-                RunError::InvalidPoint { request, error: swarm_sim::BuildError::ZeroTaskLimit },
+                RunError::InvalidPoint { request, error: swarm_sim::BuildError::MissingApp },
                 FailureKind::InvalidPoint,
             ),
             (
@@ -300,11 +277,12 @@ mod tests {
 
     #[test]
     fn serve_args_parse_strictly_with_did_you_mean() {
-        let ok = parse_serve_args(&["--jobs".into(), "2".into(), "--batch".into(), "8".into()])
-            .unwrap()
-            .unwrap();
+        let ok =
+            parse_serve_args(&["--jobs".into(), "2".into(), "--mem-entries".into(), "8".into()])
+                .unwrap()
+                .unwrap();
         assert_eq!(ok.jobs, 2);
-        assert_eq!(ok.options.batch_points, 8);
+        assert_eq!(ok.options.mem_entries, 8);
         assert!(parse_serve_args(&["--help".into()]).unwrap().is_none());
         let err = parse_serve_args(&["--tpc".into(), "x".into()]).unwrap_err();
         assert!(err.contains("did you mean '--tcp'?"), "{err}");

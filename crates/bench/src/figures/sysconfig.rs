@@ -43,11 +43,8 @@ pub fn run(_args: &[String]) -> i32 {
     );
     println!("  Swarm instrs {} cycles per enqueue/dequeue/finish", cfg.spec.task_mgmt_cost);
     println!(
-        "  Conflicts   {}-bit {}-way Bloom filters, {}-cycle checks (+{}/comparison)",
-        cfg.spec.bloom_bits,
-        cfg.spec.bloom_hashes,
-        cfg.spec.conflict_check_cost,
-        cfg.spec.conflict_compare_cost
+        "  Conflicts   exact line-granular read/write sets, {}-cycle checks (+{}/comparison)",
+        cfg.spec.conflict_check_cost, cfg.spec.conflict_compare_cost
     );
     println!("  Commits     GVT updates every {} cycles", cfg.spec.gvt_epoch);
     println!(

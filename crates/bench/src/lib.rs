@@ -24,7 +24,7 @@
 //! values, and every [`Pool`] method hands those back per slot. The pool's
 //! [`FailurePolicy`] decides whether a failure stops the matrix (`FailFast`,
 //! the default: points not yet started come back skipped), lets the rest
-//! finish (`CollectAll`), or retries. Either way every figure renders its
+//! finish (`CollectAll`). Either way every figure renders its
 //! missing points as `n/a` cells, names each root cause once on stderr, and
 //! exits with the codes in [`exit_code`].
 

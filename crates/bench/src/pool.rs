@@ -71,31 +71,18 @@ pub type PointResult = Result<ExperimentPoint, RunError>;
 /// [`PointResult`] per core count.
 pub type ResultCurve = (String, Vec<PointResult>);
 
-/// What the pool does when a simulation point fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the pool does when a simulation point fails. There is no retry:
+/// simulations are deterministic, so a rerun fails the same way.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// Stop scheduling new points after the first failure; points not yet
     /// started come back as [`RunError::Skipped`]. The default, matching the
     /// harness's historical abort-promptly behavior.
+    #[default]
     FailFast,
     /// Run every point regardless of failures and report each failure in
     /// its slot — the graceful-degradation mode behind `--on-error collect`.
     CollectAll,
-    /// Re-run a failed point up to `attempts` times total before recording
-    /// its (final) failure, then keep going as [`FailurePolicy::CollectAll`]
-    /// does. Simulations are deterministic, so this only helps against
-    /// environmental flakes (e.g. resource exhaustion), not real failures.
-    Retry {
-        /// Total attempts per point (clamped to at least 1).
-        attempts: u32,
-    },
-}
-
-impl Default for FailurePolicy {
-    /// Fail fast, as the harness always has.
-    fn default() -> Self {
-        FailurePolicy::FailFast
-    }
 }
 
 /// A fixed-size pool of OS threads that executes experiment matrices.
@@ -302,17 +289,13 @@ impl Pool {
     /// is captured as a [`RunError`] in that point's slot. Under
     /// [`FailurePolicy::FailFast`] a failure raises a flag that stops the
     /// other workers at their next pull, and every request never claimed
-    /// comes back as [`RunError::Skipped`]; the other policies drain the
-    /// whole matrix.
+    /// comes back as [`RunError::Skipped`]; [`FailurePolicy::CollectAll`]
+    /// drains the whole matrix.
     fn execute_unique(&self, requests: &[RunRequest], profiled: bool) -> Vec<StatsResult> {
         if requests.is_empty() {
             return Vec::new();
         }
         let fail_fast = self.policy == FailurePolicy::FailFast;
-        let attempts = match self.policy {
-            FailurePolicy::Retry { attempts } => attempts.max(1),
-            _ => 1,
-        };
         let workers = self.jobs.min(requests.len());
         if workers <= 1 {
             let mut results = Vec::with_capacity(requests.len());
@@ -322,7 +305,7 @@ impl Pool {
                     results.push(Err(RunError::Skipped { request }));
                     continue;
                 }
-                let result = run_with_retries(request, profiled, attempts);
+                let result = run_point_result(request, profiled);
                 failed |= result.is_err();
                 results.push(result);
             }
@@ -342,7 +325,7 @@ impl Pool {
                             }
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(&request) = requests.get(i) else { break };
-                            let result = run_with_retries(request, profiled, attempts);
+                            let result = run_point_result(request, profiled);
                             if result.is_err() {
                                 failed.store(true, Ordering::Relaxed);
                             }
@@ -359,7 +342,7 @@ impl Pool {
                             slots[i] = Some(result);
                         }
                     }
-                    // run_with_retries catches simulation panics, so a worker
+                    // run_point_result catches simulation panics, so a worker
                     // unwinding is a harness bug — propagate it.
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
@@ -385,19 +368,6 @@ fn speedup_point(request: RunRequest, baseline: &StatsResult, stats: StatsResult
         (_, Err(e)) => Err(e),
         (Err(base_err), Ok(_)) => Err(base_err.clone()),
     }
-}
-
-/// Run one point, re-running failures up to `attempts` total times (the
-/// [`FailurePolicy::Retry`] loop; the other policies pass `attempts == 1`).
-fn run_with_retries(request: RunRequest, profiled: bool, attempts: u32) -> StatsResult {
-    let mut result = run_point_result(request, profiled);
-    for _ in 1..attempts {
-        if result.is_ok() {
-            break;
-        }
-        result = run_point_result(request, profiled);
-    }
-    result
 }
 
 impl Default for Pool {
@@ -545,18 +515,6 @@ mod tests {
             assert!(matches!(err, RunError::Skipped { .. }), "{err}");
             assert!(!err.is_root_cause());
         }
-    }
-
-    #[test]
-    fn retry_still_reports_deterministic_failures() {
-        let requests = vec![doomed(2), request(1)];
-        let results = Pool::serial()
-            .with_policy(FailurePolicy::Retry { attempts: 3 })
-            .try_run_matrix(&requests);
-        // A deterministic failure fails every attempt; retry then behaves
-        // like CollectAll and the healthy point still runs.
-        assert!(results[0].as_ref().is_err_and(RunError::is_root_cause));
-        assert!(results[1].is_ok());
     }
 
     #[test]

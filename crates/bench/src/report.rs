@@ -3,6 +3,7 @@
 
 use spatial_hints::{AccessClass, AccessClassification};
 use swarm_noc::TrafficClass;
+use swarm_sim::RunStats;
 
 use crate::pool::{ResultCurve, StatsResult};
 
@@ -46,6 +47,23 @@ pub fn format_speedup_table_results(series: &[ResultCurve]) -> String {
     out
 }
 
+/// The row the breakdown and traffic tables normalize to: the first `Ok`
+/// entry.
+fn baseline(entries: &[(String, StatsResult)]) -> Option<&RunStats> {
+    entries.iter().find_map(|(_, r)| r.as_ref().ok())
+}
+
+/// The label of the row the breakdown and traffic tables normalize to, for
+/// a figure's "(normalized to ...)" title: the first `Ok` entry, or the
+/// first entry when every row failed (its cells all print `n/a`).
+pub(crate) fn baseline_label(entries: &[(String, StatsResult)]) -> &str {
+    entries
+        .iter()
+        .find(|(_, r)| r.is_ok())
+        .or(entries.first())
+        .map_or("", |(label, _)| label.as_str())
+}
+
 /// Format a cycle-breakdown table normalized to the first `Ok` row's total
 /// (the layout of Fig. 2b / Fig. 5a / Fig. 8a / Fig. 11). A failed row
 /// renders as `n/a` cells.
@@ -55,11 +73,7 @@ pub fn format_breakdown_table_results(entries: &[(String, StatsResult)]) -> Stri
         "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
         "scheduler", "total", "commit", "abort", "spill", "stall", "empty"
     ));
-    let baseline_total = entries
-        .iter()
-        .find_map(|(_, r)| r.as_ref().ok())
-        .map(|s| s.breakdown.total().max(1))
-        .unwrap_or(1);
+    let baseline_total = baseline(entries).map_or(1, |s| s.breakdown.total().max(1));
     for (label, result) in entries {
         match result {
             Ok(stats) => {
@@ -91,11 +105,7 @@ pub fn format_traffic_table_results(entries: &[(String, StatsResult)]) -> String
         "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
         "scheduler", "total", "mem", "abort", "task", "gvt"
     ));
-    let baseline_total = entries
-        .iter()
-        .find_map(|(_, r)| r.as_ref().ok())
-        .map(|s| s.traffic.total().max(1))
-        .unwrap_or(1);
+    let baseline_total = baseline(entries).map_or(1, |s| s.traffic.total().max(1));
     for (label, result) in entries {
         match result {
             Ok(stats) => {
@@ -129,9 +139,9 @@ pub fn format_traffic_queueing_table_results(entries: &[(String, StatsResult)]) 
         "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
         "scheduler", "total", "mem", "abort", "task", "gvt", "queue"
     ));
-    let first_ok = entries.iter().find_map(|(_, r)| r.as_ref().ok());
-    let baseline_total = first_ok.map(|s| s.traffic.total().max(1)).unwrap_or(1);
-    let baseline_queue = first_ok.map(|s| s.noc_queue_cycles.max(1)).unwrap_or(1);
+    let first_ok = baseline(entries);
+    let baseline_total = first_ok.map_or(1, |s| s.traffic.total().max(1));
+    let baseline_queue = first_ok.map_or(1, |s| s.noc_queue_cycles.max(1));
     for (label, result) in entries {
         match result {
             Ok(stats) => {
@@ -279,6 +289,11 @@ mod tests {
         ];
         let tried = pool.try_run_labeled(entries);
         assert!(tried[1].1.is_err());
+        // Titles name the row the tables normalize to: the first `Ok` one.
+        assert_eq!(baseline_label(&tried), "Random");
+        let reversed: Vec<_> = tried.iter().rev().cloned().collect();
+        assert_eq!(baseline_label(&reversed), "Random");
+        assert_eq!(baseline_label(&reversed[..1]), "Hints", "all failed: the first row");
         let b = format_breakdown_table_results(&tried);
         let hints_row = b.lines().find(|l| l.contains("Hints")).expect("a Hints row");
         assert_eq!(hints_row.matches("n/a").count(), 6, "{hints_row}");

@@ -247,7 +247,7 @@ mod tests {
         );
         let cases: Vec<(RunError, &str)> = vec![
             (
-                RunError::InvalidPoint { request, error: swarm_sim::BuildError::ZeroTaskLimit },
+                RunError::InvalidPoint { request, error: swarm_sim::BuildError::MissingApp },
                 "is not a valid simulation:",
             ),
             (

@@ -113,11 +113,6 @@ impl AddressSpace {
         region
     }
 
-    /// Total bytes allocated so far.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.next
-    }
-
     /// Look up a region by name (mostly for debugging and tests).
     pub fn region(&self, name: &str) -> Option<Region> {
         self.regions.iter().find(|(n, _)| n == name).map(|(_, r)| *r)

@@ -85,16 +85,6 @@ impl Value {
         }
     }
 
-    /// The value as an `f64` (any numeric variant).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::UInt(v) => Some(*v as f64),
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Look a field up in an object (`None` if absent or not an object).
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_obj()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)

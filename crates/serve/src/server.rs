@@ -31,30 +31,26 @@ use crate::proto::{
 };
 use crate::queue::FairQueue;
 
-/// Tunables for a [`Server`].
+/// Max points taken from one client's lane per dispatch batch.
+const INFLIGHT_PER_CLIENT: usize = 4;
+/// Max points per dispatch batch across all clients.
+const BATCH_POINTS: usize = 16;
+/// A `progress:true` submission gets one `progress` event per this many
+/// GVT updates.
+const PROGRESS_EVERY: u64 = 64;
+
+/// The result cache's settings for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// In-memory cache capacity (entries).
     pub mem_entries: usize,
     /// On-disk cache directory (second tier) — `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// Max points taken from one client's lane per dispatch batch.
-    pub inflight_per_client: usize,
-    /// Max points per dispatch batch across all clients.
-    pub batch_points: usize,
-    /// Emit one `progress` event per this many GVT updates.
-    pub progress_every: u64,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions {
-            mem_entries: 1024,
-            cache_dir: None,
-            inflight_per_client: 4,
-            batch_points: 16,
-            progress_every: 64,
-        }
+        ServeOptions { mem_entries: 1024, cache_dir: None }
     }
 }
 
@@ -107,7 +103,6 @@ enum Resolution {
 pub struct Server<R: PointRunner> {
     runner: Arc<R>,
     shared: Arc<Shared>,
-    options: ServeOptions,
 }
 
 /// What a pipe-mode session saw, for exit-code mapping in `swarm_bench`.
@@ -128,7 +123,7 @@ impl<R: PointRunner + 'static> Server<R> {
     ///
     /// Fails only if the cache directory cannot be created.
     pub fn new(runner: R, options: ServeOptions) -> io::Result<Server<R>> {
-        let cache = ResultCache::new(options.mem_entries, options.cache_dir.clone())?;
+        let cache = ResultCache::new(options.mem_entries, options.cache_dir)?;
         Ok(Server {
             runner: Arc::new(runner),
             shared: Arc::new(Shared {
@@ -144,15 +139,12 @@ impl<R: PointRunner + 'static> Server<R> {
                 work_cv: Condvar::new(),
                 done_cv: Condvar::new(),
             }),
-            options,
         })
     }
 
     fn spawn_dispatcher(&self) -> JoinHandle<()> {
         let shared = Arc::clone(&self.shared);
         let runner = Arc::clone(&self.runner);
-        let per_client = self.options.inflight_per_client.max(1);
-        let max_total = self.options.batch_points.max(1);
         std::thread::spawn(move || loop {
             let batch = {
                 let mut state = shared.state.lock().unwrap();
@@ -160,7 +152,7 @@ impl<R: PointRunner + 'static> Server<R> {
                     if state.stop && state.queue.is_empty() {
                         return;
                     }
-                    let batch = state.queue.next_batch(per_client, max_total);
+                    let batch = state.queue.next_batch(INFLIGHT_PER_CLIENT, BATCH_POINTS);
                     if !batch.is_empty() {
                         break batch;
                     }
@@ -374,12 +366,11 @@ impl<R: PointRunner + 'static> Server<R> {
         index: u64,
         writer: &mut impl Write,
     ) -> io::Result<Result<(RunStats, CacheSource), PointFailure>> {
-        let every = self.options.progress_every.max(1);
         let mut gvt_updates = 0u64;
         let mut pending: Vec<u64> = Vec::new();
         let outcome = self.runner.run_observed(point, &mut |gvt| {
             gvt_updates += 1;
-            if gvt_updates.is_multiple_of(every) {
+            if gvt_updates.is_multiple_of(PROGRESS_EVERY) {
                 pending.push(gvt);
             }
         });

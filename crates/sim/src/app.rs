@@ -177,11 +177,6 @@ impl<'a> TaskCtx<'a> {
         self.children.push(PendingChild { fid, ts, hint, args });
     }
 
-    /// Number of children enqueued so far by this execution.
-    pub fn children_enqueued(&self) -> usize {
-        self.children.len()
-    }
-
     /// Cycles charged so far.
     pub fn cycles(&self) -> u64 {
         self.cycles

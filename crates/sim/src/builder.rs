@@ -1,10 +1,10 @@
 //! The validated, fluent way to describe and construct a simulation.
 //!
-//! Every simulation in the workspace — figure binaries, conformance checks,
-//! examples, tests — is assembled through [`SimBuilder`] rather than by
-//! hand-wiring [`Engine::new`]: the builder checks the description *before*
-//! any state is allocated and reports problems as a typed [`BuildError`]
-//! instead of a panic deep inside the engine.
+//! Every simulation in the workspace — figure commands, conformance checks,
+//! examples, tests — is assembled through [`SimBuilder`], the only public
+//! way to construct an [`Engine`]: the builder checks the description
+//! *before* any state is allocated and reports problems as a typed
+//! [`BuildError`] instead of a panic deep inside the engine.
 //!
 //! The builder itself only knows the simulator-level vocabulary (an
 //! application, a task mapper, a machine). Higher layers plug in through
@@ -116,9 +116,6 @@ pub enum BuildError {
         /// Cores per tile in the same configuration.
         cores_per_tile: usize,
     },
-    /// A task limit of zero would reject every program
-    /// ([`SimBuilder::task_limit`]).
-    ZeroTaskLimit,
 }
 
 impl fmt::Display for BuildError {
@@ -137,7 +134,6 @@ impl fmt::Display for BuildError {
                 "commit queue ({commit_queue} entries/tile) must be larger than the number of \
                  cores per tile ({cores_per_tile})"
             ),
-            BuildError::ZeroTaskLimit => write!(f, "the task limit must be at least 1"),
         }
     }
 }
@@ -154,6 +150,7 @@ enum SchedulerSource {
 /// Obtain one with [`Sim::builder`], describe the run, then call
 /// [`SimBuilder::build`] to get a ready [`Engine`]. See the
 /// [module docs](self) for an example.
+#[derive(Default)]
 pub struct SimBuilder {
     cores: Option<u32>,
     config: Option<SystemConfig>,
@@ -161,8 +158,6 @@ pub struct SimBuilder {
     scheduler: Option<SchedulerSource>,
     observers: Vec<Box<dyn SimObserver>>,
     profiling: bool,
-    validation: bool,
-    task_limit: Option<u64>,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -216,21 +211,6 @@ impl SimBuilder {
         self
     }
 
-    /// Whether to check the final memory state against the application's
-    /// serial reference when the run completes (on by default; tests that
-    /// deliberately corrupt state turn it off).
-    pub fn validation(mut self, enabled: bool) -> Self {
-        self.validation = enabled;
-        self
-    }
-
-    /// Override the executed-task safety limit
-    /// ([`crate::DEFAULT_TASK_LIMIT`]).
-    pub fn task_limit(mut self, limit: u64) -> Self {
-        self.task_limit = Some(limit);
-        self
-    }
-
     /// Attach a custom observer to the simulation's event stream (see
     /// [`crate::observer`]). May be called multiple times; observers are
     /// notified in attach order, after the built-in statistics observer.
@@ -269,9 +249,6 @@ impl SimBuilder {
                 cores_per_tile: cfg.cores_per_tile as usize,
             });
         }
-        if self.task_limit == Some(0) {
-            return Err(BuildError::ZeroTaskLimit);
-        }
         let mapper = match scheduler {
             SchedulerSource::Built(mapper) => mapper,
             SchedulerSource::Factory(factory) => factory.build_mapper(&cfg),
@@ -279,12 +256,6 @@ impl SimBuilder {
         let mut engine = Engine::new(cfg, app, mapper);
         if self.profiling {
             engine.enable_profiling();
-        }
-        if !self.validation {
-            engine.disable_validation();
-        }
-        if let Some(limit) = self.task_limit {
-            engine.set_task_limit(limit);
         }
         if let Some(plan) = self.fault_plan {
             engine.set_fault_plan(plan);
@@ -305,26 +276,8 @@ impl fmt::Debug for SimBuilder {
             .field("has_scheduler", &self.scheduler.is_some())
             .field("observers", &self.observers.len())
             .field("profiling", &self.profiling)
-            .field("validation", &self.validation)
-            .field("task_limit", &self.task_limit)
             .field("fault_plan", &self.fault_plan)
             .finish()
-    }
-}
-
-impl Default for SimBuilder {
-    fn default() -> Self {
-        SimBuilder {
-            cores: None,
-            config: None,
-            app: None,
-            scheduler: None,
-            observers: Vec::new(),
-            profiling: false,
-            validation: true,
-            task_limit: None,
-            fault_plan: None,
-        }
     }
 }
 
@@ -452,12 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_task_limit_is_rejected() {
-        let err = Sim::builder().app(OneTask).mapper(round_robin()).task_limit(0).build().err();
-        assert_eq!(err, Some(BuildError::ZeroTaskLimit));
-    }
-
-    #[test]
     fn build_errors_format_helpfully() {
         for (err, needle) in [
             (BuildError::MissingApp, "app"),
@@ -465,7 +412,6 @@ mod tests {
             (BuildError::AmbiguousMachine, "pick one"),
             (BuildError::InvalidConfig("x".into()), "x"),
             (BuildError::CommitQueueTooSmall { commit_queue: 1, cores_per_tile: 4 }, "commit"),
-            (BuildError::ZeroTaskLimit, "task limit"),
         ] {
             assert!(err.to_string().contains(needle), "{err}");
         }

@@ -11,8 +11,9 @@
 //! * children are enqueued to the tile chosen by the mapper when their parent
 //!   finishes;
 //! * a periodic GVT update commits every finished task that precedes the
-//!   earliest unfinished task (plus, optionally, independent equal-timestamp
-//!   tasks, which unordered programs rely on);
+//!   earliest unfinished task, plus independent equal-timestamp tasks (the
+//!   order Swarm picks among equal timestamps, which unordered programs rely
+//!   on);
 //! * a periodic load-balancer epoch lets hint-based mappers remap buckets.
 //!
 //! Pending events live in a [`TimingWheel`] keyed by cycle: events pop in
@@ -35,9 +36,8 @@ use crate::state::{CoreState, SimState};
 use crate::stats::RunStats;
 use crate::task::{OrderKey, PendingChild, TaskDescriptor, TaskStatus};
 
-/// Default safety limit on executed task bodies (including aborted
-/// re-executions); exceeding it aborts the run with
-/// [`SimError::TaskLimitExceeded`].
+/// Safety limit on executed task bodies (including aborted re-executions);
+/// exceeding it aborts the run with [`SimError::TaskLimitExceeded`].
 pub const DEFAULT_TASK_LIMIT: u64 = 50_000_000;
 
 /// An engine event. Ordering between events is entirely the
@@ -62,8 +62,8 @@ enum Event {
     Fault(u32),
 }
 
-/// The simulation engine. Construct one per run — most callers go through
-/// the validated [`crate::SimBuilder`] rather than [`Engine::new`].
+/// The simulation engine. Construct one per run through the validated
+/// [`crate::SimBuilder`], the only public way to build an engine.
 pub struct Engine {
     state: SimState,
     app: Box<dyn SwarmApp>,
@@ -71,7 +71,6 @@ pub struct Engine {
     events: TimingWheel<Event>,
     now: u64,
     executed_bodies: u64,
-    task_limit: u64,
     /// Children requested by the task currently running on each core; they
     /// become visible when the core's execution finishes un-aborted. The
     /// buffers recycle their capacity across dispatches.
@@ -89,7 +88,6 @@ pub struct Engine {
     sweep_masks: Vec<Vec<u64>>,
     /// Indices of the spare slots in `sweep_masks`.
     sweep_free: Vec<u32>,
-    validate_result: bool,
     /// The fault plan to execute, if any (see [`crate::fault`]). `None`
     /// leaves every fault hook a constant-false branch.
     fault_plan: Option<FaultPlan>,
@@ -106,14 +104,16 @@ pub struct Engine {
 
 impl Engine {
     /// Create an engine for `cfg` running `app` under `mapper`.
-    ///
-    /// Prefer [`crate::Sim::builder`], which validates the configuration and
-    /// returns a typed error instead of panicking.
+    /// [`crate::SimBuilder::build`] validates `cfg` before calling this.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn new(cfg: SystemConfig, app: Box<dyn SwarmApp>, mapper: Box<dyn TaskMapper>) -> Self {
+    pub(crate) fn new(
+        cfg: SystemConfig,
+        app: Box<dyn SwarmApp>,
+        mapper: Box<dyn TaskMapper>,
+    ) -> Self {
         let state = SimState::new(cfg);
         let num_cores = state.cfg.num_cores();
         Engine {
@@ -123,13 +123,11 @@ impl Engine {
             events: TimingWheel::new(),
             now: 0,
             executed_bodies: 0,
-            task_limit: DEFAULT_TASK_LIMIT,
             pending_children: vec![Vec::new(); num_cores],
             pending_core_events: 0,
             events_processed: 0,
             sweep_masks: Vec::new(),
             sweep_free: Vec::new(),
-            validate_result: true,
             fault_plan: None,
             wall_start: None,
             idle_scratch: Vec::new(),
@@ -140,28 +138,15 @@ impl Engine {
 
     /// Attach a custom [`SimObserver`]; it is notified after the built-in
     /// statistics observer, in attach order.
-    pub fn add_observer(&mut self, observer: Box<dyn SimObserver>) -> &mut Self {
+    pub(crate) fn add_observer(&mut self, observer: Box<dyn SimObserver>) -> &mut Self {
         self.state.observers.attach(observer);
         self
     }
 
     /// Enable collection of per-committed-task access traces (needed for the
     /// access classification of Fig. 3 / Fig. 6).
-    pub fn enable_profiling(&mut self) -> &mut Self {
+    pub(crate) fn enable_profiling(&mut self) -> &mut Self {
         self.state.profiling = true;
-        self
-    }
-
-    /// Disable the end-of-run validation against the application's serial
-    /// reference (used by tests that deliberately corrupt state).
-    pub fn disable_validation(&mut self) -> &mut Self {
-        self.validate_result = false;
-        self
-    }
-
-    /// Override the executed-task safety limit.
-    pub fn set_task_limit(&mut self, limit: u64) -> &mut Self {
-        self.task_limit = limit;
         self
     }
 
@@ -191,9 +176,8 @@ impl Engine {
     }
 
     /// Attach a deterministic [`FaultPlan`]; its events are scheduled into
-    /// the event queue when [`Engine::run`] starts. Prefer
-    /// [`crate::SimBuilder::fault_plan`].
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
+    /// the event queue when [`Engine::run`] starts.
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
         self.fault_plan = (!plan.is_empty()).then_some(plan);
         self
     }
@@ -294,9 +278,7 @@ impl Engine {
             });
         }
 
-        if self.validate_result {
-            self.app.validate(&self.state.mem).map_err(SimError::ValidationFailed)?;
-        }
+        self.app.validate(&self.state.mem).map_err(SimError::ValidationFailed)?;
 
         Ok(self.collect_stats(runtime))
     }
@@ -379,8 +361,8 @@ impl Engine {
     }
 
     fn check_task_limit(&self) -> SimResult<()> {
-        if self.executed_bodies > self.task_limit {
-            return Err(SimError::TaskLimitExceeded(self.task_limit));
+        if self.executed_bodies > DEFAULT_TASK_LIMIT {
+            return Err(SimError::TaskLimitExceeded(DEFAULT_TASK_LIMIT));
         }
         Ok(())
     }
@@ -861,30 +843,28 @@ impl Engine {
         // Relaxed commit of independent equal-timestamp tasks (unordered
         // programs): finished tasks at the frontier timestamp whose parent
         // has committed and whose data no earlier uncommitted task touches.
-        if self.state.cfg.spec.relaxed_equal_ts_commit {
-            if let Some((front_ts, _)) = self.state.gvt() {
-                for tile in 0..self.state.cfg.num_tiles() {
-                    for &(ts, id) in self.state.tiles[tile].finished.iter() {
-                        // Sorted list: keys past the frontier timestamp can
-                        // never be relaxed-committable, stop scanning.
-                        if ts > front_ts {
-                            break;
-                        }
-                        if ts == front_ts && self.state.can_commit_relaxed(id) {
-                            keys.push((ts, id));
-                        }
+        if let Some((front_ts, _)) = self.state.gvt() {
+            for tile in 0..self.state.cfg.num_tiles() {
+                for &(ts, id) in self.state.tiles[tile].finished.iter() {
+                    // Sorted list: keys past the frontier timestamp can
+                    // never be relaxed-committable, stop scanning.
+                    if ts > front_ts {
+                        break;
+                    }
+                    if ts == front_ts && self.state.can_commit_relaxed(id) {
+                        keys.push((ts, id));
                     }
                 }
-                keys.sort_unstable();
-                // No re-check needed: earlier relaxed commits may have
-                // changed the line table, but only by *removing* earlier
-                // accessors, which can only make more tasks eligible.
-                for &(_, id) in &keys {
-                    let (tile, bucket, cycles) = self.state.commit_task(id);
-                    self.mapper.on_commit(tile, bucket, cycles);
-                }
-                keys.clear();
             }
+            keys.sort_unstable();
+            // No re-check needed: earlier relaxed commits may have
+            // changed the line table, but only by *removing* earlier
+            // accessors, which can only make more tasks eligible.
+            for &(_, id) in &keys {
+                let (tile, bucket, cycles) = self.state.commit_task(id);
+                self.mapper.on_commit(tile, bucket, cycles);
+            }
+            keys.clear();
         }
         self.commit_scratch = keys;
 

@@ -60,7 +60,6 @@
 
 pub mod app;
 pub mod arena;
-pub mod bloom;
 pub mod builder;
 pub mod chaos;
 pub mod conformance;
@@ -78,7 +77,6 @@ pub mod task;
 
 pub use app::{ExecutionOutcome, SwarmApp, TaskCtx};
 pub use arena::{TaskArena, TaskBody};
-pub use bloom::BloomFilter;
 pub use builder::{BuildError, MapperFactory, Sim, SimBuilder};
 pub use engine::{Engine, DEFAULT_TASK_LIMIT};
 pub use event_queue::{TimingWheel, WHEEL_SLOTS};

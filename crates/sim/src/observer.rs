@@ -231,8 +231,8 @@ pub struct FaultInjectedEvent {
 /// it cares about. Observers must be deterministic if the simulation's
 /// results are compared across runs (the built-in statistics observer is).
 ///
-/// Attach observers through [`SimBuilder::observer`](crate::SimBuilder::observer)
-/// or [`Engine::add_observer`](crate::Engine::add_observer). To keep a handle
+/// Attach observers through [`SimBuilder::observer`](crate::SimBuilder::observer).
+/// To keep a handle
 /// on the observer after the engine consumes it, attach an
 /// `Rc<RefCell<T>>` — the blanket implementation below forwards every hook.
 pub trait SimObserver {
@@ -335,41 +335,6 @@ impl StatsObserver {
     /// A statistics observer for a machine with `num_tiles` tiles.
     pub fn new(num_tiles: usize) -> Self {
         StatsObserver { committed_cycles_per_tile: vec![0; num_tiles], ..StatsObserver::default() }
-    }
-
-    /// Aggregate core-cycle breakdown so far.
-    pub fn breakdown(&self) -> &CycleBreakdown {
-        &self.breakdown
-    }
-
-    /// NoC traffic accumulated so far.
-    pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
-    }
-
-    /// Committed task count so far.
-    pub fn tasks_committed(&self) -> u64 {
-        self.tasks_committed
-    }
-
-    /// Aborted execution count so far.
-    pub fn tasks_aborted(&self) -> u64 {
-        self.tasks_aborted
-    }
-
-    /// Spilled task count so far.
-    pub fn tasks_spilled(&self) -> u64 {
-        self.tasks_spilled
-    }
-
-    /// Committed cycles per tile so far.
-    pub fn committed_cycles_per_tile(&self) -> &[u64] {
-        &self.committed_cycles_per_tile
-    }
-
-    /// Total NoC queueing cycles seen so far (0 in analytic mode).
-    pub fn noc_queue_cycles(&self) -> u64 {
-        self.noc_queue_cycles
     }
 
     /// Assemble the final [`RunStats`], draining the collected access traces
@@ -488,11 +453,6 @@ impl ObserverHub {
     /// Attach a custom observer (notified after the built-in one).
     pub(crate) fn attach(&mut self, observer: Box<dyn SimObserver>) {
         self.extra.push(observer);
-    }
-
-    /// Read-only view of the built-in statistics observer.
-    pub fn stats(&self) -> &StatsObserver {
-        &self.stats
     }
 
     pub(crate) fn stats_mut(&mut self) -> &mut StatsObserver {
@@ -645,18 +605,16 @@ mod tests {
         stats.on_core_wait(&CoreWaitEvent { core: CoreId(0), kind: WaitKind::Empty, cycles: 7 });
         stats.on_gvt_update(100);
 
-        assert_eq!(stats.tasks_committed(), 1);
-        assert_eq!(stats.tasks_aborted(), 1);
-        assert_eq!(stats.tasks_spilled(), 4);
-        assert_eq!(stats.breakdown().committed, 40);
-        assert_eq!(stats.breakdown().aborted, 25);
-        assert_eq!(stats.breakdown().spill, 40);
-        assert_eq!(stats.breakdown().empty, 7);
-        assert_eq!(stats.committed_cycles_per_tile(), &[0, 40]);
-        assert_eq!(stats.traffic().total(), 6);
-        assert_eq!(stats.noc_queue_cycles(), 5);
         let run = stats.take_run_stats("m".into(), "a".into(), 2, 123, None);
         assert_eq!(run.tasks_committed, 1);
+        assert_eq!(run.tasks_aborted, 1);
+        assert_eq!(run.tasks_spilled, 4);
+        assert_eq!(run.breakdown.committed, 40);
+        assert_eq!(run.breakdown.aborted, 25);
+        assert_eq!(run.breakdown.spill, 40);
+        assert_eq!(run.breakdown.empty, 7);
+        assert_eq!(run.committed_cycles_per_tile, [0, 40]);
+        assert_eq!(run.traffic.total(), 6);
         assert_eq!(run.gvt_updates, 1);
         assert_eq!(run.runtime_cycles, 123);
         assert_eq!(run.noc_queue_cycles, 5);

@@ -115,8 +115,6 @@ pub struct SimState {
     pub remaining_tasks: u64,
     /// Conflict checks performed.
     pub conflict_checks: u64,
-    /// Conflicts that only a Bloom false positive would have flagged.
-    pub bloom_false_positives: u64,
     /// Whether to record per-task access traces for committed tasks.
     pub profiling: bool,
     /// The event fan-out point: the built-in statistics observer plus any
@@ -198,7 +196,6 @@ impl SimState {
             cores: vec![CoreState::Idle { since: 0 }; num_cores],
             remaining_tasks: 0,
             conflict_checks: 0,
-            bloom_false_positives: 0,
             profiling: false,
             observers: ObserverHub::new(num_tiles),
             wake_tiles: Vec::new(),
@@ -339,17 +336,6 @@ impl SimState {
         }
     }
 
-    /// Cores belonging to `tile` (contiguous global core ids).
-    pub fn cores_of_tile(&self, tile: TileId) -> impl Iterator<Item = CoreId> {
-        let first = tile.index() as u32 * self.cfg.cores_per_tile;
-        (first..first + self.cfg.cores_per_tile).map(CoreId)
-    }
-
-    /// Number of tasks that are neither committed nor discarded.
-    pub fn live_tasks(&self) -> usize {
-        self.remaining_tasks as usize
-    }
-
     /// Mark a running task as finished: move it to the commit queue. (The
     /// engine removes it from the tile's running list, so [`SimState::gvt`]
     /// stops counting it as unfinished from that point on.)
@@ -428,11 +414,6 @@ impl SimState {
         if !self.wake_tiles.contains(&tile) {
             self.wake_tiles.push(tile);
         }
-    }
-
-    /// Drain the list of tiles that may have new dispatchable work.
-    pub fn drain_wakes(&mut self) -> Vec<TileId> {
-        std::mem::take(&mut self.wake_tiles)
     }
 
     /// Return a (cleared) `PendingChild` buffer to the pool for a later

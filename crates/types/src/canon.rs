@@ -61,11 +61,6 @@ impl CanonBuf {
         &self.bytes
     }
 
-    /// Consume the buffer and return its bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.bytes.push(v);
@@ -278,16 +273,12 @@ impl Canonical for QueueConfig {
 
 impl Canonical for SpeculationConfig {
     fn canonicalize(&self, buf: &mut CanonBuf) {
-        buf.put_usize(self.bloom_bits);
-        buf.put_usize(self.bloom_hashes);
         buf.put_u64(self.conflict_check_cost);
         buf.put_u64(self.conflict_compare_cost);
-        buf.put_bool(self.bloom_false_positive_aborts);
         buf.put_u64(self.gvt_epoch);
         buf.put_u64(self.task_mgmt_cost);
         buf.put_u64(self.task_base_cost);
         buf.put_u64(self.rollback_cost_per_entry);
-        buf.put_bool(self.relaxed_equal_ts_commit);
     }
 }
 
@@ -353,16 +344,12 @@ mod tests {
             |c| c.queues.spill_threshold_pct += 1,
             |c| c.queues.spill_batch += 1,
             |c| c.queues.spill_cost_per_task += 1,
-            |c| c.spec.bloom_bits += 1,
-            |c| c.spec.bloom_hashes += 1,
             |c| c.spec.conflict_check_cost += 1,
             |c| c.spec.conflict_compare_cost += 1,
-            |c| c.spec.bloom_false_positive_aborts = !c.spec.bloom_false_positive_aborts,
             |c| c.spec.gvt_epoch += 1,
             |c| c.spec.task_mgmt_cost += 1,
             |c| c.spec.task_base_cost += 1,
             |c| c.spec.rollback_cost_per_entry += 1,
-            |c| c.spec.relaxed_equal_ts_commit = !c.spec.relaxed_equal_ts_commit,
             |c| c.lb_buckets_per_tile += 1,
             |c| c.lb_epoch += 1,
             |c| c.lb_correction_pct += 1,

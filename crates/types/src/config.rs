@@ -122,21 +122,14 @@ impl Default for QueueConfig {
     }
 }
 
-/// Speculation and commit-protocol parameters.
+/// Speculation and commit-protocol parameters. Conflicts are detected on
+/// exact line-granular read/write sets, so no signature is parameterised.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpeculationConfig {
-    /// Bits in each read/write Bloom filter signature (2 Kbit in the paper).
-    pub bloom_bits: usize,
-    /// Number of hash functions per Bloom filter (8-way in the paper).
-    pub bloom_hashes: usize,
     /// Cycles per conflict check at a tile (5 in the paper).
     pub conflict_check_cost: u64,
     /// Cycles per commit-queue timestamp comparison during a check.
     pub conflict_compare_cost: u64,
-    /// Whether Bloom-filter false positives cause (harmless but wasteful)
-    /// aborts, as in real signature-based conflict detection. Exact sets are
-    /// always kept for architectural correctness.
-    pub bloom_false_positive_aborts: bool,
     /// Cycles between GVT (global virtual time) updates (200 in the paper).
     pub gvt_epoch: u64,
     /// Cycles charged per Swarm task-management instruction
@@ -147,26 +140,17 @@ pub struct SpeculationConfig {
     pub task_base_cost: u64,
     /// Cycles charged per undo-log entry rolled back on abort.
     pub rollback_cost_per_entry: u64,
-    /// If true, finished tasks whose timestamp equals the GVT and whose
-    /// parent has committed may commit even if earlier-created same-timestamp
-    /// tasks are still running (the "Swarm chooses an order among equal
-    /// timestamps" rule; needed by the unordered STAMP benchmarks).
-    pub relaxed_equal_ts_commit: bool,
 }
 
 impl Default for SpeculationConfig {
     fn default() -> Self {
         SpeculationConfig {
-            bloom_bits: 2048,
-            bloom_hashes: 8,
             conflict_check_cost: 5,
             conflict_compare_cost: 1,
-            bloom_false_positive_aborts: false,
             gvt_epoch: 200,
             task_mgmt_cost: 5,
             task_base_cost: 10,
             rollback_cost_per_entry: 2,
-            relaxed_equal_ts_commit: true,
         }
     }
 }
@@ -343,9 +327,6 @@ impl SystemConfig {
         if self.lb_correction_pct > 100 {
             return Err("lb_correction_pct must be <= 100".into());
         }
-        if self.spec.bloom_bits == 0 || self.spec.bloom_hashes == 0 {
-            return Err("Bloom filter parameters must be positive".into());
-        }
         if self.spec.gvt_epoch == 0 || self.lb_epoch == 0 {
             return Err("epoch lengths must be positive".into());
         }
@@ -389,7 +370,6 @@ mod tests {
         assert_eq!(cfg.task_queue_per_tile() * 64, 16384);
         assert_eq!(cfg.commit_queue_per_tile() * 64, 4096);
         assert_eq!(cfg.spec.gvt_epoch, 200);
-        assert_eq!(cfg.spec.bloom_bits, 2048);
         assert_eq!(cfg.lb_buckets_per_tile, 16);
         assert_eq!(cfg.num_buckets(), 1024);
         cfg.validate().unwrap();

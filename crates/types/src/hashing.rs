@@ -1,9 +1,8 @@
 //! Deterministic hash functions used throughout the simulator.
 //!
-//! The hardware described in the paper uses small fixed hash functions (H3
-//! hashes for Bloom filters, a 6-bit hash for hint-to-tile mapping, a 16-bit
-//! hash for same-hint serialization, and a 10-bit hash for hint-to-bucket
-//! mapping). We use a single 64-bit mixer (a SplitMix64 finalizer) and
+//! The hardware described in the paper uses small fixed hash functions (a
+//! 6-bit hash for hint-to-tile mapping, a 16-bit hash for same-hint
+//! serialization, and a 10-bit hash for hint-to-bucket mapping). We use a single 64-bit mixer (a SplitMix64 finalizer) and
 //! truncate it; it is deterministic, stateless, and well distributed, which
 //! is all the model needs.
 
@@ -63,8 +62,8 @@ pub fn hash_to_bucket(value: u64, num_buckets: usize) -> u16 {
 /// data structures (`LruSet`, the cache directory, the line-access table) can
 /// index their tables with a single cheap hash instead of SipHash. It must
 /// *not* be used where the paper's fixed hash functions are being modelled —
-/// simulated-architecture decisions (home tiles, hint buckets, Bloom
-/// signatures) always go through [`hash64`] so results stay bit-identical.
+/// simulated-architecture decisions (home tiles, hint buckets) always go
+/// through [`hash64`] so results stay bit-identical.
 #[inline]
 pub fn fast_mix64(value: u64) -> u64 {
     let mut z = value ^ (value >> 33);
@@ -144,44 +143,6 @@ pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 /// A `HashSet` keyed through [`FastHasher`] (deterministic, one cheap hash).
 pub type FastHashSet<K> = std::collections::HashSet<K, FastBuildHasher>;
 
-/// A family of independent hash functions, used by the Bloom filter model to
-/// emulate the H3 hash functions of LogTM-SE-style signatures.
-#[derive(Debug, Clone)]
-pub struct HashFamily {
-    seeds: Vec<u64>,
-}
-
-impl HashFamily {
-    /// Create a family of `k` independent hash functions.
-    pub fn new(k: usize) -> Self {
-        let seeds = (0..k as u64)
-            .map(|i| hash64(0xDEAD_BEEF_u64.wrapping_add(i.wrapping_mul(0x1234_5678_9ABC_DEF1))))
-            .collect();
-        HashFamily { seeds }
-    }
-
-    /// Number of hash functions in the family.
-    pub fn len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// Whether the family is empty.
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
-    }
-
-    /// Evaluate the `i`-th hash function on `value`, reduced modulo `range`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds or `range` is zero.
-    #[inline]
-    pub fn hash(&self, i: usize, value: u64, range: usize) -> usize {
-        assert!(range > 0, "hash range must be non-empty");
-        (hash64(value ^ self.seeds[i]) % range as u64) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,16 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_family_functions_differ() {
-        let fam = HashFamily::new(8);
-        assert_eq!(fam.len(), 8);
-        assert!(!fam.is_empty());
-        let a: Vec<usize> = (0..8).map(|i| fam.hash(i, 12345, 2048)).collect();
-        let distinct: HashSet<_> = a.iter().collect();
-        assert!(distinct.len() > 1, "hash family produced identical outputs");
-    }
-
-    #[test]
     fn hash_to_u16_differs_for_nearby_hints() {
         let collisions = (0..1000u64).filter(|&v| hash_to_u16(v) == hash_to_u16(v + 1)).count();
         assert!(collisions < 5, "too many adjacent 16-bit collisions: {collisions}");
@@ -278,28 +229,5 @@ mod tests {
     fn hash_to_bucket_accepts_full_u16_range() {
         let b = hash_to_bucket(99, u16::MAX as usize + 1);
         let _ = b; // any u16 is in range; just must not panic
-    }
-
-    #[test]
-    fn hash_family_respects_range_and_is_deterministic() {
-        let fam = HashFamily::new(4);
-        let twin = HashFamily::new(4);
-        for i in 0..4 {
-            for v in 0..200u64 {
-                let h = fam.hash(i, v, 53);
-                assert!(h < 53);
-                assert_eq!(h, twin.hash(i, v, 53));
-            }
-        }
-    }
-
-    #[test]
-    fn hash_family_members_are_independent() {
-        // Two members of the family should agree only about 1/range of the
-        // time; catching accidental seed collapse.
-        let fam = HashFamily::new(2);
-        let agreements =
-            (0..10_000u64).filter(|&v| fam.hash(0, v, 1024) == fam.hash(1, v, 1024)).count();
-        assert!(agreements < 100, "family members agree {agreements}/10000 times");
     }
 }

@@ -42,11 +42,16 @@ fn malformed_invocations_exit_2_with_a_diagnostic() {
         // Malformed scalar values and the --noc model name are strict too.
         (&["fig2", "--seed", "nine"], "--seed"),
         (&["fig5", "--noc", "magic"], "analytic, contention"),
+        // Runs are deterministic, so there is no retry policy.
+        (&["fig2", "--on-error", "retry:3"], "retry:3"),
         // `serve` has its own flag set but the same strictness contract.
         (&["serve", "--bogus"], "--bogus"),
         (&["serve", "--tpc", "127.0.0.1:0"], "did you mean '--tcp'"),
         (&["serve", "--cache-dir"], "--cache-dir requires a value"),
         (&["serve", "--mem-entries", "lots"], "not a valid number"),
+        // The fair-queue and progress settings are constants, not flags.
+        (&["serve", "--batch", "8"], "unknown flag '--batch'"),
+        (&["serve", "--progress-every", "8"], "unknown flag '--progress-every'"),
         // The old measurement commands are gone: perfbench measures.
         (&["bench"], "unknown command"),
         (&["bench-serve"], "unknown command"),
@@ -80,6 +85,27 @@ fn partially_bad_lists_warn_but_proceed() {
     assert_eq!(code, 0, "stderr:\n{stderr}");
     assert!(stderr.contains("zorp"), "dropped element must be reported, got:\n{stderr}");
     assert!(stdout.contains("bfs"), "the parsable subset still runs:\n{stdout}");
+}
+
+#[test]
+fn breakdown_titles_name_the_row_they_normalize_to() {
+    // The tables normalize to their first successful row; with Hints the
+    // only scheduler, the title used to claim "normalized to Random" over
+    // a Hints row reading 1.000.
+    let (code, stdout, stderr) = swarm(&[
+        "fig5",
+        "--scale",
+        "tiny",
+        "--cores",
+        "4",
+        "--apps",
+        "bfs",
+        "--schedulers",
+        "hints",
+    ]);
+    assert_eq!(code, 0, "stderr:\n{stderr}");
+    assert!(stdout.contains("normalized to Hints"), "{stdout}");
+    assert!(!stdout.contains("Random"), "{stdout}");
 }
 
 #[test]
