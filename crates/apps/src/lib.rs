@@ -282,12 +282,36 @@ pub enum InputScale {
 }
 
 impl InputScale {
+    /// Every scale, smallest first.
+    pub const ALL: [InputScale; 3] = [InputScale::Tiny, InputScale::Small, InputScale::Medium];
+
+    /// Lowercase name: the CLI, protocol and canonical-key spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            InputScale::Tiny => "tiny",
+            InputScale::Small => "small",
+            InputScale::Medium => "medium",
+        }
+    }
+
     fn factor(self) -> usize {
         match self {
             InputScale::Tiny => 1,
             InputScale::Small => 2,
             InputScale::Medium => 4,
         }
+    }
+}
+
+impl std::str::FromStr for InputScale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let lower = s.to_ascii_lowercase();
+        InputScale::ALL
+            .into_iter()
+            .find(|scale| scale.name() == lower)
+            .ok_or_else(|| format!("unknown scale '{lower}'"))
     }
 }
 
@@ -422,6 +446,15 @@ mod tests {
             assert!(!b.paper_input().is_empty());
         }
         assert!("nope".parse::<BenchmarkId>().is_err());
+    }
+
+    #[test]
+    fn scale_names_round_trip_case_insensitively() {
+        for scale in InputScale::ALL {
+            assert_eq!(scale.name().parse::<InputScale>(), Ok(scale));
+            assert_eq!(scale.name().to_ascii_uppercase().parse::<InputScale>(), Ok(scale));
+        }
+        assert_eq!("Full".parse::<InputScale>(), Err("unknown scale 'full'".to_string()));
     }
 
     #[test]

@@ -355,16 +355,10 @@ impl HarnessArgs {
                 }
                 "--scale" => {
                     let v = value("--scale")?;
-                    parsed.scale = match v.to_ascii_lowercase().as_str() {
-                        "tiny" => InputScale::Tiny,
-                        "small" => InputScale::Small,
-                        "medium" => InputScale::Medium,
-                        other => {
-                            return Err(UsageError::invalid(format!(
-                                "unknown scale '{other}' (valid: tiny, small, medium)"
-                            )));
-                        }
-                    };
+                    parsed.scale = v.parse().map_err(|e| {
+                        let valid = InputScale::ALL.map(InputScale::name).join(", ");
+                        UsageError::invalid(format!("{e} (valid: {valid})"))
+                    })?;
                 }
                 "--seed" => {
                     let v = value("--seed")?;
@@ -387,15 +381,10 @@ impl HarnessArgs {
                 }
                 "--noc" => {
                     let v = value("--noc")?;
-                    parsed.noc = match v.to_ascii_lowercase().as_str() {
-                        "analytic" => NocModel::Analytic,
-                        "contention" => NocModel::Contention,
-                        other => {
-                            return Err(UsageError::invalid(format!(
-                                "unknown noc model '{other}' (valid: analytic, contention)"
-                            )));
-                        }
-                    };
+                    parsed.noc = v.parse().map_err(|e| {
+                        let valid = NocModel::ALL.map(NocModel::name).join(", ");
+                        UsageError::invalid(format!("{e} (valid: {valid})"))
+                    })?;
                 }
                 "--jobs" => {
                     let v = value("--jobs")?;

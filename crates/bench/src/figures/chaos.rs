@@ -7,6 +7,9 @@
 //! with the same typed `SimError` on repeat — never hang (a cycle-budget
 //! watchdog guards every run), panic, or go silently wrong.
 //!
+//! Every battery machine is built under the shared `--noc` model; under
+//! `contention` the header says so.
+//!
 //! Flags beyond the shared harness set:
 //!
 //! * `--plan "<fault>[;<fault>...]"` — check one specific fault plan instead
@@ -23,7 +26,7 @@ use swarm_apps::AppSpec;
 use swarm_sim::chaos::{check_chaos, check_plan, ChaosOptions, ChaosOutcome};
 use swarm_sim::conformance::MapperSpec;
 use swarm_sim::{standard_faults, FaultPlan, SwarmApp, TaskMapper};
-use swarm_types::SystemConfig;
+use swarm_types::{NocModel, SystemConfig};
 
 /// Watchdog cycle budget per battery run: far above any tiny/small-scale
 /// run, so only a genuine hang trips it — as a typed error, not a timeout.
@@ -49,10 +52,14 @@ pub fn run(raw: &[String]) -> i32 {
         }
     };
     let cores = args.cores_or(&[1, 16]);
+    let (config, noc_note): (fn(u32) -> SystemConfig, &str) = match args.noc {
+        NocModel::Analytic => (SystemConfig::with_cores, ""),
+        NocModel::Contention => (contention_config, " under the contention NoC"),
+    };
     // A machine that cannot be built is a bad command line, not a
     // chaos-contract violation.
     for &n in &cores {
-        if let Err(e) = SystemConfig::with_cores(n).validate() {
+        if let Err(e) = config(n).validate() {
             eprintln!("error: --cores {n} is not a valid machine: {e}");
             return crate::exit_code::USAGE;
         }
@@ -71,21 +78,17 @@ pub fn run(raw: &[String]) -> i32 {
         .iter()
         .map(|(s, build)| MapperSpec { name: s.name(), build: build.as_ref() })
         .collect();
-    let opts = ChaosOptions {
-        core_counts: cores.clone(),
-        config: SystemConfig::with_cores,
-        max_cycles: WATCHDOG_CYCLES,
-    };
+    let opts = ChaosOptions { core_counts: cores.clone(), config, max_cycles: WATCHDOG_CYCLES };
     let faults = standard_faults(FAULT_CYCLE);
 
     match &plan {
         Some(plan) => println!(
-            "Chaos battery: plan [{plan}] x {} schedulers x cores {cores:?} (scale {:?})",
+            "Chaos battery: plan [{plan}] x {} schedulers x cores {cores:?}{noc_note} (scale {:?})",
             mappers.len(),
             args.scale
         ),
         None => println!(
-            "Chaos battery: {} standard faults x {} schedulers x cores {cores:?} (scale {:?})",
+            "Chaos battery: {} standard faults x {} schedulers x cores {cores:?}{noc_note} (scale {:?})",
             faults.len(),
             mappers.len(),
             args.scale
@@ -124,6 +127,13 @@ pub fn run(raw: &[String]) -> i32 {
     }
     println!("chaos contract held: every combo completed clean or failed typed, twice over");
     crate::exit_code::OK
+}
+
+/// [`SystemConfig::with_cores`] under the contention NoC.
+fn contention_config(cores: u32) -> SystemConfig {
+    let mut cfg = SystemConfig::with_cores(cores);
+    cfg.noc.model = NocModel::Contention;
+    cfg
 }
 
 /// Print a contract violation and pick the chaos exit code.

@@ -3,13 +3,9 @@
 //! normalized to Random.
 
 use crate::report::baseline_label;
-use crate::{
-    format_breakdown_table_results, format_traffic_queueing_table_results,
-    format_traffic_table_results, HarnessArgs,
-};
+use crate::{format_breakdown_table_results, format_traffic_table_results, HarnessArgs};
 use spatial_hints::Scheduler;
 use swarm_apps::AppSpec;
-use swarm_types::NocModel;
 
 /// Run the `fig5` command with the argument slice that follows the
 /// subcommand name (`swarm fig5 <args...>`).
@@ -47,14 +43,7 @@ pub fn run(args: &[String]) -> i32 {
             "Fig. 5b [{}]: NoC data breakdown at {cores} cores (normalized to {baseline})",
             bench.name()
         );
-        // Under the contention model, add the queueing-delay column; the
-        // default analytic output stays byte-identical to the pinned
-        // figures.
-        if args.noc == NocModel::Contention {
-            println!("{}", format_traffic_queueing_table_results(app_entries));
-        } else {
-            println!("{}", format_traffic_table_results(app_entries));
-        }
+        println!("{}", format_traffic_table_results(app_entries, args.noc));
     }
 
     super::report_failures(entries.iter().filter_map(|(_, r)| r.as_ref().err()))

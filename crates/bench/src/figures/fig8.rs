@@ -3,13 +3,9 @@
 //! Stealing and Hints, normalized to the coarse-grain version under Random.
 
 use crate::report::baseline_label;
-use crate::{
-    format_breakdown_table_results, format_traffic_queueing_table_results,
-    format_traffic_table_results, HarnessArgs,
-};
+use crate::{format_breakdown_table_results, format_traffic_table_results, HarnessArgs};
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId};
-use swarm_types::NocModel;
 
 /// Run the `fig8` command with the argument slice that follows the
 /// subcommand name (`swarm fig8 <args...>`).
@@ -52,13 +48,7 @@ pub fn run(args: &[String]) -> i32 {
             "Fig. 8b [{}]: FG NoC data breakdown at {cores} cores (normalized to {baseline})",
             bench.name()
         );
-        // The contention model adds the queueing-delay column; analytic
-        // output stays byte-identical to the pinned figures.
-        if args.noc == NocModel::Contention {
-            println!("{}", format_traffic_queueing_table_results(bench_entries));
-        } else {
-            println!("{}", format_traffic_table_results(bench_entries));
-        }
+        println!("{}", format_traffic_table_results(bench_entries, args.noc));
     }
 
     super::report_failures(entries.iter().filter_map(|(_, r)| r.as_ref().err()))

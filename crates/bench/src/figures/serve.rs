@@ -15,8 +15,9 @@
 //! [`PARTIAL`](crate::exit_code::PARTIAL) — after the session completes,
 //! since a serve session keeps answering across bad requests by design.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::rc::Rc;
 
 use swarm_serve::{
     FailureKind, PipeSummary, PointFailure, PointOutcome, PointRunner, RunPoint, ServeOptions,
@@ -39,23 +40,20 @@ fn to_failure(err: &RunError) -> PointFailure {
     PointFailure { kind, message: err.to_string() }
 }
 
-/// Streams GVT updates out of the engine thread to the session handler.
-struct GvtSender {
-    tx: mpsc::Sender<u64>,
-}
+/// Logs every GVT update of an observed run.
+struct GvtLog(Rc<RefCell<Vec<u64>>>);
 
-impl SimObserver for GvtSender {
+impl SimObserver for GvtLog {
     fn on_gvt_update(&mut self, now: u64) {
-        // The receiver may have hung up (the handler stops draining on I/O
-        // failure); progress is best-effort, the run itself must not care.
-        let _ = self.tx.send(now);
+        self.0.borrow_mut().push(now);
     }
 }
 
 /// The [`PointRunner`] the server schedules on: batches go through the
 /// work-sharing [`Pool`] under [`FailurePolicy::CollectAll`] (one bad point
-/// must not skip its batch-mates), observed runs get a [`GvtSender`]
-/// attached.
+/// must not skip its batch-mates); an observed run simulates on the
+/// calling thread (the server's dispatcher) with a [`GvtLog`] attached,
+/// then replays the log into the callback.
 struct PoolRunner {
     pool: Pool,
 }
@@ -76,16 +74,9 @@ impl PointRunner for PoolRunner {
     }
 
     fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
-        let result = std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            let engine =
-                scope.spawn(move || run_point_result_observed(*point, false, GvtSender { tx }));
-            // Drain until the engine drops its sender (run complete).
-            for gvt in rx {
-                on_gvt(gvt);
-            }
-            engine.join().expect("the observed runner converts panics into RunError")
-        });
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let result = run_point_result_observed(*point, false, GvtLog(Rc::clone(&log)));
+        log.borrow().iter().for_each(|&gvt| on_gvt(gvt));
         result.map_err(|err| to_failure(&err))
     }
 }

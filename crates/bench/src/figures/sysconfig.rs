@@ -2,13 +2,28 @@
 //! binary; renamed so `table2` can report the beyond-Table-I workloads).
 //!
 //! This is the one figure command that runs no simulations (it only prints
-//! the machine parameters), so it takes no sweep or `--jobs` flags.
+//! the machine parameters), so it takes no flags but `-h`/`--help`; any
+//! other argument is a usage error.
 
 use swarm_types::SystemConfig;
 
+const USAGE: &str = "usage: swarm sysconfig\n\nPrint Table II, the 256-core machine configuration.";
+
 /// Run the `sysconfig` command with the argument slice that follows the
 /// subcommand name (`swarm sysconfig <args...>`).
-pub fn run(_args: &[String]) -> i32 {
+pub fn run(args: &[String]) -> i32 {
+    match args.first().map(String::as_str) {
+        None => {}
+        Some("-h" | "--help") => {
+            println!("{USAGE}");
+            return crate::exit_code::OK;
+        }
+        Some(other) => {
+            eprintln!("swarm sysconfig: unexpected argument '{other}' (it takes no flags)");
+            eprintln!("{USAGE}");
+            return crate::exit_code::USAGE;
+        }
+    }
     let cfg = SystemConfig::paper_256core();
     println!("Table II: configuration of the {}-core system", cfg.num_cores());
     println!(

@@ -56,8 +56,7 @@ pub use pool::{CurveSpec, FailurePolicy, PointResult, Pool, ResultCurve, StatsRe
 pub use registry::{find as find_command, FigureSpec, REGISTRY};
 pub use report::{
     classification_header, format_breakdown_table_results, format_classification_row,
-    format_speedup_table_results, format_traffic_queueing_table_results,
-    format_traffic_table_results, gmean,
+    format_speedup_table_results, format_traffic_table_results, gmean,
 };
 pub use runner::{
     run_point_result, run_point_result_observed, speedup_curve, ExperimentPoint, RunError,

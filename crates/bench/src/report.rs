@@ -4,6 +4,7 @@
 use spatial_hints::{AccessClass, AccessClassification};
 use swarm_noc::TrafficClass;
 use swarm_sim::RunStats;
+use swarm_types::NocModel;
 
 use crate::pool::{ResultCurve, StatsResult};
 
@@ -98,68 +99,46 @@ pub fn format_breakdown_table_results(entries: &[(String, StatsResult)]) -> Stri
 
 /// Format a NoC-traffic breakdown table normalized to the first `Ok` row's
 /// total (the layout of Fig. 5b / Fig. 8b). A failed row renders as `n/a`
-/// cells.
-pub fn format_traffic_table_results(entries: &[(String, StatsResult)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
+/// cells. Under [`NocModel::Contention`] a `queue` column follows: the NoC
+/// queueing cycles of each run, normalized to the first `Ok` row's (so the
+/// first scheduler reads 1.000). The analytic table keeps the pinned five
+/// columns.
+pub fn format_traffic_table_results(entries: &[(String, StatsResult)], noc: NocModel) -> String {
+    let queue = noc == NocModel::Contention;
+    let mut out = format!(
+        "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}",
         "scheduler", "total", "mem", "abort", "task", "gvt"
-    ));
-    let baseline_total = baseline(entries).map_or(1, |s| s.traffic.total().max(1));
-    for (label, result) in entries {
-        match result {
-            Ok(stats) => {
-                let t = stats.traffic;
-                let norm = |v: u64| v as f64 / baseline_total as f64;
-                out.push_str(&format!(
-                    "{:>12}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>10.3}\n",
-                    label,
-                    norm(t.total()),
-                    norm(t.of(TrafficClass::Memory)),
-                    norm(t.of(TrafficClass::Abort)),
-                    norm(t.of(TrafficClass::Task)),
-                    norm(t.of(TrafficClass::Gvt))
-                ));
-            }
-            Err(_) => out.push_str(&na_row(label, 5, 10)),
-        }
+    );
+    if queue {
+        out.push_str(&format!("{:>10}", "queue"));
     }
-    out
-}
-
-/// [`format_traffic_table_results`] extended with a `queue` column: the
-/// NoC queueing cycles each run accumulated under the contention model,
-/// normalized to the first `Ok` row's queueing cycles (so the first
-/// scheduler reads 1.000 and the others read their relative queueing
-/// cost). Only used when `--noc contention` is active; the analytic
-/// figures keep the pinned five-column formatter above.
-pub fn format_traffic_queueing_table_results(entries: &[(String, StatsResult)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}\n",
-        "scheduler", "total", "mem", "abort", "task", "gvt", "queue"
-    ));
+    out.push('\n');
     let first_ok = baseline(entries);
     let baseline_total = first_ok.map_or(1, |s| s.traffic.total().max(1));
     let baseline_queue = first_ok.map_or(1, |s| s.noc_queue_cycles.max(1));
     for (label, result) in entries {
-        match result {
-            Ok(stats) => {
-                let t = stats.traffic;
-                let norm = |v: u64| v as f64 / baseline_total as f64;
-                out.push_str(&format!(
-                    "{:>12}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>10.3}\n",
-                    label,
-                    norm(t.total()),
-                    norm(t.of(TrafficClass::Memory)),
-                    norm(t.of(TrafficClass::Abort)),
-                    norm(t.of(TrafficClass::Task)),
-                    norm(t.of(TrafficClass::Gvt)),
-                    stats.noc_queue_cycles as f64 / baseline_queue as f64
-                ));
-            }
-            Err(_) => out.push_str(&na_row(label, 6, 10)),
+        let Ok(stats) = result else {
+            out.push_str(&na_row(label, 5 + usize::from(queue), 10));
+            continue;
+        };
+        let t = stats.traffic;
+        let norm = |v: u64| v as f64 / baseline_total as f64;
+        out.push_str(&format!(
+            "{:>12}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>10.3}",
+            label,
+            norm(t.total()),
+            norm(t.of(TrafficClass::Memory)),
+            norm(t.of(TrafficClass::Abort)),
+            norm(t.of(TrafficClass::Task)),
+            norm(t.of(TrafficClass::Gvt))
+        ));
+        if queue {
+            out.push_str(&format!(
+                "{:>10.3}",
+                stats.noc_queue_cycles as f64 / baseline_queue as f64
+            ));
         }
+        out.push('\n');
     }
     out
 }
@@ -241,8 +220,10 @@ mod tests {
         assert!(!b.contains("n/a"), "{b}");
         // The only row is its own baseline.
         assert!(b.lines().nth(1).expect("a Random row").contains("1.000"), "{b}");
-        let t = format_traffic_table_results(&entries);
-        assert!(t.contains("gvt"));
+        let t = format_traffic_table_results(&entries, NocModel::Analytic);
+        assert!(t.contains("gvt") && !t.contains("queue"), "{t}");
+        let t = format_traffic_table_results(&entries, NocModel::Contention);
+        assert!(t.lines().next().expect("a header").ends_with("queue"), "{t}");
     }
 
     #[test]
@@ -297,9 +278,11 @@ mod tests {
         let b = format_breakdown_table_results(&tried);
         let hints_row = b.lines().find(|l| l.contains("Hints")).expect("a Hints row");
         assert_eq!(hints_row.matches("n/a").count(), 6, "{hints_row}");
-        let t = format_traffic_table_results(&tried);
-        let hints_row = t.lines().find(|l| l.contains("Hints")).expect("a Hints row");
-        assert_eq!(hints_row.matches("n/a").count(), 5, "{hints_row}");
+        for (noc, cells) in [(NocModel::Analytic, 5), (NocModel::Contention, 6)] {
+            let t = format_traffic_table_results(&tried, noc);
+            let hints_row = t.lines().find(|l| l.contains("Hints")).expect("a Hints row");
+            assert_eq!(hints_row.matches("n/a").count(), cells, "{hints_row}");
+        }
 
         // And a speedup table whose faulted series fails its baseline.
         let curves = pool.try_speedup_curves(

@@ -1,20 +1,21 @@
 //! Content-addressed result cache.
 //!
-//! A completed [`RunStats`] is stored under the [`CanonKey`] of the
-//! [`RunPoint`](crate::RunPoint) that produced it. Because every
-//! simulation in this reproduction is deterministic, equal keys imply
-//! byte-identical results, so a cache hit is indistinguishable from a
-//! fresh run — the property the cache-correctness tests pin down.
+//! A completed [`PointOutcome`] — the [`RunStats`] or the typed failure —
+//! is stored under the [`CanonKey`] of the [`RunPoint`](crate::RunPoint)
+//! that produced it. Because every simulation in this reproduction is
+//! deterministic, equal keys imply byte-identical outcomes, so a cache hit
+//! is indistinguishable from a fresh run — the property the
+//! cache-correctness tests pin down.
 //!
 //! Two tiers:
 //!
-//! * **memory** — a bounded [`FastHashMap`]; eviction is least-recently
-//!   *used* (every hit refreshes a monotonic stamp; the minimum stamp is
-//!   evicted when over capacity).
-//! * **disk** (optional) — one `<canon-key-hex>.json` file per entry under
-//!   the cache directory, written atomically (temp file + rename). Disk
-//!   entries survive server restarts; a disk hit is promoted back into
-//!   memory.
+//! * **memory** — a bounded [`FastHashMap`] holding results and failures
+//!   alike; eviction is least-recently *used* (every hit refreshes a
+//!   monotonic stamp; the minimum stamp is evicted when over capacity).
+//! * **disk** (optional) — one `<canon-key-hex>.json` file per successful
+//!   result under the cache directory, written atomically (temp file +
+//!   rename). Failures are never written. Disk entries survive server
+//!   restarts; a disk hit is promoted back into memory.
 
 use std::fs;
 use std::io::{self, Write};
@@ -23,6 +24,7 @@ use std::path::{Path, PathBuf};
 use swarm_sim::RunStats;
 use swarm_types::{CanonKey, FastHashMap};
 
+use crate::exec::PointOutcome;
 use crate::json;
 use crate::proto::{stats_from_json, stats_to_json, CacheSource};
 
@@ -37,16 +39,17 @@ pub struct CacheCounters {
     pub disk_hits: u64,
     /// Memory entries evicted to stay under capacity.
     pub evictions: u64,
-    /// Results inserted.
+    /// Outcomes (results and failures) inserted.
     pub inserts: u64,
 }
 
 struct Entry {
-    stats: RunStats,
+    outcome: PointOutcome,
     stamp: u64,
 }
 
-/// A bounded in-memory result store with an optional on-disk second tier.
+/// A bounded in-memory outcome store with an optional on-disk second tier
+/// for successful results.
 pub struct ResultCache {
     capacity: usize,
     dir: Option<PathBuf>,
@@ -81,48 +84,42 @@ impl ResultCache {
         self.stamp
     }
 
-    /// Look up a result, counting the outcome. A memory hit refreshes the
-    /// entry's recency; a disk hit promotes the entry into memory.
-    pub fn lookup(&mut self, key: CanonKey) -> Option<(RunStats, CacheSource)> {
+    /// Look up an outcome, counting the lookup. A memory hit refreshes
+    /// the entry's recency; a disk hit promotes the entry into memory.
+    pub fn lookup(&mut self, key: CanonKey) -> Option<(PointOutcome, CacheSource)> {
         let stamp = self.bump();
         if let Some(entry) = self.map.get_mut(&key) {
             entry.stamp = stamp;
             self.counters.hits += 1;
-            return Some((entry.stats.clone(), CacheSource::Memory));
+            return Some((entry.outcome.clone(), CacheSource::Memory));
         }
         if let Some(stats) = self.load_from_disk(key) {
             self.counters.hits += 1;
             self.counters.disk_hits += 1;
-            self.put_in_memory(key, stats.clone());
-            return Some((stats, CacheSource::Disk));
+            self.put_in_memory(key, Ok(stats.clone()));
+            return Some((Ok(stats), CacheSource::Disk));
         }
         self.counters.misses += 1;
         None
     }
 
-    /// Memory-only lookup with no counter or recency side effects. Used
-    /// when a waiter re-checks a key another client was simulating — the
-    /// hit was already tallied when the waiter first resolved the point.
-    pub fn peek(&self, key: CanonKey) -> Option<RunStats> {
-        self.map.get(&key).map(|e| e.stats.clone())
-    }
-
-    /// Insert a completed result, writing through to disk when configured
-    /// and evicting the least-recently-used memory entry if over capacity.
-    pub fn insert(&mut self, key: CanonKey, stats: RunStats) {
+    /// Insert a completed outcome, evicting the least-recently-used memory
+    /// entry if over capacity. A successful result is also written through
+    /// to disk when configured; a failure stays in memory only.
+    pub fn insert(&mut self, key: CanonKey, outcome: PointOutcome) {
         self.counters.inserts += 1;
-        if let Some(dir) = self.dir.clone() {
+        if let (Some(dir), Ok(stats)) = (&self.dir, &outcome) {
             // Disk write errors are deliberately non-fatal: the cache is an
             // accelerator, and a full disk must not fail the simulation
             // whose result we are storing.
-            let _ = write_entry(&dir, key, &stats);
+            let _ = write_entry(dir, key, stats);
         }
-        self.put_in_memory(key, stats);
+        self.put_in_memory(key, outcome);
     }
 
-    fn put_in_memory(&mut self, key: CanonKey, stats: RunStats) {
+    fn put_in_memory(&mut self, key: CanonKey, outcome: PointOutcome) {
         let stamp = self.bump();
-        self.map.insert(key, Entry { stats, stamp });
+        self.map.insert(key, Entry { outcome, stamp });
         while self.map.len() > self.capacity {
             let oldest = self
                 .map
@@ -178,6 +175,7 @@ fn write_entry(dir: &Path, key: CanonKey, stats: &RunStats) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{FailureKind, PointFailure};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -198,9 +196,9 @@ mod tests {
     fn memory_hit_and_miss_counting() {
         let mut cache = ResultCache::new(8, None).unwrap();
         assert!(cache.lookup(key(1)).is_none());
-        cache.insert(key(1), stats("a"));
+        cache.insert(key(1), Ok(stats("a")));
         let (got, source) = cache.lookup(key(1)).unwrap();
-        assert_eq!(got, stats("a"));
+        assert_eq!(got, Ok(stats("a")));
         assert_eq!(source, CacheSource::Memory);
         let c = cache.counters();
         assert_eq!((c.hits, c.misses, c.disk_hits, c.inserts), (1, 1, 0, 1));
@@ -209,26 +207,35 @@ mod tests {
     #[test]
     fn eviction_is_least_recently_used() {
         let mut cache = ResultCache::new(2, None).unwrap();
-        cache.insert(key(1), stats("one"));
-        cache.insert(key(2), stats("two"));
+        cache.insert(key(1), Ok(stats("one")));
+        cache.insert(key(2), Ok(stats("two")));
         // Touch key 1 so key 2 becomes the oldest.
         assert!(cache.lookup(key(1)).is_some());
-        cache.insert(key(3), stats("three"));
+        cache.insert(key(3), Ok(stats("three")));
         assert_eq!(cache.len(), 2);
-        assert!(cache.peek(key(2)).is_none(), "LRU entry should be evicted");
-        assert!(cache.peek(key(1)).is_some());
-        assert!(cache.peek(key(3)).is_some());
         assert_eq!(cache.counters().evictions, 1);
+        // A memory hit never evicts, so the order of these probes is free.
+        assert!(cache.lookup(key(3)).is_some());
+        assert!(cache.lookup(key(1)).is_some());
+        assert!(cache.lookup(key(2)).is_none(), "LRU entry should be evicted");
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses, c.evictions), (3, 1, 1));
     }
 
     #[test]
-    fn peek_has_no_side_effects() {
-        let mut cache = ResultCache::new(8, None).unwrap();
-        cache.insert(key(1), stats("a"));
-        let before = cache.counters();
-        assert!(cache.peek(key(1)).is_some());
-        assert!(cache.peek(key(2)).is_none());
-        assert_eq!(cache.counters(), before);
+    fn failures_are_memoized_in_memory_but_never_written_to_disk() {
+        let dir = temp_dir("failure");
+        let failure = PointFailure { kind: FailureKind::Sim, message: "deadlock".into() };
+        let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap();
+        cache.insert(key(5), Err(failure.clone()));
+        let (got, source) = cache.lookup(key(5)).unwrap();
+        assert_eq!((got, source), (Err(failure), CacheSource::Memory));
+        assert_eq!(cache.len(), 1, "a failure occupies a bounded memory entry");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "no failure reaches disk");
+        // A restarted cache over the same directory has nothing to serve.
+        let mut restarted = ResultCache::new(8, Some(dir.clone())).unwrap();
+        assert!(restarted.lookup(key(5)).is_none());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -236,12 +243,12 @@ mod tests {
         let dir = temp_dir("round_trip");
         {
             let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap();
-            cache.insert(key(7), stats("persisted"));
+            cache.insert(key(7), Ok(stats("persisted")));
         }
         // A fresh cache instance (empty memory) finds the entry on disk.
         let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap();
         let (got, source) = cache.lookup(key(7)).unwrap();
-        assert_eq!(got, stats("persisted"));
+        assert_eq!(got, Ok(stats("persisted")));
         assert_eq!(source, CacheSource::Disk);
         assert_eq!(cache.counters().disk_hits, 1);
         // Promoted: the second lookup is a memory hit.

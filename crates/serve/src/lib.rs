@@ -11,10 +11,10 @@
 //!   hand-rolled: the offline build has no serde_json) with typed request,
 //!   event, and error messages;
 //! * [`cache`] — a content-addressed [`ResultCache`]: the canonical key of
-//!   a run point ([`swarm_types::canon`]) addresses completed
-//!   [`RunStats`](swarm_sim::RunStats) in memory and, with `--cache-dir`,
-//!   on disk, so repeated and overlapping requests are served without
-//!   re-simulation;
+//!   a run point ([`swarm_types::canon`]) addresses completed outcomes —
+//!   [`RunStats`](swarm_sim::RunStats) or a typed failure — in a bounded
+//!   memory tier and, for results, with `--cache-dir`, on disk, so
+//!   repeated and overlapping requests are served without re-simulation;
 //! * [`queue`] — a fairness-aware multi-tenant [`FairQueue`]: per-client
 //!   round-robin with bounded in-flight points, so one large matrix cannot
 //!   starve small interactive requests;
@@ -24,7 +24,8 @@
 //!   can host the `serve` subcommand);
 //! * [`server`] — the [`Server`] itself: a stdin/stdout pipe mode and a
 //!   `std::net` TCP listener mode, both speaking the same protocol, with
-//!   cross-client deduplication of in-flight points.
+//!   cross-client deduplication of in-flight points and one dispatcher
+//!   thread that runs every simulation.
 //!
 //! The `swarm serve` subcommand lives in `swarm_bench::figures`.
 

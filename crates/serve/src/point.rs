@@ -105,9 +105,9 @@ impl RunPoint {
             ("app".to_string(), Value::str(self.spec.name())),
             ("scheduler".to_string(), Value::str(self.scheduler.name().to_ascii_lowercase())),
             ("cores".to_string(), Value::UInt(self.cores as u64)),
-            ("scale".to_string(), Value::str(scale_name(self.scale))),
+            ("scale".to_string(), Value::str(self.scale.name())),
             ("seed".to_string(), Value::UInt(self.seed)),
-            ("noc".to_string(), Value::str(noc_name(self.noc))),
+            ("noc".to_string(), Value::str(self.noc.name())),
         ];
         if let Some(fault) = &self.fault {
             fields.push(("fault".to_string(), Value::str(fault.to_string())));
@@ -155,16 +155,24 @@ impl RunPoint {
             .filter(|c| (1..=4096).contains(c))
             .ok_or_else(|| ProtoError::bad_point("cores must be an integer in 1..=4096"))?
             as u32;
-        let scale = parse_scale(point_str(v, "scale")?)?;
+        let scale = point_str(v, "scale")?.parse().map_err(|e| {
+            let expected = InputScale::ALL.map(InputScale::name).join(", ");
+            ProtoError::bad_point(format!("{e} (expected {expected})"))
+        })?;
         let seed = match v.get("seed") {
             None => DEFAULT_SEED,
             Some(s) => s.as_u64().ok_or_else(|| ProtoError::bad_point("seed must be a u64"))?,
         };
         let noc = match v.get("noc") {
             None => NocModel::Analytic,
-            Some(n) => {
-                parse_noc(n.as_str().ok_or_else(|| ProtoError::bad_point("noc must be a string"))?)?
-            }
+            Some(n) => n
+                .as_str()
+                .ok_or_else(|| ProtoError::bad_point("noc must be a string"))?
+                .parse()
+                .map_err(|e| {
+                    let expected = NocModel::ALL.map(NocModel::name).join(", ");
+                    ProtoError::bad_point(format!("{e} (expected {expected})"))
+                })?,
         };
         let fault = match v.get("fault") {
             None | Some(Value::Null) => None,
@@ -188,49 +196,6 @@ fn point_str<'a>(v: &'a Value, field: &str) -> Result<&'a str, ProtoError> {
         .ok_or_else(|| ProtoError::bad_point(format!("{field} must be a string")))
 }
 
-/// Lowercase name of an input scale (the protocol and CLI spelling).
-pub fn scale_name(scale: InputScale) -> &'static str {
-    match scale {
-        InputScale::Tiny => "tiny",
-        InputScale::Small => "small",
-        InputScale::Medium => "medium",
-    }
-}
-
-/// Parse an input scale name.
-///
-/// # Errors
-///
-/// Returns a typed [`ProtoError`] for anything but `tiny|small|medium`.
-pub fn parse_scale(s: &str) -> Result<InputScale, ProtoError> {
-    match s {
-        "tiny" => Ok(InputScale::Tiny),
-        "small" => Ok(InputScale::Small),
-        "medium" => Ok(InputScale::Medium),
-        other => Err(ProtoError::bad_point(format!(
-            "unknown scale '{other}' (expected tiny, small, medium)"
-        ))),
-    }
-}
-
-/// Lowercase name of a NoC model.
-pub fn noc_name(noc: NocModel) -> &'static str {
-    match noc {
-        NocModel::Analytic => "analytic",
-        NocModel::Contention => "contention",
-    }
-}
-
-fn parse_noc(s: &str) -> Result<NocModel, ProtoError> {
-    match s {
-        "analytic" => Ok(NocModel::Analytic),
-        "contention" => Ok(NocModel::Contention),
-        other => Err(ProtoError::bad_point(format!(
-            "unknown noc model '{other}' (expected analytic, contention)"
-        ))),
-    }
-}
-
 /// The canonical form covers every simulation input: the app identity and
 /// granularity, scheduler, core count, scale, seed, NoC model, the fault
 /// plan (via its stable `Display`/`FromStr` text form), and the full
@@ -241,7 +206,7 @@ impl Canonical for RunPoint {
         buf.put_bool(self.spec.fine_grain);
         buf.put_str(self.scheduler.name());
         buf.put_u32(self.cores);
-        buf.put_str(scale_name(self.scale));
+        buf.put_str(self.scale.name());
         buf.put_u64(self.seed);
         self.fault.map(|f| f.to_string()).canonicalize(buf);
         self.system_config().canonicalize(buf);

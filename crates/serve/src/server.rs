@@ -3,31 +3,41 @@
 //! One [`Server`] owns the [`ResultCache`], the [`FairQueue`], and the
 //! in-flight bookkeeping; any number of client handlers (one per pipe or
 //! TCP connection) submit work to it. A dedicated dispatcher thread pulls
-//! fair batches off the queue and runs them through the [`PointRunner`];
-//! handlers block on a condvar until their points complete.
+//! fair batches off the queue and is the only caller of the
+//! [`PointRunner`]: plain points run through
+//! [`run_batch`](PointRunner::run_batch), then each `"progress":true`
+//! point through [`run_observed`](PointRunner::run_observed). Handlers
+//! block on a condvar until their points complete.
 //!
-//! Cross-client deduplication: when a point is already running for one
-//! client, a second client submitting the same point *waits* for the
-//! first run instead of re-simulating — the cache-correctness tests
-//! assert every distinct point is simulated at most once even under
-//! concurrent overlapping matrices.
+//! Every queued point has one completion slot, shared by the request that
+//! queued it and every request waiting on the same point. The dispatcher
+//! fills the slot when the run ends, so a reader never depends on the
+//! cache still holding the outcome when it wakes.
+//!
+//! Cross-client deduplication: when a point is already in flight for one
+//! client, a second client submitting the same point *waits* on its slot
+//! instead of re-simulating — the cache-correctness tests assert every
+//! distinct point is simulated at most once even under concurrent
+//! overlapping matrices.
+//!
+//! Results and failures share one memo, the cache's LRU-bounded memory
+//! tier: runs are deterministic, so a resubmitted failure is a hit, and
+//! `--mem-entries` bounds both.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use swarm_sim::RunStats;
-use swarm_types::{CanonKey, Canonical, FastHashMap, FastHashSet};
+use swarm_types::{CanonKey, Canonical, FastHashMap};
 
 use crate::cache::ResultCache;
-use crate::exec::PointRunner;
+use crate::exec::{PointOutcome, PointRunner};
 use crate::point::RunPoint;
 use crate::proto::{
-    parse_request, render_event, CacheReport, CacheSource, ErrorCode, Event, PointFailure,
-    ProtoError, Request,
+    parse_request, render_event, CacheReport, CacheSource, ErrorCode, Event, ProtoError, Request,
 };
 use crate::queue::FairQueue;
 
@@ -54,20 +64,22 @@ impl Default for ServeOptions {
     }
 }
 
+/// Where the dispatcher publishes one in-flight point's outcome, with the
+/// throttled GVT watermarks of a progress run (empty otherwise).
+type Slot = OnceLock<(PointOutcome, Vec<u64>)>;
+
 struct Job {
     point: RunPoint,
     key: CanonKey,
+    /// Run observed, keeping every [`PROGRESS_EVERY`]th GVT update.
+    progress: bool,
+    slot: Arc<Slot>,
 }
 
 struct State {
     cache: ResultCache,
-    /// Keys currently being simulated (by the dispatcher or inline by a
-    /// progress-mode handler).
-    running: FastHashSet<CanonKey>,
-    /// Failures are memoized for the server's lifetime: runs are
-    /// deterministic, so resubmitting a failing point would fail
-    /// identically.
-    failed: FastHashMap<CanonKey, PointFailure>,
+    /// The completion slot of every queued or running point.
+    in_flight: FastHashMap<CanonKey, Arc<Slot>>,
     queue: FairQueue<Job>,
     clients: u64,
     next_client: u64,
@@ -82,21 +94,29 @@ struct Shared {
     done_cv: Condvar,
 }
 
+impl Shared {
+    /// Memoize `job`'s outcome, fill its slot and wake the waiters.
+    fn complete(&self, job: Job, outcome: PointOutcome, gvts: Vec<u64>) {
+        let mut state = self.state.lock().unwrap();
+        state.in_flight.remove(&job.key);
+        state.cache.insert(job.key, outcome.clone());
+        let _ = job.slot.set((outcome, gvts));
+        drop(state);
+        self.done_cv.notify_all();
+    }
+}
+
 /// How a submitted point will be satisfied for this request.
 ///
-/// `Ready` holds the full [`RunStats`] inline; one resolution exists per
-/// point per submission, so the variant size skew doesn't justify a box.
+/// `Ready` holds the full outcome inline; one resolution exists per point
+/// per submission, so the variant size skew doesn't justify a box.
 #[allow(clippy::large_enum_variant)]
 enum Resolution {
-    /// Already cached (or already failed): served immediately.
-    Ready(RunStats, CacheSource),
-    /// Failed earlier this session; the memoized failure is served.
-    Failed(PointFailure),
-    /// This request owns the simulation (it was queued, or will run
-    /// inline in progress mode).
-    Owned,
-    /// Another in-flight request owns the same point; wait for it.
-    Waiting,
+    /// Memoized (a result or a failure): served immediately.
+    Ready(PointOutcome, CacheSource),
+    /// In flight: wait for the slot. `owned` when this request queued the
+    /// simulation.
+    Pending { slot: Arc<Slot>, owned: bool },
 }
 
 /// The scheduling core shared by all transports.
@@ -129,8 +149,7 @@ impl<R: PointRunner + 'static> Server<R> {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
                     cache,
-                    running: FastHashSet::default(),
-                    failed: FastHashMap::default(),
+                    in_flight: FastHashMap::default(),
                     queue: FairQueue::new(),
                     clients: 0,
                     next_client: 0,
@@ -159,14 +178,24 @@ impl<R: PointRunner + 'static> Server<R> {
                     state = shared.work_cv.wait(state).unwrap();
                 }
             };
-            let points: Vec<RunPoint> = batch.iter().map(|j| j.point).collect();
-            let outcomes = runner.run_batch(&points);
-            let mut state = shared.state.lock().unwrap();
-            for (job, outcome) in batch.iter().zip(outcomes) {
-                complete(&mut state, job.key, outcome);
+            let (observed, plain): (Vec<Job>, Vec<Job>) =
+                batch.into_iter().partition(|job| job.progress);
+            if !plain.is_empty() {
+                let points: Vec<RunPoint> = plain.iter().map(|job| job.point).collect();
+                for (job, outcome) in plain.into_iter().zip(runner.run_batch(&points)) {
+                    shared.complete(job, outcome, Vec::new());
+                }
             }
-            drop(state);
-            shared.done_cv.notify_all();
+            for job in observed {
+                let (mut updates, mut gvts) = (0u64, Vec::new());
+                let outcome = runner.run_observed(&job.point, &mut |gvt| {
+                    updates += 1;
+                    if updates.is_multiple_of(PROGRESS_EVERY) {
+                        gvts.push(gvt);
+                    }
+                });
+                shared.complete(job, outcome, gvts);
+            }
         })
     }
 
@@ -275,39 +304,33 @@ impl<R: PointRunner + 'static> Server<R> {
 
         let keys: Vec<CanonKey> = submit.points.iter().map(Canonical::canon_key).collect();
         let mut report = CacheReport::default();
-        let resolutions = {
+        let resolutions: Vec<Resolution> = {
             let mut state = self.shared.state.lock().unwrap();
             let mut jobs = Vec::new();
-            let mut owned_this_submit: FastHashSet<CanonKey> = FastHashSet::default();
-            let resolutions: Vec<Resolution> = submit
+            let resolutions = submit
                 .points
                 .iter()
-                .zip(&keys)
-                .map(|(&point, &key)| {
-                    if let Some(failure) = state.failed.get(&key) {
-                        report.hits += 1;
-                        return Resolution::Failed(failure.clone());
-                    }
-                    if let Some((stats, source)) = state.cache.lookup(key) {
+                .zip(keys)
+                .map(|(&point, key)| {
+                    if let Some((outcome, source)) = state.cache.lookup(key) {
                         report.hits += 1;
                         if source == CacheSource::Disk {
                             report.disk_hits += 1;
                         }
-                        return Resolution::Ready(stats, source);
+                        return Resolution::Ready(outcome, source);
                     }
-                    if state.running.contains(&key) || owned_this_submit.contains(&key) {
+                    if let Some(slot) = state.in_flight.get(&key) {
                         // Someone (possibly an earlier index of this very
                         // matrix) is already simulating this point.
                         report.hits += 1;
-                        return Resolution::Waiting;
+                        return Resolution::Pending { slot: Arc::clone(slot), owned: false };
                     }
-                    state.running.insert(key);
-                    owned_this_submit.insert(key);
+                    let slot = Arc::new(Slot::new());
+                    state.in_flight.insert(key, Arc::clone(&slot));
                     report.misses += 1;
-                    if !submit.progress {
-                        jobs.push(Job { point, key });
-                    }
-                    Resolution::Owned
+                    let progress = submit.progress;
+                    jobs.push(Job { point, key, progress, slot: Arc::clone(&slot) });
+                    Resolution::Pending { slot, owned: true }
                 })
                 .collect();
             state.queue.push(client, jobs);
@@ -317,22 +340,27 @@ impl<R: PointRunner + 'static> Server<R> {
 
         let mut ok = 0u64;
         let mut failed = 0u64;
-        for (index, ((point, key), resolution)) in
-            submit.points.iter().zip(&keys).zip(resolutions).enumerate()
-        {
+        for (index, resolution) in resolutions.into_iter().enumerate() {
             let index = index as u64;
             emit(writer, &Event::PointStarted { id: id.clone(), index })?;
-            let outcome: Result<(RunStats, CacheSource), PointFailure> = match resolution {
-                Resolution::Ready(stats, source) => Ok((stats, source)),
-                Resolution::Failed(failure) => Err(failure),
-                Resolution::Owned if submit.progress => {
-                    self.run_inline_with_progress(point, *key, id, index, writer)?
+            let (outcome, source) = match resolution {
+                Resolution::Ready(outcome, source) => (outcome, source),
+                Resolution::Pending { slot, owned: false } => {
+                    (self.wait_for(&slot).0.clone(), CacheSource::Memory)
                 }
-                Resolution::Owned => self.wait_for(point, *key, true),
-                Resolution::Waiting => self.wait_for(point, *key, false),
+                Resolution::Pending { slot, owned: true } => {
+                    let (outcome, gvts) = self.wait_for(&slot);
+                    // Progress was buffered until the run ended; it still
+                    // precedes the point-finished event. Only the owner
+                    // streams it.
+                    for &gvt in gvts {
+                        emit(writer, &Event::Progress { id: id.clone(), index, gvt })?;
+                    }
+                    (outcome.clone(), CacheSource::Fresh)
+                }
             };
             match outcome {
-                Ok((stats, source)) => {
+                Ok(stats) => {
                     ok += 1;
                     emit(writer, &Event::PointFinished { id: id.clone(), index, source, stats })?;
                 }
@@ -356,88 +384,11 @@ impl<R: PointRunner + 'static> Server<R> {
         emit(writer, &Event::RunDone { id: id.clone(), ok, failed, cache: report })
     }
 
-    /// Run an owned point on the handler thread, streaming throttled
-    /// `progress` events, then publish the result.
-    fn run_inline_with_progress(
-        &self,
-        point: &RunPoint,
-        key: CanonKey,
-        id: &str,
-        index: u64,
-        writer: &mut impl Write,
-    ) -> io::Result<Result<(RunStats, CacheSource), PointFailure>> {
-        let mut gvt_updates = 0u64;
-        let mut pending: Vec<u64> = Vec::new();
-        let outcome = self.runner.run_observed(point, &mut |gvt| {
-            gvt_updates += 1;
-            if gvt_updates.is_multiple_of(PROGRESS_EVERY) {
-                pending.push(gvt);
-            }
-        });
-        // The observer callback cannot write to the session (the engine
-        // may run on another thread); progress events are flushed here,
-        // still ahead of the point-finished event.
-        for gvt in pending {
-            emit(writer, &Event::Progress { id: id.to_string(), index, gvt })?;
-        }
-        let mut state = self.shared.state.lock().unwrap();
-        complete(&mut state, key, outcome.clone());
-        drop(state);
-        self.shared.done_cv.notify_all();
-        Ok(outcome.map(|stats| (stats, CacheSource::Fresh)))
-    }
-
-    /// Block until `key` completes (in either direction). The request that
-    /// *owned* the simulation reports `Fresh`; dedup waiters report
-    /// `Memory`.
-    fn wait_for(
-        &self,
-        point: &RunPoint,
-        key: CanonKey,
-        owned: bool,
-    ) -> Result<(RunStats, CacheSource), PointFailure> {
-        let mut state = self.shared.state.lock().unwrap();
-        loop {
-            if let Some(failure) = state.failed.get(&key) {
-                return Err(failure.clone());
-            }
-            if let Some(stats) = state.cache.peek(key) {
-                let source = if owned { CacheSource::Fresh } else { CacheSource::Memory };
-                return Ok((stats, source));
-            }
-            if !state.running.contains(&key) {
-                // The run completed but was evicted from memory before this
-                // waiter observed it (tiny cache under heavy churn). A full
-                // lookup can still hit disk; failing that, re-own the point
-                // and simulate it on this thread.
-                if let Some((stats, source)) = state.cache.lookup(key) {
-                    return Ok((stats, source));
-                }
-                state.running.insert(key);
-                drop(state);
-                let outcome = self
-                    .runner
-                    .run_batch(std::slice::from_ref(point))
-                    .pop()
-                    .expect("run_batch returns one outcome per point");
-                let mut state = self.shared.state.lock().unwrap();
-                complete(&mut state, key, outcome.clone());
-                drop(state);
-                self.shared.done_cv.notify_all();
-                return outcome.map(|stats| (stats, CacheSource::Fresh));
-            }
-            state = self.shared.done_cv.wait(state).unwrap();
-        }
-    }
-}
-
-fn complete(state: &mut State, key: CanonKey, outcome: Result<RunStats, PointFailure>) {
-    state.running.remove(&key);
-    match outcome {
-        Ok(stats) => state.cache.insert(key, stats),
-        Err(failure) => {
-            state.failed.insert(key, failure);
-        }
+    /// Block until the dispatcher fills `slot`.
+    fn wait_for<'s>(&self, slot: &'s Slot) -> &'s (PointOutcome, Vec<u64>) {
+        let state = self.shared.state.lock().unwrap();
+        let _state = self.shared.done_cv.wait_while(state, |_| slot.get().is_none()).unwrap();
+        slot.get().expect("the dispatcher fills every slot it was queued with")
     }
 }
 

@@ -57,6 +57,31 @@ pub enum NocModel {
     Contention,
 }
 
+impl NocModel {
+    /// Every model, the default first.
+    pub const ALL: [NocModel; 2] = [NocModel::Analytic, NocModel::Contention];
+
+    /// Lowercase name: the CLI and protocol spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            NocModel::Analytic => "analytic",
+            NocModel::Contention => "contention",
+        }
+    }
+}
+
+impl std::str::FromStr for NocModel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let lower = s.to_ascii_lowercase();
+        NocModel::ALL
+            .into_iter()
+            .find(|model| model.name() == lower)
+            .ok_or_else(|| format!("unknown noc model '{lower}'"))
+    }
+}
+
 /// On-chip network parameters (16x16 mesh of 128-bit links in the paper).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NocConfig {
@@ -464,6 +489,15 @@ mod tests {
         cfg.max_cycles = 1_000;
         cfg.max_wall_ms = 50;
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn noc_model_names_round_trip_case_insensitively() {
+        for model in NocModel::ALL {
+            assert_eq!(model.name().parse::<NocModel>(), Ok(model));
+            assert_eq!(model.name().to_ascii_uppercase().parse::<NocModel>(), Ok(model));
+        }
+        assert_eq!("Magic".parse::<NocModel>(), Err("unknown noc model 'magic'".to_string()));
     }
 
     #[test]

@@ -52,6 +52,8 @@ fn malformed_invocations_exit_2_with_a_diagnostic() {
         // The fair-queue and progress settings are constants, not flags.
         (&["serve", "--batch", "8"], "unknown flag '--batch'"),
         (&["serve", "--progress-every", "8"], "unknown flag '--progress-every'"),
+        // `sysconfig` prints a fixed table and takes no flags at all.
+        (&["sysconfig", "--cores", "4"], "unexpected argument '--cores'"),
         // The old measurement commands are gone: perfbench measures.
         (&["bench"], "unknown command"),
         (&["bench-serve"], "unknown command"),
@@ -134,6 +136,20 @@ fn failed_points_degrade_to_na_instead_of_panicking() {
         assert!(stderr.contains(cause), "swarm {args:?} must name the cause, got:\n{stderr}");
         assert!(!stderr.contains("panicked"), "swarm {args:?} panicked:\n{stderr}");
     }
+}
+
+#[test]
+fn chaos_runs_its_battery_under_the_selected_noc() {
+    let base =
+        ["chaos", "--scale", "tiny", "--apps", "bfs", "--cores", "4", "--schedulers", "hints"];
+    let (code, stdout, stderr) = swarm(&[&base[..], &["--noc", "contention"]].concat());
+    assert_eq!(code, 0, "stderr:\n{stderr}");
+    let header = stdout.lines().next().expect("a header line");
+    assert!(header.contains("cores [4] under the contention NoC (scale Tiny)"), "{header}");
+    // The default analytic battery keeps its header unchanged.
+    let (code, stdout, stderr) = swarm(&base);
+    assert_eq!(code, 0, "stderr:\n{stderr}");
+    assert!(!stdout.contains("NoC"), "{stdout}");
 }
 
 #[test]

@@ -13,6 +13,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::ThreadId;
 
 use proptest::prelude::*;
 use spatial_hints::Scheduler;
@@ -308,6 +309,105 @@ fn progress_mode_streams_gvt_without_perturbing_the_result() {
     let gvt_updates = finished[0].2.gvt_updates;
     assert!(gvt_updates >= 64, "too few GVT updates to stream progress: {gvt_updates}");
     assert_eq!(gvts.len() as u64, gvt_updates / 64, "one progress event per 64 GVT updates");
+}
+
+#[test]
+fn progress_runs_never_simulate_on_the_session_thread() {
+    /// Wraps [`DirectRunner`] and records the thread of every call.
+    struct ThreadRecorder(std::sync::Arc<Mutex<Vec<(&'static str, ThreadId)>>>);
+    impl PointRunner for ThreadRecorder {
+        fn run_batch(&self, points: &[RunPoint]) -> Vec<PointOutcome> {
+            self.0.lock().unwrap().push(("run_batch", std::thread::current().id()));
+            DirectRunner.run_batch(points)
+        }
+        fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
+            self.0.lock().unwrap().push(("run_observed", std::thread::current().id()));
+            DirectRunner.run_observed(point, on_gvt)
+        }
+    }
+
+    let calls = std::sync::Arc::new(Mutex::new(Vec::new()));
+    let server = Server::new(ThreadRecorder(calls.clone()), ServeOptions::default()).unwrap();
+    let points = [
+        point(BenchmarkId::Des, Scheduler::Hints, 2),
+        point(BenchmarkId::Sssp, Scheduler::Hints, 2),
+    ];
+    let (summary, events) = pipe(&server, submit_line("prog", &points, true));
+    assert_eq!(summary, PipeSummary::default());
+    assert_eq!(finished_stats(&events).len(), 2);
+
+    let session = std::thread::current().id();
+    let calls = calls.lock().unwrap();
+    assert_eq!(calls.len(), 2, "one observed run per point: {calls:?}");
+    for (method, thread) in calls.iter() {
+        assert_eq!(*method, "run_observed");
+        assert_ne!(*thread, session, "the session thread must not simulate");
+    }
+}
+
+#[test]
+fn a_one_entry_memo_still_simulates_each_point_of_a_matrix_once() {
+    // Every result but the last is evicted before its handler wakes; the
+    // handler must read the completed run, not simulate it again.
+    let points = [
+        point(BenchmarkId::Sssp, Scheduler::Hints, 2),
+        point(BenchmarkId::Bfs, Scheduler::Hints, 2),
+        point(BenchmarkId::Des, Scheduler::Hints, 2),
+        point(BenchmarkId::Sssp, Scheduler::Random, 2),
+    ];
+    let runner = CountingRunner::new();
+    let counts = runner.counts.clone();
+    let server = Server::new(runner, ServeOptions { mem_entries: 1, cache_dir: None }).unwrap();
+    let (_, events) = pipe(&server, submit_line("tight", &points, false));
+
+    let finished = finished_stats(&events);
+    assert_eq!(finished.len(), points.len());
+    for ((_, source, stats), p) in finished.iter().zip(&points) {
+        assert_eq!(*source, CacheSource::Fresh);
+        assert_eq!(*stats, run_point_result(*p, false).unwrap());
+    }
+    let counts = counts.lock().unwrap();
+    assert_eq!(counts.len(), points.len(), "{counts:?}");
+    assert!(counts.values().all(|&n| n == 1), "a point was simulated twice: {counts:?}");
+}
+
+#[test]
+fn failures_share_the_bounded_memo() {
+    let failing = |seed| {
+        let mut p = point(BenchmarkId::Bfs, Scheduler::Hints, 2).with_seed(seed);
+        p.fault = Some("lost-wake:ts=1@0".parse().unwrap());
+        p
+    };
+    let (a, b) = (failing(1), failing(2));
+    let server =
+        Server::new(DirectRunner, ServeOptions { mem_entries: 1, cache_dir: None }).unwrap();
+    let input = format!(
+        "{}{}{}{{\"type\":\"stats\"}}\n",
+        submit_line("a", &[a], false),
+        submit_line("b", &[b], false),
+        submit_line("again", &[a], false),
+    );
+    let (summary, events) = pipe(&server, input);
+    assert!(summary.saw_run_failure);
+
+    let reports: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::RunDone { id, ok: 0, failed: 1, cache } => Some((id.as_str(), *cache)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reports.len(), 3, "{events:?}");
+    // B's failure evicted A's from the one-entry memo, so A runs again.
+    assert_eq!(reports[2].0, "again");
+    assert_eq!((reports[2].1.hits, reports[2].1.misses), (0, 1));
+    assert_eq!((reports[2].1.evictions, reports[2].1.entries), (2, 1));
+    match events.last().unwrap() {
+        Event::ServerStats { cache, .. } => {
+            assert_eq!((cache.hits, cache.misses, cache.evictions, cache.entries), (0, 3, 2, 1));
+        }
+        other => panic!("expected stats last, got {other:?}"),
+    }
 }
 
 #[test]
