@@ -13,8 +13,9 @@
 //! This is the hottest code in the simulator (every speculative load/store
 //! funnels through [`CacheModel::access`]), so the directory is an
 //! open-addressed table keyed by a single [`swarm_types::fast_mix64`] hash,
-//! sharer masks are walked with `trailing_zeros`, and invalidation lists are
-//! returned inline ([`TileList`]) — a steady-state access performs no heap
+//! sharer masks are walked with `trailing_zeros`, and a write reports its
+//! invalidations as the sharer mask it walked ([`Invalidated`], an iterator
+//! over it) rather than a list — a steady-state access performs no heap
 //! allocation.
 
 use swarm_types::{CacheConfig, CoreId, LineAddr, TileId};
@@ -56,96 +57,48 @@ pub enum HitLevel {
     },
 }
 
-/// Number of invalidated tiles an [`AccessOutcome`] can report without heap
-/// allocation. Writes rarely invalidate more than a couple of sharers; longer
-/// lists (wide read-sharing, or alias groups on >64-tile meshes) spill.
-const INLINE_TILES: usize = 6;
-
-/// A small list of [`TileId`]s stored inline up to `INLINE_TILES` entries.
+/// The tiles a write invalidated, yielded without allocating.
 ///
-/// This exists so [`CacheModel::access`] can report invalidations without
-/// allocating on every write. Dereferences to `[TileId]` for iteration and
-/// comparison.
-#[derive(Debug, Clone)]
-pub struct TileList(TileListRepr);
-
-#[derive(Debug, Clone)]
-enum TileListRepr {
-    Inline { len: u8, tiles: [TileId; INLINE_TILES] },
-    Heap(Vec<TileId>),
+/// This is the sharer mask [`CacheModel::access`] walked, not a copy of its
+/// result: set bits lowest first, each bit's alias group `{b, b + 64, ...}`
+/// (a bit stands for every tile of its group beyond 64 tiles) in ascending
+/// order, the writing tile skipped. A read invalidates nothing and reports
+/// an empty mask.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Invalidated {
+    /// Alias-group bits not walked yet.
+    bits: u64,
+    /// Next tile of the current alias group; `>= num_tiles` when exhausted.
+    next: usize,
+    exclude: usize,
+    num_tiles: usize,
 }
 
-impl TileList {
-    /// Create an empty list (no allocation).
-    pub fn new() -> Self {
-        TileList(TileListRepr::Inline { len: 0, tiles: [TileId(0); INLINE_TILES] })
+impl Invalidated {
+    fn new(mask: u64, exclude: TileId, num_tiles: usize) -> Self {
+        Invalidated { bits: mask, next: num_tiles, exclude: exclude.index(), num_tiles }
     }
+}
 
-    /// Append a tile, spilling to the heap past `INLINE_TILES` entries.
-    pub fn push(&mut self, tile: TileId) {
-        match &mut self.0 {
-            TileListRepr::Inline { len, tiles } => {
-                if (*len as usize) < INLINE_TILES {
-                    tiles[*len as usize] = tile;
-                    *len += 1;
-                } else {
-                    let mut vec = Vec::with_capacity(INLINE_TILES * 2);
-                    vec.extend_from_slice(&tiles[..]);
-                    vec.push(tile);
-                    self.0 = TileListRepr::Heap(vec);
+impl Iterator for Invalidated {
+    type Item = TileId;
+
+    #[inline]
+    fn next(&mut self) -> Option<TileId> {
+        loop {
+            if self.next < self.num_tiles {
+                let t = self.next;
+                self.next += 64;
+                if t != self.exclude {
+                    return Some(TileId(t as u32));
                 }
+            } else if self.bits == 0 {
+                return None;
+            } else {
+                self.next = self.bits.trailing_zeros() as usize;
+                self.bits &= self.bits - 1;
             }
-            TileListRepr::Heap(vec) => vec.push(tile),
         }
-    }
-
-    /// The tiles as a slice.
-    pub fn as_slice(&self) -> &[TileId] {
-        match &self.0 {
-            TileListRepr::Inline { len, tiles } => &tiles[..*len as usize],
-            TileListRepr::Heap(vec) => vec,
-        }
-    }
-}
-
-impl Default for TileList {
-    fn default() -> Self {
-        TileList::new()
-    }
-}
-
-impl std::ops::Deref for TileList {
-    type Target = [TileId];
-
-    fn deref(&self) -> &[TileId] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for TileList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for TileList {}
-
-impl<'a> IntoIterator for &'a TileList {
-    type Item = &'a TileId;
-    type IntoIter = std::slice::Iter<'a, TileId>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl FromIterator<TileId> for TileList {
-    fn from_iter<I: IntoIterator<Item = TileId>>(iter: I) -> Self {
-        let mut list = TileList::new();
-        for tile in iter {
-            list.push(tile);
-        }
-        list
     }
 }
 
@@ -157,7 +110,7 @@ pub struct AccessOutcome {
     /// Cache-array latency in cycles (network latency not included).
     pub base_latency: u64,
     /// Tiles whose copies had to be invalidated (writes only).
-    pub invalidated: TileList,
+    pub invalidated: Invalidated,
     /// Whether the access left the requesting tile (used for traffic).
     pub remote: bool,
 }
@@ -318,25 +271,6 @@ impl CacheModel {
         1u64 << (tile.index() as u64 % 64)
     }
 
-    /// First tile other than `exclude` with its alias-group bit set in
-    /// `mask`, walking set bits with `trailing_zeros` (lowest tile first; on
-    /// <= 64-tile meshes alias groups are singletons, so this is exact).
-    fn dir_first_other_sharer(&self, mask: u64, exclude: TileId) -> Option<TileId> {
-        let mut bits = mask;
-        while bits != 0 {
-            let bit = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let mut t = bit;
-            while t < self.num_tiles {
-                if t != exclude.index() {
-                    return Some(TileId(t as u32));
-                }
-                t += 64;
-            }
-        }
-        None
-    }
-
     /// Perform one access from `core` to `line` and report where it was
     /// served from and which tiles were invalidated.
     pub fn access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) -> AccessOutcome {
@@ -372,10 +306,12 @@ impl CacheModel {
             (HitLevel::L2, self.cfg.l1_latency + self.cfg.l2_latency, false)
         } else {
             // Miss in the local tile: consult the (home) directory.
+            // Without an owner, the lowest-indexed other sharer forwards (on
+            // <= 64-tile meshes alias groups are singletons, so this is exact).
             let remote_holder = dir_snapshot
                 .owner
                 .filter(|o| *o != tile)
-                .or_else(|| self.dir_first_other_sharer(dir_snapshot.sharers, tile));
+                .or_else(|| Invalidated::new(dir_snapshot.sharers, tile, self.num_tiles).next());
             if let Some(owner) = remote_holder {
                 self.remote_l2_hits += 1;
                 (
@@ -403,28 +339,19 @@ impl CacheModel {
             }
         };
 
-        // Writes invalidate every other tile's copy. Walk the set bits of the
-        // sharer mask directly; each bit covers its whole alias group (see
-        // [`LineDir`]), so tiles >= 64 are invalidated too.
-        let mut invalidated = TileList::new();
-        if kind == AccessKind::Write {
-            let cores_per_tile = self.cores_per_tile as usize;
-            let mut bits = dir_snapshot.sharers;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let mut t = bit;
-                while t < self.num_tiles {
-                    if t != tile.index() {
-                        self.l2[t].remove(key);
-                        let first_core = t * cores_per_tile;
-                        for c in first_core..first_core + cores_per_tile {
-                            self.l1[c].remove(key);
-                        }
-                        invalidated.push(TileId(t as u32));
-                    }
-                    t += 64;
-                }
+        // Writes invalidate every other tile's copy. Each sharer-mask bit
+        // covers its whole alias group (see [`LineDir`]), so tiles >= 64 are
+        // invalidated too.
+        let invalidated = match kind {
+            AccessKind::Read => Invalidated::new(0, tile, self.num_tiles),
+            AccessKind::Write => Invalidated::new(dir_snapshot.sharers, tile, self.num_tiles),
+        };
+        let cores_per_tile = self.cores_per_tile as usize;
+        for t in invalidated.clone() {
+            self.l2[t.index()].remove(key);
+            let first_core = t.index() * cores_per_tile;
+            for c in first_core..first_core + cores_per_tile {
+                self.l1[c].remove(key);
             }
         }
 
@@ -531,9 +458,7 @@ mod tests {
         m.access(CoreId(0), line, AccessKind::Read); // tile 0 shares
         m.access(CoreId(4), line, AccessKind::Read); // tile 1 shares
         let w = m.access(CoreId(8), line, AccessKind::Write); // tile 2 writes
-        let mut inv = w.invalidated.to_vec();
-        inv.sort();
-        assert_eq!(inv, vec![TileId(0), TileId(1)]);
+        assert_eq!(w.invalidated.collect::<Vec<_>>(), vec![TileId(0), TileId(1)]);
         // After the invalidation, tile 0 re-reads remotely from tile 2.
         let r = m.access(CoreId(0), line, AccessKind::Read);
         assert_eq!(r.level, HitLevel::RemoteL2 { owner: TileId(2) });
@@ -589,20 +514,6 @@ mod tests {
         assert_eq!(a + b + c + d + e, m.access_count());
     }
 
-    #[test]
-    fn tile_list_inline_and_spilled_compare_equal() {
-        let mut inline = TileList::new();
-        assert!(inline.is_empty());
-        inline.push(TileId(3));
-        assert_eq!(inline.as_slice(), &[TileId(3)]);
-        // Push past the inline capacity to force a heap spill.
-        let many: Vec<TileId> = (0..INLINE_TILES as u32 + 4).map(TileId).collect();
-        let spilled: TileList = many.iter().copied().collect();
-        assert_eq!(spilled.as_slice(), many.as_slice());
-        assert_eq!(spilled, many.iter().copied().collect::<TileList>());
-        assert_eq!(spilled.len(), INLINE_TILES + 4);
-    }
-
     /// Regression test for the >64-tile directory bug: on an 8x16 mesh
     /// (128 tiles), tile 70 aliases tile 6 in the sharer mask (70 % 64 == 6).
     /// The seed scanned only tiles 0..64 when collecting sharers, so tile 70
@@ -628,15 +539,13 @@ mod tests {
         }
 
         // A writer on tile 1 must invalidate the whole alias group, tile 70
-        // included (tile 0 read above, so group 0 is invalidated too).
+        // included (tile 0 read above, so group 0 = {0, 64} is invalidated
+        // too), in mask-walk order: bit 0's group, then bit 6's.
         let w = m.access(CoreId(1), line, AccessKind::Write);
-        assert!(
-            w.invalidated.contains(&TileId(70)),
-            "tile 70 not invalidated: {:?}",
-            w.invalidated.as_slice()
+        assert_eq!(
+            w.invalidated.collect::<Vec<_>>(),
+            vec![TileId(0), TileId(64), TileId(6), TileId(70)]
         );
-        assert!(w.invalidated.contains(&TileId(6)), "alias group member 6 must be invalidated");
-        assert!(w.invalidated.contains(&TileId(0)));
 
         // Tile 70's copy is gone: its next read must leave the tile.
         let r = m.access(CoreId(70), line, AccessKind::Read);
@@ -654,8 +563,6 @@ mod tests {
             m.access(CoreId(t), line, AccessKind::Read);
         }
         let w = m.access(CoreId(7), line, AccessKind::Write);
-        let mut inv = w.invalidated.to_vec();
-        inv.sort();
-        assert_eq!(inv, vec![TileId(0), TileId(5), TileId(63)]);
+        assert_eq!(w.invalidated.collect::<Vec<_>>(), vec![TileId(0), TileId(5), TileId(63)]);
     }
 }

@@ -31,7 +31,8 @@ use crate::proto::{stats_from_json, stats_to_json, CacheSource};
 /// Monotonic counters describing cache behaviour since startup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups answered from memory or disk.
+    /// Lookups answered from memory or disk, or by joining a run already
+    /// in flight.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
@@ -101,6 +102,12 @@ impl ResultCache {
         }
         self.counters.misses += 1;
         None
+    }
+
+    /// Count a lookup answered by a run already in flight: a hit whose
+    /// outcome the cache receives when that run completes.
+    pub fn count_joined_hit(&mut self) {
+        self.counters.hits += 1;
     }
 
     /// Insert a completed outcome, evicting the least-recently-used memory

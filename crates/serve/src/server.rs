@@ -312,18 +312,24 @@ impl<R: PointRunner + 'static> Server<R> {
                 .iter()
                 .zip(keys)
                 .map(|(&point, key)| {
+                    // In flight first: completion takes a point out of
+                    // `in_flight` and into the cache under this lock, so a
+                    // point is never in both, and a join must not count a
+                    // cache miss.
+                    if let Some(slot) = state.in_flight.get(&key) {
+                        // Someone (possibly an earlier index of this very
+                        // matrix) is already simulating this point.
+                        let slot = Arc::clone(slot);
+                        state.cache.count_joined_hit();
+                        report.hits += 1;
+                        return Resolution::Pending { slot, owned: false };
+                    }
                     if let Some((outcome, source)) = state.cache.lookup(key) {
                         report.hits += 1;
                         if source == CacheSource::Disk {
                             report.disk_hits += 1;
                         }
                         return Resolution::Ready(outcome, source);
-                    }
-                    if let Some(slot) = state.in_flight.get(&key) {
-                        // Someone (possibly an earlier index of this very
-                        // matrix) is already simulating this point.
-                        report.hits += 1;
-                        return Resolution::Pending { slot: Arc::clone(slot), owned: false };
                     }
                     let slot = Arc::new(Slot::new());
                     state.in_flight.insert(key, Arc::clone(&slot));

@@ -738,11 +738,9 @@ impl Engine {
             debug_assert!(slot.is_empty());
             *slot = children;
         }
-        // If the body's own accesses triggered an abort of this very task
-        // (possible only through a parent abort cascade racing in the same
-        // event, which cannot happen, but keep the invariant explicit), the
-        // registration below would be stale; register unconditionally since
-        // aborted tasks are unregistered when settled.
+        // The task is not registered now: the abort that sent an earlier
+        // execution back to the idle queue unregistered it (the line table's
+        // register-once invariant, checked in debug builds).
         self.state.register_access_sets(candidate);
         self.schedule_core(finish_at, Event::Finish(core));
         self.process_wakes();

@@ -10,12 +10,22 @@
 //! line keeps its `Vec` capacities for the next line that lands in the slot
 //! (steady-state registration allocates nothing).
 //!
+//! # Register once
+//!
+//! A task's key is on a line's readers (writers) list exactly while the task
+//! is registered and the line is in its read (write) set: a task registers
+//! its deduplicated sets once per execution ([`LineTable::register`]) and is
+//! unregistered at commit or abort ([`LineTable::unregister`]) before it can
+//! register again. So registration appends without scanning for the key,
+//! retirement visits each accessor entry once, and each list keeps its
+//! registration order (which feeds the abort cascade's victim order).
+//!
 //! `tests/properties.rs` in the workspace root cross-checks this structure
 //! against a `HashMap` reference model under randomized register/unregister
 //! interleavings.
 
 use swarm_mem::{OpenTable, Probe};
-use swarm_types::LineAddr;
+use swarm_types::{LineAddr, TaskId};
 
 use crate::task::OrderKey;
 
@@ -137,13 +147,59 @@ impl LineTable {
     /// capacity is kept for reuse by the next inserted line.
     pub fn remove(&mut self, line: LineAddr) {
         if let Probe::Found(pos) = self.index.probe(line.0) {
-            let slot = self.index.val_at(pos);
-            self.index.remove_at(pos);
-            let acc = &mut self.slots[slot as usize];
-            acc.readers.clear();
-            acc.writers.clear();
-            self.free.push(slot);
-            self.len -= 1;
+            self.free_at(pos);
+        }
+    }
+
+    fn free_at(&mut self, pos: usize) {
+        let slot = self.index.val_at(pos);
+        self.index.remove_at(pos);
+        let acc = &mut self.slots[slot as usize];
+        acc.readers.clear();
+        acc.writers.clear();
+        self.free.push(slot);
+        self.len -= 1;
+    }
+
+    /// Register `key` as a reader of every line of `reads` and a writer of
+    /// every line of `writes`. Each set must be free of duplicates and the
+    /// task must not be registered already (see the module docs).
+    pub fn register(&mut self, key: OrderKey, reads: &[LineAddr], writes: &[LineAddr]) {
+        for &line in reads {
+            let readers = &mut self.entry_or_default(line).readers;
+            debug_assert!(!readers.contains(&key), "{key:?} already reads {line:?}");
+            readers.push(key);
+        }
+        for &line in writes {
+            let writers = &mut self.entry_or_default(line).writers;
+            debug_assert!(!writers.contains(&key), "{key:?} already writes {line:?}");
+            writers.push(key);
+        }
+    }
+
+    /// Retire task `id`: take it off the readers of each line of `reads` and
+    /// the writers of each line of `writes`, keeping the other entries in
+    /// order, and drop lines left without accessors. Lines `id` is not
+    /// registered on are left as they are.
+    pub fn unregister(&mut self, id: TaskId, reads: &[LineAddr], writes: &[LineAddr]) {
+        for &line in reads {
+            self.remove_accessor(line, id, false);
+        }
+        for &line in writes {
+            self.remove_accessor(line, id, true);
+        }
+    }
+
+    #[inline]
+    fn remove_accessor(&mut self, line: LineAddr, id: TaskId, writer: bool) {
+        let Probe::Found(pos) = self.index.probe(line.0) else { return };
+        let acc = &mut self.slots[self.index.val_at(pos) as usize];
+        let keys = if writer { &mut acc.writers } else { &mut acc.readers };
+        if let Some(i) = keys.iter().position(|k| k.1 == id) {
+            keys.remove(i);
+            if acc.is_empty() {
+                self.free_at(pos);
+            }
         }
     }
 }
@@ -157,8 +213,6 @@ impl Default for LineTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use swarm_types::TaskId;
 
     #[test]
     fn insert_get_remove_round_trip() {

@@ -346,15 +346,7 @@ impl SimState {
         self.tiles[tile.index()].finished.insert(key);
     }
 
-    /// Number of idle (dispatchable) tasks per tile.
-    pub fn idle_per_tile(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.idle_per_tile_into(&mut out);
-        out
-    }
-
-    /// Fill `out` with the number of idle tasks per tile (the allocation-free
-    /// variant the engine's dispatch/lb hot paths use).
+    /// Fill `out` with the number of idle (dispatchable) tasks per tile.
     pub fn idle_per_tile_into(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.tiles.iter().map(|t| t.idle.len()));
@@ -709,57 +701,25 @@ impl SimState {
                     self.send_message(TrafficClass::Memory, tile, home, hops, line_flits, at);
             }
         }
-        for inv in &outcome.invalidated {
-            let hops = self.mesh.hops(tile, *inv);
+        for inv in outcome.invalidated {
+            let hops = self.mesh.hops(tile, inv);
             let control_flits = self.mesh.control_flits();
-            self.send_message(TrafficClass::Memory, tile, *inv, hops, control_flits, at);
+            self.send_message(TrafficClass::Memory, tile, inv, hops, control_flits, at);
         }
         latency
     }
 
     /// Register a completed execution's read/write sets in the line table so
     /// later accesses by other tasks can detect conflicts against it.
-    ///
-    /// The sets are taken out of the task's body and restored afterwards
-    /// (instead of cloned) so that registering a task allocates nothing.
     pub fn register_access_sets(&mut self, task: TaskId) {
         let key = self.tasks.key(task);
-        let body = self.tasks.body_mut(task);
-        let reads = std::mem::take(&mut body.read_set);
-        let writes = std::mem::take(&mut body.write_set);
-        for &line in &reads {
-            let acc = self.line_table.entry_or_default(line);
-            if !acc.readers.contains(&key) {
-                acc.readers.push(key);
-            }
-        }
-        for &line in &writes {
-            let acc = self.line_table.entry_or_default(line);
-            if !acc.writers.contains(&key) {
-                acc.writers.push(key);
-            }
-        }
-        let body = self.tasks.body_mut(task);
-        body.read_set = reads;
-        body.write_set = writes;
+        let body = self.tasks.body(task);
+        self.line_table.register(key, &body.read_set, &body.write_set);
     }
 
     fn unregister_access_sets(&mut self, task: TaskId) {
-        let body = self.tasks.body_mut(task);
-        let reads = std::mem::take(&mut body.read_set);
-        let writes = std::mem::take(&mut body.write_set);
-        for &line in reads.iter().chain(writes.iter()) {
-            if let Some(acc) = self.line_table.get_mut(line) {
-                acc.readers.retain(|&k| k.1 != task);
-                acc.writers.retain(|&k| k.1 != task);
-                if acc.is_empty() {
-                    self.line_table.remove(line);
-                }
-            }
-        }
-        let body = self.tasks.body_mut(task);
-        body.read_set = reads;
-        body.write_set = writes;
+        let body = self.tasks.body(task);
+        self.line_table.unregister(task, &body.read_set, &body.write_set);
     }
 
     // ------------------------------------------------------------------

@@ -577,8 +577,8 @@ proptest! {
             );
             prop_assert_eq!(got.remote, want.remote, "remote flag diverged at step {}", step);
             prop_assert_eq!(
-                got.invalidated.as_slice(),
-                want.invalidated.as_slice(),
+                got.invalidated.collect::<Vec<_>>(),
+                want.invalidated,
                 "invalidations diverged at step {}", step
             );
         }
@@ -642,8 +642,8 @@ proptest! {
     /// The open-addressed `LineTable` (the speculative line-access table
     /// ported onto `swarm_mem::OpenTable`) is observationally identical to
     /// the former `HashMap` representation under random register /
-    /// unregister / remove interleavings, mirroring exactly how
-    /// `swarm_sim::state` drives it.
+    /// unregister / remove interleavings driven through the map primitives
+    /// (`entry_or_default`, `get_mut`, `remove`) one entry at a time.
     #[test]
     fn line_table_matches_hashmap_reference(
         ops in proptest::collection::vec((0u64..48, 0u64..16, 0u8..8), 1..400),
@@ -710,6 +710,102 @@ proptest! {
             prop_assert_eq!(got, want, "accessors of line {} diverged at step {}", line_raw, step);
             prop_assert_eq!(table.len(), reference.len(), "len diverged at step {}", step);
         }
+    }
+
+    /// `LineTable::register`/`unregister` (append without a `contains` scan,
+    /// remove each entry once) keep exactly the per-line reader and writer
+    /// lists, in order, of the former `contains`/`retain` bookkeeping under
+    /// random execute / commit / abort interleavings: overlapping sets across
+    /// tasks, lines both read and written by one task, tasks re-registering
+    /// after an abort, and aborts of tasks that never registered.
+    #[test]
+    fn line_table_register_unregister_match_contains_retain_reference(
+        ops in proptest::collection::vec((0u64..10, 0u8..4, any::<u16>(), any::<u16>()), 1..300),
+    ) {
+        use std::collections::HashMap;
+        type Key = (u64, TaskId);
+        const LINES: u64 = 16;
+        let lines_of = |mask: u16| -> Vec<LineAddr> {
+            (0..LINES).filter(|l| mask >> l & 1 == 1).map(LineAddr).collect()
+        };
+        let mut table = LineTable::new();
+        let mut reference: HashMap<u64, (Vec<Key>, Vec<Key>)> = HashMap::new();
+        let ref_register = |reference: &mut HashMap<u64, (Vec<Key>, Vec<Key>)>,
+                            key: Key,
+                            reads: &[LineAddr],
+                            writes: &[LineAddr]| {
+            for line in reads {
+                let entry = reference.entry(line.0).or_default();
+                if !entry.0.contains(&key) {
+                    entry.0.push(key);
+                }
+            }
+            for line in writes {
+                let entry = reference.entry(line.0).or_default();
+                if !entry.1.contains(&key) {
+                    entry.1.push(key);
+                }
+            }
+        };
+        let ref_unregister = |reference: &mut HashMap<u64, (Vec<Key>, Vec<Key>)>,
+                              task: TaskId,
+                              reads: &[LineAddr],
+                              writes: &[LineAddr]| {
+            for line in reads.iter().chain(writes) {
+                if let Some(entry) = reference.get_mut(&line.0) {
+                    entry.0.retain(|&k| k.1 != task);
+                    entry.1.retain(|&k| k.1 != task);
+                    if entry.0.is_empty() && entry.1.is_empty() {
+                        reference.remove(&line.0);
+                    }
+                }
+            }
+        };
+        // The sets each task is registered with, if it is.
+        let mut registered: HashMap<u64, (Vec<LineAddr>, Vec<LineAddr>)> = HashMap::new();
+        for (step, &(task_raw, op, read_mask, write_mask)) in ops.iter().enumerate() {
+            let task = TaskId(task_raw);
+            // A task's key never changes; small timestamps force ties.
+            let key: Key = (task_raw % 3, task);
+            let (reads, writes) = (lines_of(read_mask), lines_of(write_mask));
+            match (op, registered.remove(&task_raw)) {
+                // Execute: a registered task is aborted first, then
+                // re-registers with its new sets.
+                (0 | 1, old) => {
+                    if let Some((r, w)) = old {
+                        table.unregister(task, &r, &w);
+                        ref_unregister(&mut reference, task, &r, &w);
+                    }
+                    table.register(key, &reads, &writes);
+                    ref_register(&mut reference, key, &reads, &writes);
+                    registered.insert(task_raw, (reads, writes));
+                }
+                // Commit or abort a registered task.
+                (_, Some((r, w))) => {
+                    table.unregister(task, &r, &w);
+                    ref_unregister(&mut reference, task, &r, &w);
+                }
+                // Abort a task that never registered these sets (it was
+                // still idle, or its sets were already retired).
+                (_, None) => {
+                    table.unregister(task, &reads, &writes);
+                    ref_unregister(&mut reference, task, &reads, &writes);
+                }
+            }
+            for line in 0..LINES {
+                let got = table.get(LineAddr(line)).map(|a| (a.readers.clone(), a.writers.clone()));
+                prop_assert_eq!(
+                    got,
+                    reference.get(&line).cloned(),
+                    "accessors of line {} diverged at step {}", line, step
+                );
+            }
+            prop_assert_eq!(table.len(), reference.len(), "len diverged at step {}", step);
+        }
+        for (task_raw, (r, w)) in registered {
+            table.unregister(TaskId(task_raw), &r, &w);
+        }
+        prop_assert!(table.is_empty(), "{} lines left after retiring every task", table.len());
     }
 
     /// The timing-wheel event queue reproduces the seed `BinaryHeap`'s

@@ -190,6 +190,30 @@ fn repeat_submission_is_served_entirely_from_cache() {
 }
 
 #[test]
+fn a_repeat_joining_its_own_run_counts_one_hit_in_both_replies() {
+    // The second index joins the first one's in-flight run: the request and
+    // the server's lifetime counters must both see one miss and one hit.
+    let p = point(BenchmarkId::Sssp, Scheduler::Hints, 2);
+    let runner = CountingRunner::new();
+    let counts = runner.counts.clone();
+    let server = Server::new(runner, ServeOptions::default()).unwrap();
+    let input = format!("{}{{\"type\":\"stats\"}}\n", submit_line("twice", &[p, p], false));
+    let (_, events) = pipe(&server, input);
+
+    let done = events.iter().find_map(|e| match e {
+        Event::RunDone { cache, .. } => Some(*cache),
+        _ => None,
+    });
+    let done = done.expect("run-complete");
+    assert_eq!((done.hits, done.misses), (1, 1));
+    match events.last().unwrap() {
+        Event::ServerStats { cache, .. } => assert_eq!((cache.hits, cache.misses), (1, 1)),
+        other => panic!("expected stats last, got {other:?}"),
+    }
+    assert_eq!(counts.lock().unwrap().values().copied().collect::<Vec<_>>(), vec![1]);
+}
+
+#[test]
 fn malformed_lines_get_typed_errors_and_the_session_continues() {
     let server = Server::new(DirectRunner, ServeOptions::default()).unwrap();
     let input = format!(
