@@ -2,10 +2,10 @@
 //!
 //! For every selected app × scheduler × core count, injects each fault of
 //! [`swarm_sim::standard_faults`] (or one whole `--plan` of faults) and
-//! asserts the chaos contract via [`swarm_sim::chaos`]: the faulted run must
-//! either complete validation-clean and bit-identical on repeat, or fail
-//! with the same typed `SimError` on repeat — never hang (a cycle-budget
-//! watchdog guards every run), panic, or go silently wrong.
+//! asserts the chaos contract via [`swarm_sim::conformance::check_plan`]:
+//! the faulted run must either complete validation-clean and bit-identical
+//! on repeat, or fail with the same typed `SimError` on repeat — never hang
+//! (a cycle-budget watchdog guards every run), panic, or go silently wrong.
 //!
 //! Every battery machine is built under the shared `--noc` model; under
 //! `contention` the header says so.
@@ -15,17 +15,16 @@
 //! * `--plan "<fault>[;<fault>...]"` — check one specific fault plan instead
 //!   of the curated per-fault sweep; the text format is
 //!   `kind[:k=v[,k=v]]@cycle`, e.g. `lost-wake:ts=50@100;squeeze:tile=0,cap=2@400`.
-//!   A malformed plan exits with [`crate::exit_code::USAGE`].
+//!   A malformed plan, or one with no events, exits with
+//!   [`crate::exit_code::USAGE`].
 //!
 //! Exits with [`crate::exit_code::CHAOS`] on the first contract violation,
 //! [`crate::exit_code::OK`] otherwise.
 
 use crate::HarnessArgs;
-use spatial_hints::Scheduler;
 use swarm_apps::AppSpec;
-use swarm_sim::chaos::{check_chaos, check_plan, ChaosOptions, ChaosOutcome};
-use swarm_sim::conformance::MapperSpec;
-use swarm_sim::{standard_faults, FaultPlan, SwarmApp, TaskMapper};
+use swarm_sim::conformance::{check_plan, CheckOptions, MapperSpec, Outcome};
+use swarm_sim::{standard_faults, FaultPlan, SwarmApp};
 use swarm_types::{NocModel, SystemConfig};
 
 /// Watchdog cycle budget per battery run: far above any tiny/small-scale
@@ -65,64 +64,51 @@ pub fn run(raw: &[String]) -> i32 {
         }
     }
 
-    type Builder = Box<dyn Fn(&SystemConfig) -> Box<dyn TaskMapper>>;
-    let builders: Vec<(Scheduler, Builder)> = args
-        .schedulers
-        .iter()
-        .map(|&s| {
-            let build: Builder = Box::new(move |cfg: &SystemConfig| s.build(cfg));
-            (s, build)
-        })
-        .collect();
-    let mappers: Vec<MapperSpec<'_>> = builders
-        .iter()
-        .map(|(s, build)| MapperSpec { name: s.name(), build: build.as_ref() })
-        .collect();
-    let opts = ChaosOptions { core_counts: cores.clone(), config, max_cycles: WATCHDOG_CYCLES };
-    let faults = standard_faults(FAULT_CYCLE);
+    let mappers: Vec<MapperSpec<'_>> =
+        args.schedulers.iter().map(|s| MapperSpec { name: s.name(), factory: s }).collect();
+    let opts = CheckOptions { core_counts: cores.clone(), config, max_cycles: WATCHDOG_CYCLES };
+    // The curated sweep checks one single-fault plan per standard fault.
+    let (subject, plans) = match plan {
+        Some(plan) => (format!("plan [{plan}]"), vec![plan]),
+        None => {
+            let plans: Vec<FaultPlan> =
+                standard_faults(FAULT_CYCLE).into_iter().map(FaultPlan::from).collect();
+            (format!("{} standard faults", plans.len()), plans)
+        }
+    };
 
-    match &plan {
-        Some(plan) => println!(
-            "Chaos battery: plan [{plan}] x {} schedulers x cores {cores:?}{noc_note} (scale {:?})",
-            mappers.len(),
-            args.scale
-        ),
-        None => println!(
-            "Chaos battery: {} standard faults x {} schedulers x cores {cores:?}{noc_note} (scale {:?})",
-            faults.len(),
-            mappers.len(),
-            args.scale
-        ),
-    }
+    println!(
+        "Chaos battery: {subject} x {} schedulers x cores {cores:?}{noc_note} (scale {:?})",
+        mappers.len(),
+        args.scale
+    );
     println!("{:<10}{:>8}{:>12}{:>14}{:>8}", "app", "combos", "completed", "typed-failed", "runs");
 
     for &bench in args.apps.iter() {
         let spec = AppSpec::coarse(bench);
         let (scale, seed) = (args.scale, args.seed);
         let make = move || -> Box<dyn SwarmApp> { spec.build(scale, seed) };
-        let (combos, completed, runs) = match &plan {
-            Some(plan) => match check_plan(&make, &mappers, plan, &opts) {
-                Ok(combos) => {
-                    let completed = combos
+        let (mut combos, mut completed) = (0, 0);
+        for plan in &plans {
+            match check_plan(&make, &mappers, plan, &opts) {
+                Ok(outcomes) => {
+                    combos += outcomes.len();
+                    completed += outcomes
                         .iter()
-                        .filter(|c| matches!(c.outcome, ChaosOutcome::Completed { .. }))
+                        .filter(|c| matches!(c.outcome, Outcome::Completed { .. }))
                         .count();
-                    (combos.len(), completed, combos.len() * 2)
                 }
                 Err(violation) => return report_violation(&violation),
-            },
-            None => match check_chaos(&make, &mappers, &faults, &opts) {
-                Ok(report) => (report.combos.len(), report.completed(), report.runs),
-                Err(violation) => return report_violation(&violation),
-            },
-        };
+            }
+        }
+        // check_plan runs every combination twice.
         println!(
             "{:<10}{:>8}{:>12}{:>14}{:>8}",
             bench.name(),
             combos,
             completed,
             combos - completed,
-            runs
+            combos * 2
         );
     }
     println!("chaos contract held: every combo completed clean or failed typed, twice over");
@@ -149,7 +135,11 @@ fn extract_plan(raw: &[String]) -> Result<Option<FaultPlan>, String> {
     while let Some(flag) = it.next() {
         if flag == "--plan" {
             return match it.next() {
-                Some(text) => text.parse::<FaultPlan>().map(Some).map_err(|e| e.to_string()),
+                Some(text) => match text.parse::<FaultPlan>() {
+                    Ok(plan) if plan.is_empty() => Err("the plan has no fault events".to_string()),
+                    Ok(plan) => Ok(Some(plan)),
+                    Err(e) => Err(e.to_string()),
+                },
                 None => Err("missing value after --plan".to_string()),
             };
         }
@@ -201,5 +191,8 @@ mod tests {
     fn a_malformed_plan_is_a_usage_error() {
         assert_eq!(run(&s(&["--plan", "warp-core-breach@9"])), crate::exit_code::USAGE);
         assert_eq!(run(&s(&["--plan"])), crate::exit_code::USAGE);
+        // A plan with no events would quietly run a fault-free battery.
+        assert_eq!(run(&s(&["--plan", ""])), crate::exit_code::USAGE);
+        assert_eq!(run(&s(&["--plan", " ; "])), crate::exit_code::USAGE);
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::report::format_classification_na_row;
 use crate::{classification_header, format_classification_row, HarnessArgs, RunRequest};
-use spatial_hints::{classify_accesses, ClassifierConfig, Scheduler};
+use spatial_hints::{classify_accesses, Scheduler};
 use swarm_apps::AppSpec;
 
 /// Run the `fig3` command with the argument slice that follows the
@@ -26,7 +26,7 @@ pub fn run(args: &[String]) -> i32 {
     for (bench, result) in args.apps.iter().zip(&all_stats) {
         let row = match result {
             Ok(stats) => {
-                let c = classify_accesses(&stats.committed_accesses, ClassifierConfig::default());
+                let c = classify_accesses(&stats.committed_accesses);
                 format_classification_row(bench.name(), &c, c.total())
             }
             Err(_) => format_classification_na_row(bench.name()),

@@ -5,7 +5,7 @@
 
 use crate::report::format_classification_na_row;
 use crate::{classification_header, format_classification_row, HarnessArgs, RunRequest};
-use spatial_hints::{classify_accesses, ClassifierConfig, Scheduler};
+use spatial_hints::{classify_accesses, Scheduler};
 use swarm_apps::{AppSpec, BenchmarkId};
 
 /// Run the `fig6` command with the argument slice that follows the
@@ -36,10 +36,8 @@ pub fn run(args: &[String]) -> i32 {
     print!("{}", classification_header());
     let mut cg_total = None;
     for (i, ((label, _), result)) in labeled.iter().zip(&all_stats).enumerate() {
-        let classification = result
-            .as_ref()
-            .ok()
-            .map(|stats| classify_accesses(&stats.committed_accesses, ClassifierConfig::default()));
+        let classification =
+            result.as_ref().ok().map(|stats| classify_accesses(&stats.committed_accesses));
         // Even entries are the CG runs: they set the normalization baseline
         // for themselves and the FG run that follows, so an FG row whose CG
         // run failed is `n/a` too.

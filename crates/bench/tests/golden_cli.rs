@@ -252,3 +252,37 @@ fn unknown_commands_fail_with_a_hint() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("swarm list"));
 }
+
+/// The whitespace-split rows of a `swarm chaos` table, after its header.
+fn chaos_rows(args: &[&str]) -> Vec<Vec<String>> {
+    let mut swarm_args = vec!["chaos"];
+    swarm_args.extend_from_slice(args);
+    let stdout = String::from_utf8(stdout_of(env!("CARGO_BIN_EXE_swarm"), &swarm_args)).unwrap();
+    let mut lines = stdout.lines().skip_while(|l| !l.starts_with("app "));
+    assert!(lines.next().is_some(), "no chaos table header:\n{stdout}");
+    let rows: Vec<Vec<String>> = lines
+        .take_while(|l| !l.starts_with("chaos contract held"))
+        .map(|l| l.split_whitespace().map(str::to_string).collect())
+        .collect();
+    assert_eq!(
+        stdout.lines().last(),
+        Some("chaos contract held: every combo completed clean or failed typed, twice over"),
+    );
+    rows
+}
+
+#[test]
+fn chaos_table_counts_are_pinned() {
+    // Columns: app, combos, completed, typed-failed, runs. The curated
+    // sweep is 7 standard faults x 2 schedulers x 2 core counts, each run
+    // twice; which of them complete and which fail typed is a property of
+    // the engine and the faults.
+    let sweep = ["--scale", "tiny", "--apps", "sssp,des", "--schedulers", "hints,random"];
+    let rows = chaos_rows(&[&sweep[..], &["--cores", "1,4"]].concat());
+    assert_eq!(rows, [["sssp", "28", "22", "6", "56"], ["des", "28", "22", "6", "56"]]);
+    // An explicit plan is one combination per scheduler x core count: a
+    // lost wake at cycle 0 deadlocks des, typed.
+    let plan = ["--scale", "tiny", "--apps", "des", "--schedulers", "random", "--cores", "1"];
+    let rows = chaos_rows(&[&plan[..], &["--plan", "lost-wake:ts=3@0"]].concat());
+    assert_eq!(rows, [["des", "1", "0", "1", "2"]]);
+}

@@ -35,7 +35,7 @@ pub mod profile;
 pub mod schedulers;
 
 pub use lb::{IdleLbMapper, LbHintMapper, TileMap};
-pub use profile::{classify_accesses, AccessClass, AccessClassification, ClassifierConfig};
+pub use profile::{classify_accesses, AccessClass, AccessClassification};
 pub use schedulers::{HintMapper, RandomMapper, StealingMapper};
 
 use swarm_sim::TaskMapper;

@@ -4,11 +4,11 @@
 //! classifies every location along two dimensions:
 //!
 //! * **read-only vs read-write**: a location is read-only if it is read at
-//!   least `ro_reads_per_write` times per write over its lifetime (data that
-//!   is initialised before the parallel region and then only read counts as
-//!   read-only);
+//!   least [`RO_READS_PER_WRITE`] times per write over its lifetime (data
+//!   that is initialised before the parallel region and then only read
+//!   counts as read-only);
 //! * **single-hint vs multi-hint**: a location is single-hint if more than
-//!   `single_hint_fraction` of its accesses come from tasks with one hint.
+//!   [`SINGLE_HINT_FRACTION`] of its accesses come from tasks with one hint.
 //!
 //! Accesses to task arguments form a fifth category. Hints are effective for
 //! data that is single-hint — especially single-hint *read-write* data, where
@@ -20,21 +20,13 @@ use std::collections::HashMap;
 use swarm_sim::CommittedTaskAccesses;
 use swarm_types::Hint;
 
-/// Classification thresholds (the paper uses 1000 reads/write and 90%).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassifierConfig {
-    /// Minimum reads-per-write ratio for a location to count as read-only.
-    pub ro_reads_per_write: u64,
-    /// Minimum fraction of accesses from a single hint for a location to
-    /// count as single-hint.
-    pub single_hint_fraction: f64,
-}
+/// Minimum reads-per-write ratio for a location to count as read-only (the
+/// paper's threshold).
+pub const RO_READS_PER_WRITE: u64 = 1000;
 
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig { ro_reads_per_write: 1000, single_hint_fraction: 0.9 }
-    }
-}
+/// Fraction of a location's accesses that must come from one hint, exceeded,
+/// for it to count as single-hint (the paper's 90%).
+pub const SINGLE_HINT_FRACTION: f64 = 0.9;
 
 /// The five access categories of Fig. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,10 +132,7 @@ struct LocationStats {
 }
 
 /// Classify the accesses of a set of committed tasks.
-pub fn classify_accesses(
-    tasks: &[CommittedTaskAccesses],
-    cfg: ClassifierConfig,
-) -> AccessClassification {
+pub fn classify_accesses(tasks: &[CommittedTaskAccesses]) -> AccessClassification {
     let mut locations: HashMap<u64, LocationStats> = HashMap::new();
     let mut arguments = 0u64;
     for task in tasks {
@@ -163,10 +152,10 @@ pub fn classify_accesses(
     let mut result = AccessClassification { arguments, ..Default::default() };
     for loc in locations.values() {
         let read_only =
-            loc.writes == 0 || loc.reads >= loc.writes.saturating_mul(cfg.ro_reads_per_write);
+            loc.writes == 0 || loc.reads >= loc.writes.saturating_mul(RO_READS_PER_WRITE);
         let max_one_hint = loc.per_hint.values().copied().max().unwrap_or(0);
         let single_hint =
-            loc.total > 0 && (max_one_hint as f64 / loc.total as f64) > cfg.single_hint_fraction;
+            loc.total > 0 && (max_one_hint as f64 / loc.total as f64) > SINGLE_HINT_FRACTION;
         match (read_only, single_hint) {
             (true, true) => result.single_hint_ro += loc.total,
             (true, false) => result.multi_hint_ro += loc.total,
@@ -189,7 +178,7 @@ mod tests {
     fn single_hint_rw_location_is_classified() {
         // One location written repeatedly by tasks that all carry hint 7.
         let tasks: Vec<_> = (0..10).map(|_| task(7, vec![(0x100, true), (0x100, false)])).collect();
-        let c = classify_accesses(&tasks, ClassifierConfig::default());
+        let c = classify_accesses(&tasks);
         assert_eq!(c.single_hint_rw, 20);
         assert_eq!(c.multi_hint_rw, 0);
         assert_eq!(c.arguments, 10);
@@ -199,7 +188,7 @@ mod tests {
     #[test]
     fn multi_hint_rw_location_is_classified() {
         let tasks: Vec<_> = (0..10).map(|h| task(h, vec![(0x200, true)])).collect();
-        let c = classify_accesses(&tasks, ClassifierConfig::default());
+        let c = classify_accesses(&tasks);
         assert_eq!(c.multi_hint_rw, 10);
         assert_eq!(c.single_hint_rw, 0);
     }
@@ -207,24 +196,25 @@ mod tests {
     #[test]
     fn never_written_location_is_read_only() {
         let tasks: Vec<_> = (0..5).map(|h| task(h, vec![(0x300, false)])).collect();
-        let c = classify_accesses(&tasks, ClassifierConfig::default());
+        let c = classify_accesses(&tasks);
         assert_eq!(c.multi_hint_ro, 5);
         assert_eq!(c.single_hint_ro + c.single_hint_rw + c.multi_hint_rw, 0);
     }
 
     #[test]
     fn read_mostly_location_respects_threshold() {
-        // 1 write, 10 reads: read-only only if the threshold allows it.
-        let mut accesses = vec![(0x400u64, true)];
-        accesses.extend(std::iter::repeat_n((0x400u64, false), 10));
-        let tasks = vec![task(1, accesses)];
-        let strict = classify_accesses(&tasks, ClassifierConfig::default());
-        assert_eq!(strict.single_hint_rw, 11, "1000:1 threshold keeps it read-write");
-        let lenient = classify_accesses(
-            &tasks,
-            ClassifierConfig { ro_reads_per_write: 5, single_hint_fraction: 0.9 },
-        );
-        assert_eq!(lenient.single_hint_ro, 11);
+        // 1 write plus `reads` reads of one location, all from one hint.
+        let classify = |reads: usize| {
+            let mut accesses = vec![(0x400u64, true)];
+            accesses.extend(std::iter::repeat_n((0x400u64, false), reads));
+            classify_accesses(&[task(1, accesses)])
+        };
+        let below = classify(999);
+        assert_eq!(below.single_hint_rw, 1000, "999 reads per write is read-write");
+        assert_eq!(below.single_hint_ro, 0);
+        let at = classify(1000);
+        assert_eq!(at.single_hint_ro, 1001, "1000 reads per write is read-only");
+        assert_eq!(at.single_hint_rw, 0);
     }
 
     #[test]
@@ -233,7 +223,7 @@ mod tests {
             task(1, vec![(0x100, true), (0x200, false)]),
             task(2, vec![(0x100, true), (0x300, false)]),
         ];
-        let c = classify_accesses(&tasks, ClassifierConfig::default());
+        let c = classify_accesses(&tasks);
         let sum: f64 = AccessClass::ALL.iter().map(|&cl| c.fraction(cl)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert_eq!(c.total(), 6);
@@ -241,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_classification() {
-        let c = classify_accesses(&[], ClassifierConfig::default());
+        let c = classify_accesses(&[]);
         assert_eq!(c.total(), 0);
         assert_eq!(c.fraction(AccessClass::Arguments), 0.0);
         assert_eq!(c.single_hint_rw_share(), 0.0);

@@ -263,6 +263,10 @@ mod tests {
                 "{\"app\":\"sssp\",\"scheduler\":\"hints\",\"cores\":4,\"scale\":\"tiny\",\"fault\":\"zap\"}",
                 "fault",
             ),
+            (
+                "{\"app\":\"sssp\",\"scheduler\":\"hints\",\"cores\":4,\"scale\":\"tiny\",\"fault\":\"stuck:core=4294967296@1\"}",
+                "out of range",
+            ),
         ] {
             let v = crate::json::parse(text).unwrap();
             let err = RunPoint::from_json(&v).expect_err(text);

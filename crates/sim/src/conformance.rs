@@ -1,110 +1,166 @@
-//! A conformance test-kit for [`SwarmApp`] implementations.
+//! The conformance test-kit for [`SwarmApp`] implementations, with and
+//! without injected faults.
 //!
 //! Every benchmark in this repository — and any future one — must simulate
 //! *faithfully*: identical configurations must produce identical results,
 //! the final memory state must match the app's serial reference under every
 //! scheduler, and the engine's commit/abort accounting must stay coherent.
-//! Those properties used to be asserted ad hoc, app by app, across the
-//! integration suites; this module packages them as one reusable checker so
-//! a new app gets the full battery by adding a single table row (see
+//! A new app gets the whole battery by adding a single table row (see
 //! `tests/conformance.rs` in the workspace root).
 //!
-//! The kit is scheduler-agnostic: it takes mapper *factories* rather than
+//! The kit is scheduler-agnostic: it takes [`MapperFactory`]s rather than
 //! depending on the `spatial-hints` crate, so it can also exercise the
 //! built-in [`RoundRobinMapper`](crate::RoundRobinMapper)-style mappers and
 //! any future scheduling policy.
 //!
-//! What [`check_app`] verifies, for every mapper × core-count combination:
+//! Both entry points run every mapper × core-count combination twice
+//! through one guarded run: the configuration is validated before a mapper
+//! sizes its tables from it, a panic is caught and reported, a cycle-budget
+//! watchdog ([`CheckOptions::max_cycles`]) turns a hang into a typed
+//! [`SimError::CycleBudgetExceeded`], and a completed run must leave the
+//! speculative line table and the tile idle lists empty.
 //!
-//! 1. **Validation**: the run completes and `validate()` accepts the final
-//!    memory state (the engine calls it internally; any failure is surfaced
-//!    with the offending mapper and core count).
-//! 2. **Determinism**: repeated runs of the identical configuration produce
-//!    bit-identical statistics *and* bit-identical final memory.
-//! 3. **Accounting invariants**: committed work is positive and consistent
+//! [`check_plan`] asserts the **chaos contract** under a [`FaultPlan`] (see
+//! [`crate::fault`]): each combination must either complete cleanly —
+//! `validate()` accepts the final memory, the state drained, and the repeat
+//! reproduces bit-identical statistics and memory — or fail with a typed
+//! [`SimError`] (a lost wake surfaces as [`SimError::Deadlock`]) that the
+//! repeat reproduces. It must never panic, hang, or return success with
+//! wrong memory. `swarm chaos` and the fault-plan fuzzer loop it over
+//! [`crate::standard_faults`] or sampled plans.
+//!
+//! [`check_app`] is [`check_plan`] with an empty plan, plus:
+//!
+//! 1. **Validation**: every run completes and `validate()` accepts the
+//!    final memory state (a failure names the offending mapper and core
+//!    count).
+//! 2. **Accounting invariants**: committed work is positive and consistent
 //!    with the per-tile ledger, aborted cycles exist iff aborted tasks do,
-//!    busy cycles fit in the wall-clock budget, the speculative line table
-//!    drains to empty, the engine's idle-task count agrees with the tile
-//!    idle lists (both empty), and a single core never misspeculates unless a
-//!    task-queue overflow forced tasks to execute out of commit order.
-//! 4. Optionally, **commit-count stability**: the number of committed tasks
-//!    is a property of the program, not the schedule (enable via
-//!    [`ConformanceOptions::stable_commit_count`] for apps whose task
+//!    busy cycles fit in the wall-clock budget, and a single core never
+//!    misspeculates unless a task-queue overflow forced tasks to execute
+//!    out of commit order.
+//! 3. Optionally, **commit-count stability**: the number of committed tasks
+//!    is a property of the program, not the schedule (for apps whose task
 //!    structure is deterministic across schedules).
 
-use swarm_types::SystemConfig;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::{RunStats, Sim, SimState, SwarmApp, TaskMapper};
+use swarm_types::{SimError, SystemConfig};
 
-/// A named way of building a scheduler for a given machine configuration.
+use crate::fault::FaultPlan;
+use crate::{MapperFactory, RunStats, Sim, SimState, SwarmApp};
+
+/// A named scheduler to run the battery under.
 pub struct MapperSpec<'a> {
     /// Display name used in failure messages (e.g. `"Hints"`).
     pub name: &'a str,
-    /// Factory producing a fresh, identically-seeded mapper per run.
-    #[allow(clippy::type_complexity)]
-    pub build: &'a dyn Fn(&SystemConfig) -> Box<dyn TaskMapper>,
+    /// Builds a fresh, identically-seeded mapper per run.
+    pub factory: &'a dyn MapperFactory,
 }
 
-/// Knobs for [`check_app`].
-pub struct ConformanceOptions {
+/// Knobs for [`check_plan`] and [`check_app`].
+pub struct CheckOptions {
     /// Core counts to exercise (must include 1 to get the no-misspeculation
     /// check; the default does).
     pub core_counts: Vec<u32>,
-    /// Times to run each configuration; the determinism check compares
-    /// every repeat against the first, so [`check_app`] rejects values
-    /// below 2.
-    pub repeats: usize,
-    /// Whether committed task counts must be identical across every mapper
-    /// and core count. True for apps whose committed task structure is
-    /// schedule-independent (fixed task graphs, or ordered programs with
-    /// distinct timestamps); leave false for apps like coarse-grain `sssp`,
-    /// where equal-timestamp ties decide whether a redundant relaxation
-    /// spawns and commits.
-    pub stable_commit_count: bool,
     /// Builds the machine configuration for a given core count. Defaults to
     /// [`SystemConfig::with_cores`]; override it to run the battery under
-    /// queue pressure (tiny task/commit queues, aggressive spill thresholds)
-    /// — every invariant above must hold there too.
+    /// queue pressure or the contention NoC — every invariant must hold
+    /// there too.
     pub config: fn(u32) -> SystemConfig,
+    /// Watchdog cycle budget applied to every run (a configuration's own
+    /// tighter budget is kept). Must be positive.
+    pub max_cycles: u64,
 }
 
-impl Default for ConformanceOptions {
+impl Default for CheckOptions {
     fn default() -> Self {
-        ConformanceOptions {
+        CheckOptions {
             core_counts: vec![1, 16],
-            repeats: 2,
-            stable_commit_count: false,
             config: SystemConfig::with_cores,
+            max_cycles: 50_000_000,
         }
     }
 }
 
-/// Statistics of the first run of each mapper × core-count combination.
+/// How one run ended: both legal shapes of the chaos contract.
+#[derive(Debug, PartialEq)]
+pub enum Outcome {
+    /// The run completed, the app's `validate()` accepted the final memory
+    /// (the engine checks it internally), the line table drained and the
+    /// idle-task count agrees with the (empty) tile idle lists.
+    Completed {
+        /// Statistics of the run.
+        stats: Box<RunStats>,
+        /// Final memory snapshot, sorted by address (for the determinism
+        /// comparison).
+        mem: Vec<(u64, u64)>,
+    },
+    /// The run failed with a typed simulator error.
+    Failed(SimError),
+}
+
+/// One mapper × core-count combination and its (repeatable) outcome.
 #[derive(Debug)]
-pub struct ComboResult {
+pub struct Combo {
     /// Mapper name.
     pub mapper: String,
     /// Simulated core count.
     pub cores: u32,
-    /// The (deterministic) run statistics.
-    pub stats: RunStats,
+    /// What happened, identically on both runs.
+    pub outcome: Outcome,
 }
 
-/// What [`check_app`] returns on success.
-#[derive(Debug)]
-pub struct ConformanceReport {
-    /// One entry per mapper × core-count combination, in check order.
-    pub combos: Vec<ComboResult>,
-    /// Total simulations executed (combos × repeats).
-    pub runs: usize,
-}
-
-/// Run the full conformance battery over `make_app`.
+/// Assert the chaos contract for one whole [`FaultPlan`] over every
+/// mapper × core count: run each combination twice and require an
+/// identical, panic-free, typed-or-validated outcome both times.
 ///
 /// `make_app` must build an identical application each time it is called
-/// (same workload, same seed) — the determinism check is meaningless
-/// otherwise, and a generator that varies across calls is reported as a
-/// determinism failure.
+/// (same workload, same seed); a generator that varies across calls is
+/// reported as a determinism failure.
+///
+/// # Errors
+///
+/// Returns a description of the first contract violation — an unbuildable
+/// machine, a panic, a nondeterministic outcome, or a completed run that
+/// left speculative state behind — naming the app, mapper, core count and
+/// (if any) plan.
+pub fn check_plan(
+    make_app: &dyn Fn() -> Box<dyn SwarmApp>,
+    mappers: &[MapperSpec<'_>],
+    plan: &FaultPlan,
+    opts: &CheckOptions,
+) -> Result<Vec<Combo>, String> {
+    assert!(!mappers.is_empty(), "need at least one mapper");
+    assert!(!opts.core_counts.is_empty(), "need at least one core count");
+    assert!(opts.max_cycles > 0, "the watchdog budget must be positive");
+    let mut combos = Vec::new();
+    for mapper in mappers {
+        for &cores in &opts.core_counts {
+            let first = run_guarded(make_app, mapper, cores, plan, opts)?;
+            let second = run_guarded(make_app, mapper, cores, plan, opts)?;
+            if first != second {
+                return Err(format!(
+                    "{}: identical runs produced different outcomes ({} vs {})",
+                    at(make_app().name(), mapper.name, cores, plan),
+                    describe(&first),
+                    describe(&second),
+                ));
+            }
+            combos.push(Combo { mapper: mapper.name.to_string(), cores, outcome: first });
+        }
+    }
+    Ok(combos)
+}
+
+/// Run the fault-free conformance battery over `make_app`: [`check_plan`]
+/// with an empty plan, then require every combination to have completed
+/// with coherent accounting. With `stable_commit_count`, committed task
+/// counts must also be identical across every mapper and core count —
+/// true for apps whose committed task structure is schedule-independent
+/// (fixed task graphs, or ordered programs with distinct timestamps); leave
+/// it false for apps like coarse-grain `sssp`, where equal-timestamp ties
+/// decide whether a redundant relaxation spawns and commits.
 ///
 /// # Errors
 ///
@@ -113,93 +169,91 @@ pub struct ConformanceReport {
 pub fn check_app(
     make_app: &dyn Fn() -> Box<dyn SwarmApp>,
     mappers: &[MapperSpec<'_>],
-    opts: &ConformanceOptions,
-) -> Result<ConformanceReport, String> {
-    assert!(!mappers.is_empty(), "need at least one mapper");
-    assert!(!opts.core_counts.is_empty(), "need at least one core count");
-    assert!(opts.repeats >= 2, "the determinism check needs at least two runs per configuration");
-    let mut combos = Vec::new();
-    let mut runs = 0;
-    for mapper in mappers {
-        for &cores in &opts.core_counts {
-            let (first_stats, first_mem) = run_once(make_app, mapper, cores, opts.config)?;
-            runs += 1;
-            let at = || format!("{} under {} at {cores} cores", first_stats.app, mapper.name);
-            for repeat in 1..opts.repeats {
-                let (stats, mem) = run_once(make_app, mapper, cores, opts.config)?;
-                runs += 1;
-                if stats != first_stats {
-                    return Err(format!("{}: repeat {repeat} produced different statistics", at()));
-                }
-                if mem != first_mem {
-                    return Err(format!(
-                        "{}: repeat {repeat} produced a different final memory state",
-                        at()
-                    ));
-                }
+    opts: &CheckOptions,
+    stable_commit_count: bool,
+) -> Result<Vec<Combo>, String> {
+    let plan = FaultPlan::new();
+    let combos = check_plan(make_app, mappers, &plan, opts)?;
+    let mut first: Option<(&Combo, &RunStats)> = None;
+    for combo in &combos {
+        let stats: &RunStats = match &combo.outcome {
+            Outcome::Completed { stats, .. } => stats,
+            Outcome::Failed(e) => {
+                let here = at(make_app().name(), &combo.mapper, combo.cores, &plan);
+                return Err(format!("{here} failed: {e}"));
             }
-            check_accounting(&first_stats).map_err(|e| format!("{}: {e}", at()))?;
-            combos.push(ComboResult { mapper: mapper.name.to_string(), cores, stats: first_stats });
+        };
+        let here = at(&stats.app, &combo.mapper, combo.cores, &plan);
+        check_accounting(stats).map_err(|e| format!("{here}: {e}"))?;
+        let (base, base_stats) = *first.get_or_insert((combo, stats));
+        if stable_commit_count && stats.tasks_committed != base_stats.tasks_committed {
+            return Err(format!(
+                "{here}: committed {} tasks, but {} under {} at {} cores \
+                 — commit counts must be schedule-independent",
+                stats.tasks_committed, base_stats.tasks_committed, base.mapper, base.cores,
+            ));
         }
     }
-    if opts.stable_commit_count {
-        let expected = combos[0].stats.tasks_committed;
-        for combo in &combos {
-            if combo.stats.tasks_committed != expected {
-                return Err(format!(
-                    "{}: committed {} tasks under {} at {} cores, but {} under {} at {} cores \
-                     — commit counts must be schedule-independent",
-                    combo.stats.app,
-                    combo.stats.tasks_committed,
-                    combo.mapper,
-                    combo.cores,
-                    expected,
-                    combos[0].mapper,
-                    combos[0].cores,
-                ));
-            }
-        }
-    }
-    Ok(ConformanceReport { combos, runs })
+    Ok(combos)
 }
 
-/// One simulation plus a snapshot of the final memory (sorted by address).
-#[allow(clippy::type_complexity)]
-fn run_once(
+/// `"<app> under <mapper> at <n> cores[ with plan [<plan>]]"`, the prefix
+/// of every violation message.
+fn at(app: &str, mapper: &str, cores: u32, plan: &FaultPlan) -> String {
+    let mut s = format!("{app} under {mapper} at {cores} cores");
+    if !plan.is_empty() {
+        s.push_str(&format!(" with plan [{plan}]"));
+    }
+    s
+}
+
+/// One simulation under a panic guard and a cycle-budget watchdog.
+fn run_guarded(
     make_app: &dyn Fn() -> Box<dyn SwarmApp>,
     mapper: &MapperSpec<'_>,
     cores: u32,
-    config: fn(u32) -> SystemConfig,
-) -> Result<(RunStats, Vec<(u64, u64)>), String> {
-    let cfg = config(cores);
-    let app = make_app();
-    let name = app.name().to_string();
-    let invalid = |e: String| {
-        format!("{name} under {} at {cores} cores: invalid simulation: {e}", mapper.name)
-    };
-    // Mappers size their tables from the config: validate before building one.
-    cfg.validate().map_err(invalid)?;
-    let mapper_impl = (mapper.build)(&cfg);
-    let mut engine = Sim::builder()
-        .config(cfg)
-        .app_boxed(app)
-        .mapper(mapper_impl)
-        .build()
-        .map_err(|e| invalid(e.to_string()))?;
-    let stats = engine
-        .run()
-        .map_err(|e| format!("{name} under {} at {cores} cores failed: {e}", mapper.name))?;
-    if let Some(violation) = drained_state_violation(engine.state()) {
-        return Err(format!("{name} under {} at {cores} cores {violation}", mapper.name));
+    plan: &FaultPlan,
+    opts: &CheckOptions,
+) -> Result<Outcome, String> {
+    let mut cfg = (opts.config)(cores);
+    if cfg.max_cycles == 0 || cfg.max_cycles > opts.max_cycles {
+        cfg.max_cycles = opts.max_cycles;
     }
-    let mem: Vec<(u64, u64)> = engine.state().mem.iter().collect();
-    Ok((stats, mem))
+    let app = make_app();
+    let here = at(app.name(), mapper.name, cores, plan);
+    // Mappers size their tables from the config: validate before building one.
+    cfg.validate().map_err(|e| format!("{here}: invalid simulation: {e}"))?;
+    let guarded = catch_unwind(AssertUnwindSafe(move || {
+        let mapper_impl = mapper.factory.build_mapper(&cfg);
+        let mut engine = Sim::builder()
+            .config(cfg)
+            .app_boxed(app)
+            .mapper(mapper_impl)
+            .fault_plan(plan.clone())
+            .build()
+            .map_err(|e| format!("invalid simulation: {e}"))?;
+        match engine.run() {
+            Ok(stats) => {
+                if let Some(violation) = drained_state_violation(engine.state()) {
+                    return Err(format!("run completed but {violation}"));
+                }
+                let mem: Vec<(u64, u64)> = engine.state().mem.iter().collect();
+                Ok(Outcome::Completed { stats: Box::new(stats), mem })
+            }
+            Err(e) => Ok(Outcome::Failed(e)),
+        }
+    }));
+    match guarded {
+        Ok(Ok(outcome)) => Ok(outcome),
+        Ok(Err(violation)) => Err(format!("{here}: {violation}")),
+        Err(payload) => Err(format!("{here}: panicked: {}", panic_message(payload.as_ref()))),
+    }
 }
 
 /// What a completed run must leave behind: an empty speculative line table,
 /// and an idle-task count that agrees with the tile idle lists, all empty.
 /// Returns a description of the first violation.
-pub(crate) fn drained_state_violation(state: &SimState) -> Option<String> {
+fn drained_state_violation(state: &SimState) -> Option<String> {
     if !state.line_table.is_empty() {
         return Some(format!(
             "left {} lines registered in the speculative line table after completion",
@@ -215,6 +269,27 @@ pub(crate) fn drained_state_violation(state: &SimState) -> Option<String> {
         ));
     }
     None
+}
+
+/// A one-line rendering of an outcome for violation messages.
+fn describe(outcome: &Outcome) -> String {
+    match outcome {
+        Outcome::Completed { stats, .. } => {
+            format!("completed in {} cycles", stats.runtime_cycles)
+        }
+        Outcome::Failed(e) => format!("failed: {e}"),
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "<non-string panic payload>"
+    }
 }
 
 /// The per-run commit/abort accounting invariants.
@@ -272,7 +347,8 @@ fn check_accounting(stats: &RunStats) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InitialTask, RoundRobinMapper, SwarmApp, TaskCtx};
+    use crate::fault::{standard_faults, FaultEvent, FaultKind};
+    use crate::{InitialTask, RoundRobinMapper, TaskCtx, TaskMapper};
     use swarm_types::Hint;
 
     /// The well-behaved reference citizen: ordered chain summing 0..n.
@@ -305,27 +381,31 @@ mod tests {
         }
     }
 
-    fn round_robin_mappers() -> [&'static str; 1] {
-        ["RoundRobin"]
+    fn round_robin(_: &SystemConfig) -> Box<dyn TaskMapper> {
+        Box::new(RoundRobinMapper::new())
     }
 
-    fn check(
-        make_app: &dyn Fn() -> Box<dyn SwarmApp>,
-        opts: &ConformanceOptions,
-    ) -> Result<ConformanceReport, String> {
-        let build = |_: &SystemConfig| -> Box<dyn TaskMapper> { Box::new(RoundRobinMapper::new()) };
-        let mappers = [MapperSpec { name: round_robin_mappers()[0], build: &build }];
-        check_app(make_app, &mappers, opts)
+    const ROUND_ROBIN: [MapperSpec<'static>; 1] =
+        [MapperSpec { name: "RoundRobin", factory: &round_robin }];
+
+    fn cores(core_counts: &[u32]) -> CheckOptions {
+        CheckOptions { core_counts: core_counts.to_vec(), ..CheckOptions::default() }
     }
 
     #[test]
     fn well_behaved_app_passes() {
-        let opts =
-            ConformanceOptions { stable_commit_count: true, ..ConformanceOptions::default() };
-        let report = check(&|| Box::new(ChainSum { n: 24 }), &opts).expect("chain conforms");
-        assert_eq!(report.combos.len(), 2);
-        assert_eq!(report.runs, 4);
-        assert!(report.combos.iter().all(|c| c.stats.tasks_committed == 24));
+        let combos = check_app(
+            &|| Box::new(ChainSum { n: 24 }),
+            &ROUND_ROBIN,
+            &CheckOptions::default(),
+            true,
+        )
+        .expect("chain conforms");
+        assert_eq!(combos.len(), 2);
+        assert!(combos.iter().all(|c| matches!(
+            &c.outcome,
+            Outcome::Completed { stats, .. } if stats.tasks_committed == 24
+        )));
     }
 
     #[test]
@@ -345,7 +425,9 @@ mod tests {
                 Err("deliberately wrong".to_string())
             }
         }
-        let err = check(&|| Box::new(BadValidate), &ConformanceOptions::default()).unwrap_err();
+        let err =
+            check_app(&|| Box::new(BadValidate), &ROUND_ROBIN, &CheckOptions::default(), false)
+                .unwrap_err();
         assert!(err.contains("bad-validate"), "{err}");
         assert!(err.contains("deliberately wrong"), "{err}");
     }
@@ -356,11 +438,88 @@ mod tests {
         static CALLS: AtomicU64 = AtomicU64::new(0);
         // Each build produces a different chain length, so the repeat run
         // must diverge from the first.
-        let make: Box<dyn Fn() -> Box<dyn SwarmApp>> = Box::new(|| {
+        let make = || -> Box<dyn SwarmApp> {
             let n = 10 + CALLS.fetch_add(1, Ordering::Relaxed) % 7;
             Box::new(ChainSum { n: 10 + n })
-        });
-        let err = check(&make, &ConformanceOptions::default()).unwrap_err();
+        };
+        let err = check_app(&make, &ROUND_ROBIN, &CheckOptions::default(), false).unwrap_err();
         assert!(err.contains("different"), "{err}");
+    }
+
+    #[test]
+    fn standard_faults_all_satisfy_the_chaos_contract() {
+        let make = || -> Box<dyn SwarmApp> { Box::new(ChainSum { n: 40 }) };
+        let mut completed = 0;
+        for fault in standard_faults(100) {
+            let combos = check_plan(&make, &ROUND_ROBIN, &FaultPlan::from(fault), &cores(&[1, 4]))
+                .expect("chaos contract must hold");
+            assert_eq!(combos.len(), 2);
+            completed +=
+                combos.iter().filter(|c| matches!(c.outcome, Outcome::Completed { .. })).count();
+            // A lost wake must surface as a typed error.
+            if matches!(fault.kind, FaultKind::LostTaskWake { .. }) {
+                assert!(
+                    matches!(combos[0].outcome, Outcome::Failed(SimError::Deadlock { .. })),
+                    "lost wake must be a typed deadlock, got {:?}",
+                    combos[0].outcome
+                );
+            }
+        }
+        // Benign faults complete.
+        assert!(completed > 0, "no faulted run completed");
+    }
+
+    #[test]
+    fn a_panicking_app_is_reported_as_a_contract_violation() {
+        struct Exploding;
+        impl SwarmApp for Exploding {
+            fn name(&self) -> &str {
+                "exploding"
+            }
+            fn initial_tasks(&self) -> Vec<InitialTask> {
+                vec![InitialTask::new(0, 0, Hint::None, vec![])]
+            }
+            fn run_task(&self, _f: u16, _t: u64, _a: &[u64], _ctx: &mut TaskCtx<'_>) {
+                panic!("deliberate test explosion");
+            }
+        }
+        let plan = FaultPlan::from(FaultEvent { at_cycle: 10, kind: FaultKind::AbortStorm });
+        let err =
+            check_plan(&|| Box::new(Exploding), &ROUND_ROBIN, &plan, &cores(&[1])).unwrap_err();
+        assert!(err.contains("panicked"), "{err}");
+        assert!(err.contains("deliberate test explosion"), "{err}");
+        assert!(err.contains("exploding"), "{err}");
+    }
+
+    #[test]
+    fn the_watchdog_budget_converts_hangs_into_typed_errors() {
+        /// Endless self-rescheduling chain: no fault needed to livelock, but
+        /// the battery's watchdog must still turn it into a typed outcome.
+        struct Endless;
+        impl SwarmApp for Endless {
+            fn name(&self) -> &str {
+                "endless"
+            }
+            fn initial_tasks(&self) -> Vec<InitialTask> {
+                vec![InitialTask::new(0, 0, Hint::None, vec![])]
+            }
+            fn run_task(&self, _f: u16, ts: u64, _a: &[u64], ctx: &mut TaskCtx<'_>) {
+                ctx.write(0x1000, ts);
+                ctx.enqueue(0, ts + 1, Hint::None, vec![]);
+            }
+        }
+        let plan = FaultPlan::from(FaultEvent { at_cycle: 50, kind: FaultKind::DuplicateMessage });
+        let opts = CheckOptions { max_cycles: 20_000, ..cores(&[1]) };
+        let combos = check_plan(&|| Box::new(Endless), &ROUND_ROBIN, &plan, &opts)
+            .expect("a budgeted livelock is a legal typed outcome");
+        assert!(
+            matches!(
+                combos[0].outcome,
+                Outcome::Failed(SimError::CycleBudgetExceeded { .. })
+                    | Outcome::Failed(SimError::TaskLimitExceeded(_))
+            ),
+            "expected a budget or task-limit trip, got {:?}",
+            combos[0].outcome
+        );
     }
 }

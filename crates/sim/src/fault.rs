@@ -19,7 +19,8 @@
 //!   [`FaultKind::StuckCore`] when no other core can reach the work) starve
 //!   the system of progress; the run must terminate with a typed
 //!   [`SimError`](swarm_types::SimError) — never a hang or a panic. The
-//!   chaos battery in [`crate::chaos`] asserts exactly this invariant.
+//!   conformance kit's [`crate::conformance::check_plan`] asserts exactly
+//!   this invariant.
 //!
 //! Plans are serializable: the derive markers keep the types compatible
 //! with the vendored `serde` surface, and the canonical interchange format
@@ -171,6 +172,9 @@ fn parse_args<'a>(
         if !names.contains(&k) {
             return Err(FaultParseError(format!("unknown parameter `{k}` in `{spec}`")));
         }
+        if out.iter().any(|&(seen, _)| seen == k) {
+            return Err(FaultParseError(format!("parameter `{k}` is given twice in `{spec}`")));
+        }
         let v = v
             .parse::<u64>()
             .map_err(|_| FaultParseError(format!("`{v}` in `{spec}` is not a number")))?;
@@ -184,6 +188,17 @@ fn lookup(args: &[(&str, u64)], name: &str, spec: &str) -> Result<u64, FaultPars
         .find(|(k, _)| *k == name)
         .map(|&(_, v)| v)
         .ok_or_else(|| FaultParseError(format!("`{spec}` is missing `{name}=`")))
+}
+
+/// [`lookup`] narrowed to the parameter's field type; a value that does not
+/// fit is rejected rather than wrapped.
+fn lookup_as<T: TryFrom<u64>>(
+    args: &[(&str, u64)],
+    name: &str,
+    spec: &str,
+) -> Result<T, FaultParseError> {
+    let v = lookup(args, name, spec)?;
+    T::try_from(v).map_err(|_| FaultParseError(format!("`{name}={v}` in `{spec}` is out of range")))
 }
 
 impl FromStr for FaultEvent {
@@ -210,8 +225,8 @@ impl FromStr for FaultEvent {
             "delay" => {
                 let args = parse_args(s, body, &["tile", "extra"])?;
                 FaultKind::DelayedMessage {
-                    tile: TileId(lookup(&args, "tile", s)? as u32),
-                    extra_cycles: lookup(&args, "extra", s)? as u32,
+                    tile: TileId(lookup_as(&args, "tile", s)?),
+                    extra_cycles: lookup_as(&args, "extra", s)?,
                 }
             }
             "duplicate" => {
@@ -221,13 +236,13 @@ impl FromStr for FaultEvent {
             "squeeze" => {
                 let args = parse_args(s, body, &["tile", "cap"])?;
                 FaultKind::QueueSqueeze {
-                    tile: TileId(lookup(&args, "tile", s)? as u32),
-                    capacity: lookup(&args, "cap", s)? as u16,
+                    tile: TileId(lookup_as(&args, "tile", s)?),
+                    capacity: lookup_as(&args, "cap", s)?,
                 }
             }
             "stuck" => {
                 let args = parse_args(s, body, &["core"])?;
-                FaultKind::StuckCore { core: CoreId(lookup(&args, "core", s)? as u32) }
+                FaultKind::StuckCore { core: CoreId(lookup_as(&args, "core", s)?) }
             }
             "abort-storm" => {
                 parse_args(s, body, &[])?;
@@ -323,8 +338,8 @@ impl FromStr for FaultPlan {
 }
 
 /// One representative [`FaultEvent`] per fault class, all firing at
-/// `at_cycle`: the per-combination battery `swarm chaos` (and the chaos
-/// conformance kit in [`crate::chaos`]) sweeps.
+/// `at_cycle`: the battery `swarm chaos` sweeps, one
+/// [`crate::conformance::check_plan`] per fault.
 pub fn standard_faults(at_cycle: u64) -> Vec<FaultEvent> {
     vec![
         FaultEvent { at_cycle, kind: FaultKind::LostTaskWake { ts: 50 } },
@@ -417,12 +432,32 @@ mod tests {
 
     #[test]
     fn parse_errors_are_descriptive() {
-        for bad in
-            ["abort-storm", "nonsense@5", "delay:tile=1@x", "squeeze:tile=1@9", "lost-wake:ts=a@3"]
-        {
+        for bad in [
+            "abort-storm",
+            "nonsense@5",
+            "delay:tile=1@x",
+            "squeeze:tile=1@9",
+            "lost-wake:ts=a@3",
+            "squeeze:tile=1,tile=2,cap=3@0",
+            // Values that do not fit their field are rejected, not wrapped.
+            "stuck:core=99999999999@1",
+            "stuck:core=4294967296@1",
+            "delay:tile=4294967296,extra=1@0",
+            "delay:tile=0,extra=4294967296@0",
+            "squeeze:tile=4294967296,cap=2@0",
+            "squeeze:tile=0,cap=65536@0",
+        ] {
             let err = bad.parse::<FaultEvent>().expect_err(bad).to_string();
             assert!(err.starts_with("invalid fault spec"), "{bad}: {err}");
         }
+        // The largest values that fit still parse exactly.
+        let edge: FaultEvent = "squeeze:tile=4294967295,cap=65535@0".parse().unwrap();
+        assert_eq!(
+            edge.kind,
+            FaultKind::QueueSqueeze { tile: TileId(u32::MAX), capacity: u16::MAX }
+        );
+        let edge: FaultEvent = "stuck:core=4294967295@1".parse().unwrap();
+        assert_eq!(edge.kind, FaultKind::StuckCore { core: CoreId(u32::MAX) });
     }
 
     #[test]

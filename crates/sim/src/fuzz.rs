@@ -26,7 +26,7 @@
 //! The module also fuzzes the *fault* dimension: [`fault_plan`] samples
 //! random [`FaultPlan`]s across the whole [`FaultKind`] family, and
 //! [`check_scenario_with_faults`] runs a sampled scenario under a sampled
-//! plan through the chaos contract ([`crate::chaos::check_plan`]): the
+//! plan through the chaos contract ([`crate::conformance::check_plan`]): the
 //! faulted run must complete `validate()`-clean or fail with a typed error,
 //! identically on a repeat — never hang, panic, or silently corrupt.
 
@@ -35,8 +35,7 @@ use proptest::{any, Strategy};
 use swarm_mem::{AddressSpace, Region, SimMemory};
 use swarm_types::{CoreId, Hint, SystemConfig, TaskFnId, TileId, Timestamp};
 
-use crate::chaos::{check_plan, ChaosOptions, PlanCombo};
-use crate::conformance::{check_app, ConformanceOptions, ConformanceReport, MapperSpec};
+use crate::conformance::{check_app, check_plan, CheckOptions, Combo, MapperSpec};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::{InitialTask, SwarmApp, TaskCtx};
 
@@ -234,6 +233,19 @@ pub fn pressured_config(cores: u32) -> SystemConfig {
     cfg
 }
 
+/// The kit options for one sampled scenario: its pressure bit picks the
+/// machine, and every run carries a cycle-budget watchdog, so a run that
+/// would wedge surfaces as a typed error instead of a hang.
+fn scenario_options(spec: &ScenarioSpec, core_counts: &[u32]) -> CheckOptions {
+    CheckOptions {
+        core_counts: core_counts.to_vec(),
+        config: if spec.pressure { pressured_config } else { SystemConfig::with_cores },
+        // Scenarios are at most MAX_TASKS tiny tasks; a run that is still
+        // going after this many cycles is wedged, not slow.
+        max_cycles: 2_000_000,
+    }
+}
+
 /// Run one sampled scenario through the full conformance battery under
 /// every given mapper × core count, honoring the spec's pressure bit.
 ///
@@ -245,18 +257,13 @@ pub fn check_scenario(
     spec: &ScenarioSpec,
     mappers: &[MapperSpec<'_>],
     core_counts: &[u32],
-) -> Result<ConformanceReport, String> {
-    let opts = ConformanceOptions {
-        core_counts: core_counts.to_vec(),
-        repeats: 2,
-        // The task forest is fixed by the spec, so the committed count is a
-        // property of the program under every schedule.
-        stable_commit_count: true,
-        config: if spec.pressure { pressured_config } else { SystemConfig::with_cores },
-    };
+) -> Result<Vec<Combo>, String> {
+    let opts = scenario_options(spec, core_counts);
     let spec = spec.clone();
     let make = move || -> Box<dyn SwarmApp> { Box::new(ScenarioApp::new(spec.clone())) };
-    check_app(&make, mappers, &opts)
+    // The task forest is fixed by the spec, so the committed count is a
+    // property of the program under every schedule.
+    check_app(&make, mappers, &opts, true)
 }
 
 /// Raw per-event draw for [`fault_plan`]: `(cycle, kind selector, two
@@ -291,8 +298,7 @@ pub fn fault_plan() -> impl Strategy<Value = FaultPlan> {
 
 /// Run one sampled scenario under one sampled fault plan through the chaos
 /// contract for every mapper × core count, honoring the spec's pressure
-/// bit. Every battery run carries a cycle-budget watchdog, so a fault that
-/// would wedge the run surfaces as a typed error instead of a hang.
+/// bit.
 ///
 /// # Errors
 ///
@@ -303,14 +309,8 @@ pub fn check_scenario_with_faults(
     plan: &FaultPlan,
     mappers: &[MapperSpec<'_>],
     core_counts: &[u32],
-) -> Result<Vec<PlanCombo>, String> {
-    let opts = ChaosOptions {
-        core_counts: core_counts.to_vec(),
-        config: if spec.pressure { pressured_config } else { SystemConfig::with_cores },
-        // Scenarios are at most MAX_TASKS tiny tasks; a run that is still
-        // going after this many cycles is wedged, not slow.
-        max_cycles: 2_000_000,
-    };
+) -> Result<Vec<Combo>, String> {
+    let opts = scenario_options(spec, core_counts);
     let spec = spec.clone();
     let make = move || -> Box<dyn SwarmApp> { Box::new(ScenarioApp::new(spec.clone())) };
     check_plan(&make, mappers, plan, &opts)
@@ -326,7 +326,7 @@ mod tests {
         fn build(_: &SystemConfig) -> Box<dyn TaskMapper> {
             Box::new(RoundRobinMapper::new())
         }
-        [MapperSpec { name: "RoundRobin", build: &|cfg| build(cfg) }]
+        [MapperSpec { name: "RoundRobin", factory: &build }]
     }
 
     #[test]

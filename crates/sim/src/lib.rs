@@ -61,7 +61,6 @@
 pub mod app;
 pub mod arena;
 pub mod builder;
-pub mod chaos;
 pub mod conformance;
 pub mod engine;
 pub mod event_queue;

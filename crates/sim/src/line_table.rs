@@ -102,19 +102,10 @@ impl LineTable {
         }
     }
 
-    /// Mutable accessors of `line`, if present.
-    #[inline]
-    pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut LineAccessors> {
-        match self.index.probe(line.0) {
-            Probe::Found(pos) => Some(&mut self.slots[self.index.val_at(pos) as usize]),
-            Probe::Vacant(_) => None,
-        }
-    }
-
     /// The accessors of `line`, inserting an empty entry if absent (the
     /// `entry(line).or_default()` of the former `HashMap`).
     #[inline]
-    pub fn entry_or_default(&mut self, line: LineAddr) -> &mut LineAccessors {
+    fn entry_or_default(&mut self, line: LineAddr) -> &mut LineAccessors {
         let slot = match self.index.probe(line.0) {
             Probe::Found(pos) => self.index.val_at(pos),
             Probe::Vacant(mut pos) => {
@@ -143,14 +134,9 @@ impl LineTable {
         &mut self.slots[slot as usize]
     }
 
-    /// Remove `line` if present. Its accessor lists are cleared but their
-    /// capacity is kept for reuse by the next inserted line.
-    pub fn remove(&mut self, line: LineAddr) {
-        if let Probe::Found(pos) = self.index.probe(line.0) {
-            self.free_at(pos);
-        }
-    }
-
+    /// Drop the line at index position `pos`. Its accessor lists are
+    /// cleared but their capacity is kept for reuse by the next inserted
+    /// line.
     fn free_at(&mut self, pos: usize) {
         let slot = self.index.val_at(pos);
         self.index.remove_at(pos);
@@ -215,32 +201,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_round_trip() {
+    fn register_unregister_round_trip() {
         let mut t = LineTable::new();
         assert!(t.is_empty());
-        let line = LineAddr(42);
-        assert!(t.get(line).is_none());
-        t.entry_or_default(line).readers.push((0, TaskId(7)));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(line).unwrap().readers, vec![(0, TaskId(7))]);
-        t.get_mut(line).unwrap().writers.push((1, TaskId(8)));
-        assert_eq!(t.get(line).unwrap().writers, vec![(1, TaskId(8))]);
-        t.remove(line);
-        assert!(t.get(line).is_none());
+        let (a, b) = (LineAddr(42), LineAddr(43));
+        assert!(t.get(a).is_none());
+        t.register((0, TaskId(7)), &[a], &[b]);
+        t.register((1, TaskId(8)), &[], &[a]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(a).unwrap().readers, vec![(0, TaskId(7))]);
+        assert_eq!(t.get(a).unwrap().writers, vec![(1, TaskId(8))]);
+        t.unregister(TaskId(7), &[a], &[b]);
+        assert!(t.get(b).is_none(), "a line left without accessors is dropped");
+        assert!(t.get(a).unwrap().readers.is_empty());
+        t.unregister(TaskId(8), &[], &[a]);
+        assert!(t.get(a).is_none());
         assert!(t.is_empty());
-        // Removing an absent line is a no-op.
-        t.remove(line);
+        // Unregistering from an absent line is a no-op.
+        t.unregister(TaskId(8), &[], &[a]);
         assert!(t.is_empty());
     }
 
     #[test]
     fn freed_slots_are_reused_without_stale_contents() {
         let mut t = LineTable::new();
-        t.entry_or_default(LineAddr(1)).readers.push((0, TaskId(1)));
-        t.remove(LineAddr(1));
-        // The reused slot must come back empty.
-        let acc = t.entry_or_default(LineAddr(2));
-        assert!(acc.is_empty());
+        t.register((0, TaskId(1)), &[LineAddr(1)], &[]);
+        t.unregister(TaskId(1), &[LineAddr(1)], &[]);
+        // The reused slot must come back holding only the new accessor.
+        t.register((0, TaskId(2)), &[], &[LineAddr(2)]);
+        let acc = t.get(LineAddr(2)).unwrap();
+        assert!(acc.readers.is_empty());
+        assert_eq!(acc.writers, vec![(0, TaskId(2))]);
         assert_eq!(t.len(), 1);
     }
 
@@ -248,7 +239,7 @@ mod tests {
     fn grows_past_initial_capacity() {
         let mut t = LineTable::new();
         for line in 0..500u64 {
-            t.entry_or_default(LineAddr(line)).writers.push((line, TaskId(line)));
+            t.register((line, TaskId(line)), &[], &[LineAddr(line)]);
         }
         assert_eq!(t.len(), 500);
         for line in 0..500u64 {

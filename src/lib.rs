@@ -43,7 +43,7 @@ pub use swarm_types as types;
 
 /// Commonly used items, importable with `use swarm_repro::prelude::*`.
 pub mod prelude {
-    pub use spatial_hints::{classify_accesses, AccessClassification, ClassifierConfig, Scheduler};
+    pub use spatial_hints::{classify_accesses, AccessClassification, Scheduler};
     pub use swarm_apps::{AppSpec, BenchmarkId, InputScale};
     pub use swarm_sim::{
         AbortEvent, BuildError, CommitEvent, DequeueEvent, Engine, InitialTask, NetworkEvent,

@@ -23,9 +23,8 @@
 use spatial_hints::Scheduler;
 use swarm_bench::{Pool, RunRequest};
 use swarm_repro::prelude::*;
-use swarm_repro::sim::chaos::{check_chaos, ChaosOptions};
-use swarm_repro::sim::conformance::{check_app, ConformanceOptions, MapperSpec};
-use swarm_repro::sim::{standard_faults, TaskMapper};
+use swarm_repro::sim::conformance::{check_app, check_plan, CheckOptions, MapperSpec};
+use swarm_repro::sim::{standard_faults, FaultPlan};
 
 const SEED: u64 = 99;
 
@@ -39,26 +38,18 @@ fn spec(bench: BenchmarkId, fine: bool) -> AppSpec {
 
 /// Run the kit over one app under all four schedulers at 1 and 16 cores.
 fn check(spec: AppSpec, stable_commit_count: bool) {
-    check_with_options(
-        spec,
-        ConformanceOptions { stable_commit_count, ..ConformanceOptions::default() },
-    );
+    check_with_options(spec, CheckOptions::default(), stable_commit_count);
 }
 
-/// [`check`] with explicit [`ConformanceOptions`] (the contention shard
+/// [`check`] with explicit [`CheckOptions`] (the contention shard
 /// overrides the machine-configuration hook).
-fn check_with_options(spec: AppSpec, opts: ConformanceOptions) {
-    type Builder = Box<dyn Fn(&SystemConfig) -> Box<dyn TaskMapper>>;
-    let builders: Vec<(&'static str, Builder)> = Scheduler::ALL
-        .iter()
-        .map(|&s| (s.name(), Box::new(move |cfg: &SystemConfig| s.build(cfg)) as Builder))
-        .collect();
+fn check_with_options(spec: AppSpec, opts: CheckOptions, stable_commit_count: bool) {
     let mappers: Vec<MapperSpec<'_>> =
-        builders.iter().map(|(name, build)| MapperSpec { name, build: build.as_ref() }).collect();
-    let report = check_app(&|| spec.build(InputScale::Tiny, SEED), &mappers, &opts)
-        .unwrap_or_else(|e| panic!("{} failed conformance: {e}", spec.name()));
-    assert_eq!(report.combos.len(), Scheduler::ALL.len() * opts.core_counts.len());
-    assert_eq!(report.runs, report.combos.len() * opts.repeats);
+        Scheduler::ALL.iter().map(|s| MapperSpec { name: s.name(), factory: s }).collect();
+    let combos =
+        check_app(&|| spec.build(InputScale::Tiny, SEED), &mappers, &opts, stable_commit_count)
+            .unwrap_or_else(|e| panic!("{} failed conformance: {e}", spec.name()));
+    assert_eq!(combos.len(), Scheduler::ALL.len() * opts.core_counts.len());
 }
 
 /// A machine configuration with the contention NoC model enabled.
@@ -123,11 +114,8 @@ conformance_suite! {
 fn contention_mode_bfs_conforms() {
     check_with_options(
         AppSpec::coarse(BenchmarkId::Bfs),
-        ConformanceOptions {
-            stable_commit_count: true,
-            config: contention_config,
-            ..ConformanceOptions::default()
-        },
+        CheckOptions { config: contention_config, ..CheckOptions::default() },
+        true,
     );
 }
 
@@ -135,11 +123,8 @@ fn contention_mode_bfs_conforms() {
 fn contention_mode_des_conforms() {
     check_with_options(
         AppSpec::coarse(BenchmarkId::Des),
-        ConformanceOptions {
-            stable_commit_count: true,
-            config: contention_config,
-            ..ConformanceOptions::default()
-        },
+        CheckOptions { config: contention_config, ..CheckOptions::default() },
+        true,
     );
 }
 
@@ -209,16 +194,15 @@ fn every_app_is_byte_identical_across_pool_jobs() {
 
 #[test]
 fn an_unbuildable_machine_fails_typed_instead_of_panicking() {
-    // Zero cores yield a config `validate()` rejects. Both kits must say so
-    // before a mapper sizes its tables from it: LBHints would panic.
-    let build = |cfg: &SystemConfig| Scheduler::LbHints.build(cfg);
-    let mappers = [MapperSpec { name: "LBHints", build: &build }];
+    // Zero cores yield a config `validate()` rejects. The kit must say so,
+    // with or without a fault plan, before a mapper sizes its tables from
+    // it: LBHints would panic.
+    let mappers = [MapperSpec { name: "LBHints", factory: &Scheduler::LbHints }];
     let make = || AppSpec::coarse(BenchmarkId::Bfs).build(InputScale::Tiny, SEED);
-    let opts = ConformanceOptions { core_counts: vec![0], ..ConformanceOptions::default() };
-    let err = check_app(&make, &mappers, &opts).expect_err("zero cores is not a machine");
+    let opts = CheckOptions { core_counts: vec![0], ..CheckOptions::default() };
+    let err = check_app(&make, &mappers, &opts, false).expect_err("zero cores is not a machine");
     assert!(err.contains("invalid simulation"), "{err}");
-    let opts = ChaosOptions { core_counts: vec![0], ..ChaosOptions::default() };
-    let err = check_chaos(&make, &mappers, &standard_faults(100), &opts)
-        .expect_err("zero cores is not a machine");
+    let plan = FaultPlan::from(standard_faults(100)[0]);
+    let err = check_plan(&make, &mappers, &plan, &opts).expect_err("zero cores is not a machine");
     assert!(err.contains("invalid simulation"), "{err}");
 }

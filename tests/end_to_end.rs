@@ -133,7 +133,7 @@ fn access_classification_explains_hint_effectiveness() {
             .build()
             .expect("a valid simulation description");
         let stats = engine.run().unwrap();
-        classify_accesses(&stats.committed_accesses, ClassifierConfig::default())
+        classify_accesses(&stats.committed_accesses)
     };
     let des = classify(AppSpec::coarse(BenchmarkId::Des));
     assert!(des.single_hint_rw_share() > 0.9, "des read-write data should be single-hint");

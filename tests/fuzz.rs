@@ -28,26 +28,15 @@ use swarm_repro::sim::fuzz::{
 };
 use swarm_repro::types::{SimError, TaskId};
 
-type MapperBuilder = Box<dyn Fn(&SystemConfig) -> Box<dyn TaskMapper>>;
-
-/// The four paper schedulers as conformance-kit mapper factories.
-fn paper_mappers() -> Vec<(&'static str, MapperBuilder)> {
-    Scheduler::ALL
-        .iter()
-        .map(|&s| {
-            let build: MapperBuilder = Box::new(move |cfg: &SystemConfig| s.build(cfg));
-            (s.name(), build)
-        })
-        .collect()
+/// The four paper schedulers as conformance-kit mappers.
+fn paper_mappers() -> Vec<MapperSpec<'static>> {
+    Scheduler::ALL.iter().map(|s| MapperSpec { name: s.name(), factory: s }).collect()
 }
 
 /// Run one sampled scenario through the whole battery; panics (which the
 /// proptest runner shrinks) on the first violated invariant.
 fn check(spec: &ScenarioSpec) {
-    let builders = paper_mappers();
-    let mappers: Vec<MapperSpec<'_>> =
-        builders.iter().map(|(name, build)| MapperSpec { name, build: build.as_ref() }).collect();
-    check_scenario(spec, &mappers, &[1, 8])
+    check_scenario(spec, &paper_mappers(), &[1, 8])
         .unwrap_or_else(|e| panic!("scenario violated conformance: {e}\nspec: {spec:?}"));
 }
 
@@ -79,10 +68,7 @@ proptest! {
 /// bit-identical on repeat, or fail with the same typed `SimError` on
 /// repeat — never hang, panic, or leak residue.
 fn check_with_faults(spec: &ScenarioSpec, plan: &FaultPlan) {
-    let builders = paper_mappers();
-    let mappers: Vec<MapperSpec<'_>> =
-        builders.iter().map(|(name, build)| MapperSpec { name, build: build.as_ref() }).collect();
-    check_scenario_with_faults(spec, plan, &mappers, &[1, 8]).unwrap_or_else(|e| {
+    check_scenario_with_faults(spec, plan, &paper_mappers(), &[1, 8]).unwrap_or_else(|e| {
         panic!("faulted scenario violated the chaos contract: {e}\nspec: {spec:?}\nplan: {plan}")
     });
 }

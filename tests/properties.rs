@@ -639,79 +639,6 @@ proptest! {
         prop_assert!(missing.is_empty(), "ranks never drawn: {:?}", missing);
     }
 
-    /// The open-addressed `LineTable` (the speculative line-access table
-    /// ported onto `swarm_mem::OpenTable`) is observationally identical to
-    /// the former `HashMap` representation under random register /
-    /// unregister / remove interleavings driven through the map primitives
-    /// (`entry_or_default`, `get_mut`, `remove`) one entry at a time.
-    #[test]
-    fn line_table_matches_hashmap_reference(
-        ops in proptest::collection::vec((0u64..48, 0u64..16, 0u8..8), 1..400),
-    ) {
-        use std::collections::HashMap;
-        type Key = (u64, TaskId);
-        type RefAccessors = (Vec<Key>, Vec<Key>);
-        let mut table = LineTable::new();
-        let mut reference: HashMap<u64, RefAccessors> = HashMap::new();
-        for (step, &(line_raw, task_raw, op)) in ops.iter().enumerate() {
-            let line = LineAddr(line_raw);
-            let task = TaskId(task_raw);
-            // The table stores full commit-order keys; derive a stable ts.
-            let key: Key = (task_raw % 5, task);
-            match op {
-                // Register a reader (how register_access_sets inserts).
-                0..=2 => {
-                    let acc = table.entry_or_default(line);
-                    if !acc.readers.contains(&key) {
-                        acc.readers.push(key);
-                    }
-                    let entry = reference.entry(line_raw).or_default();
-                    if !entry.0.contains(&key) {
-                        entry.0.push(key);
-                    }
-                }
-                // Register a writer.
-                3..=5 => {
-                    let acc = table.entry_or_default(line);
-                    if !acc.writers.contains(&key) {
-                        acc.writers.push(key);
-                    }
-                    let entry = reference.entry(line_raw).or_default();
-                    if !entry.1.contains(&key) {
-                        entry.1.push(key);
-                    }
-                }
-                // Unregister the task, dropping emptied lines (how
-                // unregister_access_sets cleans up).
-                6 => {
-                    if let Some(acc) = table.get_mut(line) {
-                        acc.readers.retain(|&k| k.1 != task);
-                        acc.writers.retain(|&k| k.1 != task);
-                        if acc.is_empty() {
-                            table.remove(line);
-                        }
-                    }
-                    if let Some(entry) = reference.get_mut(&line_raw) {
-                        entry.0.retain(|&k| k.1 != task);
-                        entry.1.retain(|&k| k.1 != task);
-                        if entry.0.is_empty() && entry.1.is_empty() {
-                            reference.remove(&line_raw);
-                        }
-                    }
-                }
-                // Drop the whole line (cache-flush style).
-                _ => {
-                    table.remove(line);
-                    reference.remove(&line_raw);
-                }
-            }
-            let got = table.get(line).map(|a| (a.readers.clone(), a.writers.clone()));
-            let want = reference.get(&line_raw).cloned();
-            prop_assert_eq!(got, want, "accessors of line {} diverged at step {}", line_raw, step);
-            prop_assert_eq!(table.len(), reference.len(), "len diverged at step {}", step);
-        }
-    }
-
     /// `LineTable::register`/`unregister` (append without a `contains` scan,
     /// remove each entry once) keep exactly the per-line reader and writer
     /// lists, in order, of the former `contains`/`retain` bookkeeping under
