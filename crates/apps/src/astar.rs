@@ -93,7 +93,7 @@ impl SwarmApp for Astar {
                     for (n, w) in self.graph.neighbors(v) {
                         let ng = g + w as u64;
                         let f = ng + self.graph.heuristic(n, self.target);
-                        ctx.enqueue(0, f.max(ts), self.hint_for(n), vec![n as u64, ng]);
+                        ctx.enqueue(0, f.max(ts), self.hint_for(n), &[n as u64, ng]);
                     }
                 }
             }
@@ -106,7 +106,7 @@ impl SwarmApp for Astar {
                     if ng < ctx.read(self.g_addr(n)) {
                         ctx.write(self.g_addr(n), ng);
                         let f = ng + self.graph.heuristic(n, self.target);
-                        ctx.enqueue(0, f.max(ts), self.hint_for(n), vec![n as u64, ng]);
+                        ctx.enqueue(0, f.max(ts), self.hint_for(n), &[n as u64, ng]);
                     }
                 }
             }

@@ -81,7 +81,7 @@ impl SwarmApp for Bfs {
             if ctx.read(self.dist_addr(v)) == UNREACHED {
                 ctx.write(self.dist_addr(v), ts);
                 for (n, _) in self.graph.neighbors(v) {
-                    ctx.enqueue(0, ts + 1, self.hint_for(n), vec![n as u64]);
+                    ctx.enqueue(0, ts + 1, self.hint_for(n), &[n as u64]);
                 }
             }
         } else {
@@ -91,7 +91,7 @@ impl SwarmApp for Bfs {
                 for (n, _) in self.graph.neighbors(v) {
                     if ctx.read(self.dist_addr(n)) == UNREACHED {
                         ctx.write(self.dist_addr(n), ts + 1);
-                        ctx.enqueue(0, ts + 1, self.hint_for(n), vec![n as u64]);
+                        ctx.enqueue(0, ts + 1, self.hint_for(n), &[n as u64]);
                     }
                 }
             }

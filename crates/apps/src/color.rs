@@ -156,7 +156,7 @@ impl SwarmApp for Color {
                         // color task (2*n_rank), and not before my own
                         // timestamp (2*my_rank + 1 < 2*n_rank since ranks are
                         // distinct integers).
-                        ctx.enqueue(FID_NOTIFY, 2 * n_rank, self.hint_for(n), vec![n as u64, c]);
+                        ctx.enqueue(FID_NOTIFY, 2 * n_rank, self.hint_for(n), &[n as u64, c]);
                     }
                 }
                 debug_assert!(ts == 2 * my_rank + 1);

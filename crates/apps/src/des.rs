@@ -264,7 +264,7 @@ impl SwarmApp for Des {
             let arrival = self.circuit.ts_time(ts) + self.circuit.gates[gi].delay;
             let child_ts = self.circuit.event_ts(arrival, gate, toggles);
             for &(dst, di) in &self.circuit.gates[gi].fanout {
-                ctx.enqueue(0, child_ts, self.hint_for(dst), vec![dst as u64, di as u64, new_out]);
+                ctx.enqueue(0, child_ts, self.hint_for(dst), &[dst as u64, di as u64, new_out]);
             }
         }
     }

@@ -192,7 +192,7 @@ impl SwarmApp for Genome {
                             FID_INDEX,
                             TS_INDEX.max(ts),
                             self.bucket_hint(&self.prefix_table, pfp, BUCKET_SLOTS * 2),
-                            vec![seg_id as u64],
+                            &[seg_id as u64],
                         );
                         return;
                     }
@@ -231,7 +231,7 @@ impl SwarmApp for Genome {
                         if follower != 0 && follower != seg_id as u64 + 1 {
                             // Record the link from a SAMEHINT child so it
                             // runs wherever this (NOHINT) task was placed.
-                            ctx.enqueue(FID_LINK, ts, Hint::Same, vec![seg_id as u64, follower]);
+                            ctx.enqueue(FID_LINK, ts, Hint::Same, &[seg_id as u64, follower]);
                         }
                         return;
                     }

@@ -178,17 +178,17 @@ impl SwarmApp for Kmeans {
                 let base = Self::iteration_base(iter);
                 let n = self.workload.points.len();
                 for chunk_start in (0..n).step_by(SPAWN_CHUNK) {
-                    ctx.enqueue(FID_SPAWN, base + 1, Hint::None, vec![iter, chunk_start as u64]);
+                    ctx.enqueue(FID_SPAWN, base + 1, Hint::None, &[iter, chunk_start as u64]);
                 }
                 for c in 0..self.workload.clusters as u64 {
-                    ctx.enqueue(FID_RECENTER, base + 3, self.cluster_hint(c), vec![c]);
+                    ctx.enqueue(FID_RECENTER, base + 3, self.cluster_hint(c), &[c]);
                 }
                 if (iter + 1) < self.workload.iterations as u64 {
                     ctx.enqueue(
                         FID_DRIVER,
                         Self::iteration_base(iter + 1),
                         Hint::None,
-                        vec![iter + 1],
+                        &[iter + 1],
                     );
                 }
             }
@@ -199,12 +199,7 @@ impl SwarmApp for Kmeans {
                 let start = args[1] as usize;
                 let end = (start + SPAWN_CHUNK).min(self.workload.points.len());
                 for p in start..end {
-                    ctx.enqueue(
-                        FID_ASSIGN,
-                        base + 1,
-                        self.point_hint(p as u64),
-                        vec![iter, p as u64],
-                    );
+                    ctx.enqueue(FID_ASSIGN, base + 1, self.point_hint(p as u64), &[iter, p as u64]);
                 }
             }
             FID_ASSIGN => {
@@ -230,7 +225,7 @@ impl SwarmApp for Kmeans {
                 ctx.compute(10 * dims * self.workload.clusters as u64);
                 ctx.write(self.membership.addr_of(p), best);
                 let base = Self::iteration_base(iter);
-                ctx.enqueue(FID_UPDATE, base + 2, self.cluster_hint(best), vec![p, best]);
+                ctx.enqueue(FID_UPDATE, base + 2, self.cluster_hint(best), &[p, best]);
             }
             FID_UPDATE => {
                 // args = [point, cluster]: add the point into the cluster

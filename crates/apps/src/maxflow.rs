@@ -330,14 +330,14 @@ impl SwarmApp for Maxflow {
                 let round = args[0];
                 let base = round * self.round_span();
                 for v in 1..(self.workload.num_vertices() - 1) as u64 {
-                    ctx.enqueue(FID_DISCHARGE, base + 1 + v, self.vertex_hint(v), vec![v]);
+                    ctx.enqueue(FID_DISCHARGE, base + 1 + v, self.vertex_hint(v), &[v]);
                 }
                 if round + 1 < self.workload.rounds() as u64 {
                     ctx.enqueue(
                         FID_ROUND,
                         (round + 1) * self.round_span(),
                         Hint::None,
-                        vec![round + 1],
+                        &[round + 1],
                     );
                 }
             }

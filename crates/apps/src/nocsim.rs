@@ -165,7 +165,7 @@ impl SwarmApp for Nocsim {
                 FID_HOP,
                 ts + self.workload.link_delay,
                 self.hint_for(next),
-                vec![next as u64, dst as u64, 0],
+                &[next as u64, dst as u64, 0],
             );
         }
     }

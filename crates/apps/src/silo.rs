@@ -263,13 +263,13 @@ impl SwarmApp for Silo {
                         FID_STOCK_UPDATE,
                         ts,
                         Hint::object(T_STOCK, stock_key),
-                        vec![stock_key, qty],
+                        &[stock_key, qty],
                     );
                     ctx.enqueue(
                         FID_ORDER_INSERT,
                         ts,
                         Hint::object(T_ORDERS, args[0] * 8 + slot as u64),
-                        vec![args[0] * 8 + slot as u64, item, qty],
+                        &[args[0] * 8 + slot as u64, item, qty],
                     );
                 }
             }
@@ -306,10 +306,10 @@ impl SwarmApp for Silo {
                     FID_WAREHOUSE_PAY,
                     ts,
                     Hint::object(T_WAREHOUSE, *warehouse),
-                    vec![*warehouse, *amount],
+                    &[*warehouse, *amount],
                 );
                 let c = self.customer_index(*warehouse, *district, *customer);
-                ctx.enqueue(FID_CUSTOMER_PAY, ts, Hint::object(T_CUSTOMER, c), vec![c, *amount]);
+                ctx.enqueue(FID_CUSTOMER_PAY, ts, Hint::object(T_CUSTOMER, c), &[c, *amount]);
             }
             FID_WAREHOUSE_PAY => {
                 let warehouse = args[0];

@@ -79,7 +79,7 @@ impl SwarmApp for Sssp {
             if ctx.read(self.dist_addr(v)) == UNREACHED {
                 ctx.write(self.dist_addr(v), ts);
                 for (n, w) in self.graph.neighbors(v) {
-                    ctx.enqueue(0, ts + w as u64, self.hint_for(n), vec![n as u64]);
+                    ctx.enqueue(0, ts + w as u64, self.hint_for(n), &[n as u64]);
                 }
             }
         } else {
@@ -90,7 +90,7 @@ impl SwarmApp for Sssp {
                     let projected = ts + w as u64;
                     if projected < ctx.read(self.dist_addr(n)) {
                         ctx.write(self.dist_addr(n), projected);
-                        ctx.enqueue(0, projected, self.hint_for(n), vec![n as u64]);
+                        ctx.enqueue(0, projected, self.hint_for(n), &[n as u64]);
                     }
                 }
             }

@@ -187,7 +187,7 @@ impl SwarmApp for Hostile {
                 ctx.update(self.shared_addr(), |v| v + 1);
                 ctx.compute(self.w.compute);
                 if i + 1 < self.w.tasks {
-                    ctx.enqueue(PRIMARY, ts + 1, Hint::value(7), vec![i as u64 + 1]);
+                    ctx.enqueue(PRIMARY, ts + 1, Hint::value(7), &[i as u64 + 1]);
                 }
             }
             (HostileKind::PriorityInversion, _) => {
@@ -206,7 +206,7 @@ impl SwarmApp for Hostile {
                         SECONDARY,
                         LATE_BAND + c as u64,
                         Hint::value(1000 + c as u64),
-                        vec![c as u64],
+                        &[c as u64],
                     );
                 }
             }

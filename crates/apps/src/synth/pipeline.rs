@@ -141,7 +141,7 @@ impl SwarmApp for Pipeline {
             } else {
                 Hint::cache_line(self.buf_addr(i))
             };
-            ctx.enqueue(next as u16, self.ts_of(next, i), hint, vec![i as u64]);
+            ctx.enqueue(next as u16, self.ts_of(next, i), hint, &[i as u64]);
         }
     }
 

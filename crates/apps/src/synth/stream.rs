@@ -158,7 +158,7 @@ impl StreamSssp {
             let projected = dv + w;
             if projected < ctx.read(self.dist_addr(n)) {
                 ctx.write(self.dist_addr(n), projected);
-                ctx.enqueue(RELAX, ts + 1, self.hint_for(n), vec![n as u64]);
+                ctx.enqueue(RELAX, ts + 1, self.hint_for(n), &[n as u64]);
             }
         }
     }
@@ -201,7 +201,7 @@ impl SwarmApp for StreamSssp {
                 let du = ctx.read(self.dist_addr(src));
                 if du != UNREACHED && du + new_w < ctx.read(self.dist_addr(dst)) {
                     ctx.write(self.dist_addr(dst), du + new_w);
-                    ctx.enqueue(RELAX, ts + 1, self.hint_for(dst), vec![dst as u64]);
+                    ctx.enqueue(RELAX, ts + 1, self.hint_for(dst), &[dst as u64]);
                 }
             }
             RELAX => self.relax(args[0] as u32, ts, ctx),

@@ -17,9 +17,9 @@
 //!   either policy a missing point prints as an `n/a` cell and the command
 //!   exits 3. There is no retry: runs are deterministic.
 //!
-//! Parsing is strict: an unknown `--flag`, a flag missing its value, or an
-//! unrecognised value is a usage error (exit 2 with a diagnostic on stderr),
-//! not a silent fallback. List flags (`--apps`, `--schedulers`, `--cores`)
+//! Parsing is strict: an unknown `--flag`, a flag given twice, a flag missing
+//! its value, or an unrecognised value is a usage error (exit 2 with a
+//! diagnostic on stderr), not a silent fallback. List flags (`--apps`, `--schedulers`, `--cores`)
 //! warn on stderr about each element they drop and fail when an explicitly
 //! passed list ends up selecting nothing. Bare positional tokens are still
 //! tolerated so wrapper scripts can pass benchmark names positionally.
@@ -49,9 +49,9 @@ impl UsageError {
 }
 
 /// A command-specific flag a figure accepts on top of the shared set (e.g.
-/// `summary --json`, `chaos --plan SPEC`). Declaring it here keeps the
-/// strict parser from rejecting it as unknown; the figure still extracts
-/// the value from the raw argument slice itself.
+/// `summary --json`, `chaos --plan SPEC`). Declaring it keeps the strict
+/// parser from rejecting it as unknown; the parser records its value, which
+/// the figure reads back through [`HarnessArgs::extra`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExtraFlag {
     /// Full flag spelling, including the leading dashes (e.g. `"--json"`).
@@ -241,6 +241,9 @@ pub struct HarnessArgs {
     /// Diagnostics for tolerated-but-suspect input (dropped list elements);
     /// [`HarnessArgs::parse_args`] prints them to stderr.
     pub warnings: Vec<String>,
+    /// The command-specific extra flags given, with their values (empty for
+    /// a flag that takes none); read through [`HarnessArgs::extra`].
+    extras: Vec<(&'static str, String)>,
 }
 
 impl Default for HarnessArgs {
@@ -255,6 +258,7 @@ impl Default for HarnessArgs {
             jobs: 0,
             policy: FailurePolicy::FailFast,
             warnings: Vec::new(),
+            extras: Vec::new(),
         }
     }
 }
@@ -291,8 +295,8 @@ impl HarnessArgs {
 
     /// [`HarnessArgs::parse_args`] for commands with extra flags of their
     /// own (e.g. `summary --json`, `chaos --plan`). The extras are accepted
-    /// (and skipped) instead of rejected as unknown; the command extracts
-    /// their values from the raw slice itself.
+    /// instead of rejected as unknown, and the command reads their values
+    /// through [`HarnessArgs::extra`].
     ///
     /// # Errors
     ///
@@ -332,13 +336,21 @@ impl HarnessArgs {
     /// # Errors
     ///
     /// Returns [`UsageError::Help`] on `-h`/`--help` and
-    /// [`UsageError::Invalid`] on an unknown `--flag`, a flag missing its
+    /// [`UsageError::Invalid`] on an unknown `--flag`, a flag given twice
+    /// (which of the two should win is anyone's guess), a flag missing its
     /// value, an unrecognised value, or an explicit list flag that selects
     /// nothing.
     pub fn parse_from_with(args: Vec<String>, extras: &[ExtraFlag]) -> Result<Self, UsageError> {
         let mut parsed = HarnessArgs::default();
+        let mut seen: Vec<String> = Vec::new();
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
+            if flag.starts_with("--") {
+                if seen.contains(&flag) {
+                    return Err(UsageError::invalid(format!("{flag} given twice")));
+                }
+                seen.push(flag.clone());
+            }
             let mut value = |name: &str| {
                 it.next().ok_or_else(|| UsageError::invalid(format!("{name} requires a value")))
             };
@@ -402,9 +414,8 @@ impl HarnessArgs {
                 }
                 other if extras.iter().any(|e| e.name == other) => {
                     let extra = extras.iter().find(|e| e.name == other).expect("matched above");
-                    if extra.takes_value {
-                        value(extra.name)?;
-                    }
+                    let v = if extra.takes_value { value(extra.name)? } else { String::new() };
+                    parsed.extras.push((extra.name, v));
                 }
                 other if other.starts_with("--") => {
                     let known = KNOWN_FLAGS.iter().copied().chain(extras.iter().map(|e| e.name));
@@ -421,6 +432,12 @@ impl HarnessArgs {
             }
         }
         Ok(parsed)
+    }
+
+    /// The value of the command-specific extra flag `name` if it was given
+    /// (empty for a flag that takes no value), `None` otherwise.
+    pub fn extra(&self, name: &str) -> Option<&str> {
+        self.extras.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
     }
 
     /// The largest core count in the sweep (used by the breakdown figures,
@@ -571,11 +588,15 @@ mod tests {
         let args = HarnessArgs::parse_from_with(s(&["--json", "--cores", "1,2"]), &extras)
             .expect("declared extra flag parses");
         assert_eq!(&*args.cores, [1, 2]);
+        assert_eq!(args.extra("--json"), Some(""));
+        assert_eq!(args.extra("--plan"), None);
         // A value-taking extra consumes its value so the value is not
-        // mistaken for a positional or flag.
+        // mistaken for a positional or flag, and records it.
         let planned = HarnessArgs::parse_from_with(s(&["--plan", "dup@3", "--jobs", "2"]), &extras)
             .expect("--plan consumes its value");
         assert_eq!(planned.jobs, 2);
+        assert_eq!(planned.extra("--plan"), Some("dup@3"));
+        assert_eq!(planned.extra("--json"), None);
         // ... and missing its value is an error like any other flag.
         let msg = match HarnessArgs::parse_from_with(s(&["--plan"]), &extras) {
             Err(UsageError::Invalid(msg)) => msg,
@@ -681,8 +702,25 @@ mod tests {
         // There is no retry policy: runs are deterministic.
         let retry = parse_err(&["--on-error", "retry:3"]);
         assert!(retry.contains("retry:3"), "got: {retry}");
-        let fail = parse(&["--on-error", "collect", "--on-error", "fail"]);
-        assert_eq!(fail.policy, FailurePolicy::FailFast);
+    }
+
+    #[test]
+    fn a_flag_given_twice_is_a_usage_error() {
+        // Scalar, list and extra flags alike: neither occurrence silently
+        // wins.
+        let policy = parse_err(&["--on-error", "collect", "--on-error", "fail"]);
+        assert_eq!(policy, "--on-error given twice");
+        let apps = parse_err(&["--apps", "des", "--cores", "1", "--apps", "bfs"]);
+        assert_eq!(apps, "--apps given twice");
+        assert_eq!(parse_err(&["--seed", "1", "--seed", "1"]), "--seed given twice");
+        let extras = [ExtraFlag { name: "--plan", takes_value: true }];
+        let plans = s(&["--plan", "duplicate@1", "--plan", "abort-storm@2"]);
+        match HarnessArgs::parse_from_with(plans, &extras) {
+            Err(UsageError::Invalid(msg)) => assert_eq!(msg, "--plan given twice"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        // A repeated bare positional is still tolerated.
+        assert_eq!(&*parse(&["bfs", "bfs", "--cores", "2"]).cores, [2]);
     }
 
     #[test]

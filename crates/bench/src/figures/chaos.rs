@@ -43,7 +43,7 @@ pub fn run(raw: &[String]) -> i32 {
         Ok(args) => args,
         Err(code) => return code,
     };
-    let plan = match extract_plan(raw) {
+    let plan = match args.extra("--plan").map(parse_plan).transpose() {
         Ok(plan) => plan,
         Err(e) => {
             eprintln!("error: invalid --plan: {e}");
@@ -128,23 +128,13 @@ fn report_violation(violation: &str) -> i32 {
     crate::exit_code::CHAOS
 }
 
-/// Pull `--plan <text>` out of the raw argument slice ([`HarnessArgs`]
-/// ignores flags it does not know).
-fn extract_plan(raw: &[String]) -> Result<Option<FaultPlan>, String> {
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--plan" {
-            return match it.next() {
-                Some(text) => match text.parse::<FaultPlan>() {
-                    Ok(plan) if plan.is_empty() => Err("the plan has no fault events".to_string()),
-                    Ok(plan) => Ok(Some(plan)),
-                    Err(e) => Err(e.to_string()),
-                },
-                None => Err("missing value after --plan".to_string()),
-            };
-        }
+/// Parse a `--plan` value into a non-empty fault plan.
+fn parse_plan(text: &str) -> Result<FaultPlan, String> {
+    match text.parse::<FaultPlan>() {
+        Ok(plan) if plan.is_empty() => Err("the plan has no fault events".to_string()),
+        Ok(plan) => Ok(plan),
+        Err(e) => Err(e.to_string()),
     }
-    Ok(None)
 }
 
 #[cfg(test)]
@@ -194,5 +184,8 @@ mod tests {
         // A plan with no events would quietly run a fault-free battery.
         assert_eq!(run(&s(&["--plan", ""])), crate::exit_code::USAGE);
         assert_eq!(run(&s(&["--plan", " ; "])), crate::exit_code::USAGE);
+        // A second plan would silently go unchecked.
+        let twice = s(&["--plan", "lost-wake:ts=3@0", "--plan", "abort-storm@2"]);
+        assert_eq!(run(&twice), crate::exit_code::USAGE);
     }
 }

@@ -112,7 +112,14 @@ fn parse_serve_args(args: &[String]) -> Result<Option<ServeArgs>, String> {
     let mut tcp = None;
     let mut jobs = 0usize;
     let mut options = ServeOptions::default();
+    let mut seen: Vec<&str> = Vec::new();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            if seen.contains(&arg.as_str()) {
+                return Err(format!("{arg} given twice"));
+            }
+            seen.push(arg);
+        }
         let mut value =
             |name: &str| it.next().cloned().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
@@ -279,5 +286,8 @@ mod tests {
         assert!(err.contains("did you mean '--tcp'?"), "{err}");
         let err = parse_serve_args(&["--cache-dir".into()]).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
+        let err = parse_serve_args(&["--tcp".into(), "a".into(), "--tcp".into(), "b".into()])
+            .unwrap_err();
+        assert_eq!(err, "--tcp given twice");
     }
 }

@@ -78,12 +78,12 @@ const RUNS_PER_APP: usize = 6;
 /// Run the `summary` command with the argument slice that follows the
 /// subcommand name (`swarm summary <args...>`).
 pub fn run(args: &[String]) -> i32 {
-    let json = args.iter().any(|a| a == "--json");
     let extras = [crate::ExtraFlag { name: "--json", takes_value: false }];
     let args = match HarnessArgs::parse_args_with(args, &extras) {
         Ok(args) => args,
         Err(code) => return code,
     };
+    let json = args.extra("--json").is_some();
     let cores = args.max_cores();
 
     // Per app: 1-core Random baseline, then Random/Stealing/Hints on the

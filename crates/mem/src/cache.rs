@@ -16,11 +16,13 @@
 //! sharer masks are walked with `trailing_zeros`, and a write reports its
 //! invalidations as the sharer mask it walked ([`Invalidated`], an iterator
 //! over it) rather than a list — a steady-state access performs no heap
-//! allocation.
+//! allocation. Each directory entry also records the line's L3 slot and
+//! which L1s may hold it, and a repeat of the previous access probes no
+//! cache set at all (see [`CacheModel`]).
 
 use swarm_types::{CacheConfig, CoreId, LineAddr, TileId};
 
-use crate::lru::LruSet;
+use crate::lru::{LruList, LruSet, NIL};
 use crate::table::{OpenTable, Probe};
 
 /// Whether an access reads or writes the line.
@@ -128,14 +130,59 @@ pub struct AccessOutcome {
 /// group member — which keeps coherence decisions correct (no stale copy
 /// survives) at the cost of extra invalidation traffic, exactly like a
 /// coarse-vector directory.
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// # L1 holders: a superset
+///
+/// `l1_holders` has bit `core % 64` set for every core whose L1 *may* hold
+/// the line, so an invalidation probes only those L1s. A bit is set on every
+/// fill and cleared only when an invalidation removes the line, and only on
+/// machines of at most 64 cores, where a bit is one core. Capacity evictions
+/// leave it set, and beyond 64 cores a bit stands for every core of its
+/// class and is never cleared; either way the mask stays a superset of the
+/// true holders, and probing an L1 that lacks the line changes nothing.
+#[derive(Debug, Clone, Copy)]
 struct LineDir {
     /// Tiles holding a copy (bit per alias group of tiles; see above).
     sharers: u64,
-    /// Tile holding the line in modified state, if any (always exact).
-    owner: Option<TileId>,
-    /// Whether the line is present in the L3.
-    in_l3: bool,
+    /// Cores whose L1 may hold the line (see above).
+    l1_holders: u64,
+    /// Tile holding the line in modified state ([`NO_OWNER`] if none;
+    /// always exact).
+    owner: u32,
+    /// The line's slot in its home L3 slice's recency list, [`NIL`] while it
+    /// is not in the L3, so the per-access L3 promote needs no lookup.
+    l3_slot: u32,
+}
+
+/// [`LineDir::owner`] of a line no tile holds in modified state.
+const NO_OWNER: u32 = u32::MAX;
+
+impl LineDir {
+    /// A line no cache has seen.
+    const EMPTY: LineDir = LineDir { sharers: 0, l1_holders: 0, owner: NO_OWNER, l3_slot: NIL };
+
+    fn owner(&self) -> Option<TileId> {
+        (self.owner != NO_OWNER).then_some(TileId(self.owner))
+    }
+
+    /// Record that `tile` read (`Read`) or took exclusive ownership of
+    /// (`Write`) the line.
+    #[inline]
+    fn record(&mut self, kind: AccessKind, tile: TileId) {
+        match kind {
+            AccessKind::Read => {
+                self.sharers |= CacheModel::sharer_bit(tile);
+                if self.owner != tile.0 {
+                    // A remote read demotes the owner to sharer.
+                    self.owner = NO_OWNER;
+                }
+            }
+            AccessKind::Write => {
+                self.sharers = CacheModel::sharer_bit(tile);
+                self.owner = tile.0;
+            }
+        }
+    }
 }
 
 /// Open-addressed directory: line address -> [`LineDir`], on the shared
@@ -151,7 +198,7 @@ struct DirTable {
 
 impl DirTable {
     fn new() -> Self {
-        DirTable { table: OpenTable::new(1024, LineDir::default()), len: 0 }
+        DirTable { table: OpenTable::new(1024, LineDir::EMPTY), len: 0 }
     }
 
     /// Entry position for `key`, default-inserting it if absent; returns the
@@ -166,7 +213,7 @@ impl DirTable {
             Probe::Vacant(pos) => pos,
         };
         let pos = if (self.len + 1) * 2 > self.table.slots() {
-            self.table.grow(LineDir::default());
+            self.table.grow(LineDir::EMPTY);
             match self.table.probe(key) {
                 Probe::Vacant(pos) => pos,
                 Probe::Found(_) => unreachable!("key cannot appear during growth"),
@@ -174,9 +221,14 @@ impl DirTable {
         } else {
             pos
         };
-        self.table.occupy(pos, key, LineDir::default());
+        self.table.occupy(pos, key, LineDir::EMPTY);
         self.len += 1;
-        (pos, LineDir::default())
+        (pos, LineDir::EMPTY)
+    }
+
+    #[inline]
+    fn val_at(&self, pos: usize) -> LineDir {
+        self.table.val_at(pos)
     }
 
     #[inline]
@@ -184,15 +236,49 @@ impl DirTable {
         self.table.val_at_mut(pos)
     }
 
-    fn remove(&mut self, key: u64) {
-        if let Probe::Found(pos) = self.table.probe(key) {
-            self.table.remove_at(pos);
-            self.len -= 1;
+    /// Note that `key` left its L3 slice (an eviction).
+    fn clear_l3_slot(&mut self, key: u64) {
+        match self.table.probe(key) {
+            Probe::Found(pos) => self.table.val_at_mut(pos).l3_slot = NIL,
+            Probe::Vacant(_) => unreachable!("a line in the L3 has a directory entry"),
+        }
+    }
+
+    /// Remove `key`'s entry, returning what it held.
+    fn remove(&mut self, key: u64) -> Option<LineDir> {
+        match self.table.probe(key) {
+            Probe::Found(pos) => {
+                let dir = self.table.val_at(pos);
+                self.table.remove_at(pos);
+                self.len -= 1;
+                Some(dir)
+            }
+            Probe::Vacant(_) => None,
         }
     }
 }
 
+/// The previous access, remembered so that a repeat of it skips every probe
+/// whose outcome that access already fixed.
+#[derive(Debug, Clone, Copy)]
+struct LastAccess {
+    core: CoreId,
+    line: LineAddr,
+    /// Directory position of `line`; valid until the next access to another
+    /// line (which may insert an entry) or a flush (which removes one).
+    dir_pos: usize,
+}
+
 /// The cache hierarchy model.
+///
+/// # Repeat accesses
+///
+/// An access by the same core to the same line as the access just before
+/// it is served without probing any cache set: the previous access left the
+/// line most recently used in the core's L1, its tile's L2 and its home L3
+/// slice, so the repeat is an L1 hit that changes no recency order. Only
+/// the directory entry is updated, through the remembered position — for a
+/// write, with the same invalidation walk as any other write.
 ///
 /// # Example
 ///
@@ -215,10 +301,16 @@ pub struct CacheModel {
     /// paper's machines): turns the per-access core->tile divide into a shift.
     tile_shift: Option<u32>,
     num_tiles: usize,
+    /// Whether every core has an L1-holder bit of its own (at most 64
+    /// cores), so an invalidation may clear the bits it walks.
+    exact_holders: bool,
     l1: Vec<LruSet>,
     l2: Vec<LruSet>,
-    l3: Vec<LruSet>,
+    /// One recency list per L3 slice; each resident line's slot lives in its
+    /// directory entry, so the L3 needs no key index.
+    l3: Vec<LruList>,
     dir: DirTable,
+    last: Option<LastAccess>,
     accesses: u64,
     l1_hits: u64,
     l2_hits: u64,
@@ -240,12 +332,14 @@ impl CacheModel {
         CacheModel {
             l1: (0..num_cores).map(|_| LruSet::new(cfg.l1_lines.max(1))).collect(),
             l2: (0..num_tiles).map(|_| LruSet::new(cfg.l2_lines.max(1))).collect(),
-            l3: (0..num_tiles).map(|_| LruSet::new(cfg.l3_lines_per_tile.max(1))).collect(),
+            l3: (0..num_tiles).map(|_| LruList::new(cfg.l3_lines_per_tile.max(1))).collect(),
             dir: DirTable::new(),
+            last: None,
             cfg,
             tile_shift: cores_per_tile.is_power_of_two().then(|| cores_per_tile.trailing_zeros()),
             cores_per_tile,
             num_tiles,
+            exact_holders: num_cores <= 64,
             accesses: 0,
             l1_hits: 0,
             l2_hits: 0,
@@ -271,11 +365,20 @@ impl CacheModel {
         1u64 << (tile.index() as u64 % 64)
     }
 
+    fn holder_bit(core: usize) -> u64 {
+        1u64 << (core % 64)
+    }
+
     /// Perform one access from `core` to `line` and report where it was
     /// served from and which tiles were invalidated.
     pub fn access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) -> AccessOutcome {
         self.accesses += 1;
         let tile = self.tile_of(core);
+        if let Some(last) = self.last {
+            if last.core == core && last.line == line {
+                return self.repeat_access(core, tile, line.0, last.dir_pos, kind);
+            }
+        }
         let key = line.0;
 
         // Probe-and-fill in one pass: the line always ends the access resident
@@ -309,7 +412,7 @@ impl CacheModel {
             // Without an owner, the lowest-indexed other sharer forwards (on
             // <= 64-tile meshes alias groups are singletons, so this is exact).
             let remote_holder = dir_snapshot
-                .owner
+                .owner()
                 .filter(|o| *o != tile)
                 .or_else(|| Invalidated::new(dir_snapshot.sharers, tile, self.num_tiles).next());
             if let Some(owner) = remote_holder {
@@ -319,7 +422,7 @@ impl CacheModel {
                     self.cfg.l1_latency + self.cfg.l2_latency * 2 + self.cfg.l3_latency,
                     true,
                 )
-            } else if dir_snapshot.in_l3 && self.l3[home.index()].contains(key) {
+            } else if dir_snapshot.l3_slot != NIL {
                 self.l3_hits += 1;
                 (
                     HitLevel::L3 { home },
@@ -339,49 +442,96 @@ impl CacheModel {
             }
         };
 
-        // Writes invalidate every other tile's copy. Each sharer-mask bit
-        // covers its whole alias group (see [`LineDir`]), so tiles >= 64 are
-        // invalidated too.
-        let invalidated = match kind {
-            AccessKind::Read => Invalidated::new(0, tile, self.num_tiles),
-            AccessKind::Write => Invalidated::new(dir_snapshot.sharers, tile, self.num_tiles),
-        };
-        let cores_per_tile = self.cores_per_tile as usize;
-        for t in invalidated.clone() {
-            self.l2[t.index()].remove(key);
-            let first_core = t.index() * cores_per_tile;
-            for c in first_core..first_core + cores_per_tile {
-                self.l1[c].remove(key);
-            }
-        }
+        let (invalidated, holders) = self.invalidate_for(kind, key, tile, dir_snapshot);
 
-        // Update directory and fill caches along the way. `dir_pos` is still
-        // valid: nothing was inserted into or removed from the directory
-        // since the snapshot probe.
+        // The line ends the access most recently used in its home L3 slice;
+        // a fill that evicts another line clears that line's slot.
+        let l3_slot = if dir_snapshot.l3_slot != NIL {
+            self.l3[home.index()].promote(dir_snapshot.l3_slot);
+            dir_snapshot.l3_slot
+        } else {
+            let (slot, evicted) = self.l3[home.index()].push_front(key);
+            if let Some(victim) = evicted {
+                self.dir.clear_l3_slot(victim);
+            }
+            slot
+        };
+
+        // Update the directory. `dir_pos` is still valid: nothing was
+        // inserted into or removed from the directory since the snapshot
+        // probe.
         let dir = self.dir.val_at_mut(dir_pos);
-        match kind {
-            AccessKind::Read => {
-                dir.sharers |= Self::sharer_bit(tile);
-                if dir.owner != Some(tile) {
-                    // A remote read demotes the owner to sharer.
-                    dir.owner = None;
-                }
-            }
-            AccessKind::Write => {
-                dir.sharers = Self::sharer_bit(tile);
-                dir.owner = Some(tile);
-            }
-        }
-        dir.in_l3 = true;
-        self.l3[home.index()].insert(key);
+        dir.record(kind, tile);
+        dir.l1_holders = holders | Self::holder_bit(core.index());
+        dir.l3_slot = l3_slot;
         // The local L1 and L2 were already probed-and-filled above; the only
         // leftover fill is the L2 refresh on an L1 hit, which the combined
         // probe skips (it never reaches the L2 in that case).
         if l1_hit {
             self.l2[tile.index()].insert(key);
         }
+        self.last = Some(LastAccess { core, line, dir_pos });
 
         AccessOutcome { level, base_latency, invalidated, remote }
+    }
+
+    /// A repeat of the previous access's core and line: an L1 hit that
+    /// leaves every recency order as it is (see the type docs), so only the
+    /// directory entry at `dir_pos` changes.
+    fn repeat_access(
+        &mut self,
+        core: CoreId,
+        tile: TileId,
+        key: u64,
+        dir_pos: usize,
+        kind: AccessKind,
+    ) -> AccessOutcome {
+        self.l1_hits += 1;
+        let (invalidated, holders) = self.invalidate_for(kind, key, tile, self.dir.val_at(dir_pos));
+        let dir = self.dir.val_at_mut(dir_pos);
+        dir.record(kind, tile);
+        dir.l1_holders = holders | Self::holder_bit(core.index());
+        AccessOutcome {
+            level: HitLevel::L1,
+            base_latency: self.cfg.l1_latency,
+            invalidated,
+            remote: false,
+        }
+    }
+
+    /// The tiles an access of `kind` from `tile` invalidates, given the
+    /// line's directory entry `dir`, with their copies already removed:
+    /// a write drops the line from every other sharer tile's L2 and from
+    /// the L1s of those tiles' cores that may hold it (each sharer-mask bit
+    /// covers its whole alias group, see [`LineDir`]). Also returns the L1
+    /// holder mask left behind. A read invalidates nothing.
+    fn invalidate_for(
+        &mut self,
+        kind: AccessKind,
+        key: u64,
+        tile: TileId,
+        dir: LineDir,
+    ) -> (Invalidated, u64) {
+        if kind == AccessKind::Read {
+            return (Invalidated::new(0, tile, self.num_tiles), dir.l1_holders);
+        }
+        let invalidated = Invalidated::new(dir.sharers, tile, self.num_tiles);
+        let mut holders = dir.l1_holders;
+        let cores_per_tile = self.cores_per_tile as usize;
+        for t in invalidated.clone() {
+            self.l2[t.index()].remove(key);
+            let first_core = t.index() * cores_per_tile;
+            for c in first_core..first_core + cores_per_tile {
+                let bit = Self::holder_bit(c);
+                if holders & bit != 0 {
+                    self.l1[c].remove(key);
+                    if self.exact_holders {
+                        holders &= !bit;
+                    }
+                }
+            }
+        }
+        (invalidated, holders)
     }
 
     /// Drop a line from every cache and the directory. Used when the
@@ -394,10 +544,14 @@ impl CacheModel {
         for l2 in &mut self.l2 {
             l2.remove(key);
         }
-        for l3 in &mut self.l3 {
-            l3.remove(key);
+        if let Some(dir) = self.dir.remove(key) {
+            if dir.l3_slot != NIL {
+                let home = self.home_tile(line);
+                self.l3[home.index()].remove(dir.l3_slot);
+            }
         }
-        self.dir.remove(key);
+        // The removal may have moved other entries, the remembered one too.
+        self.last = None;
     }
 
     /// Total number of accesses observed.

@@ -35,6 +35,6 @@ pub mod table;
 
 pub use cache::{AccessKind, AccessOutcome, CacheModel, HitLevel};
 pub use layout::{AddressSpace, Region};
-pub use lru::LruSet;
+pub use lru::{LruList, LruSet};
 pub use memory::{SimMemory, UndoEntry};
 pub use table::{OpenTable, Probe};

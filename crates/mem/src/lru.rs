@@ -1,4 +1,12 @@
-//! A small LRU set used to model finite cache capacities.
+//! Fixed-capacity least-recently-used structures that model finite cache
+//! capacities.
+//!
+//! [`LruList`] is the recency list alone: callers address entries by the
+//! slot [`LruList::push_front`] returned, so a caller that already stores
+//! each key's slot (the cache directory does, for the L3) promotes and
+//! removes without any lookup. [`LruSet`] is the same list plus an
+//! open-addressed key index, for callers that only know the key (the L1s
+//! and L2s).
 
 use crate::table::{OpenTable, Probe};
 
@@ -6,8 +14,9 @@ use crate::table::{OpenTable, Probe};
 /// it is the open-addressed index's empty-slot marker.
 const NONE: u64 = u64::MAX;
 
-/// Sentinel slab slot ("no node").
-const NIL: u32 = u32::MAX;
+/// Sentinel slab slot ("no node"). The cache directory stores it as "not in
+/// the L3" in place of a slot.
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// One slab node of the intrusive recency list.
 #[derive(Debug, Clone, Copy)]
@@ -17,52 +26,35 @@ struct Node {
     next: u32,
 }
 
-/// A fixed-capacity set of `u64` keys with least-recently-used eviction.
+/// A fixed-capacity recency list of `u64` keys, addressed by slot.
 ///
-/// The cache model uses one `LruSet` per L1, per L2 and per L3 slice to
-/// decide whether a line is present at each level, so `touch`/`insert` are
-/// the hottest operations in the whole simulator. The implementation is a
-/// slab-backed intrusive list: nodes live in a flat `Vec` and link to each
-/// other by index, and an open-addressed `OpenTable` index maps keys to slab
-/// slots with a single cheap hash. Every operation is O(1), performs one probe
-/// sequence, and — once the slab has warmed up to capacity — never
-/// allocates.
+/// Nodes live in a flat slab and link to each other by index; every
+/// operation is O(1) and, once the slab has warmed up to capacity, never
+/// allocates. The list does not know which keys it holds — pushing a key
+/// already present makes a duplicate — so callers track membership
+/// themselves (a [`LruSet`] through its index, the cache directory through
+/// the slot it records per line).
 #[derive(Debug, Clone)]
-pub struct LruSet {
+pub struct LruList {
     capacity: usize,
     /// Slab of list nodes; never holds more than `capacity` live nodes.
     nodes: Vec<Node>,
     /// Slab slots freed by `remove`, reused before the slab grows.
     free: Vec<u32>,
-    /// Open-addressed index: key -> slab slot.
-    index: OpenTable<u32>,
     head: u32, // most recently used
     tail: u32, // least recently used
     len: usize,
 }
 
-impl LruSet {
-    /// Create an LRU set holding at most `capacity` keys.
+impl LruList {
+    /// Create a list holding at most `capacity` keys.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LruSet capacity must be positive");
-        // The index is sized by *occupancy*, not capacity, and doubles as
-        // the set fills (like a `HashMap`): a mostly-empty cache with a huge
-        // capacity must not pay for (or cache-miss across) a huge table.
-        // Growth stops at ~2x capacity, so the load factor stays <= 0.5.
-        let table_len = (capacity * 2).next_power_of_two().clamp(4, 16);
-        LruSet {
-            capacity,
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: OpenTable::new(table_len, NIL),
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
+        assert!(capacity > 0, "LRU capacity must be positive");
+        LruList { capacity, nodes: Vec::new(), free: Vec::new(), head: NIL, tail: NIL, len: 0 }
     }
 
     /// Number of keys currently held.
@@ -70,7 +62,7 @@ impl LruSet {
         self.len
     }
 
-    /// Whether the set is empty.
+    /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -80,12 +72,13 @@ impl LruSet {
         self.capacity
     }
 
-    /// Whether `key` is present (does not update recency).
-    pub fn contains(&self, key: u64) -> bool {
-        matches!(self.index.probe(key), Probe::Found(_))
+    /// The key held in `slot`.
+    #[inline]
+    pub fn key(&self, slot: u32) -> u64 {
+        self.nodes[slot as usize].key
     }
 
-    /// Splice `slot` out of the recency list (index untouched).
+    /// Splice `slot` out of the recency list.
     #[inline]
     fn unlink(&mut self, slot: u32) {
         let Node { prev, next, .. } = self.nodes[slot as usize];
@@ -101,9 +94,9 @@ impl LruSet {
         }
     }
 
-    /// Make `slot` the most-recently-used list node (index untouched).
+    /// Link `slot` in as the most-recently-used node.
     #[inline]
-    fn push_front(&mut self, slot: u32) {
+    fn link_front(&mut self, slot: u32) {
         let old_head = self.head;
         self.nodes[slot as usize].prev = NIL;
         self.nodes[slot as usize].next = old_head;
@@ -116,21 +109,106 @@ impl LruSet {
         }
     }
 
-    /// Promote an indexed slot to most recently used.
+    /// Make the live `slot` the most recently used.
     #[inline]
-    fn promote(&mut self, slot: u32) {
+    pub fn promote(&mut self, slot: u32) {
         if self.head != slot {
             self.unlink(slot);
-            self.push_front(slot);
+            self.link_front(slot);
         }
+    }
+
+    /// Add `key` as the most recently used and return its slot, plus the
+    /// least-recently-used key if the list was full and had to evict it
+    /// (its slot is the one reused for `key`).
+    pub fn push_front(&mut self, key: u64) -> (u32, Option<u64>) {
+        if self.len == self.capacity {
+            let victim = self.tail;
+            let victim_key = self.nodes[victim as usize].key;
+            self.unlink(victim);
+            self.nodes[victim as usize].key = key;
+            self.link_front(victim);
+            return (victim, Some(victim_key));
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize].key = key;
+                slot
+            }
+            None => {
+                self.nodes.push(Node { key, prev: NIL, next: NIL });
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.link_front(slot);
+        self.len += 1;
+        (slot, None)
+    }
+
+    /// Remove the live `slot` from the list.
+    pub fn remove(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.free.push(slot);
+        self.len -= 1;
+    }
+}
+
+/// A fixed-capacity set of `u64` keys with least-recently-used eviction:
+/// an [`LruList`] plus an open-addressed `OpenTable` index from key to
+/// slot, probed with a single cheap hash.
+///
+/// The cache model uses one `LruSet` per L1 and per L2 to decide whether a
+/// line is present, so `touch_or_insert` is among the hottest operations in
+/// the simulator. Every operation is O(1), performs one probe sequence, and
+/// — once warmed up to capacity — never allocates.
+#[derive(Debug, Clone)]
+pub struct LruSet {
+    list: LruList,
+    /// Open-addressed index: key -> list slot.
+    index: OpenTable<u32>,
+}
+
+impl LruSet {
+    /// Create an LRU set holding at most `capacity` keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        let list = LruList::new(capacity);
+        // The index is sized by *occupancy*, not capacity, and doubles as
+        // the set fills (like a `HashMap`): a mostly-empty cache with a huge
+        // capacity must not pay for (or cache-miss across) a huge table.
+        // Growth stops at ~2x capacity, so the load factor stays <= 0.5.
+        let table_len = (capacity * 2).next_power_of_two().clamp(4, 16);
+        LruSet { list, index: OpenTable::new(table_len, NIL) }
+    }
+
+    /// Number of keys currently held.
+    pub fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.list.is_empty()
+    }
+
+    /// Maximum number of keys.
+    pub fn capacity(&self) -> usize {
+        self.list.capacity()
+    }
+
+    /// Whether `key` is present (does not update recency).
+    pub fn contains(&self, key: u64) -> bool {
+        matches!(self.index.probe(key), Probe::Found(_))
     }
 
     /// Mark `key` as most recently used if present; returns whether it was.
     pub fn touch(&mut self, key: u64) -> bool {
         match self.index.probe(key) {
             Probe::Found(pos) => {
-                let slot = self.index.val_at(pos);
-                self.promote(slot);
+                self.list.promote(self.index.val_at(pos));
                 true
             }
             Probe::Vacant(_) => false,
@@ -150,8 +228,7 @@ impl LruSet {
         // ends at the empty position where `key` belongs.
         match self.index.probe(key) {
             Probe::Found(pos) => {
-                let slot = self.index.val_at(pos);
-                self.promote(slot);
+                self.list.promote(self.index.val_at(pos));
                 None
             }
             Probe::Vacant(pos) => self.insert_at(pos, key),
@@ -170,8 +247,7 @@ impl LruSet {
         assert_ne!(key, NONE, "u64::MAX is reserved as the LruSet sentinel");
         match self.index.probe(key) {
             Probe::Found(pos) => {
-                let slot = self.index.val_at(pos);
-                self.promote(slot);
+                self.list.promote(self.index.val_at(pos));
                 true
             }
             Probe::Vacant(pos) => {
@@ -186,58 +262,34 @@ impl LruSet {
     fn insert_at(&mut self, mut pos: usize, key: u64) -> Option<u64> {
         // Keep the load factor <= 0.5. The check only runs when a key is
         // actually inserted, so promote-hits never grow; eviction caps the
-        // post-insert occupancy at `capacity`, so the table never grows past
-        // ~2x capacity (a transient `capacity + 1` entries is harmless).
-        if (self.len + 1).min(self.capacity) * 2 > self.index.slots() {
+        // occupancy at `capacity`, so the table never grows past ~2x
+        // capacity (a transient `capacity + 1` entries is harmless).
+        if (self.list.len() + 1).min(self.list.capacity()) * 2 > self.index.slots() {
             self.index.grow(NIL);
             pos = match self.index.probe(key) {
                 Probe::Vacant(pos) => pos,
                 Probe::Found(_) => unreachable!("key cannot appear during growth"),
             };
         }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot as usize].key = key;
-                slot
-            }
-            None => {
-                let slot = self.nodes.len() as u32;
-                self.nodes.push(Node { key, prev: NIL, next: NIL });
-                slot
-            }
-        };
+        let (slot, evicted) = self.list.push_front(key);
+        // Index the new key before unindexing the victim: removal
+        // backward-shifts entries, which would invalidate `pos`.
         self.index.occupy(pos, key, slot);
-        self.push_front(slot);
-        self.len += 1;
-        if self.len > self.capacity {
-            // Evict the least recently used key (never the one just
-            // inserted: it is at the head and the capacity is >= 1, so with
-            // len >= 2 the tail is a different node).
-            let victim_slot = self.tail;
-            debug_assert_ne!(victim_slot, NIL);
-            debug_assert_ne!(victim_slot, slot);
-            let victim_key = self.nodes[victim_slot as usize].key;
-            self.unlink(victim_slot);
-            match self.index.probe(victim_key) {
+        if let Some(victim) = evicted {
+            match self.index.probe(victim) {
                 Probe::Found(victim_pos) => self.index.remove_at(victim_pos),
-                Probe::Vacant(_) => unreachable!("tail key must be indexed"),
+                Probe::Vacant(_) => unreachable!("an evicted key must be indexed"),
             }
-            self.free.push(victim_slot);
-            self.len -= 1;
-            return Some(victim_key);
         }
-        None
+        evicted
     }
 
     /// Remove `key` if present; returns whether it was present.
     pub fn remove(&mut self, key: u64) -> bool {
         match self.index.probe(key) {
             Probe::Found(pos) => {
-                let slot = self.index.val_at(pos);
-                self.unlink(slot);
+                self.list.remove(self.index.val_at(pos));
                 self.index.remove_at(pos);
-                self.free.push(slot);
-                self.len -= 1;
                 true
             }
             Probe::Vacant(_) => false,

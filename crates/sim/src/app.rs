@@ -90,6 +90,17 @@ pub struct TaskCtx<'a> {
     children: Vec<PendingChild>,
 }
 
+/// Record the line holding `addr`, unless it is the line just recorded (the
+/// list is deduplicated at outcome time anyway; this keeps runs of accesses
+/// to one line from growing it).
+#[inline]
+fn push_line(lines: &mut Vec<LineAddr>, addr: Addr) {
+    let line = LineAddr::containing(addr);
+    if lines.last() != Some(&line) {
+        lines.push(line);
+    }
+}
+
 impl<'a> TaskCtx<'a> {
     /// Create a context for `task` running on `core`. Charges the base task
     /// overhead (dequeue + task body setup) immediately.
@@ -107,6 +118,8 @@ impl<'a> TaskCtx<'a> {
         let undo = std::mem::take(&mut state.ctx_undo);
         let trace = std::mem::take(&mut state.ctx_trace);
         let children = state.ctx_children_pool.pop().unwrap_or_default();
+        // The previous body's last access says nothing about this one's.
+        state.last_access = None;
         debug_assert!(read_lines.is_empty() && write_lines.is_empty());
         debug_assert!(undo.is_empty() && trace.is_empty() && children.is_empty());
         TaskCtx {
@@ -132,7 +145,7 @@ impl<'a> TaskCtx<'a> {
     pub fn read(&mut self, addr: Addr) -> u64 {
         let (value, latency) = self.state.speculative_read(self.task, self.core, addr, self.cycles);
         self.cycles += latency;
-        self.read_lines.push(LineAddr::containing(addr));
+        push_line(&mut self.read_lines, addr);
         if self.state.profiling {
             self.trace.push((addr, false));
         }
@@ -144,7 +157,7 @@ impl<'a> TaskCtx<'a> {
         let (undo, latency) =
             self.state.speculative_write(self.task, self.core, addr, value, self.cycles);
         self.cycles += latency;
-        self.write_lines.push(LineAddr::containing(addr));
+        push_line(&mut self.write_lines, addr);
         self.undo.push(undo);
         if self.state.profiling {
             self.trace.push((addr, true));
@@ -165,16 +178,18 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Enqueue a child task (`swarm::enqueue(taskFn, timestamp, hint,
-    /// args...)` in the paper's API).
+    /// args...)` in the paper's API). Up to three arguments are stored
+    /// inline, like the paper's register-passed arguments, so such a
+    /// child costs no allocation.
     ///
     /// # Panics
     ///
     /// Panics if `ts` is lower than this task's timestamp: Swarm only allows
     /// children with equal or later timestamps.
-    pub fn enqueue(&mut self, fid: TaskFnId, ts: Timestamp, hint: Hint, args: Vec<u64>) {
+    pub fn enqueue(&mut self, fid: TaskFnId, ts: Timestamp, hint: Hint, args: &[u64]) {
         assert!(ts >= self.ts, "child timestamp {ts} is lower than parent timestamp {}", self.ts);
         self.cycles += self.state.cfg.spec.task_mgmt_cost;
-        self.children.push(PendingChild { fid, ts, hint, args });
+        self.children.push(PendingChild { fid, ts, hint, args: args.into() });
     }
 
     /// Cycles charged so far.

@@ -27,7 +27,7 @@
 use swarm_mem::UndoEntry;
 use swarm_types::{Addr, Hint, LineAddr, TaskFnId, TaskId, TileId, Timestamp};
 
-use crate::task::{OrderKey, TaskDescriptor, TaskStatus};
+use crate::task::{OrderKey, TaskArgs, TaskDescriptor, TaskStatus};
 
 /// Body-slot index marking "body reclaimed" (task committed or discarded).
 const NO_BODY: u32 = u32::MAX;
@@ -45,9 +45,8 @@ pub struct TaskBody {
     pub bucket: Option<u16>,
     /// Parent task, if any (initial tasks have none).
     pub parent: Option<TaskId>,
-    /// Task arguments (the paper passes up to three in registers; additional
-    /// ones spill to memory — we model the count, not the layout).
-    pub args: Vec<u64>,
+    /// Task arguments.
+    pub args: TaskArgs,
     /// Cache lines read by the current execution.
     pub read_set: Vec<LineAddr>,
     /// Cache lines written by the current execution.
@@ -289,7 +288,7 @@ impl TaskArena {
         let slot = std::mem::replace(&mut self.meta[id.0 as usize].body_of, NO_BODY);
         debug_assert_ne!(slot, NO_BODY, "body of {id:?} freed twice");
         let body = &mut self.bodies[slot as usize];
-        body.args.clear();
+        body.args = TaskArgs::default();
         body.reset_execution();
         self.free.push(slot);
     }
@@ -306,7 +305,7 @@ mod tests {
             hint: Hint::None,
             hint_hash: None,
             bucket: None,
-            args: vec![1, 2, 3],
+            args: TaskArgs::from(&[1, 2, 3][..]),
             parent: None,
             tile: TileId(0),
         }
@@ -322,7 +321,7 @@ mod tests {
         assert_eq!(arena.ts(a), 7);
         assert_eq!(arena.key(b), (3, b));
         assert_eq!(arena.status(a), TaskStatus::Idle);
-        assert_eq!(arena.body(a).args, vec![1, 2, 3]);
+        assert_eq!(*arena.body(a).args, [1, 2, 3]);
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.live_bodies(), 2);
     }

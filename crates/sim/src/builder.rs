@@ -36,7 +36,7 @@
 //! #         let acc = ctx.read(0x1000);
 //! #         ctx.write(0x1000, acc + i);
 //! #         if i + 1 < self.n {
-//! #             ctx.enqueue(0, ts + 1, Hint::value(i + 1), vec![i + 1]);
+//! #             ctx.enqueue(0, ts + 1, Hint::value(i + 1), &[i + 1]);
 //! #         }
 //! #     }
 //! # }

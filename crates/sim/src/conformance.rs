@@ -368,7 +368,7 @@ mod tests {
             let acc = ctx.read(0x1000);
             ctx.write(0x1000, acc + i);
             if i + 1 < self.n {
-                ctx.enqueue(0, ts + 1, Hint::value(i + 1), vec![i + 1]);
+                ctx.enqueue(0, ts + 1, Hint::value(i + 1), &[i + 1]);
             }
         }
         fn validate(&self, mem: &swarm_mem::SimMemory) -> Result<(), String> {
@@ -505,7 +505,7 @@ mod tests {
             }
             fn run_task(&self, _f: u16, ts: u64, _a: &[u64], ctx: &mut TaskCtx<'_>) {
                 ctx.write(0x1000, ts);
-                ctx.enqueue(0, ts + 1, Hint::None, vec![]);
+                ctx.enqueue(0, ts + 1, Hint::None, &[]);
             }
         }
         let plan = FaultPlan::from(FaultEvent { at_cycle: 50, kind: FaultKind::DuplicateMessage });

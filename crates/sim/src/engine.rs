@@ -34,7 +34,7 @@ use crate::mapper::TaskMapper;
 use crate::observer::{CoreWaitEvent, DequeueEvent, FaultInjectedEvent, SimObserver, WaitKind};
 use crate::state::{CoreState, SimState};
 use crate::stats::RunStats;
-use crate::task::{OrderKey, PendingChild, TaskDescriptor, TaskStatus};
+use crate::task::{OrderKey, PendingChild, TaskArgs, TaskDescriptor, TaskStatus};
 
 /// Safety limit on executed task bodies (including aborted re-executions);
 /// exceeding it aborts the run with [`SimError::TaskLimitExceeded`].
@@ -165,7 +165,7 @@ impl Engine {
             hint: Hint::None,
             hint_hash: None,
             bucket: None,
-            args: vec![],
+            args: TaskArgs::default(),
             parent: None,
             tile: TileId(0),
         };
@@ -217,7 +217,7 @@ impl Engine {
         // Enqueue the initial tasks (the program's `main`).
         let initial = self.app.initial_tasks();
         for t in initial {
-            self.enqueue_task(t.fid, t.ts, t.hint, t.args, None)?;
+            self.enqueue_task(t.fid, t.ts, t.hint, t.args.as_slice().into(), None)?;
         }
         self.process_wakes();
         let gvt_epoch = self.state.cfg.spec.gvt_epoch;
@@ -407,7 +407,7 @@ impl Engine {
         fid: u16,
         ts: Timestamp,
         hint: Hint,
-        args: Vec<u64>,
+        args: TaskArgs,
         parent: Option<TaskId>,
     ) -> SimResult<TaskId> {
         let (parent_hint, parent_ts, parent_tile) = match parent {
@@ -841,7 +841,10 @@ impl Engine {
         // Relaxed commit of independent equal-timestamp tasks (unordered
         // programs): finished tasks at the frontier timestamp whose parent
         // has committed and whose data no earlier uncommitted task touches.
-        if let Some((front_ts, _)) = self.state.gvt() {
+        // The frontier still stands: the commits above retired only
+        // finished tasks, and unspilling kept the spilled task's key.
+        debug_assert_eq!(frontier, self.state.gvt());
+        if let Some((front_ts, _)) = frontier {
             for tile in 0..self.state.cfg.num_tiles() {
                 for &(ts, id) in self.state.tiles[tile].finished.iter() {
                     // Sorted list: keys past the frontier timestamp can
@@ -961,7 +964,7 @@ mod tests {
         }
         fn run_task(&self, _fid: u16, ts: u64, _args: &[u64], ctx: &mut TaskCtx<'_>) {
             ctx.write(0x1000, ts);
-            ctx.enqueue(0, ts + 1, Hint::None, vec![]);
+            ctx.enqueue(0, ts + 1, Hint::None, &[]);
         }
     }
 
@@ -1005,6 +1008,90 @@ mod tests {
         let mut engine = Engine::new(cfg, Box::new(OneShot), Box::new(PinnedMapper));
         let stats = engine.run().expect("well under both budgets");
         assert_eq!(stats.tasks_committed, 1);
+    }
+
+    /// The line every [`ReadWriteReread`] task touches.
+    const RWR_LINE: u64 = 0x4000;
+
+    /// A root (ts 0, tile 0) that computes for a while and then enqueues
+    /// `first` (ts 1, tile 0); meanwhile `later` (ts 2, tile 1) reads the
+    /// line and finishes. `first` then reads, writes and re-reads the line,
+    /// logging each access's latency: its write must abort `later`.
+    struct ReadWriteReread {
+        latencies: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
+    }
+
+    impl SwarmApp for ReadWriteReread {
+        fn name(&self) -> &str {
+            "read-write-reread"
+        }
+        fn initial_tasks(&self) -> Vec<InitialTask> {
+            vec![
+                InitialTask::new(0, 0, Hint::value(0), vec![]),
+                InitialTask::new(2, 2, Hint::value(1), vec![]),
+            ]
+        }
+        fn run_task(&self, fid: u16, _ts: u64, _args: &[u64], ctx: &mut TaskCtx<'_>) {
+            match fid {
+                0 => {
+                    ctx.compute(5_000);
+                    ctx.enqueue(1, 1, Hint::value(0), &[]);
+                }
+                1 => {
+                    let mut log = self.latencies.borrow_mut();
+                    let mut last = ctx.cycles();
+                    let mut lap = |ctx: &TaskCtx<'_>| {
+                        log.push(ctx.cycles() - last);
+                        last = ctx.cycles();
+                    };
+                    let v = ctx.read(RWR_LINE);
+                    lap(ctx);
+                    ctx.write(RWR_LINE + 8, v + 1);
+                    lap(ctx);
+                    ctx.read(RWR_LINE + 16);
+                    lap(ctx);
+                }
+                _ => {
+                    ctx.read(RWR_LINE);
+                }
+            }
+        }
+        fn num_task_fns(&self) -> usize {
+            3
+        }
+    }
+
+    /// Places `Hint::Value(v)` tasks on tile `v`.
+    struct ByValue;
+
+    impl TaskMapper for ByValue {
+        fn name(&self) -> &str {
+            "by-value"
+        }
+        fn map_task(&mut self, hint: Hint, _creator: Option<TileId>, num_tiles: usize) -> TileId {
+            match hint {
+                Hint::Value(v) => TileId((v % num_tiles as u64) as u32),
+                _ => TileId(0),
+            }
+        }
+    }
+
+    /// A body that reads, writes and re-reads one word's line sees the
+    /// latencies and abort a build without the repeat-access shortcuts
+    /// produced (the figures below were recorded from one): a remote-L2
+    /// read that pays one accessor comparison, an L1 write that pays the
+    /// same comparison and aborts the later reader, and an L1 re-read whose
+    /// check finds the line table empty again.
+    #[test]
+    fn read_write_reread_of_one_line_keeps_its_latencies_and_abort() {
+        let latencies = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let app = ReadWriteReread { latencies: std::rc::Rc::clone(&latencies) };
+        let mut engine = Engine::new(SystemConfig::with_cores(2), Box::new(app), Box::new(ByValue));
+        let stats = engine.run().expect("the three tasks commit");
+        assert_eq!(stats.tasks_committed, 3);
+        assert_eq!(stats.tasks_aborted, 1, "the write aborts the later reader once");
+        assert_eq!(*latencies.borrow(), [34, 8, 2]);
+        assert_eq!(stats.runtime_cycles, 5200);
     }
 
     #[test]

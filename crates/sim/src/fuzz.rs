@@ -202,7 +202,7 @@ impl SwarmApp for ScenarioApp {
         }
         ctx.compute(t.compute);
         for &j in &self.children[i] {
-            ctx.enqueue(0, self.spec.tasks[j].ts, self.hint_of(j), vec![j as u64]);
+            ctx.enqueue(0, self.spec.tasks[j].ts, self.hint_of(j), &[j as u64]);
         }
     }
 

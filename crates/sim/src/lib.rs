@@ -40,7 +40,7 @@
 //!         let acc = ctx.read(0x1000);
 //!         ctx.write(0x1000, acc + i);
 //!         if i + 1 < self.n {
-//!             ctx.enqueue(0, ts + 1, Hint::value(i + 1), vec![i + 1]);
+//!             ctx.enqueue(0, ts + 1, Hint::value(i + 1), &[i + 1]);
 //!         }
 //!     }
 //! }
@@ -89,7 +89,7 @@ pub use observer::{
 };
 pub use state::{CoreState, SimState, TileState};
 pub use stats::{CommittedTaskAccesses, CycleBreakdown, RunStats};
-pub use task::{InitialTask, OrderKey, PendingChild, TaskDescriptor, TaskStatus};
+pub use task::{InitialTask, OrderKey, PendingChild, TaskArgs, TaskDescriptor, TaskStatus};
 
 #[cfg(test)]
 mod tests {
@@ -170,7 +170,7 @@ mod tests {
             match fid {
                 0 => {
                     for i in 0..self.children {
-                        ctx.enqueue(1, ts + 1 + i, Hint::value(i), vec![i]);
+                        ctx.enqueue(1, ts + 1 + i, Hint::value(i), &[i]);
                     }
                 }
                 1 => {
@@ -209,7 +209,7 @@ mod tests {
                 let acc = ctx.read(0x1000);
                 ctx.write(0x1000, acc + i);
                 if i + 1 < 20 {
-                    ctx.enqueue(0, ts + 1, Hint::value(i + 1), vec![i + 1]);
+                    ctx.enqueue(0, ts + 1, Hint::value(i + 1), &[i + 1]);
                 }
             }
         }
@@ -321,7 +321,7 @@ mod tests {
                 if fid == 0 {
                     // Children may not travel back in time; the engine turns
                     // the panic-free path (enqueue at finish) into an error.
-                    ctx.enqueue(1, 10, Hint::None, vec![]);
+                    ctx.enqueue(1, 10, Hint::None, &[]);
                 }
             }
         }

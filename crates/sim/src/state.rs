@@ -72,6 +72,21 @@ impl TileState {
     }
 }
 
+/// The running body's previous speculative access, remembered so that a
+/// repeat of it skips the line-table probe and victim scan. Exact because a
+/// body's accesses run back to back: between two of them only that body's
+/// own conflict aborts touch the line table, and those only remove entries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LastLineAccess {
+    line: LineAddr,
+    /// Whether the body wrote `line` in its current run of accesses to it:
+    /// that write's conflict check aborted every later-key reader too.
+    wrote: bool,
+    /// The conflict-check cost of the line's accessor list after the
+    /// access's aborts; `None` when it aborted someone and must be re-read.
+    check_cost: Option<u64>,
+}
+
 /// The complete mutable state of one simulation.
 #[derive(Debug)]
 pub struct SimState {
@@ -113,8 +128,6 @@ pub struct SimState {
     /// Number of tasks that are neither committed nor discarded; the run
     /// terminates when this reaches zero.
     pub remaining_tasks: u64,
-    /// Conflict checks performed.
-    pub conflict_checks: u64,
     /// Whether to record per-task access traces for committed tasks.
     pub profiling: bool,
     /// The event fan-out point: the built-in statistics observer plus any
@@ -132,6 +145,9 @@ pub struct SimState {
     /// [`SimState::tile_of_core`] — called several times per task — can
     /// shift instead of divide.
     tile_shift: Option<u32>,
+    /// The running body's previous access (see [`LastLineAccess`]); `None`
+    /// before its first. [`crate::TaskCtx::new`] resets it.
+    pub(crate) last_access: Option<LastLineAccess>,
 
     // Scratch buffers reused across conflict/abort events so the hot paths
     // never allocate. Each is taken (`std::mem::take`), used, cleared and
@@ -195,7 +211,7 @@ impl SimState {
             idle_tasks: 0,
             cores: vec![CoreState::Idle { since: 0 }; num_cores],
             remaining_tasks: 0,
-            conflict_checks: 0,
+            last_access: None,
             profiling: false,
             observers: ObserverHub::new(num_tiles),
             wake_tiles: Vec::new(),
@@ -573,7 +589,7 @@ impl SimState {
     /// running on `core`, `elapsed` cycles into the task's execution (so
     /// contention-mode messages enter the network at the right virtual
     /// time). Returns `(value, latency_cycles)`.
-    pub fn speculative_read(
+    pub(crate) fn speculative_read(
         &mut self,
         task: TaskId,
         core: CoreId,
@@ -589,7 +605,7 @@ impl SimState {
     /// cycles. The previous value is recorded in the task's undo log by the
     /// caller (the task context owns the log until the execution is
     /// integrated).
-    pub fn speculative_write(
+    pub(crate) fn speculative_write(
         &mut self,
         task: TaskId,
         core: CoreId,
@@ -616,44 +632,31 @@ impl SimState {
         elapsed: u64,
     ) -> u64 {
         let line = LineAddr::containing(addr);
-        let my_key = self.tasks.key(task);
         let tile = self.tile_of_core(core);
 
-        // Eager conflict detection: any uncommitted, later-key task that has
-        // accessed this line in a conflicting way must abort (its accesses
-        // would otherwise appear out of timestamp order). The victim list is
-        // a persistent scratch buffer: conflicts are frequent under
-        // contention and a fresh Vec per access was measurable.
-        let mut victims = std::mem::take(&mut self.scratch_victims);
-        debug_assert!(victims.is_empty());
-        let mut check_cost = 0;
-        if let Some(acc) = self.line_table.get(line) {
-            self.conflict_checks += 1;
-            let compared = (acc.readers.len() + acc.writers.len()) as u64;
-            check_cost =
-                self.cfg.spec.conflict_check_cost + compared * self.cfg.spec.conflict_compare_cost;
-            for &wk in &acc.writers {
-                if wk.1 != task && wk > my_key {
-                    victims.push(wk.1);
-                }
+        // A repeat read of the running body's previous line, or a repeat
+        // write once the body has written it, finds no conflict: the
+        // previous access already aborted every later-key task it could
+        // conflict with, and nothing else touched the line table since.
+        // Only the check cost remains to charge.
+        let check_cost = match self.last_access {
+            Some(last) if last.line == line && (kind == AccessKind::Read || last.wrote) => {
+                let cost = last.check_cost.unwrap_or_else(|| self.check_cost(line));
+                self.last_access = Some(LastLineAccess { check_cost: Some(cost), ..last });
+                cost
             }
-            if kind == AccessKind::Write {
-                for &rk in &acc.readers {
-                    if rk.1 != task && rk > my_key && !victims.contains(&rk.1) {
-                        victims.push(rk.1);
-                    }
-                }
+            _ => {
+                let (cost, aborted) = self.check_conflicts(task, tile, line, kind);
+                self.last_access = Some(LastLineAccess {
+                    line,
+                    wrote: kind == AccessKind::Write,
+                    // Aborts shrank the line's accessor list: re-read it on
+                    // a repeat.
+                    check_cost: (!aborted).then_some(cost),
+                });
+                cost
             }
-        }
-        for &v in &victims {
-            // The victim may already have been aborted transitively.
-            if !self.tasks.key_is_live_for_abort(v) {
-                continue;
-            }
-            self.abort_task(v, tile);
-        }
-        victims.clear();
-        self.scratch_victims = victims;
+        };
 
         // Charge the cache/NoC cost of the access itself.
         let outcome = self.caches.access(core, line, kind);
@@ -707,6 +710,67 @@ impl SimState {
             self.send_message(TrafficClass::Memory, tile, inv, hops, control_flits, at);
         }
         latency
+    }
+
+    /// Eager conflict detection for `task`'s access to `line` from `tile`:
+    /// any uncommitted, later-key task that has accessed the line in a
+    /// conflicting way must abort (its accesses would otherwise appear out
+    /// of timestamp order). Returns the check's cycle cost, charged for the
+    /// accessor list as found, and whether anything was aborted.
+    fn check_conflicts(
+        &mut self,
+        task: TaskId,
+        tile: TileId,
+        line: LineAddr,
+        kind: AccessKind,
+    ) -> (u64, bool) {
+        let my_key = self.tasks.key(task);
+        // The victim list is a persistent scratch buffer: conflicts are
+        // frequent under contention and a fresh Vec per access was
+        // measurable.
+        let mut victims = std::mem::take(&mut self.scratch_victims);
+        debug_assert!(victims.is_empty());
+        let mut check_cost = 0;
+        if let Some(acc) = self.line_table.get(line) {
+            check_cost = self.accessor_cost(acc.readers.len() + acc.writers.len());
+            for &wk in &acc.writers {
+                if wk.1 != task && wk > my_key {
+                    victims.push(wk.1);
+                }
+            }
+            if kind == AccessKind::Write {
+                for &rk in &acc.readers {
+                    if rk.1 != task && rk > my_key && !victims.contains(&rk.1) {
+                        victims.push(rk.1);
+                    }
+                }
+            }
+        }
+        let mut aborted = false;
+        for &v in &victims {
+            // The victim may already have been aborted transitively.
+            if !self.tasks.key_is_live_for_abort(v) {
+                continue;
+            }
+            self.abort_task(v, tile);
+            aborted = true;
+        }
+        victims.clear();
+        self.scratch_victims = victims;
+        (check_cost, aborted)
+    }
+
+    /// The conflict-check cost of an access to `line` as the line table
+    /// stands now.
+    fn check_cost(&self, line: LineAddr) -> u64 {
+        self.line_table
+            .get(line)
+            .map_or(0, |acc| self.accessor_cost(acc.readers.len() + acc.writers.len()))
+    }
+
+    /// The conflict-check cost of comparing against `compared` accessors.
+    fn accessor_cost(&self, compared: usize) -> u64 {
+        self.cfg.spec.conflict_check_cost + compared as u64 * self.cfg.spec.conflict_compare_cost
     }
 
     /// Register a completed execution's read/write sets in the line table so

@@ -27,9 +27,8 @@ pub struct TaskDescriptor {
     pub hint_hash: Option<u16>,
     /// Load-balancer bucket (only set when the active mapper uses buckets).
     pub bucket: Option<u16>,
-    /// Task arguments (the paper passes up to three in registers; additional
-    /// ones spill to memory — we model the count, not the layout).
-    pub args: Vec<u64>,
+    /// Task arguments.
+    pub args: TaskArgs,
     /// Parent task, if any (initial tasks have none).
     pub parent: Option<TaskId>,
     /// Tile whose task unit will hold this task.
@@ -103,7 +102,66 @@ pub struct PendingChild {
     /// Hint as given by the program (may be `SAMEHINT`).
     pub hint: Hint,
     /// Arguments.
-    pub args: Vec<u64>,
+    pub args: TaskArgs,
+}
+
+/// Number of task arguments held inline (the paper passes up to three in
+/// registers; additional ones spill to memory).
+const INLINE_ARGS: usize = 3;
+
+/// A task's argument words: up to three are stored inline, so creating a
+/// task with at most three arguments allocates nothing; more spill to the
+/// heap. Dereferences to the argument slice.
+#[derive(Clone, Default)]
+pub struct TaskArgs(ArgWords);
+
+#[derive(Clone)]
+enum ArgWords {
+    Inline { len: u8, words: [u64; INLINE_ARGS] },
+    Spilled(Vec<u64>),
+}
+
+impl Default for ArgWords {
+    fn default() -> Self {
+        ArgWords::Inline { len: 0, words: [0; INLINE_ARGS] }
+    }
+}
+
+impl From<&[u64]> for TaskArgs {
+    fn from(args: &[u64]) -> Self {
+        if args.len() <= INLINE_ARGS {
+            let mut words = [0; INLINE_ARGS];
+            words[..args.len()].copy_from_slice(args);
+            TaskArgs(ArgWords::Inline { len: args.len() as u8, words })
+        } else {
+            TaskArgs(ArgWords::Spilled(args.to_vec()))
+        }
+    }
+}
+
+impl std::ops::Deref for TaskArgs {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match &self.0 {
+            ArgWords::Inline { len, words } => &words[..usize::from(*len)],
+            ArgWords::Spilled(args) => args,
+        }
+    }
+}
+
+impl PartialEq for TaskArgs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for TaskArgs {}
+
+impl std::fmt::Debug for TaskArgs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 #[cfg(test)]
@@ -115,6 +173,17 @@ mod tests {
         let key = |ts, id| -> OrderKey { (ts, TaskId(id)) };
         assert!(key(1, 5) < key(2, 1));
         assert!(key(3, 1) < key(3, 2));
+    }
+
+    #[test]
+    fn args_up_to_three_words_stay_inline_and_more_spill() {
+        for n in 0..6u64 {
+            let words: Vec<u64> = (1..=n).collect();
+            let args = TaskArgs::from(words.as_slice());
+            assert_eq!(&*args, words.as_slice());
+            assert_eq!(matches!(args.0, ArgWords::Inline { .. }), n <= 3, "{n} words");
+        }
+        assert!(TaskArgs::default().is_empty());
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl SwarmApp for SilentChains {
     fn run_task(&self, fid: u16, ts: u64, _args: &[u64], ctx: &mut TaskCtx<'_>) {
         ctx.update(0x10_0000 + u64::from(fid) * 64, |v| v.wrapping_add(1));
         if ts < self.chain {
-            ctx.enqueue(fid, ts + 1, Hint::value(u64::from(fid)), vec![]);
+            ctx.enqueue(fid, ts + 1, Hint::value(u64::from(fid)), &[]);
         }
     }
 
@@ -111,15 +111,53 @@ impl SwarmApp for SilentChains {
 
 /// Allocation count of one complete run over `chain + 1` tasks per root.
 fn allocs_for(roots: u64, chain: u64) -> u64 {
+    allocs_of_run(SilentChains { roots, chain })
+}
+
+/// Allocation count of one complete 16-core run of `app`.
+fn allocs_of_run(app: impl SwarmApp + 'static) -> u64 {
     measured(|| {
         let mut engine = Sim::builder()
-            .app(SilentChains { roots, chain })
+            .app(app)
             .mapper(Box::new(RoundRobinMapper::new()))
             .cores(16)
             .build()
             .expect("workload builds");
         engine.run().expect("workload runs");
     })
+}
+
+/// [`SilentChains`] whose every link passes its successor three argument
+/// words (the most the paper passes in registers) and checks the ones it
+/// received: the arguments must ride inline, not in a per-task allocation.
+struct ThreeArgChains {
+    roots: u64,
+    chain: u64,
+}
+
+impl SwarmApp for ThreeArgChains {
+    fn name(&self) -> &str {
+        "three_arg_chains"
+    }
+
+    fn initial_tasks(&self) -> Vec<InitialTask> {
+        (0..self.roots)
+            .map(|i| InitialTask::new(i as u16, 0, Hint::value(i), vec![i, 0, 0]))
+            .collect()
+    }
+
+    fn run_task(&self, fid: u16, ts: u64, args: &[u64], ctx: &mut TaskCtx<'_>) {
+        assert_eq!(args, [u64::from(fid), ts, ts * 3]);
+        ctx.update(0x10_0000 + u64::from(fid) * 64, |v| v.wrapping_add(args[1]));
+        if ts < self.chain {
+            let next = ts + 1;
+            ctx.enqueue(fid, next, Hint::value(u64::from(fid)), &[u64::from(fid), next, next * 3]);
+        }
+    }
+
+    fn num_task_fns(&self) -> usize {
+        self.roots as usize
+    }
 }
 
 /// Ceiling on the bytes one 256-core engine build may allocate. The
@@ -180,6 +218,18 @@ fn longer_parallel_chains_allocate_no_more_than_short_ones() {
     );
 }
 
+#[test]
+fn three_argument_children_allocate_nothing_per_task() {
+    let run = |chain| allocs_of_run(ThreeArgChains { roots: 8, chain });
+    run(64);
+    let short = run(256);
+    let long = run(2048);
+    assert!(
+        long >= short && long - short <= DOUBLING_ALLOWANCE,
+        "children with three arguments must not allocate per task, got {short} -> {long}"
+    );
+}
+
 /// The hostile counterpart to [`SilentChains`]: a driver chain whose every
 /// link re-injects a full spill storm — a `WAVE`-wide burst of wave tasks
 /// (wider than the whole starved task queue, so most of the burst spills),
@@ -220,10 +270,10 @@ impl SwarmApp for ChurnChains {
                 // Driver for step `k`: burst the wave, then chain.
                 let k = ts / STEP;
                 for w in 0..WAVE {
-                    ctx.enqueue(1, ts + 1 + w, Hint::value(w), vec![]);
+                    ctx.enqueue(1, ts + 1 + w, Hint::value(w), &[]);
                 }
                 if k + 1 < self.chain {
-                    ctx.enqueue(0, ts + STEP, Hint::value(0), vec![]);
+                    ctx.enqueue(0, ts + STEP, Hint::value(0), &[]);
                 }
             }
             _ => {
@@ -234,7 +284,7 @@ impl SwarmApp for ChurnChains {
                     let base = ts - (ts % STEP);
                     let w = ts - base - 1;
                     for c in 0..LEAVES {
-                        ctx.enqueue(2, base + CHILD_OFF + w * LEAVES + c, Hint::value(c), vec![]);
+                        ctx.enqueue(2, base + CHILD_OFF + w * LEAVES + c, Hint::value(c), &[]);
                     }
                 }
             }
@@ -367,9 +417,9 @@ impl SwarmApp for FanChain {
         let line = u64::from(fid) * LINK + ts % LINK;
         ctx.update(0x30_0000 + line * 64, |v| v.wrapping_add(1));
         if fid == 0 && ts / LINK < self.chain {
-            ctx.enqueue(0, ts + LINK, Hint::value(0), vec![]);
+            ctx.enqueue(0, ts + LINK, Hint::value(0), &[]);
             for leaf in 0..FAN {
-                ctx.enqueue(1, ts + 1 + leaf, Hint::value(0), vec![]);
+                ctx.enqueue(1, ts + 1 + leaf, Hint::value(0), &[]);
             }
         }
     }

@@ -52,6 +52,30 @@ fn malformed_invocations_exit_2_with_a_diagnostic() {
         // The fair-queue and progress settings are constants, not flags.
         (&["serve", "--batch", "8"], "unknown flag '--batch'"),
         (&["serve", "--progress-every", "8"], "unknown flag '--progress-every'"),
+        // A repeated flag used to let its last occurrence win silently
+        // (or, for `chaos --plan`, its first).
+        (&["table1", "--scale", "tiny", "--apps", "des", "--apps", "bfs"], "--apps given twice"),
+        (&["fig2", "--seed", "1", "--seed", "2"], "--seed given twice"),
+        (&["summary", "--scale", "tiny", "--json", "--json"], "--json given twice"),
+        (
+            &[
+                "chaos",
+                "--scale",
+                "tiny",
+                "--apps",
+                "des",
+                "--schedulers",
+                "random",
+                "--cores",
+                "1",
+                "--plan",
+                "lost-wake:ts=3@0",
+                "--plan",
+                "abort-storm@2",
+            ],
+            "--plan given twice",
+        ),
+        (&["serve", "--jobs", "1", "--jobs", "2"], "--jobs given twice"),
         // `sysconfig` prints a fixed table and takes no flags at all.
         (&["sysconfig", "--cores", "4"], "unexpected argument '--cores'"),
         // The old measurement commands are gone: perfbench measures.

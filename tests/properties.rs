@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use swarm_repro::apps::kvstore::Zipfian;
 use swarm_repro::hints::TileMap;
-use swarm_repro::mem::{AccessKind, CacheModel, LruSet, SimMemory};
+use swarm_repro::mem::{AccessKind, CacheModel, LruList, LruSet, SimMemory};
 use swarm_repro::prelude::*;
 use swarm_repro::sim::{InitialTask, LineTable, TimingWheel, WHEEL_SLOTS};
 use swarm_types::{CacheConfig, CoreId, LineAddr, TaskId, TileId};
@@ -118,7 +118,10 @@ mod seed_reference {
     }
 
     /// The seed cache model: `SeedLruSet` arrays plus a `HashMap` directory.
-    /// Only valid for <= 64 tiles (the seed's sharer-mask limit).
+    /// Beyond 64 tiles (the seed's sharer-mask limit) it applies the
+    /// coarse-vector rule of `swarm_mem`'s directory: a sharer bit stands
+    /// for its alias group `{b, b + 64, ...}`, walked bit by bit, each
+    /// group in ascending order; at <= 64 tiles that is the seed's walk.
     #[derive(Debug, Clone)]
     pub struct SeedCacheModel {
         cfg: CacheConfig,
@@ -142,7 +145,6 @@ mod seed_reference {
 
     impl SeedCacheModel {
         pub fn new(cfg: CacheConfig, num_tiles: usize, cores_per_tile: u32) -> Self {
-            assert!(num_tiles <= 64);
             let num_cores = num_tiles * cores_per_tile as usize;
             SeedCacheModel {
                 l1: (0..num_cores).map(|_| SeedLruSet::new(cfg.l1_lines.max(1))).collect(),
@@ -162,15 +164,15 @@ mod seed_reference {
 
         fn sharer_tiles(&self, mask: u64, exclude: TileId) -> Vec<TileId> {
             (0..self.num_tiles.min(64))
-                .filter(|&t| t != exclude.index() && (mask >> t) & 1 == 1)
+                .filter(|&b| (mask >> b) & 1 == 1)
+                .flat_map(|b| (b..self.num_tiles).step_by(64))
+                .filter(|&t| t != exclude.index())
                 .map(|t| TileId(t as u32))
                 .collect()
         }
 
         fn dir_first_other_sharer(&self, mask: u64, exclude: TileId) -> Option<TileId> {
-            (0..self.num_tiles.min(64))
-                .find(|&t| t != exclude.index() && (mask >> t) & 1 == 1)
-                .map(|t| TileId(t as u32))
+            self.sharer_tiles(mask, exclude).first().copied()
         }
 
         pub fn access(&mut self, core: CoreId, line: LineAddr, write: bool) -> SeedOutcome {
@@ -499,6 +501,54 @@ proptest! {
             "rebalance made the spread worse: {} -> {}", spread_before, spread_after);
     }
 
+    /// `LruList` addressed through slots the caller keeps (as the cache
+    /// directory keeps each L3 line's slot) evicts exactly what `LruSet`
+    /// evicts, in the same order, under random insert / touch / remove
+    /// interleavings.
+    #[test]
+    fn lru_list_evicts_like_lru_set(
+        capacity in 1usize..24,
+        ops in proptest::collection::vec((0u64..48, 0u8..8), 1..400),
+    ) {
+        use std::collections::HashMap;
+        let mut set = LruSet::new(capacity);
+        let mut list = LruList::new(capacity);
+        let mut slots: HashMap<u64, u32> = HashMap::new();
+        for (step, &(key, op)) in ops.iter().enumerate() {
+            match op {
+                0..=4 => {
+                    let evicted = match slots.get(&key) {
+                        Some(&slot) => {
+                            list.promote(slot);
+                            None
+                        }
+                        None => {
+                            let (slot, evicted) = list.push_front(key);
+                            if let Some(victim) = evicted {
+                                prop_assert_eq!(slots.remove(&victim), Some(slot));
+                            }
+                            slots.insert(key, slot);
+                            evicted
+                        }
+                    };
+                    prop_assert_eq!(set.insert(key), evicted, "insert({}) at step {}", key, step);
+                }
+                5 | 6 => {
+                    let present = slots.get(&key).map(|&slot| list.promote(slot)).is_some();
+                    prop_assert_eq!(set.touch(key), present, "touch({}) at step {}", key, step);
+                }
+                _ => {
+                    let present = slots.remove(&key).map(|slot| list.remove(slot)).is_some();
+                    prop_assert_eq!(set.remove(key), present, "remove({}) at step {}", key, step);
+                }
+            }
+            prop_assert_eq!(list.len(), set.len(), "len diverged at step {}", step);
+            for (&k, &slot) in &slots {
+                prop_assert_eq!(list.key(slot), k, "slot of {} diverged at step {}", k, step);
+            }
+        }
+    }
+
     /// The slab-backed `LruSet` is observationally identical to the seed
     /// `HashMap`-threaded implementation under random insert / touch /
     /// remove interleavings, including eviction victims and order.
@@ -541,13 +591,18 @@ proptest! {
     /// The open-addressed directory + flat caches are observationally
     /// identical to the seed `HashMap` cache model under random read /
     /// write / flush interleavings: same hit levels, latencies,
-    /// invalidation lists (order included) and hit counters.
+    /// invalidation lists (order included) and hit counters. A third of
+    /// the accesses repeat the previous access's core and line (reads
+    /// after writes and writes after reads included), which the model
+    /// serves without probing its caches; the 128-tile mesh runs the
+    /// alias-group walk and the L1-holder superset beyond 64 cores.
     #[test]
     fn cache_model_matches_seed_hashmap_reference(
-        machine_idx in 0usize..4,
-        ops in proptest::collection::vec((any::<u32>(), 0u64..40, 0u8..8), 1..300),
+        machine_idx in 0usize..6,
+        ops in proptest::collection::vec((any::<u32>(), 0u64..40, 0u8..12), 1..300),
     ) {
-        let (num_tiles, cores_per_tile) = [(1usize, 1u32), (4, 1), (4, 4), (16, 2)][machine_idx];
+        let machines = [(1usize, 1u32), (4, 1), (4, 4), (16, 2), (16, 4), (128, 1)];
+        let (num_tiles, cores_per_tile) = machines[machine_idx];
         // Tiny capacities so the random workload constantly evicts.
         let cfg = CacheConfig {
             l1_lines: 2,
@@ -558,15 +613,25 @@ proptest! {
         let num_cores = num_tiles * cores_per_tile as usize;
         let mut new_impl = CacheModel::new(cfg.clone(), num_tiles, cores_per_tile);
         let mut seed = seed_reference::SeedCacheModel::new(cfg, num_tiles, cores_per_tile);
+        let mut previous = (CoreId(0), LineAddr(0));
         for (step, &(core_sel, line, op)) in ops.iter().enumerate() {
-            let core = CoreId(core_sel % num_cores as u32);
-            let line = LineAddr(line);
+            let (core, line) = if op >= 8 {
+                previous
+            } else if num_cores > 64 {
+                // Cores {0..3, 64..67} on a few lines: aliased L1-holder
+                // bits and alias-group sharers meet constantly.
+                (CoreId(core_sel % 4 + 64 * (core_sel / 4 % 2)), LineAddr(line % 8))
+            } else {
+                (CoreId(core_sel % num_cores as u32), LineAddr(line))
+            };
+            previous = (core, line);
             if op == 7 {
                 new_impl.flush_line(line);
                 seed.flush_line(line);
                 continue;
             }
-            let write = op >= 4;
+            // 0..=3 read, 4..=6 write; repeats alternate by parity.
+            let write = if op >= 8 { op % 2 == 1 } else { op >= 4 };
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
             let got = new_impl.access(core, line, kind);
             let want = seed.access(core, line, write);

@@ -96,7 +96,7 @@ fn stealing_keeps_cores_fed_on_an_imbalanced_spawn_tree() {
         fn run_task(&self, fid: u16, ts: u64, _args: &[u64], ctx: &mut TaskCtx<'_>) {
             if fid == 0 {
                 for i in 0..120u64 {
-                    ctx.enqueue(1, ts + 1 + i, Hint::Same, vec![i]);
+                    ctx.enqueue(1, ts + 1 + i, Hint::Same, &[i]);
                 }
             } else {
                 ctx.compute(400);
