@@ -30,7 +30,7 @@ use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
 use swarm_types::NocModel;
 
-use crate::pool::{FailurePolicy, Pool};
+use crate::pool::{CurveSpec, FailurePolicy, Pool, ResultCurve};
 use crate::runner::RunRequest;
 
 /// Why parsing stopped without producing usable [`HarnessArgs`].
@@ -463,6 +463,15 @@ impl HarnessArgs {
             fault: None,
             noc: self.noc,
         }
+    }
+
+    /// Sweep `series` over the core counts, each curve against its own
+    /// 1-core run, with every point at this invocation's scale, seed and
+    /// network model.
+    pub fn speedup_curves(&self, series: &[CurveSpec]) -> Vec<ResultCurve> {
+        let groups: Vec<_> =
+            series.iter().map(|s| (self.request(s.1, s.2, 1), vec![s.clone()])).collect();
+        self.pool().try_speedup_curve_groups(&groups, &self.cores).into_iter().flatten().collect()
     }
 
     /// The core counts to sweep, replaced by `figure_default` when the user

@@ -29,7 +29,7 @@ pub fn run(args: &[String]) -> i32 {
             })
         })
         .collect();
-    let curves = args.pool().try_speedup_curves(&series, &args.cores, args.scale, args.seed);
+    let curves = args.speedup_curves(&series);
 
     for (bench, app_curves) in args.apps.iter().zip(curves.chunks(args.schedulers.len())) {
         println!("Fig. 10 [{}]: speedup vs cores", bench.name());

@@ -19,7 +19,7 @@ pub fn run(args: &[String]) -> i32 {
     // of the sweep, so Fig. 2b reuses those points instead of re-running.
     let series: Vec<CurveSpec> =
         args.schedulers.iter().map(|&s| (s.name().to_string(), spec, s)).collect();
-    let curves = args.pool().try_speedup_curves(&series, &args.cores, args.scale, args.seed);
+    let curves = args.speedup_curves(&series);
 
     println!("Fig. 2a: des speedup vs cores (relative to 1-core Swarm)");
     println!("{}", format_speedup_table_results(&curves));

@@ -26,7 +26,7 @@ pub fn run(args: &[String]) -> i32 {
             schedulers.iter().map(move |&s| (s.name().to_string(), spec, s))
         })
         .collect();
-    let curves = args.pool().try_speedup_curves(&series, &args.cores, args.scale, args.seed);
+    let curves = args.speedup_curves(&series);
 
     for (bench, app_curves) in args.apps.iter().zip(curves.chunks(schedulers.len())) {
         println!("Fig. 4 [{}]: speedup vs cores", bench.name());

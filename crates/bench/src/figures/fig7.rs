@@ -37,7 +37,7 @@ pub fn run(args: &[String]) -> i32 {
             (baseline, series)
         })
         .collect();
-    let results = args.pool().try_speedup_curve_groups(&groups, &args.cores, args.scale, args.seed);
+    let results = args.pool().try_speedup_curve_groups(&groups, &args.cores);
 
     for (bench, curves) in benches.iter().zip(&results) {
         println!(

@@ -6,6 +6,7 @@
 use crate::{gmean, HarnessArgs, RunRequest};
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId};
+use swarm_serve::Value;
 use swarm_sim::RunStats;
 
 /// The per-app metrics, in column order, by their JSON names.
@@ -27,29 +28,18 @@ struct AppSummary {
     metrics: [Option<f64>; METRICS.len()],
 }
 
-/// Hand-rolled JSON dump (the offline build has no serde_json). Strings
-/// here are app names, which never need escaping.
-fn to_json_pretty(summaries: &[AppSummary]) -> String {
-    let objects: Vec<String> = summaries
-        .iter()
-        .map(|s| {
-            let fields: Vec<String> = METRICS
-                .iter()
-                .zip(s.metrics)
-                .map(|(name, v)| match v {
-                    Some(v) => format!("    \"{name}\": {v}"),
-                    None => format!("    \"{name}\": null"),
-                })
-                .collect();
-            format!(
-                "  {{\n    \"app\": \"{}\",\n    \"cores\": {},\n{}\n  }}",
-                s.app,
-                s.cores,
-                fields.join(",\n")
-            )
-        })
-        .collect();
-    format!("[\n{}\n]", objects.join(",\n"))
+/// The rows as one JSON array (one compact line): per app, its name, the
+/// core count and every metric, `null` where a metric is missing.
+fn to_json(summaries: &[AppSummary]) -> Value {
+    let row = |s: &AppSummary| {
+        let metrics = METRICS
+            .iter()
+            .zip(s.metrics)
+            .map(|(name, v)| (*name, v.map_or(Value::Null, Value::Float)));
+        let fields = [("app", Value::str(&s.app)), ("cores", Value::UInt(s.cores.into()))];
+        Value::Obj(fields.into_iter().chain(metrics).map(|(k, v)| (k.to_string(), v)).collect())
+    };
+    Value::Arr(summaries.iter().map(row).collect())
 }
 
 /// The table's column widths, metric by metric.
@@ -142,7 +132,7 @@ pub fn run(args: &[String]) -> i32 {
     let failures = || all_stats.iter().filter_map(|r| r.as_ref().err());
 
     if json {
-        println!("{}", to_json_pretty(&summaries));
+        println!("{}", to_json(&summaries).render());
         return super::report_failures(failures());
     }
 

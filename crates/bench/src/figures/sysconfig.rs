@@ -24,7 +24,7 @@ pub fn run(args: &[String]) -> i32 {
             return crate::exit_code::USAGE;
         }
     }
-    let cfg = SystemConfig::paper_256core();
+    let cfg = SystemConfig::with_cores(256);
     println!("Table II: configuration of the {}-core system", cfg.num_cores());
     println!(
         "  Cores       {} cores in {} tiles ({} cores/tile)",

@@ -52,7 +52,7 @@ pub fn run(args: &[String]) -> i32 {
             args.schedulers.iter().map(move |&s| (s.name().to_string(), AppSpec::coarse(bench), s))
         })
         .collect();
-    let curves = args.pool().try_speedup_curves(&series, &args.cores, args.scale, args.seed);
+    let curves = args.speedup_curves(&series);
 
     for (bench, app_curves) in apps.iter().zip(curves.chunks(args.schedulers.len())) {
         println!("Table 2 [{}]: speedup vs cores", bench.name());

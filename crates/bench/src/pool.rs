@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use spatial_hints::Scheduler;
-use swarm_apps::{AppSpec, InputScale};
+use swarm_apps::AppSpec;
 use swarm_sim::RunStats;
 
 use crate::runner::{run_point_result, ExperimentPoint, RunError, RunRequest};
@@ -162,91 +162,54 @@ impl Pool {
         entries.into_iter().zip(results).map(|((label, _), r)| (label, r)).collect()
     }
 
-    /// Sweep several labelled curves at once, each relative to its own
-    /// 1-core baseline (the parallel equivalent of [`crate::speedup_curve`]).
-    /// All runs of all curves go through one shared matrix, so parallelism
-    /// is harvested across series as well as within them.
+    /// Sweep several *groups* of labelled curves through one flat matrix,
+    /// so parallelism is harvested across groups and series alike. Each
+    /// group's curves are normalized to the group's baseline request: Fig. 7
+    /// runs one group per benchmark against the coarse-grain 1-core run,
+    /// and a plain speedup curve is a group of its own against its 1-core
+    /// point ([`crate::HarnessArgs::speedup_curves`]). Every point takes the
+    /// baseline's scale, seed and network model, so a sweep honours `--noc`
+    /// wherever its baseline does. Returns each group's curves, in group
+    /// order.
     ///
     /// Each point is its own [`PointResult`], so a failed point renders as
-    /// `n/a` instead of aborting the sweep. A point whose 1-core baseline
-    /// failed reports the baseline's error (its speedup is undefined) even
-    /// if its own run completed.
-    pub fn try_speedup_curves(
-        &self,
-        series: &[CurveSpec],
-        core_counts: &[u32],
-        scale: InputScale,
-        seed: u64,
-    ) -> Vec<ResultCurve> {
-        // Per series: one 1-core baseline request, then one request per
-        // non-1 core count (1-core entries reuse the baseline stats, exactly
-        // as the serial path does).
-        let mut requests = Vec::new();
-        for &(_, spec, scheduler) in series {
-            requests.push(RunRequest::new(spec, scheduler, 1, scale).with_seed(seed));
-            for &cores in core_counts.iter().filter(|&&c| c != 1) {
-                requests.push(RunRequest::new(spec, scheduler, cores, scale).with_seed(seed));
-            }
-        }
-        let mut results = self.execute(&requests, false).into_iter();
-        series
-            .iter()
-            .map(|(label, spec, scheduler)| {
-                let baseline = results.next().expect("one baseline per series");
-                let points = core_counts
-                    .iter()
-                    .map(|&cores| {
-                        let request =
-                            RunRequest::new(*spec, *scheduler, cores, scale).with_seed(seed);
-                        let stats = if cores == 1 {
-                            baseline.clone()
-                        } else {
-                            results.next().expect("one run per non-1 core count")
-                        };
-                        speedup_point(request, &baseline, stats)
-                    })
-                    .collect();
-                (label.clone(), points)
-            })
-            .collect()
-    }
-
-    /// Sweep several independent *groups* of curves, each normalized to its
-    /// own shared baseline request, through one flat matrix — so parallelism
-    /// is harvested across groups too (Fig. 7 runs one group per benchmark
-    /// and normalizes every fine-/coarse-grain series to the coarse 1-core
-    /// run). Returns each group's curves, in group order; a point whose
-    /// group baseline failed reports the baseline's error, as in
-    /// [`Pool::try_speedup_curves`].
+    /// `n/a` instead of aborting the sweep. A point whose baseline failed
+    /// reports the baseline's error (its speedup is undefined) even if its
+    /// own run completed. A 1-core point equal to its baseline is simulated
+    /// once ([`Pool`] deduplicates a matrix).
     pub fn try_speedup_curve_groups(
         &self,
         groups: &[(RunRequest, Vec<CurveSpec>)],
         core_counts: &[u32],
-        scale: InputScale,
-        seed: u64,
     ) -> Vec<Vec<ResultCurve>> {
+        let point = |baseline: &RunRequest, spec, scheduler, cores| RunRequest {
+            spec,
+            scheduler,
+            cores,
+            fault: None,
+            ..*baseline
+        };
         let mut requests = Vec::new();
         for (baseline, series) in groups {
             requests.push(*baseline);
             for &(_, spec, scheduler) in series {
                 for &cores in core_counts {
-                    requests.push(RunRequest::new(spec, scheduler, cores, scale).with_seed(seed));
+                    requests.push(point(baseline, spec, scheduler, cores));
                 }
             }
         }
         let mut results = self.execute(&requests, false).into_iter();
         groups
             .iter()
-            .map(|(_, series)| {
+            .map(|(baseline_request, series)| {
                 let baseline = results.next().expect("one baseline per group");
                 series
                     .iter()
-                    .map(|(label, spec, scheduler)| {
+                    .map(|&(ref label, spec, scheduler)| {
                         let points = core_counts
                             .iter()
                             .map(|&cores| {
-                                let request = RunRequest::new(*spec, *scheduler, cores, scale)
-                                    .with_seed(seed);
+                                let request = point(baseline_request, spec, scheduler, cores);
                                 let stats =
                                     results.next().expect("one run per series per core count");
                                 speedup_point(request, &baseline, stats)
@@ -380,7 +343,7 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swarm_apps::BenchmarkId;
+    use swarm_apps::{BenchmarkId, InputScale};
 
     fn request(cores: u32) -> RunRequest {
         RunRequest::new(
@@ -454,10 +417,11 @@ mod tests {
         let cores = [1, 2, 4];
         let serial =
             crate::runner::speedup_curve(spec, Scheduler::Hints, &cores, InputScale::Tiny, 7);
-        let series = [(String::new(), spec, Scheduler::Hints)];
-        let mut curves = Pool::new(4).try_speedup_curves(&series, &cores, InputScale::Tiny, 7);
+        let baseline = RunRequest::new(spec, Scheduler::Hints, 1, InputScale::Tiny).with_seed(7);
+        let series = vec![(String::new(), spec, Scheduler::Hints)];
+        let mut groups = Pool::new(4).try_speedup_curve_groups(&[(baseline, series)], &cores);
         let expected: Vec<PointResult> = serial.into_iter().map(Ok).collect();
-        assert_eq!(format!("{:?}", curves.remove(0).1), format!("{expected:?}"));
+        assert_eq!(format!("{:?}", groups.remove(0).remove(0).1), format!("{expected:?}"));
     }
 
     #[test]
@@ -465,12 +429,7 @@ mod tests {
         let spec = AppSpec::coarse(BenchmarkId::Bfs);
         let baseline = RunRequest::new(spec, Scheduler::Hints, 1, InputScale::Tiny);
         let series = vec![("H".to_string(), spec, Scheduler::Hints)];
-        let groups = Pool::new(2).try_speedup_curve_groups(
-            &[(baseline, series)],
-            &[1, 4],
-            InputScale::Tiny,
-            0xF1605,
-        );
+        let groups = Pool::new(2).try_speedup_curve_groups(&[(baseline, series)], &[1, 4]);
         // The 1-core point of the same config is the baseline re-run, so its
         // speedup is exactly 1.
         let one_core = groups[0][0].1[0].as_ref().expect("the baseline config runs");
@@ -533,7 +492,7 @@ mod tests {
         let series = vec![("H".to_string(), spec, Scheduler::Hints)];
         let groups = vec![(doomed(1), series.clone()), (request(1), series)];
         let pool = Pool::new(2).with_policy(FailurePolicy::CollectAll);
-        let curves = pool.try_speedup_curve_groups(&groups, &[1, 4], InputScale::Tiny, 0xF1605);
+        let curves = pool.try_speedup_curve_groups(&groups, &[1, 4]);
         assert_eq!(curves.len(), 2);
         // Every point of the doomed group carries the baseline's error, even
         // though its own runs completed...
@@ -546,7 +505,7 @@ mod tests {
         assert!(curves[1][0].1.iter().all(Result::is_ok));
         // Same requests in the same order at any job count.
         let serial = Pool::serial().with_policy(FailurePolicy::CollectAll);
-        let again = serial.try_speedup_curve_groups(&groups, &[1, 4], InputScale::Tiny, 0xF1605);
+        let again = serial.try_speedup_curve_groups(&groups, &[1, 4]);
         assert_eq!(format!("{curves:?}"), format!("{again:?}"));
     }
 }

@@ -226,14 +226,17 @@ mod tests {
         assert!(t.lines().next().expect("a header").ends_with("queue"), "{t}");
     }
 
+    /// nocsim under Hints at 1 and 4 cores, against its own 1-core run.
+    fn nocsim_hints_curve(pool: Pool) -> Vec<ResultCurve> {
+        let spec = AppSpec::coarse(BenchmarkId::Nocsim);
+        let baseline = RunRequest::new(spec, Scheduler::Hints, 1, InputScale::Tiny);
+        let series = vec![("Hints".to_string(), spec, Scheduler::Hints)];
+        pool.try_speedup_curve_groups(&[(baseline, series)], &[1, 4]).remove(0)
+    }
+
     #[test]
     fn speedup_table_renders_pool_curves() {
-        let curves = Pool::new(2).try_speedup_curves(
-            &[("Hints".to_string(), AppSpec::coarse(BenchmarkId::Nocsim), Scheduler::Hints)],
-            &[1, 4],
-            InputScale::Tiny,
-            0xF1605,
-        );
+        let curves = nocsim_hints_curve(Pool::new(2));
         let table = format_speedup_table_results(&curves);
         assert!(table.contains("cores"));
         assert!(table.contains("Hints"));
@@ -285,13 +288,7 @@ mod tests {
         }
 
         // And a speedup table whose faulted series fails its baseline.
-        let curves = pool.try_speedup_curves(
-            &[("Hints".to_string(), AppSpec::coarse(BenchmarkId::Nocsim), Scheduler::Hints)],
-            &[1, 4],
-            InputScale::Tiny,
-            0xF1605,
-        );
-        let mut curves = curves;
+        let mut curves = nocsim_hints_curve(pool);
         let err = crate::runner::RunError::Skipped {
             request: RunRequest::new(
                 AppSpec::coarse(BenchmarkId::Nocsim),

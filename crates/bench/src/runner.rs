@@ -165,7 +165,7 @@ fn run_point_guarded(
 ///
 /// Panics with the [`RunError`] if any point fails: a reference that
 /// silently skipped points would not be a reference. Figures use the
-/// Result-typed [`crate::Pool::try_speedup_curves`] instead.
+/// Result-typed [`crate::HarnessArgs::speedup_curves`] instead.
 pub fn speedup_curve(
     spec: AppSpec,
     scheduler: Scheduler,

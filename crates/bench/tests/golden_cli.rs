@@ -138,23 +138,48 @@ golden!(
 
 #[test]
 fn summary_json_matches_legacy() {
-    // The JSON form has no title line: its first line opens the array and
-    // every app appears as one object with all seven metrics filled in.
+    // The JSON form is one line holding one array: every app appears as
+    // one object with its name, the core count and all seven metrics
+    // filled in.
     let mut args: Vec<&str> = vec!["summary"];
     args.extend_from_slice(SWEEP);
     args.extend_from_slice(&["--apps", "des,sssp", "--json"]);
     let stdout = String::from_utf8(stdout_of(env!("CARGO_BIN_EXE_swarm"), &args)).unwrap();
-    assert_eq!(stdout.lines().next(), Some("["), "{stdout}");
-    assert!(stdout.contains("\"app\": \"des\""), "{stdout}");
-    assert!(stdout.contains("\"app\": \"sssp\""), "{stdout}");
-    assert_eq!(stdout.matches("\"lbhints_speedup\": ").count(), 2, "{stdout}");
-    assert!(!stdout.contains("null"), "{stdout}");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    let rows = swarm_serve::json::parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    let rows = rows.as_arr().expect("an array of per-app objects");
+    assert_eq!(rows.len(), 2, "{stdout}");
+    for (row, app) in rows.iter().zip(["des", "sssp"]) {
+        let fields = row.as_obj().expect("one object per app");
+        assert_eq!(fields.len(), 9, "{stdout}");
+        assert_eq!(row.get("app").and_then(|a| a.as_str()), Some(app), "{stdout}");
+        assert!(fields.iter().all(|(_, v)| *v != swarm_serve::Value::Null), "{stdout}");
+    }
 }
 
 #[test]
 fn sysconfig_matches_legacy() {
     // No sweep flags: sysconfig runs no simulations.
     assert_runs("sysconfig", &[], "Table II: configuration of the 256-core system");
+    // It prints the machine a 256-core point simulates.
+    let stdout = String::from_utf8(stdout_of(env!("CARGO_BIN_EXE_swarm"), &["sysconfig"])).unwrap();
+    let epoch = swarm_types::SystemConfig::with_cores(256).lb_epoch;
+    assert!(stdout.contains(&format!("reconfig every {epoch} cycles")), "{stdout}");
+}
+
+#[test]
+fn speedup_figures_honour_the_noc_model() {
+    // Every point of a speedup sweep, its 1-core baseline included, runs
+    // under `--noc`: at 16 cores per-link queueing moves the speedups.
+    let swarm = env!("CARGO_BIN_EXE_swarm");
+    for (figure, apps) in
+        [("fig4", "bfs"), ("fig7", "bfs"), ("fig10", "bfs"), ("table2", "kvstore")]
+    {
+        let args = [figure, "--scale", "tiny", "--cores", "1,16", "--jobs", "2", "--apps", apps];
+        let analytic = stdout_of(swarm, &args);
+        let contention = stdout_of(swarm, &[&args[..], &["--noc", "contention"]].concat());
+        assert_ne!(analytic, contention, "`swarm {figure}` ignored --noc contention");
+    }
 }
 
 #[test]

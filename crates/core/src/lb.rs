@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn lbhints_routes_through_tile_map_and_rebalances() {
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         let mut m = LbHintMapper::new(&cfg);
 
         // Find two hints in *different* buckets that initially map to the
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn lbhints_same_hint_same_tile_between_reconfigs() {
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         let mut m = LbHintMapper::new(&cfg);
         let a = m.map_task(Hint::value(9), Some(TileId(0)), cfg.num_tiles());
         let b = m.map_task(Hint::value(9), Some(TileId(2)), cfg.num_tiles());
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn idle_lb_reacts_to_idle_imbalance() {
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         let mut m = IdleLbMapper::new(&cfg);
         // Enqueue many tasks whose buckets map to tile 0.
         let tiles = cfg.num_tiles();

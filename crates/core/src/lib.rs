@@ -25,7 +25,7 @@
 //! use spatial_hints::Scheduler;
 //! use swarm_types::SystemConfig;
 //!
-//! let cfg = SystemConfig::small();
+//! let cfg = SystemConfig::with_cores(16);
 //! let mapper = Scheduler::Hints.build(&cfg);
 //! assert!(mapper.serialize_same_hint());
 //! ```
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn build_produces_expected_policies() {
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         assert!(!Scheduler::Random.build(&cfg).serialize_same_hint());
         assert!(!Scheduler::Stealing.build(&cfg).serialize_same_hint());
         assert!(Scheduler::Stealing.build(&cfg).steals());
@@ -162,7 +162,7 @@ mod tests {
     fn schedulers_act_as_mapper_factories() {
         // The MapperFactory impl must hand out exactly what build() does, so
         // SimBuilder-constructed engines match hand-wired ones.
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         for s in Scheduler::ALL {
             let direct = s.build(&cfg);
             let via_factory = swarm_sim::MapperFactory::build_mapper(&s, &cfg);

@@ -26,7 +26,7 @@ use swarm_types::{CanonKey, FastHashMap};
 
 use crate::exec::PointOutcome;
 use crate::json;
-use crate::proto::{stats_from_json, stats_to_json, CacheSource};
+use crate::proto::{CacheSource, Wire};
 
 /// Monotonic counters describing cache behaviour since startup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,7 +145,7 @@ impl ResultCache {
         // A corrupt or truncated file is treated as a miss; the point is
         // re-simulated and the entry rewritten.
         let value = json::parse(&text).ok()?;
-        stats_from_json(&value).ok()
+        RunStats::from_json(&value).ok()
     }
 
     /// Counters since startup.
@@ -173,7 +173,7 @@ fn write_entry(dir: &Path, key: CanonKey, stats: &RunStats) -> io::Result<()> {
     let tmp_path = dir.join(format!("{}.tmp.{}", key.hex(), std::process::id()));
     {
         let mut file = fs::File::create(&tmp_path)?;
-        file.write_all(stats_to_json(stats).render().as_bytes())?;
+        file.write_all(stats.to_json().render().as_bytes())?;
         file.write_all(b"\n")?;
     }
     fs::rename(&tmp_path, &final_path)

@@ -1,11 +1,11 @@
 //! A small, strict JSON value model, parser and writer.
 //!
-//! The offline build has no serde_json; until this crate, the repo's JSON
-//! support was write-only (`summary --json`). The serving
-//! protocol needs to *read* JSON too, so this module adds the missing half:
-//! a recursive-descent parser that accepts exactly the JSON grammar —
-//! no trailing garbage, no duplicate object keys, no unquoted anything —
-//! and reports the byte offset of the first problem.
+//! The offline build has no serde_json, so this module is the repository's
+//! one JSON reader and writer: the serving protocol, the disk cache and
+//! `summary --json` all go through it. The recursive-descent parser accepts
+//! exactly the JSON grammar — no trailing garbage, no duplicate object
+//! keys, no unquoted anything — and reports the byte offset of the first
+//! problem.
 //!
 //! Integers are kept exact: a number without fraction or exponent parses to
 //! [`Value::UInt`]/[`Value::Int`], so 64-bit seeds and cycle counts round-

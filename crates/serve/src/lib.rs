@@ -7,9 +7,9 @@
 //! * [`point`] — [`RunPoint`], the one type that names a simulation point
 //!   (the harness re-exports it as `swarm_bench::RunRequest`), with its
 //!   JSON form and the one [`Canonical`](swarm_types::Canonical) impl;
-//! * [`proto`] — a line-delimited JSON protocol (strict parser + writer,
-//!   hand-rolled: the offline build has no serde_json) with typed request,
-//!   event, and error messages;
+//! * [`proto`] — a line-delimited JSON protocol with typed request,
+//!   event, and error messages, and the one [`Wire`](proto::Wire) codec
+//!   through which every payload type declares its JSON form once;
 //! * [`cache`] — a content-addressed [`ResultCache`]: the canonical key of
 //!   a run point ([`swarm_types::canon`]) addresses completed outcomes —
 //!   [`RunStats`](swarm_sim::RunStats) or a typed failure — in a bounded

@@ -19,7 +19,7 @@ use swarm_sim::FaultEvent;
 use swarm_types::{CanonBuf, Canonical, NocModel, SystemConfig};
 
 use crate::json::Value;
-use crate::proto::ProtoError;
+use crate::proto::{ProtoError, Wire};
 
 /// Everything that determines one simulation's output.
 ///
@@ -98,9 +98,14 @@ impl RunPoint {
         cfg.noc.model = self.noc;
         cfg
     }
+}
 
-    /// Encode this point as a protocol JSON object.
-    pub fn to_json(&self) -> Value {
+/// A point's JSON form. `seed`, `noc` and `fault` are optional on input
+/// (defaulting to [`DEFAULT_SEED`], `analytic`, and none); everything else
+/// is required, unknown fields are rejected, and every error is
+/// [`ErrorCode::BadPoint`](crate::proto::ErrorCode::BadPoint).
+impl Wire for RunPoint {
+    fn to_json(&self) -> Value {
         let mut fields = vec![
             ("app".to_string(), Value::str(self.spec.name())),
             ("scheduler".to_string(), Value::str(self.scheduler.name().to_ascii_lowercase())),
@@ -115,15 +120,7 @@ impl RunPoint {
         Value::Obj(fields)
     }
 
-    /// Decode a point from a protocol JSON object. `seed`, `noc` and
-    /// `fault` are optional (defaulting to [`DEFAULT_SEED`], `analytic`,
-    /// and none); everything else is required, and unknown fields are
-    /// rejected.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`ProtoError`] naming the offending field.
-    pub fn from_json(v: &Value) -> Result<RunPoint, ProtoError> {
+    fn from_json(v: &Value) -> Result<RunPoint, ProtoError> {
         let obj = v.as_obj().ok_or_else(|| ProtoError::bad_point("a point must be an object"))?;
         for (key, _) in obj {
             if !["app", "scheduler", "cores", "scale", "seed", "noc", "fault"]

@@ -15,9 +15,12 @@
 //! server ← {"type":"run-complete","id":"r1","ok":2,"failed":0,"cache":{...}}
 //! ```
 //!
-//! Both directions have full encode/decode support (the load generator is
-//! a protocol *client*), and every message round-trips through its JSON
-//! form — see the tests at the bottom.
+//! Every payload type has one JSON form, its [`Wire`] impl: structs declare
+//! their fields once (`wire_struct!`) and wire enums their names once
+//! (`wire_enum!`), so the encoder and the decoder cannot drift apart. Both
+//! directions are supported (the load generator is a protocol *client*),
+//! and every message round-trips through its JSON form — see the tests at
+//! the bottom.
 
 use std::fmt;
 
@@ -28,46 +31,73 @@ use swarm_types::Hint;
 use crate::json::{self, Value};
 use crate::point::RunPoint;
 
-/// Machine-readable class of a protocol error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The line was not valid JSON.
-    BadJson,
-    /// The message's `"type"` is missing or unknown.
-    UnknownType,
-    /// A required field is missing.
-    MissingField,
-    /// A field has the wrong type or an invalid value.
-    BadField,
-    /// A run point inside a submit request is invalid.
-    BadPoint,
-    /// The line exceeded the server's request-line limit and was skipped.
-    LineTooLong,
+/// Declares a wire enum once: the enum, its wire spelling (`as_str`) and
+/// its [`Wire`] codec all come from the one `Variant = "name"` table.
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* pub enum $ty:ident { $($(#[$vmeta:meta])* $variant:ident = $name:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $ty {
+            /// The wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+
+        impl Wire for $ty {
+            fn to_json(&self) -> Value {
+                Value::str(self.as_str())
+            }
+
+            fn from_json(v: &Value) -> Result<Self, ProtoError> {
+                match v.as_str() {
+                    $(Some($name) => Ok($ty::$variant),)*
+                    _ => Err(ProtoError::mistyped(concat!("one of" $(, " ", $name)*))),
+                }
+            }
+        }
+    };
 }
 
-impl ErrorCode {
-    /// The wire spelling of this code.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadJson => "bad-json",
-            ErrorCode::UnknownType => "unknown-type",
-            ErrorCode::MissingField => "missing-field",
-            ErrorCode::BadField => "bad-field",
-            ErrorCode::BadPoint => "bad-point",
-            ErrorCode::LineTooLong => "line-too-long",
-        }
-    }
+/// Declares a struct's JSON form once: an object whose keys are the listed
+/// field names, in the listed order. The decoder is a struct literal, so
+/// leaving a field off the list does not compile.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Value {
+                Value::Obj(vec![$((stringify!($field).to_string(), self.$field.to_json())),*])
+            }
 
-    fn from_wire(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad-json" => ErrorCode::BadJson,
-            "unknown-type" => ErrorCode::UnknownType,
-            "missing-field" => ErrorCode::MissingField,
-            "bad-field" => ErrorCode::BadField,
-            "bad-point" => ErrorCode::BadPoint,
-            "line-too-long" => ErrorCode::LineTooLong,
-            _ => return None,
-        })
+            fn from_json(v: &Value) -> Result<Self, ProtoError> {
+                v.as_obj().ok_or_else(|| ProtoError::mistyped("an object"))?;
+                Ok($ty { $($field: field(v, stringify!($field))?),* })
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// Machine-readable class of a protocol error.
+    pub enum ErrorCode {
+        /// The line was not valid JSON.
+        BadJson = "bad-json",
+        /// The message's `"type"` is missing or unknown.
+        UnknownType = "unknown-type",
+        /// A required field is missing.
+        MissingField = "missing-field",
+        /// A field has the wrong type or an invalid value.
+        BadField = "bad-field",
+        /// A run point inside a submit request is invalid.
+        BadPoint = "bad-point",
+        /// The line exceeded the server's request-line limit and was skipped.
+        LineTooLong = "line-too-long",
     }
 }
 
@@ -99,6 +129,12 @@ impl ProtoError {
     fn bad_field(message: impl Into<String>) -> ProtoError {
         ProtoError::new(ErrorCode::BadField, message)
     }
+
+    /// A value of the wrong JSON type. The message starts with
+    /// [`MISTYPED`]; [`field`] puts the field's name in front of it.
+    fn mistyped(expected: &str) -> ProtoError {
+        ProtoError::bad_field(format!("{MISTYPED}{expected}"))
+    }
 }
 
 impl fmt::Display for ProtoError {
@@ -108,6 +144,189 @@ impl fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// A type with one JSON form, shared by the wire and the on-disk cache.
+pub trait Wire: Sized {
+    /// This value's JSON form.
+    fn to_json(&self) -> Value;
+
+    /// Decode a value from its JSON form. Strict: every declared field is
+    /// required, so a corrupt or truncated cache file surfaces as a typed
+    /// error, not a half-default result.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`ProtoError`] naming the first missing or mistyped
+    /// field.
+    fn from_json(v: &Value) -> Result<Self, ProtoError>;
+}
+
+/// How a type-mismatch message starts before [`field`] names the field.
+const MISTYPED: &str = "expected ";
+
+/// Decode field `name` of the object `v`. An absent field is
+/// [`ErrorCode::MissingField`], a mistyped one is [`ErrorCode::BadField`]
+/// naming it, and an error from inside the field (which already names the
+/// nested field) passes through unchanged.
+///
+/// # Errors
+///
+/// As above.
+pub fn field<T: Wire>(v: &Value, name: &str) -> Result<T, ProtoError> {
+    let item = v.get(name).ok_or_else(|| ProtoError::missing(name))?;
+    T::from_json(item).map_err(|e| {
+        if e.code == ErrorCode::BadField && e.message.starts_with(MISTYPED) {
+            ProtoError::bad_field(format!("\"{name}\": {}", e.message))
+        } else {
+            e
+        }
+    })
+}
+
+impl Wire for u64 {
+    fn to_json(&self) -> Value {
+        Value::UInt(*self)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        v.as_u64().ok_or_else(|| ProtoError::mistyped("a non-negative integer"))
+    }
+}
+
+impl Wire for usize {
+    fn to_json(&self) -> Value {
+        Value::UInt(*self as u64)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        usize::try_from(u64::from_json(v)?)
+            .map_err(|_| ProtoError::mistyped("an integer that fits in usize"))
+    }
+}
+
+impl Wire for bool {
+    fn to_json(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        v.as_bool().ok_or_else(|| ProtoError::mistyped("a boolean"))
+    }
+}
+
+impl Wire for String {
+    fn to_json(&self) -> Value {
+        Value::str(self)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        v.as_str().map(str::to_string).ok_or_else(|| ProtoError::mistyped("a string"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        v.as_arr()
+            .ok_or_else(|| ProtoError::mistyped("an array"))?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
+}
+
+/// `None` is `null`.
+impl<T: Wire> Wire for Option<T> {
+    fn to_json(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_json)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn to_json(&self) -> Value {
+        Value::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        Vec::<T>::from_json(v)?
+            .try_into()
+            .map_err(|_| ProtoError::mistyped(&format!("an array of {N} entries")))
+    }
+}
+
+/// A pair is a two-element array (an access's `[address, is_write]`).
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn to_json(&self) -> Value {
+        Value::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err(ProtoError::mistyped("a two-element array")),
+        }
+    }
+}
+
+/// `{"kind":"value","value":7}`, `{"kind":"none"}` or `{"kind":"same"}`.
+impl Wire for Hint {
+    fn to_json(&self) -> Value {
+        let kind = match self {
+            Hint::Value(_) => "value",
+            Hint::None => "none",
+            Hint::Same => "same",
+        };
+        let mut fields = vec![("kind".to_string(), Value::str(kind))];
+        if let Hint::Value(v) = self {
+            fields.push(("value".to_string(), v.to_json()));
+        }
+        Value::Obj(fields)
+    }
+
+    fn from_json(v: &Value) -> Result<Self, ProtoError> {
+        match field::<String>(v, "kind")?.as_str() {
+            "value" => Ok(Hint::Value(field(v, "value")?)),
+            "none" => Ok(Hint::None),
+            "same" => Ok(Hint::Same),
+            other => Err(ProtoError::bad_field(format!(
+                "\"kind\": expected value, none or same, found \"{other}\""
+            ))),
+        }
+    }
+}
+
+wire_struct!(CycleBreakdown { committed, aborted, spill, stall, empty });
+wire_struct!(TrafficStats { mem_flit_hops, abort_flit_hops, task_flit_hops, gvt_flit_hops });
+wire_struct!(LinkCounters { messages, flits, queue_cycles, occupancy_sum, max_occupancy });
+wire_struct!(LinkStats { links, class_queue_cycles });
+wire_struct!(CommittedTaskAccesses { hint, num_args, accesses });
+wire_struct!(RunStats {
+    scheduler,
+    app,
+    cores,
+    runtime_cycles,
+    breakdown,
+    traffic,
+    tasks_committed,
+    tasks_aborted,
+    tasks_spilled,
+    gvt_updates,
+    lb_reconfigs,
+    noc_queue_cycles,
+    committed_cycles_per_tile,
+    committed_accesses,
+    link_stats,
+});
 
 /// A submit request: run `points` under the request id `id`.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,72 +351,32 @@ pub enum Request {
     Shutdown,
 }
 
-/// Where a finished point's stats came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheSource {
-    /// Simulated for this request.
-    Fresh,
-    /// Served from the in-memory cache (or deduplicated against a
-    /// concurrent in-flight run of the same point).
-    Memory,
-    /// Served from the on-disk cache.
-    Disk,
-}
-
-impl CacheSource {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheSource::Fresh => "run",
-            CacheSource::Memory => "memory",
-            CacheSource::Disk => "disk",
-        }
-    }
-
-    fn from_wire(s: &str) -> Option<CacheSource> {
-        Some(match s {
-            "run" => CacheSource::Fresh,
-            "memory" => CacheSource::Memory,
-            "disk" => CacheSource::Disk,
-            _ => return None,
-        })
+wire_enum! {
+    /// Where a finished point's stats came from.
+    pub enum CacheSource {
+        /// Simulated for this request.
+        Fresh = "run",
+        /// Served from the in-memory cache (or deduplicated against a
+        /// concurrent in-flight run of the same point).
+        Memory = "memory",
+        /// Served from the on-disk cache.
+        Disk = "disk",
     }
 }
 
-/// Server-side failure taxonomy: the protocol projection of
-/// `swarm_bench::RunError` (PR 8), minus the embedded request (the event's
-/// `index` already names the point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The point does not describe a valid simulation.
-    InvalidPoint,
-    /// The simulation ran but failed with a typed error.
-    Sim,
-    /// The simulation panicked.
-    Panicked,
-    /// The point was never run (an earlier failure aborted the batch).
-    Skipped,
-}
-
-impl FailureKind {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FailureKind::InvalidPoint => "invalid-point",
-            FailureKind::Sim => "sim",
-            FailureKind::Panicked => "panicked",
-            FailureKind::Skipped => "skipped",
-        }
-    }
-
-    fn from_wire(s: &str) -> Option<FailureKind> {
-        Some(match s {
-            "invalid-point" => FailureKind::InvalidPoint,
-            "sim" => FailureKind::Sim,
-            "panicked" => FailureKind::Panicked,
-            "skipped" => FailureKind::Skipped,
-            _ => return None,
-        })
+wire_enum! {
+    /// Server-side failure taxonomy: the protocol projection of
+    /// `swarm_bench::RunError`, minus the embedded request (the event's
+    /// `index` already names the point).
+    pub enum FailureKind {
+        /// The point does not describe a valid simulation.
+        InvalidPoint = "invalid-point",
+        /// The simulation ran but failed with a typed error.
+        Sim = "sim",
+        /// The simulation panicked.
+        Panicked = "panicked",
+        /// The point was never run (an earlier failure aborted the batch).
+        Skipped = "skipped",
     }
 }
 
@@ -209,6 +388,8 @@ pub struct PointFailure {
     /// Human-readable description (the `RunError` display form).
     pub message: String,
 }
+
+wire_struct!(PointFailure { kind, message });
 
 /// Cache counters reported in `run-complete` / `run-failed` and `stats`
 /// events. `hits`/`misses`/`disk_hits` are scoped to the submission (or,
@@ -227,6 +408,8 @@ pub struct CacheReport {
     /// In-memory entries currently resident (server-wide).
     pub entries: u64,
 }
+
+wire_struct!(CacheReport { hits, misses, disk_hits, evictions, entries });
 
 /// A server → client message.
 ///
@@ -306,6 +489,23 @@ pub enum Event {
     Bye,
 }
 
+fn parse_json(line: &str) -> Result<Value, ProtoError> {
+    json::parse(line).map_err(|e| ProtoError::new(ErrorCode::BadJson, e.to_string()))
+}
+
+fn type_tag(v: &Value) -> Result<&str, ProtoError> {
+    v.get("type")
+        .ok_or_else(|| ProtoError::new(ErrorCode::UnknownType, "missing field \"type\""))?
+        .as_str()
+        .ok_or_else(|| ProtoError::new(ErrorCode::UnknownType, "\"type\" must be a string"))
+}
+
+/// An object whose first key is the `"type"` tag `kind`.
+fn tagged<'a>(kind: &str, fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    let tag = ("type", Value::str(kind));
+    Value::Obj(std::iter::once(tag).chain(fields).map(|(k, v)| (k.to_string(), v)).collect())
+}
+
 /// Parse one request line.
 ///
 /// # Errors
@@ -313,36 +513,17 @@ pub enum Event {
 /// Returns a typed [`ProtoError`] (never panics, never disconnects) for
 /// malformed JSON, an unknown type, or invalid fields.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let v = json::parse(line).map_err(|e| ProtoError::new(ErrorCode::BadJson, e.to_string()))?;
+    let v = parse_json(line)?;
     let obj = v.as_obj().ok_or_else(|| ProtoError::bad_field("a request must be a JSON object"))?;
-    let kind = v
-        .get("type")
-        .ok_or_else(|| ProtoError::new(ErrorCode::UnknownType, "missing field \"type\""))?
-        .as_str()
-        .ok_or_else(|| ProtoError::new(ErrorCode::UnknownType, "\"type\" must be a string"))?;
-    match kind {
+    match type_tag(&v)? {
         "submit" => {
             check_fields(obj, &["type", "id", "points", "progress"])?;
-            let id = v
-                .get("id")
-                .ok_or_else(|| ProtoError::missing("id"))?
-                .as_str()
-                .ok_or_else(|| ProtoError::bad_field("\"id\" must be a string"))?
-                .to_string();
-            let points_v = v.get("points").ok_or_else(|| ProtoError::missing("points"))?;
-            let arr = points_v
-                .as_arr()
-                .ok_or_else(|| ProtoError::bad_field("\"points\" must be an array"))?;
-            if arr.is_empty() {
+            let id = field(&v, "id")?;
+            let points: Vec<RunPoint> = field(&v, "points")?;
+            if points.is_empty() {
                 return Err(ProtoError::bad_field("\"points\" must not be empty"));
             }
-            let points = arr.iter().map(RunPoint::from_json).collect::<Result<Vec<_>, _>>()?;
-            let progress = match v.get("progress") {
-                None => false,
-                Some(p) => p
-                    .as_bool()
-                    .ok_or_else(|| ProtoError::bad_field("\"progress\" must be a boolean"))?,
-            };
+            let progress = v.get("progress").is_some() && field(&v, "progress")?;
             Ok(Request::Submit(SubmitRequest { id, points, progress }))
         }
         "stats" => {
@@ -362,109 +543,67 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 
 /// Encode a request as its wire line (no trailing newline).
 pub fn render_request(req: &Request) -> String {
-    let v = match req {
+    match req {
         Request::Submit(s) => {
-            let mut fields = vec![
-                ("type".to_string(), Value::str("submit")),
-                ("id".to_string(), Value::str(&s.id)),
-                (
-                    "points".to_string(),
-                    Value::Arr(s.points.iter().map(RunPoint::to_json).collect()),
-                ),
-            ];
-            if s.progress {
-                fields.push(("progress".to_string(), Value::Bool(true)));
-            }
-            Value::Obj(fields)
+            let progress = s.progress.then(|| ("progress", true.to_json()));
+            tagged(
+                "submit",
+                [("id", s.id.to_json()), ("points", s.points.to_json())]
+                    .into_iter()
+                    .chain(progress),
+            )
         }
-        Request::Stats => Value::Obj(vec![("type".to_string(), Value::str("stats"))]),
-        Request::Shutdown => Value::Obj(vec![("type".to_string(), Value::str("shutdown"))]),
-    };
-    v.render()
-}
-
-fn cache_report_json(c: &CacheReport) -> Value {
-    Value::Obj(vec![
-        ("hits".to_string(), Value::UInt(c.hits)),
-        ("misses".to_string(), Value::UInt(c.misses)),
-        ("disk_hits".to_string(), Value::UInt(c.disk_hits)),
-        ("evictions".to_string(), Value::UInt(c.evictions)),
-        ("entries".to_string(), Value::UInt(c.entries)),
-    ])
-}
-
-fn cache_report_from_json(v: &Value) -> Result<CacheReport, ProtoError> {
-    Ok(CacheReport {
-        hits: req_u64(v, "hits")?,
-        misses: req_u64(v, "misses")?,
-        disk_hits: req_u64(v, "disk_hits")?,
-        evictions: req_u64(v, "evictions")?,
-        entries: req_u64(v, "entries")?,
-    })
+        Request::Stats => tagged("stats", []),
+        Request::Shutdown => tagged("shutdown", []),
+    }
+    .render()
 }
 
 /// Encode an event as its wire line (no trailing newline).
 pub fn render_event(event: &Event) -> String {
-    let v = match event {
-        Event::Accepted { id, points } => Value::Obj(vec![
-            ("type".to_string(), Value::str("accepted")),
-            ("id".to_string(), Value::str(id)),
-            ("points".to_string(), Value::UInt(*points)),
-        ]),
-        Event::PointStarted { id, index } => Value::Obj(vec![
-            ("type".to_string(), Value::str("point-started")),
-            ("id".to_string(), Value::str(id)),
-            ("index".to_string(), Value::UInt(*index)),
-        ]),
-        Event::Progress { id, index, gvt } => Value::Obj(vec![
-            ("type".to_string(), Value::str("progress")),
-            ("id".to_string(), Value::str(id)),
-            ("index".to_string(), Value::UInt(*index)),
-            ("gvt".to_string(), Value::UInt(*gvt)),
-        ]),
-        Event::PointFinished { id, index, source, stats } => Value::Obj(vec![
-            ("type".to_string(), Value::str("point-finished")),
-            ("id".to_string(), Value::str(id)),
-            ("index".to_string(), Value::UInt(*index)),
-            ("cached".to_string(), Value::Bool(*source != CacheSource::Fresh)),
-            ("source".to_string(), Value::str(source.as_str())),
-            ("stats".to_string(), stats_to_json(stats)),
-        ]),
-        Event::PointFailed { id, index, error } => Value::Obj(vec![
-            ("type".to_string(), Value::str("point-failed")),
-            ("id".to_string(), Value::str(id)),
-            ("index".to_string(), Value::UInt(*index)),
-            (
-                "error".to_string(),
-                Value::Obj(vec![
-                    ("kind".to_string(), Value::str(error.kind.as_str())),
-                    ("message".to_string(), Value::str(&error.message)),
-                ]),
-            ),
-        ]),
-        Event::RunDone { id, ok, failed, cache } => Value::Obj(vec![
-            (
-                "type".to_string(),
-                Value::str(if *failed == 0 { "run-complete" } else { "run-failed" }),
-            ),
-            ("id".to_string(), Value::str(id)),
-            ("ok".to_string(), Value::UInt(*ok)),
-            ("failed".to_string(), Value::UInt(*failed)),
-            ("cache".to_string(), cache_report_json(cache)),
-        ]),
-        Event::ServerStats { cache, clients } => Value::Obj(vec![
-            ("type".to_string(), Value::str("stats")),
-            ("cache".to_string(), cache_report_json(cache)),
-            ("clients".to_string(), Value::UInt(*clients)),
-        ]),
-        Event::Protocol(err) => Value::Obj(vec![
-            ("type".to_string(), Value::str("error")),
-            ("code".to_string(), Value::str(err.code.as_str())),
-            ("message".to_string(), Value::str(&err.message)),
-        ]),
-        Event::Bye => Value::Obj(vec![("type".to_string(), Value::str("bye"))]),
-    };
-    v.render()
+    match event {
+        Event::Accepted { id, points } => {
+            tagged("accepted", [("id", id.to_json()), ("points", points.to_json())])
+        }
+        Event::PointStarted { id, index } => {
+            tagged("point-started", [("id", id.to_json()), ("index", index.to_json())])
+        }
+        Event::Progress { id, index, gvt } => tagged(
+            "progress",
+            [("id", id.to_json()), ("index", index.to_json()), ("gvt", gvt.to_json())],
+        ),
+        Event::PointFinished { id, index, source, stats } => tagged(
+            "point-finished",
+            [
+                ("id", id.to_json()),
+                ("index", index.to_json()),
+                ("cached", (*source != CacheSource::Fresh).to_json()),
+                ("source", source.to_json()),
+                ("stats", stats.to_json()),
+            ],
+        ),
+        Event::PointFailed { id, index, error } => tagged(
+            "point-failed",
+            [("id", id.to_json()), ("index", index.to_json()), ("error", error.to_json())],
+        ),
+        Event::RunDone { id, ok, failed, cache } => tagged(
+            if *failed == 0 { "run-complete" } else { "run-failed" },
+            [
+                ("id", id.to_json()),
+                ("ok", ok.to_json()),
+                ("failed", failed.to_json()),
+                ("cache", cache.to_json()),
+            ],
+        ),
+        Event::ServerStats { cache, clients } => {
+            tagged("stats", [("cache", cache.to_json()), ("clients", clients.to_json())])
+        }
+        Event::Protocol(err) => {
+            tagged("error", [("code", err.code.to_json()), ("message", err.message.to_json())])
+        }
+        Event::Bye => tagged("bye", []),
+    }
+    .render()
 }
 
 /// Parse one event line (the client half of the protocol; the load
@@ -475,83 +614,54 @@ pub fn render_event(event: &Event) -> String {
 /// Returns a typed [`ProtoError`] for malformed JSON, an unknown type, or
 /// invalid fields.
 pub fn parse_event(line: &str) -> Result<Event, ProtoError> {
-    let v = json::parse(line).map_err(|e| ProtoError::new(ErrorCode::BadJson, e.to_string()))?;
-    let kind = v
-        .get("type")
-        .ok_or_else(|| ProtoError::new(ErrorCode::UnknownType, "missing field \"type\""))?
-        .as_str()
-        .ok_or_else(|| ProtoError::new(ErrorCode::UnknownType, "\"type\" must be a string"))?;
+    let v = &parse_json(line)?;
+    let kind = type_tag(v)?;
     match kind {
-        "accepted" => {
-            Ok(Event::Accepted { id: req_str(&v, "id")?, points: req_u64(&v, "points")? })
-        }
+        "accepted" => Ok(Event::Accepted { id: field(v, "id")?, points: field(v, "points")? }),
         "point-started" => {
-            Ok(Event::PointStarted { id: req_str(&v, "id")?, index: req_u64(&v, "index")? })
+            Ok(Event::PointStarted { id: field(v, "id")?, index: field(v, "index")? })
         }
         "progress" => Ok(Event::Progress {
-            id: req_str(&v, "id")?,
-            index: req_u64(&v, "index")?,
-            gvt: req_u64(&v, "gvt")?,
+            id: field(v, "id")?,
+            index: field(v, "index")?,
+            gvt: field(v, "gvt")?,
         }),
         "point-finished" => {
-            let source_str = req_str(&v, "source")?;
-            let source = CacheSource::from_wire(&source_str)
-                .ok_or_else(|| ProtoError::bad_field(format!("unknown source \"{source_str}\"")))?;
-            let cached = v
-                .get("cached")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| ProtoError::missing("cached"))?;
-            if cached != (source != CacheSource::Fresh) {
+            let source: CacheSource = field(v, "source")?;
+            if field::<bool>(v, "cached")? != (source != CacheSource::Fresh) {
                 return Err(ProtoError::bad_field("\"cached\" contradicts \"source\""));
             }
-            let stats =
-                stats_from_json(v.get("stats").ok_or_else(|| ProtoError::missing("stats"))?)?;
             Ok(Event::PointFinished {
-                id: req_str(&v, "id")?,
-                index: req_u64(&v, "index")?,
+                id: field(v, "id")?,
+                index: field(v, "index")?,
                 source,
-                stats,
+                stats: field(v, "stats")?,
             })
         }
-        "point-failed" => {
-            let err_v = v.get("error").ok_or_else(|| ProtoError::missing("error"))?;
-            let kind_str = req_str(err_v, "kind")?;
-            let kind = FailureKind::from_wire(&kind_str).ok_or_else(|| {
-                ProtoError::bad_field(format!("unknown failure kind \"{kind_str}\""))
-            })?;
-            Ok(Event::PointFailed {
-                id: req_str(&v, "id")?,
-                index: req_u64(&v, "index")?,
-                error: PointFailure { kind, message: req_str(err_v, "message")? },
-            })
-        }
+        "point-failed" => Ok(Event::PointFailed {
+            id: field(v, "id")?,
+            index: field(v, "index")?,
+            error: field(v, "error")?,
+        }),
         "run-complete" | "run-failed" => {
-            let failed = req_u64(&v, "failed")?;
+            let failed = field(v, "failed")?;
             if (kind == "run-complete") != (failed == 0) {
                 return Err(ProtoError::bad_field("\"type\" contradicts \"failed\""));
             }
             Ok(Event::RunDone {
-                id: req_str(&v, "id")?,
-                ok: req_u64(&v, "ok")?,
+                id: field(v, "id")?,
+                ok: field(v, "ok")?,
                 failed,
-                cache: cache_report_from_json(
-                    v.get("cache").ok_or_else(|| ProtoError::missing("cache"))?,
-                )?,
+                cache: field(v, "cache")?,
             })
         }
-        "stats" => Ok(Event::ServerStats {
-            cache: cache_report_from_json(
-                v.get("cache").ok_or_else(|| ProtoError::missing("cache"))?,
-            )?,
-            clients: req_u64(&v, "clients")?,
-        }),
-        "error" => {
-            let code_str = req_str(&v, "code")?;
-            let code = ErrorCode::from_wire(&code_str).ok_or_else(|| {
-                ProtoError::bad_field(format!("unknown error code \"{code_str}\""))
-            })?;
-            Ok(Event::Protocol(ProtoError { code, message: req_str(&v, "message")? }))
+        "stats" => {
+            Ok(Event::ServerStats { cache: field(v, "cache")?, clients: field(v, "clients")? })
         }
+        "error" => Ok(Event::Protocol(ProtoError {
+            code: field(v, "code")?,
+            message: field(v, "message")?,
+        })),
         "bye" => Ok(Event::Bye),
         other => {
             Err(ProtoError::new(ErrorCode::UnknownType, format!("unknown event type \"{other}\"")))
@@ -566,257 +676,6 @@ fn check_fields(obj: &[(String, Value)], allowed: &[&str]) -> Result<(), ProtoEr
         }
     }
     Ok(())
-}
-
-fn req_str(v: &Value, field: &str) -> Result<String, ProtoError> {
-    v.get(field)
-        .ok_or_else(|| ProtoError::missing(field))?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| ProtoError::bad_field(format!("\"{field}\" must be a string")))
-}
-
-fn req_u64(v: &Value, field: &str) -> Result<u64, ProtoError> {
-    v.get(field)
-        .ok_or_else(|| ProtoError::missing(field))?
-        .as_u64()
-        .ok_or_else(|| ProtoError::bad_field(format!("\"{field}\" must be a non-negative integer")))
-}
-
-/// Encode [`RunStats`] as a JSON object. Every field is covered, so cached
-/// results round-trip byte-identically through the on-disk store and the
-/// wire.
-pub fn stats_to_json(stats: &RunStats) -> Value {
-    let b = &stats.breakdown;
-    let t = &stats.traffic;
-    Value::Obj(vec![
-        ("scheduler".to_string(), Value::str(&stats.scheduler)),
-        ("app".to_string(), Value::str(&stats.app)),
-        ("cores".to_string(), Value::UInt(stats.cores as u64)),
-        ("runtime_cycles".to_string(), Value::UInt(stats.runtime_cycles)),
-        (
-            "breakdown".to_string(),
-            Value::Obj(vec![
-                ("committed".to_string(), Value::UInt(b.committed)),
-                ("aborted".to_string(), Value::UInt(b.aborted)),
-                ("spill".to_string(), Value::UInt(b.spill)),
-                ("stall".to_string(), Value::UInt(b.stall)),
-                ("empty".to_string(), Value::UInt(b.empty)),
-            ]),
-        ),
-        (
-            "traffic".to_string(),
-            Value::Obj(vec![
-                ("mem_flit_hops".to_string(), Value::UInt(t.mem_flit_hops)),
-                ("abort_flit_hops".to_string(), Value::UInt(t.abort_flit_hops)),
-                ("task_flit_hops".to_string(), Value::UInt(t.task_flit_hops)),
-                ("gvt_flit_hops".to_string(), Value::UInt(t.gvt_flit_hops)),
-            ]),
-        ),
-        ("tasks_committed".to_string(), Value::UInt(stats.tasks_committed)),
-        ("tasks_aborted".to_string(), Value::UInt(stats.tasks_aborted)),
-        ("tasks_spilled".to_string(), Value::UInt(stats.tasks_spilled)),
-        ("gvt_updates".to_string(), Value::UInt(stats.gvt_updates)),
-        ("lb_reconfigs".to_string(), Value::UInt(stats.lb_reconfigs)),
-        ("noc_queue_cycles".to_string(), Value::UInt(stats.noc_queue_cycles)),
-        (
-            "committed_cycles_per_tile".to_string(),
-            Value::Arr(stats.committed_cycles_per_tile.iter().map(|&c| Value::UInt(c)).collect()),
-        ),
-        (
-            "committed_accesses".to_string(),
-            Value::Arr(stats.committed_accesses.iter().map(accesses_to_json).collect()),
-        ),
-        (
-            "link_stats".to_string(),
-            match &stats.link_stats {
-                None => Value::Null,
-                Some(ls) => link_stats_to_json(ls),
-            },
-        ),
-    ])
-}
-
-fn hint_to_json(hint: &Hint) -> Value {
-    match hint {
-        Hint::Value(v) => Value::Obj(vec![
-            ("kind".to_string(), Value::str("value")),
-            ("value".to_string(), Value::UInt(*v)),
-        ]),
-        Hint::None => Value::Obj(vec![("kind".to_string(), Value::str("none"))]),
-        Hint::Same => Value::Obj(vec![("kind".to_string(), Value::str("same"))]),
-    }
-}
-
-fn hint_from_json(v: &Value) -> Result<Hint, ProtoError> {
-    let kind = req_str(v, "kind")?;
-    match kind.as_str() {
-        "value" => Ok(Hint::Value(req_u64(v, "value")?)),
-        "none" => Ok(Hint::None),
-        "same" => Ok(Hint::Same),
-        other => Err(ProtoError::bad_field(format!("unknown hint kind \"{other}\""))),
-    }
-}
-
-fn accesses_to_json(a: &CommittedTaskAccesses) -> Value {
-    Value::Obj(vec![
-        ("hint".to_string(), hint_to_json(&a.hint)),
-        ("num_args".to_string(), Value::UInt(a.num_args as u64)),
-        (
-            "accesses".to_string(),
-            Value::Arr(
-                a.accesses
-                    .iter()
-                    .map(|&(addr, is_write)| {
-                        Value::Arr(vec![Value::UInt(addr), Value::Bool(is_write)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn accesses_from_json(v: &Value) -> Result<CommittedTaskAccesses, ProtoError> {
-    let hint = hint_from_json(v.get("hint").ok_or_else(|| ProtoError::missing("hint"))?)?;
-    let num_args = req_u64(v, "num_args")? as usize;
-    let accesses = v
-        .get("accesses")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| ProtoError::missing("accesses"))?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                ProtoError::bad_field("each access must be an [address, is_write] pair")
-            })?;
-            let addr = items[0]
-                .as_u64()
-                .ok_or_else(|| ProtoError::bad_field("access address must be a u64"))?;
-            let is_write = items[1]
-                .as_bool()
-                .ok_or_else(|| ProtoError::bad_field("access is_write must be a boolean"))?;
-            Ok((addr, is_write))
-        })
-        .collect::<Result<Vec<_>, ProtoError>>()?;
-    Ok(CommittedTaskAccesses { hint, num_args, accesses })
-}
-
-fn link_stats_to_json(ls: &LinkStats) -> Value {
-    Value::Obj(vec![
-        (
-            "links".to_string(),
-            Value::Arr(
-                ls.links
-                    .iter()
-                    .map(|l| {
-                        Value::Obj(vec![
-                            ("messages".to_string(), Value::UInt(l.messages)),
-                            ("flits".to_string(), Value::UInt(l.flits)),
-                            ("queue_cycles".to_string(), Value::UInt(l.queue_cycles)),
-                            ("occupancy_sum".to_string(), Value::UInt(l.occupancy_sum)),
-                            ("max_occupancy".to_string(), Value::UInt(l.max_occupancy)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "class_queue_cycles".to_string(),
-            Value::Arr(ls.class_queue_cycles.iter().map(|&c| Value::UInt(c)).collect()),
-        ),
-    ])
-}
-
-fn link_stats_from_json(v: &Value) -> Result<LinkStats, ProtoError> {
-    let links = v
-        .get("links")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| ProtoError::missing("links"))?
-        .iter()
-        .map(|l| {
-            Ok(LinkCounters {
-                messages: req_u64(l, "messages")?,
-                flits: req_u64(l, "flits")?,
-                queue_cycles: req_u64(l, "queue_cycles")?,
-                occupancy_sum: req_u64(l, "occupancy_sum")?,
-                max_occupancy: req_u64(l, "max_occupancy")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ProtoError>>()?;
-    let cqc = v
-        .get("class_queue_cycles")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| ProtoError::missing("class_queue_cycles"))?;
-    if cqc.len() != 4 {
-        return Err(ProtoError::bad_field("class_queue_cycles must have 4 entries"));
-    }
-    let mut class_queue_cycles = [0u64; 4];
-    for (slot, item) in class_queue_cycles.iter_mut().zip(cqc) {
-        *slot = item
-            .as_u64()
-            .ok_or_else(|| ProtoError::bad_field("class_queue_cycles entries must be u64"))?;
-    }
-    Ok(LinkStats { links, class_queue_cycles })
-}
-
-/// Decode [`RunStats`] from its JSON object form. Strict: every field is
-/// required (matching [`stats_to_json`]), so a corrupt or truncated cache
-/// file surfaces as a typed error, not a half-default result.
-///
-/// # Errors
-///
-/// Returns a typed [`ProtoError`] naming the first missing or mistyped
-/// field.
-pub fn stats_from_json(v: &Value) -> Result<RunStats, ProtoError> {
-    let b = v.get("breakdown").ok_or_else(|| ProtoError::missing("breakdown"))?;
-    let t = v.get("traffic").ok_or_else(|| ProtoError::missing("traffic"))?;
-    Ok(RunStats {
-        scheduler: req_str(v, "scheduler")?,
-        app: req_str(v, "app")?,
-        cores: req_u64(v, "cores")? as usize,
-        runtime_cycles: req_u64(v, "runtime_cycles")?,
-        breakdown: CycleBreakdown {
-            committed: req_u64(b, "committed")?,
-            aborted: req_u64(b, "aborted")?,
-            spill: req_u64(b, "spill")?,
-            stall: req_u64(b, "stall")?,
-            empty: req_u64(b, "empty")?,
-        },
-        traffic: TrafficStats {
-            mem_flit_hops: req_u64(t, "mem_flit_hops")?,
-            abort_flit_hops: req_u64(t, "abort_flit_hops")?,
-            task_flit_hops: req_u64(t, "task_flit_hops")?,
-            gvt_flit_hops: req_u64(t, "gvt_flit_hops")?,
-        },
-        tasks_committed: req_u64(v, "tasks_committed")?,
-        tasks_aborted: req_u64(v, "tasks_aborted")?,
-        tasks_spilled: req_u64(v, "tasks_spilled")?,
-        gvt_updates: req_u64(v, "gvt_updates")?,
-        lb_reconfigs: req_u64(v, "lb_reconfigs")?,
-        noc_queue_cycles: req_u64(v, "noc_queue_cycles")?,
-        committed_cycles_per_tile: v
-            .get("committed_cycles_per_tile")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| ProtoError::missing("committed_cycles_per_tile"))?
-            .iter()
-            .map(|c| {
-                c.as_u64().ok_or_else(|| {
-                    ProtoError::bad_field("committed_cycles_per_tile entries must be u64")
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        committed_accesses: v
-            .get("committed_accesses")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| ProtoError::missing("committed_accesses"))?
-            .iter()
-            .map(accesses_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        link_stats: match v.get("link_stats") {
-            None => return Err(ProtoError::missing("link_stats")),
-            Some(Value::Null) => None,
-            Some(ls) => Some(link_stats_from_json(ls)?),
-        },
-    })
 }
 
 #[cfg(test)]
@@ -870,13 +729,13 @@ mod tests {
     #[test]
     fn stats_round_trip_including_every_field() {
         let stats = sample_stats();
-        let back = stats_from_json(&stats_to_json(&stats)).unwrap();
+        let back = RunStats::from_json(&stats.to_json()).unwrap();
         assert_eq!(back, stats);
         // Byte-identical through a second encode: the wire form is stable.
-        assert_eq!(stats_to_json(&back).render(), stats_to_json(&stats).render());
+        assert_eq!(back.to_json().render(), stats.to_json().render());
         // And the default (no link stats, empty vectors) round-trips too.
         let empty = RunStats::default();
-        assert_eq!(stats_from_json(&stats_to_json(&empty)).unwrap(), empty);
+        assert_eq!(RunStats::from_json(&empty.to_json()).unwrap(), empty);
     }
 
     #[test]
@@ -974,12 +833,106 @@ mod tests {
 
     #[test]
     fn truncated_stats_are_rejected() {
-        let mut v = stats_to_json(&sample_stats());
+        let mut v = sample_stats().to_json();
         if let Value::Obj(fields) = &mut v {
             fields.retain(|(k, _)| k != "noc_queue_cycles");
         }
-        let err = stats_from_json(&v).unwrap_err();
+        let err = RunStats::from_json(&v).unwrap_err();
         assert_eq!(err.code, ErrorCode::MissingField);
         assert!(err.message.contains("noc_queue_cycles"), "{err}");
+    }
+
+    /// Replace `breakdown.stall` in the sample stats' JSON form.
+    fn with_stall(stall: Option<Value>) -> Value {
+        let mut v = sample_stats().to_json();
+        let Value::Obj(fields) = &mut v else { unreachable!("stats encode as an object") };
+        let (_, Value::Obj(breakdown)) =
+            fields.iter_mut().find(|(k, _)| k == "breakdown").expect("a breakdown field")
+        else {
+            unreachable!("the breakdown encodes as an object")
+        };
+        breakdown.retain(|(k, _)| k != "stall");
+        if let Some(stall) = stall {
+            breakdown.push(("stall".to_string(), stall));
+        }
+        v
+    }
+
+    #[test]
+    fn nested_field_errors_name_the_nested_field() {
+        let err = RunStats::from_json(&with_stall(None)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::MissingField, "{err}");
+        assert_eq!(err.message, "missing field \"stall\"");
+        let err = RunStats::from_json(&with_stall(Some(Value::str("four")))).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadField, "{err}");
+        assert_eq!(err.message, "\"stall\": expected a non-negative integer");
+        let mut v = sample_stats().to_json();
+        let Value::Obj(fields) = &mut v else { unreachable!("stats encode as an object") };
+        fields.retain(|(k, _)| k != "traffic");
+        fields.push(("traffic".to_string(), Value::UInt(5)));
+        let err = RunStats::from_json(&v).unwrap_err();
+        assert_eq!(err.message, "\"traffic\": expected an object", "{err}");
+        // So does a mistyped field of an event's nested object, and an unknown enum name.
+        let event = render_event(&Event::ServerStats { cache: CacheReport::default(), clients: 1 })
+            .replace("\"entries\":0", "\"entries\":-1");
+        let err = parse_event(&event).unwrap_err();
+        assert_eq!(
+            (err.code, err.message.as_str()),
+            (ErrorCode::BadField, "\"entries\": expected a non-negative integer")
+        );
+        let event = render_event(&Event::PointFinished {
+            id: "r1".into(),
+            index: 0,
+            source: CacheSource::Fresh,
+            stats: sample_stats(),
+        })
+        .replace("\"source\":\"run\"", "\"source\":\"tape\"");
+        let err = parse_event(&event).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadField, "{err}");
+        assert!(err.message.starts_with("\"source\": expected one of run memory disk"), "{err}");
+    }
+
+    /// `render_event` of a fresh `sample_stats()` point, as the
+    /// hand-written encoder this codec replaced wrote it.
+    const PINNED_POINT_FINISHED: &str = concat!(
+        r#"{"type":"point-finished","id":"r1","index":0,"cached":false,"source":"run","#,
+        r#""stats":{"scheduler":"Hints","app":"sssp","cores":4,"runtime_cycles":123456,"#,
+        r#""breakdown":{"committed":100,"aborted":20,"spill":3,"stall":4,"empty":5},"#,
+        r#""traffic":{"mem_flit_hops":11,"abort_flit_hops":22,"task_flit_hops":33,"gvt_flit_hops":44},"#,
+        r#""tasks_committed":1000,"tasks_aborted":50,"tasks_spilled":7,"gvt_updates":99,"#,
+        r#""lb_reconfigs":2,"noc_queue_cycles":12,"committed_cycles_per_tile":[10,20,30,40],"#,
+        r#""committed_accesses":[{"hint":{"kind":"value","value":7},"num_args":2,"#,
+        r#""accesses":[[4096,false],[4104,true]]}],"link_stats":{"links":[{"messages":5,"#,
+        r#""flits":6,"queue_cycles":7,"occupancy_sum":8,"max_occupancy":9}],"#,
+        r#""class_queue_cycles":[1,2,3,4]}}}"#,
+    );
+
+    #[test]
+    fn point_finished_line_is_pinned() {
+        let event = Event::PointFinished {
+            id: "r1".into(),
+            index: 0,
+            source: CacheSource::Fresh,
+            stats: sample_stats(),
+        };
+        assert_eq!(render_event(&event), PINNED_POINT_FINISHED);
+        assert_eq!(parse_event(PINNED_POINT_FINISHED).unwrap(), event);
+    }
+
+    /// A disk-cache entry as `swarm serve --cache-dir` wrote it before this
+    /// codec: sssp under Hints at 16 cores, tiny scale, contention NoC.
+    const PINNED_CACHE_FILE: &str =
+        include_str!("../tests/data/cache_entry_sssp_hints_16_contention.json");
+
+    #[test]
+    fn pinned_cache_file_decodes_and_re_encodes_byte_identically() {
+        let stats = RunStats::from_json(&json::parse(PINNED_CACHE_FILE).unwrap()).unwrap();
+        assert_eq!((stats.app.as_str(), stats.cores, stats.runtime_cycles), ("sssp", 16, 11800));
+        let links = stats.link_stats.as_ref().expect("a contention run has link stats");
+        assert_eq!(
+            (links.links.len(), links.class_queue_cycles),
+            (16, [48610, 33502, 10258, 17802])
+        );
+        assert_eq!(stats.to_json().render() + "\n", PINNED_CACHE_FILE);
     }
 }

@@ -240,7 +240,7 @@ impl SimBuilder {
             (Some(_), Some(_)) => return Err(BuildError::AmbiguousMachine),
             (Some(n), None) => SystemConfig::with_cores(n),
             (None, Some(cfg)) => cfg,
-            (None, None) => SystemConfig::small(),
+            (None, None) => SystemConfig::with_cores(16),
         };
         cfg.validate().map_err(BuildError::InvalidConfig)?;
         if cfg.commit_queue_per_tile() <= cfg.cores_per_tile as usize {
@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn defaults_to_the_small_machine() {
         let mut engine = Sim::builder().app(OneTask).mapper(round_robin()).build().unwrap();
-        assert_eq!(engine.run().unwrap().cores, SystemConfig::small().num_cores());
+        assert_eq!(engine.run().unwrap().cores, SystemConfig::with_cores(16).num_cores());
     }
 
     #[test]
@@ -348,7 +348,7 @@ mod tests {
     fn ambiguous_machine_descriptions_are_rejected() {
         let err = Sim::builder()
             .cores(4)
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(OneTask)
             .mapper(round_robin())
             .build()
@@ -358,13 +358,13 @@ mod tests {
 
     #[test]
     fn invalid_configurations_are_rejected_not_panicked() {
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.tiles_x = 0;
         let err =
             Sim::builder().config(cfg).app(OneTask).mapper(round_robin()).build().err().unwrap();
         assert!(matches!(err, BuildError::InvalidConfig(_)), "{err}");
 
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         // Passes SystemConfig::validate (positive capacity) but leaves the
         // 4-core tiles with only 4 commit-queue entries: a deadlock recipe.
         cfg.queues.commit_queue_per_core = 1;

@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn conflicting_counter_is_serializable() {
         let mut engine = Sim::builder()
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(SharedCounter { tasks: 64 })
             .mapper(Box::new(RoundRobinMapper::new()))
             .build()
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn independent_tasks_do_not_abort() {
         let mut engine = Sim::builder()
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(Independent { tasks: 200 })
             .mapper(Box::new(RoundRobinMapper::new()))
             .build()
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn fan_out_children_all_commit() {
         let mut engine = Sim::builder()
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(FanOut { children: 50 })
             .mapper(Box::new(RoundRobinMapper::new()))
             .build()
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn breakdown_accounts_all_core_time() {
         let mut engine = Sim::builder()
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(SharedCounter { tasks: 32 })
             .mapper(Box::new(RoundRobinMapper::new()))
             .build()
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn profiling_records_committed_accesses() {
         let mut engine = Sim::builder()
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(Independent { tasks: 10 })
             .mapper(Box::new(RoundRobinMapper::new()))
             .profiling(true)
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn traffic_is_recorded_on_multi_tile_systems() {
         let mut engine = Sim::builder()
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(Independent { tasks: 100 })
             .mapper(Box::new(RoundRobinMapper::new()))
             .build()

@@ -492,17 +492,20 @@ impl SimState {
             spilled += 1;
         }
         if spilled > 0 {
-            self.observers.spill(&SpillEvent {
-                tile,
-                tasks: spilled as u64,
-                cycles: spilled as u64 * self.cfg.queues.spill_cost_per_task,
-                direction: SpillDirection::Spilled,
-            });
-            let hops = self.mesh.hops(tile, TileId(0)).max(1);
-            let flits = self.mesh.line_flits() * spilled as u64;
-            let at = self.now_cycle;
-            self.send_message(TrafficClass::Memory, tile, TileId(0), hops, flits, at);
+            self.spill_traffic(tile, spilled as u64, SpillDirection::Spilled);
         }
+    }
+
+    /// Account one spill or refill of `tasks` tasks between `tile` and the
+    /// spill buffers in memory: the observers' [`SpillEvent`], then the
+    /// line-sized memory messages to and from tile 0.
+    fn spill_traffic(&mut self, tile: TileId, tasks: u64, direction: SpillDirection) {
+        let cycles = tasks * self.cfg.queues.spill_cost_per_task;
+        self.observers.spill(&SpillEvent { tile, tasks, cycles, direction });
+        let hops = self.mesh.hops(tile, TileId(0)).max(1);
+        let flits = self.mesh.line_flits() * tasks;
+        let at = self.now_cycle;
+        self.send_message(TrafficClass::Memory, tile, TileId(0), hops, flits, at);
     }
 
     /// Refill a batch of the earliest-key spilled tasks of `tile` back into
@@ -522,16 +525,7 @@ impl SimState {
             refilled += 1;
         }
         if refilled > 0 {
-            self.observers.spill(&SpillEvent {
-                tile,
-                tasks: refilled as u64,
-                cycles: refilled as u64 * self.cfg.queues.spill_cost_per_task,
-                direction: SpillDirection::Refilled,
-            });
-            let hops = self.mesh.hops(tile, TileId(0)).max(1);
-            let flits = self.mesh.line_flits() * refilled as u64;
-            let at = self.now_cycle;
-            self.send_message(TrafficClass::Memory, tile, TileId(0), hops, flits, at);
+            self.spill_traffic(tile, refilled as u64, SpillDirection::Refilled);
             self.note_wake(tile);
         }
         refilled
@@ -550,16 +544,7 @@ impl SimState {
         self.tiles[tile.index()].spilled.remove(&key);
         self.idle_insert(tile, key);
         self.tasks.set_status(task, TaskStatus::Idle);
-        self.observers.spill(&SpillEvent {
-            tile,
-            tasks: 1,
-            cycles: self.cfg.queues.spill_cost_per_task,
-            direction: SpillDirection::Refilled,
-        });
-        let hops = self.mesh.hops(tile, TileId(0)).max(1);
-        let flits = self.mesh.line_flits();
-        let at = self.now_cycle;
-        self.send_message(TrafficClass::Memory, tile, TileId(0), hops, flits, at);
+        self.spill_traffic(tile, 1, SpillDirection::Refilled);
         self.note_wake(tile);
     }
 

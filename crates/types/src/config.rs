@@ -1,9 +1,8 @@
 //! Configuration of the simulated system (the analogue of Table II).
 //!
 //! The paper simulates a 256-core, 64-tile chip. The defaults here describe
-//! the same machine; [`SystemConfig::small`] and [`SystemConfig::with_cores`]
-//! produce scaled-down versions used by tests and by the laptop-scale
-//! experiment harness.
+//! the same machine; [`SystemConfig::with_cores`] produces the scaled-down
+//! versions the experiment harness and the tests run.
 
 use serde::{Deserialize, Serialize};
 
@@ -209,8 +208,10 @@ pub struct SystemConfig {
     pub spec: SpeculationConfig,
     /// Load-balancer buckets per tile (16 in the paper).
     pub lb_buckets_per_tile: usize,
-    /// Cycles between load-balancer reconfigurations (500 Kcycles in the
-    /// paper; scaled down together with the workloads).
+    /// Cycles between load-balancer reconfigurations. The paper
+    /// reconfigures every 500 Kcycles on >1 Bcycle runs; the default is
+    /// scaled down together with the workloads, whose runs last thousands
+    /// to millions of cycles.
     pub lb_epoch: u64,
     /// Fraction (percent) of a tile's load surplus/deficit corrected per
     /// reconfiguration (80% in the paper).
@@ -240,7 +241,7 @@ impl Default for SystemConfig {
             queues: QueueConfig::default(),
             spec: SpeculationConfig::default(),
             lb_buckets_per_tile: 16,
-            lb_epoch: 500_000,
+            lb_epoch: 10_000,
             lb_correction_pct: 80,
             seed: 0xC0FFEE,
             max_cycles: 0,
@@ -250,18 +251,6 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's full-scale 256-core, 64-tile configuration (Table II).
-    pub fn paper_256core() -> Self {
-        SystemConfig::default()
-    }
-
-    /// A small 4-tile, 16-core configuration suitable for unit tests.
-    pub fn small() -> Self {
-        let mut cfg = SystemConfig::with_cores(16);
-        cfg.lb_epoch = 20_000;
-        cfg
-    }
-
     /// A single-core configuration (1 tile, 1 core): the serial baseline all
     /// speedups are measured against.
     pub fn single_core() -> Self {
@@ -283,10 +272,6 @@ impl SystemConfig {
         cfg.tiles_x = tx;
         cfg.tiles_y = ty;
         cfg.cores_per_tile = cores_per_tile;
-        // Keep the load-balancer epoch proportional to the scaled-down runs
-        // this configuration is used for (the paper reconfigures every
-        // 500 Kcycles on >1 Bcycle runs).
-        cfg.lb_epoch = 10_000;
         cfg
     }
 
@@ -387,7 +372,7 @@ mod tests {
 
     #[test]
     fn default_matches_paper_table2() {
-        let cfg = SystemConfig::paper_256core();
+        let cfg = SystemConfig::default();
         assert_eq!(cfg.num_tiles(), 64);
         assert_eq!(cfg.num_cores(), 256);
         assert_eq!(cfg.queues.task_queue_per_core, 64);
@@ -398,6 +383,11 @@ mod tests {
         assert_eq!(cfg.lb_buckets_per_tile, 16);
         assert_eq!(cfg.num_buckets(), 1024);
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn default_is_the_machine_a_256_core_point_runs() {
+        assert_eq!(SystemConfig::default(), SystemConfig::with_cores(256));
     }
 
     #[test]
@@ -418,7 +408,7 @@ mod tests {
 
     #[test]
     fn l3_home_is_stable_and_in_range() {
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         for l in 0..1000u64 {
             let home = cfg.l3_home(LineAddr(l));
             assert!(home.index() < cfg.num_tiles());
@@ -428,15 +418,15 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_configs() {
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.cores_per_tile = 0;
         assert!(cfg.validate().is_err());
 
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.queues.spill_threshold_pct = 150;
         assert!(cfg.validate().is_err());
 
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.spec.gvt_epoch = 0;
         assert!(cfg.validate().is_err());
     }
@@ -454,19 +444,19 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_noc_knobs() {
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.noc.link_bits = 0;
         assert!(cfg.validate().unwrap_err().contains("link_bits"));
 
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.noc.control_flits = 0;
         assert!(cfg.validate().unwrap_err().contains("control_flits"));
 
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.noc.link_flits_per_cycle = 0;
         assert!(cfg.validate().unwrap_err().contains("link_flits_per_cycle"));
 
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.noc.link_queue_depth = 0;
         assert!(cfg.validate().unwrap_err().contains("link_queue_depth"));
     }
@@ -475,7 +465,7 @@ mod tests {
     fn noc_model_defaults_to_analytic() {
         let cfg = SystemConfig::default();
         assert_eq!(cfg.noc.model, NocModel::Analytic);
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.noc.model = NocModel::Contention;
         cfg.validate().unwrap();
     }
@@ -485,7 +475,7 @@ mod tests {
         let cfg = SystemConfig::default();
         assert_eq!(cfg.max_cycles, 0, "no cycle budget by default");
         assert_eq!(cfg.max_wall_ms, 0, "no wall-clock budget by default");
-        let mut cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::with_cores(16);
         cfg.max_cycles = 1_000;
         cfg.max_wall_ms = 50;
         cfg.validate().unwrap();

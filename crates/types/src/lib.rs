@@ -11,7 +11,7 @@
 //! ```
 //! use swarm_types::{Hint, SystemConfig, TileId};
 //!
-//! let cfg = SystemConfig::small();
+//! let cfg = SystemConfig::with_cores(16);
 //! assert_eq!(cfg.num_tiles(), cfg.tiles_x as usize * cfg.tiles_y as usize);
 //!
 //! let hint = Hint::value(42);

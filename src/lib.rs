@@ -57,7 +57,7 @@ mod tests {
     #[test]
     fn prelude_exposes_the_public_api() {
         use crate::prelude::*;
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         let mapper = Scheduler::Random.build(&cfg);
         assert_eq!(mapper.name(), "Random");
         assert_eq!(BenchmarkId::ALL.len(), 15);

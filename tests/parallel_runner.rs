@@ -36,11 +36,20 @@ fn series() -> Vec<CurveSpec> {
         .collect()
 }
 
+/// Sweep `series` on `pool`, each curve against its own 1-core run.
+fn sweep(pool: Pool, series: &[CurveSpec]) -> Vec<(String, Vec<PointResult>)> {
+    let groups: Vec<(RunRequest, Vec<CurveSpec>)> = series
+        .iter()
+        .map(|s| (RunRequest::new(s.1, s.2, 1, InputScale::Tiny).with_seed(SEED), vec![s.clone()]))
+        .collect();
+    pool.try_speedup_curve_groups(&groups, &CORES).into_iter().flatten().collect()
+}
+
 #[test]
 fn multi_threaded_sweep_is_byte_identical_to_jobs_1() {
     let series = series();
-    let serial = Pool::new(1).try_speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
-    let parallel = Pool::new(4).try_speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
+    let serial = sweep(Pool::new(1), &series);
+    let parallel = sweep(Pool::new(4), &series);
     assert!(serial.iter().flat_map(|(_, points)| points).all(Result::is_ok));
 
     // Byte-identical ExperimentPoints: requests, full stats (cycle
@@ -62,8 +71,7 @@ fn pool_sweep_matches_the_hand_written_serial_reference() {
                     .map(Ok)
                     .collect();
             let series = [(String::new(), spec, scheduler)];
-            let mut curves =
-                Pool::new(4).try_speedup_curves(&series, &CORES, InputScale::Tiny, SEED);
+            let mut curves = sweep(Pool::new(4), &series);
             let pooled = curves.remove(0).1;
             assert_eq!(
                 format!("{reference:#?}"),

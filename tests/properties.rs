@@ -427,7 +427,7 @@ proptest! {
     fn random_ledgers_are_serializable(ledger in ledger_strategy(), scheduler_idx in 0usize..4) {
         let scheduler = Scheduler::ALL[scheduler_idx];
         let mut engine = Sim::builder()
-            .config(SystemConfig::small())
+            .config(SystemConfig::with_cores(16))
             .app(ledger.clone())
             .scheduler(scheduler)
             .build()
@@ -864,7 +864,7 @@ proptest! {
     /// tile and bucket, and every tile is reachable.
     #[test]
     fn hint_mapping_is_deterministic_and_covers_tiles(hints in proptest::collection::vec(any::<u64>(), 1..500)) {
-        let cfg = SystemConfig::small();
+        let cfg = SystemConfig::with_cores(16);
         let mut a = Scheduler::Hints.build(&cfg);
         let mut b = Scheduler::Hints.build(&cfg);
         for &h in &hints {

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
 use swarm_bench::{run_point_result, run_point_result_observed, RunError};
-use swarm_serve::proto::{render_request, stats_to_json, ErrorCode};
+use swarm_serve::proto::{render_request, ErrorCode, Wire};
 use swarm_serve::{
     parse_event, CacheSource, Event, FailureKind, PipeSummary, PointFailure, PointOutcome,
     PointRunner, Request, RunPoint, ServeOptions, Server, SubmitRequest, TcpServer, MAX_LINE_BYTES,
@@ -143,7 +143,7 @@ fn pipe_session_matches_direct_runs_byte_for_byte() {
         let direct = run_point_result(*p, false).unwrap();
         assert_eq!(*stats, direct, "point {index} diverged from the direct run");
         // Bit-for-bit through the wire codec too, not just PartialEq.
-        assert_eq!(stats_to_json(stats).render(), stats_to_json(&direct).render());
+        assert_eq!(stats.to_json().render(), direct.to_json().render());
     }
     match events.last().unwrap() {
         Event::RunDone { ok, failed, cache, .. } => {
@@ -171,7 +171,7 @@ fn repeat_submission_is_served_entirely_from_cache() {
         assert_eq!(*source_a, CacheSource::Fresh);
         assert_eq!(*source_b, CacheSource::Memory, "the repeat must be cache-served");
         assert_eq!(stats_a, stats_b, "cache-served stats must be identical to fresh ones");
-        assert_eq!(stats_to_json(stats_a).render(), stats_to_json(stats_b).render());
+        assert_eq!(stats_a.to_json().render(), stats_b.to_json().render());
     }
 
     let dones: Vec<_> = events
