@@ -27,6 +27,6 @@ pub mod link;
 pub mod mesh;
 pub mod traffic;
 
-pub use link::{Hop, LinkCounters, LinkNet, LinkStats};
-pub use mesh::{Mesh, RouteTable, DIR_LABELS, LINKS_PER_TILE};
+pub use link::{FanIn, Hop, LinkCounters, LinkNet, LinkStats, LINK_QUEUE_DEPTH};
+pub use mesh::{Mesh, DIR_LABELS, LINKS_PER_TILE};
 pub use traffic::{TrafficClass, TrafficStats};

@@ -10,9 +10,9 @@
 //! deterministic (the engine processes events in a fixed total order) the
 //! resulting delays are bit-identical across repeats and `--jobs` levels.
 //!
-//! The configured `link_queue_depth` bounds the *reported* occupancy — the
-//! backlog a router's finite buffers would expose — not the departure times:
-//! a work-conserving FIFO drains in the same order and at the same rate
+//! [`LINK_QUEUE_DEPTH`] bounds the *reported* occupancy — the backlog a
+//! router's finite buffers would expose — not the departure times: a
+//! work-conserving FIFO drains in the same order and at the same rate
 //! regardless of how the backlog is buffered, so clamping only the statistic
 //! keeps the model simple and the delays exact.
 //!
@@ -26,13 +26,28 @@
 //! dropped entries are older than every kept one, so an arrival that drains
 //! into the kept entries has drained every dropped one first, and both
 //! backlogs agree entry for entry; an arrival that does not still finds at
-//! least `depth` entries either way. The stored backlog grows with the real
-//! one and never past `depth`, so a large configured depth costs no memory
-//! up front.
+//! least `depth` entries either way. Each link record holds its backlog as
+//! a fixed ring of `depth` slots, and an arrival at or after the link's
+//! busy cycle (its newest departure) finds every stored departure drained,
+//! so it restarts the ring in O(1).
+//!
+//! The per-epoch GVT exchange sends one message from every tile to tile 0
+//! at the same cycle. [`LinkNet::walk_fan_in`] walks those messages
+//! link-major through a [`FanIn`] schedule instead of route by route; see
+//! [`FanIn`] for why both orders leave every link in the same state.
 
-use swarm_types::NocConfig;
+use swarm_types::{NocConfig, TileId};
 
+use crate::mesh::{Mesh, LINKS_PER_TILE};
 use crate::traffic::TrafficClass;
+
+/// Departures each link stores, and the cap on the backlog an arrival
+/// reports as its occupancy.
+pub const LINK_QUEUE_DEPTH: usize = 16;
+
+/// Ring index mask: the depth is a power of two, so the ring wraps by mask.
+const RING_MASK: usize = LINK_QUEUE_DEPTH - 1;
+const _: () = assert!(LINK_QUEUE_DEPTH.is_power_of_two());
 
 /// Aggregate counters for one directed link (integer-only: these end up in
 /// `RunStats`, which derives `Eq` so determinism checks can compare runs).
@@ -45,10 +60,10 @@ pub struct LinkCounters {
     /// Total cycles messages spent queued behind earlier ones.
     pub queue_cycles: u64,
     /// Sum over messages of the backlog observed on arrival (each clamped to
-    /// `link_queue_depth`); divide by `messages` for the mean occupancy.
+    /// [`LINK_QUEUE_DEPTH`]); divide by `messages` for the mean occupancy.
     pub occupancy_sum: u64,
     /// Largest backlog observed on any arrival (clamped to
-    /// `link_queue_depth`).
+    /// [`LINK_QUEUE_DEPTH`]).
     pub max_occupancy: u64,
 }
 
@@ -92,7 +107,7 @@ impl LinkStats {
 }
 
 /// One link a message crossed, as [`LinkNet::walk`] reports it per hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Hop {
     /// The directed link id (see [`crate::Mesh::route_links`]).
     pub link: u32,
@@ -108,7 +123,6 @@ pub struct Hop {
 #[derive(Debug, Clone)]
 pub struct LinkNet {
     flits_per_cycle: u64,
-    queue_depth: usize,
     /// One record per directed link slot, so a hop touches one record.
     links: Vec<Link>,
     class_queue_cycles: [u64; TrafficClass::ALL.len()],
@@ -117,7 +131,8 @@ pub struct LinkNet {
 /// Everything one directed link keeps.
 #[derive(Debug, Clone, Default)]
 struct Link {
-    /// Cycle at which the link finishes serving everything accepted so far.
+    /// Cycle at which the link finishes serving everything accepted so far:
+    /// the newest departure in `backlog`, or 0 before the first message.
     busy_until: u64,
     /// Totals reported by [`LinkNet::snapshot`].
     counters: LinkCounters,
@@ -125,15 +140,12 @@ struct Link {
     backlog: Backlog,
 }
 
-/// Departure cycles of the messages still on one link, oldest first, in a
-/// ring that holds at most the queue depth of them (see the module docs for
-/// why that is exact). The ring doubles as the backlog grows, never past the
-/// depth, and keeps its storage, so the steady state allocates nothing.
+/// Departure cycles of the newest messages still on one link, oldest
+/// first, in a fixed ring of [`LINK_QUEUE_DEPTH`] slots (see the module
+/// docs for why dropping older ones is exact).
 #[derive(Debug, Clone, Default)]
 struct Backlog {
-    /// Ring storage; every slot is initialised and `slots.len()` is the
-    /// ring size.
-    slots: Vec<u64>,
+    slots: [u64; LINK_QUEUE_DEPTH],
     /// Slot of the oldest departure.
     head: usize,
     /// Departures held.
@@ -141,56 +153,129 @@ struct Backlog {
 }
 
 impl Backlog {
-    /// Admit a message arriving at `enter` that departs at `depart`: forget
-    /// the departures at or before `enter`, record `depart` (displacing the
-    /// oldest when `depth` are held), and return how many messages were
-    /// still ahead of it, at most `depth`.
+    /// Admit a message arriving at `enter` that departs at `depart`, on a
+    /// link busy until `busy_until`: forget the departures at or before
+    /// `enter`, record `depart` (displacing the oldest when the ring is
+    /// full), and return how many messages were still ahead of it, at most
+    /// [`LINK_QUEUE_DEPTH`].
     #[inline]
-    fn admit(&mut self, enter: u64, depart: u64, depth: usize) -> u64 {
-        while self.len > 0 && self.slots[self.head] <= enter {
-            self.head = self.next(self.head);
+    fn admit(&mut self, enter: u64, busy_until: u64, depart: u64) -> u64 {
+        if enter >= busy_until {
+            // Every held departure is at or before `busy_until`: the link
+            // has drained, so the ring restarts with this message alone.
+            self.head = 0;
+            self.slots[0] = depart;
+            self.len = 1;
+            return 0;
+        }
+        // The newest held departure is `busy_until > enter`, so this stops
+        // before the ring empties.
+        while self.slots[self.head] <= enter {
+            debug_assert!(self.len > 1);
+            self.head = (self.head + 1) & RING_MASK;
             self.len -= 1;
         }
         let ahead = self.len;
-        if ahead == depth {
-            // Full at the cap, where the ring size is `depth`: the newest
-            // departure takes the oldest one's slot.
+        if ahead == LINK_QUEUE_DEPTH {
+            // Full: the newest departure takes the oldest one's slot.
             self.slots[self.head] = depart;
-            self.head = self.next(self.head);
+            self.head = (self.head + 1) & RING_MASK;
         } else {
-            if ahead == self.slots.len() {
-                self.grow(depth);
-            }
-            let mut tail = self.head + ahead;
-            if tail >= self.slots.len() {
-                tail -= self.slots.len();
-            }
-            self.slots[tail] = depart;
+            self.slots[(self.head + ahead) & RING_MASK] = depart;
             self.len += 1;
         }
         ahead as u64
     }
+}
 
-    #[inline]
-    fn next(&self, slot: usize) -> usize {
-        if slot + 1 == self.slots.len() {
-            0
-        } else {
-            slot + 1
+/// The GVT exchange's link-major walk: every link the X-Y routes to tile 0
+/// cross, upstream first, each with the contiguous range of source tiles
+/// whose messages it carries, plus the per-tile scratch one
+/// [`LinkNet::walk_fan_in`] advances in place.
+///
+/// The route from tile `(x, y)` runs west along row `y` to column 0, then
+/// north to `(0, 0)`. The west link leaving `(x', y)` carries the tiles
+/// `(x'.., y)` of its row; the north link leaving `(0, y')` carries every
+/// tile of rows `y'..`. Both are contiguous tile ranges. Listing each row's
+/// west links from east to west, and each row's north link after its west
+/// links and after the north link below it, puts every link after all the
+/// links that feed it.
+///
+/// Walking link-major in that order is exact: a link's FIFO state depends
+/// only on the arrival cycles and order of its own messages; the arrival
+/// cycle of a message at a link is its departure from the upstream link,
+/// walked earlier; and every link still takes its messages in tile order,
+/// as walking the routes tile by tile would.
+#[derive(Debug, Clone)]
+pub struct FanIn {
+    groups: Vec<FanInLink>,
+    /// Per tile: the cycle its message reaches the next link of its route.
+    at: Vec<u64>,
+    /// Per tile: its message's queueing cycles in the last walk.
+    queued: Vec<u64>,
+    /// Tile `t`'s route occupies `hops[starts[t]..starts[t + 1]]`.
+    starts: Vec<u32>,
+    /// Per tile: the next `hops` slot a recording walk fills.
+    next: Vec<u32>,
+    /// Every tile's hops from the last recording walk, in message order;
+    /// sized on the first recording walk.
+    hops: Vec<Hop>,
+}
+
+/// One link of a [`FanIn`] and the source tiles `first..end` it carries.
+#[derive(Debug, Clone, Copy)]
+struct FanInLink {
+    link: u32,
+    first: u32,
+    end: u32,
+}
+
+impl FanIn {
+    /// The fan-in of every tile's X-Y route to tile 0 on `mesh`, built in
+    /// O(links).
+    pub fn new(mesh: &Mesh) -> Self {
+        let (w, h) = (mesh.width(), mesh.height());
+        let n = mesh.num_tiles();
+        let link = |x: u32, y: u32, dir: u32| (y * w + x) * LINKS_PER_TILE as u32 + dir;
+        let mut groups = Vec::with_capacity((h * w - 1) as usize);
+        for y in (0..h).rev() {
+            for x in (1..w).rev() {
+                groups.push(FanInLink { link: link(x, y, 1), first: y * w + x, end: (y + 1) * w });
+            }
+            if y > 0 {
+                groups.push(FanInLink { link: link(0, y, 3), first: y * w, end: n as u32 });
+            }
+        }
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        for t in 0..n as u32 {
+            starts.push(starts[t as usize] + t % w + t / w);
+        }
+        FanIn {
+            groups,
+            at: vec![0; n],
+            queued: vec![0; n],
+            starts,
+            next: vec![0; n],
+            hops: Vec::new(),
         }
     }
 
-    /// Double the full ring, capped at `depth`, unrolled so the oldest
-    /// departure sits in slot 0.
-    #[cold]
-    fn grow(&mut self, depth: usize) {
-        let size = (self.slots.len() * 2).max(4).min(depth);
-        let mut slots = Vec::with_capacity(size);
-        slots.extend_from_slice(&self.slots[self.head..]);
-        slots.extend_from_slice(&self.slots[..self.head]);
-        slots.resize(size, 0);
-        self.slots = slots;
-        self.head = 0;
+    /// Per tile, its message's queueing cycles in the last walk.
+    pub fn queued(&self) -> &[u64] {
+        &self.queued
+    }
+
+    /// The links `from`'s message crossed in the last walk that recorded
+    /// hops, in route order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no walk has recorded hops yet, or if `from` is outside the
+    /// mesh.
+    pub fn route_hops(&self, from: TileId) -> &[Hop] {
+        let t = from.index();
+        &self.hops[self.starts[t] as usize..self.starts[t + 1] as usize]
     }
 }
 
@@ -200,14 +285,12 @@ impl LinkNet {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.link_flits_per_cycle` or `cfg.link_queue_depth` is
-    /// zero (a validated `SystemConfig` rejects both).
+    /// Panics if `cfg.link_flits_per_cycle` is zero (a validated
+    /// `SystemConfig` rejects it).
     pub fn new(cfg: &NocConfig, num_links: usize) -> Self {
         assert!(cfg.link_flits_per_cycle > 0, "link_flits_per_cycle must be positive");
-        assert!(cfg.link_queue_depth > 0, "link_queue_depth must be positive");
         LinkNet {
             flits_per_cycle: cfg.link_flits_per_cycle,
-            queue_depth: usize::try_from(cfg.link_queue_depth).unwrap_or(usize::MAX),
             links: vec![Link::default(); num_links],
             class_queue_cycles: [0; TrafficClass::ALL.len()],
         }
@@ -233,10 +316,11 @@ impl LinkNet {
         let mut queued = 0;
         for &link in route {
             let l = &mut self.links[link as usize];
-            let wait = l.busy_until.saturating_sub(at);
+            let busy = l.busy_until;
+            let wait = busy.saturating_sub(at);
             let depart = at + wait + service;
+            let occupancy = l.backlog.admit(at, busy, depart);
             l.busy_until = depart;
-            let occupancy = l.backlog.admit(at, depart, self.queue_depth);
             let c = &mut l.counters;
             c.messages += 1;
             c.flits += flits;
@@ -251,10 +335,67 @@ impl LinkNet {
         queued
     }
 
+    /// Send one `flits`-flit message of `class` from every tile to tile 0,
+    /// all leaving at cycle `enter`, in tile order: the same link state,
+    /// counters and per-message delays as walking each tile's route with
+    /// [`LinkNet::walk`] in turn, computed link-major (see [`FanIn`]).
+    /// Afterwards [`FanIn::queued`] holds each message's queueing delay,
+    /// and with `record_hops` [`FanIn::route_hops`] holds the hops each
+    /// message crossed.
+    pub fn walk_fan_in(
+        &mut self,
+        fan_in: &mut FanIn,
+        class: TrafficClass,
+        flits: u64,
+        enter: u64,
+        record_hops: bool,
+    ) {
+        let service = self.service_cycles(flits);
+        let FanIn { groups, at, queued, starts, next, hops } = fan_in;
+        at.fill(enter);
+        queued.fill(0);
+        if record_hops {
+            hops.resize(starts[starts.len() - 1] as usize, Hop::default());
+            let tiles = next.len();
+            next.copy_from_slice(&starts[..tiles]);
+        }
+        let mut total = 0;
+        for g in groups.iter() {
+            let l = &mut self.links[g.link as usize];
+            let mut busy = l.busy_until;
+            let mut c = l.counters;
+            for t in g.first as usize..g.end as usize {
+                let arrive = at[t];
+                let wait = busy.saturating_sub(arrive);
+                let depart = arrive + wait + service;
+                let occupancy = l.backlog.admit(arrive, busy, depart);
+                busy = depart;
+                c.queue_cycles += wait;
+                c.occupancy_sum += occupancy;
+                c.max_occupancy = c.max_occupancy.max(occupancy);
+                at[t] = depart;
+                queued[t] += wait;
+                total += wait;
+                if record_hops {
+                    hops[next[t] as usize] =
+                        Hop { link: g.link, enter: arrive, depart, queue_cycles: wait };
+                    next[t] += 1;
+                }
+            }
+            let carried = u64::from(g.end - g.first);
+            c.messages += carried;
+            c.flits += carried * flits;
+            l.busy_until = busy;
+            l.counters = c;
+        }
+        self.class_queue_cycles[class.index()] += total;
+    }
+
     /// Pass one `flits`-flit message of `class` through the single link
     /// `link`, arriving at cycle `enter`. Returns the departure cycle: the
     /// raw service time plus the queueing delay.
-    pub fn traverse(&mut self, link: u32, class: TrafficClass, flits: u64, enter: u64) -> u64 {
+    #[cfg(test)]
+    fn traverse(&mut self, link: u32, class: TrafficClass, flits: u64, enter: u64) -> u64 {
         enter + self.service_cycles(flits) + self.walk(&[link], class, flits, enter, |_| {})
     }
 
@@ -282,18 +423,14 @@ impl LinkNet {
 mod tests {
     use super::*;
 
-    fn net(flits_per_cycle: u64, depth: u64) -> LinkNet {
-        let cfg = NocConfig {
-            link_flits_per_cycle: flits_per_cycle,
-            link_queue_depth: depth,
-            ..NocConfig::default()
-        };
+    fn net(flits_per_cycle: u64) -> LinkNet {
+        let cfg = NocConfig { link_flits_per_cycle: flits_per_cycle, ..NocConfig::default() };
         LinkNet::new(&cfg, 8)
     }
 
     #[test]
     fn idle_link_charges_only_service_time() {
-        let mut n = net(1, 16);
+        let mut n = net(1);
         // 5 flits at 1 flit/cycle: departs 5 cycles after arrival, no wait.
         assert_eq!(n.traverse(0, TrafficClass::Memory, 5, 100), 105);
         let s = n.snapshot();
@@ -305,7 +442,7 @@ mod tests {
 
     #[test]
     fn back_to_back_messages_queue_fifo() {
-        let mut n = net(1, 16);
+        let mut n = net(1);
         // Three 4-flit messages arriving at the same cycle serialize.
         assert_eq!(n.traverse(0, TrafficClass::Memory, 4, 0), 4);
         assert_eq!(n.traverse(0, TrafficClass::Task, 4, 0), 8);
@@ -319,7 +456,7 @@ mod tests {
 
     #[test]
     fn a_late_arrival_finds_the_link_idle_again() {
-        let mut n = net(2, 16);
+        let mut n = net(2);
         // 4 flits at 2 flits/cycle = 2 cycles of service.
         assert_eq!(n.traverse(3, TrafficClass::Gvt, 4, 10), 12);
         // Arriving after the link drained: no queueing.
@@ -329,23 +466,24 @@ mod tests {
 
     #[test]
     fn occupancy_counts_messages_ahead_and_clamps_at_depth() {
-        let mut n = net(1, 2);
-        for k in 0..5 {
+        let mut n = net(1);
+        let depth = LINK_QUEUE_DEPTH as u64;
+        for k in 0..depth + 4 {
             n.traverse(1, TrafficClass::Abort, 10, 0);
             let c = n.snapshot().links[1];
             // The k-th arrival queues behind min(k, depth) earlier messages.
-            assert_eq!(c.max_occupancy, (k as u64).min(2));
+            assert_eq!(c.max_occupancy, k.min(depth));
         }
         let c = n.snapshot().links[1];
-        // Backlogs seen: 0, 1, 2, 2 (clamped), 2 (clamped) — sum 7.
-        assert_eq!(c.occupancy_sum, 7);
-        assert_eq!(c.max_occupancy, 2);
-        assert!((c.mean_occupancy() - 7.0 / 5.0).abs() < 1e-12);
+        // Backlogs seen: 0, 1, .., 15, then 16 (clamped) four times.
+        assert_eq!(c.occupancy_sum, 120 + 4 * 16);
+        assert_eq!(c.max_occupancy, depth);
+        assert!((c.mean_occupancy() - 184.0 / 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn links_are_independent() {
-        let mut n = net(1, 16);
+        let mut n = net(1);
         assert_eq!(n.traverse(0, TrafficClass::Memory, 8, 0), 8);
         // A different link is idle even while link 0 is busy.
         assert_eq!(n.traverse(1, TrafficClass::Memory, 8, 0), 8);
@@ -354,7 +492,7 @@ mod tests {
 
     #[test]
     fn hottest_link_picks_the_most_queued() {
-        let mut n = net(1, 16);
+        let mut n = net(1);
         n.traverse(2, TrafficClass::Memory, 4, 0);
         n.traverse(2, TrafficClass::Memory, 4, 0);
         n.traverse(5, TrafficClass::Memory, 4, 0);
@@ -366,38 +504,72 @@ mod tests {
 
     #[test]
     fn zero_flit_control_still_occupies_one_cycle() {
-        let mut n = net(4, 16);
+        let mut n = net(4);
         // Service time is at least one cycle regardless of width.
         assert_eq!(n.traverse(0, TrafficClass::Gvt, 1, 0), 1);
         assert_eq!(n.service_cycles(1), 1);
     }
 
+    /// The departures link `l`'s ring holds, oldest first.
+    fn held(n: &LinkNet, l: usize) -> Vec<u64> {
+        let b = &n.links[l].backlog;
+        (0..b.len).map(|k| b.slots[(b.head + k) & RING_MASK]).collect()
+    }
+
     #[test]
-    fn stored_backlog_never_exceeds_depth_and_grows_lazily() {
-        for depth in [1u64, 2, 5, 16, 1 << 40] {
-            let mut n = net(1, depth);
-            // An untouched link holds no storage, whatever the depth.
-            assert_eq!(n.links[0].backlog.slots.capacity(), 0);
-            // 100 same-cycle arrivals saturate link 0; its backlog keeps at
-            // most `depth` departures while the statistic still clamps.
-            for k in 0..100u64 {
-                n.traverse(0, TrafficClass::Memory, 3, 0);
-                let cap = n.links[0].backlog.slots.capacity() as u64;
-                assert!(cap <= depth, "depth {depth}: capacity {cap}");
-                assert!(cap <= (2 * k).max(4), "depth {depth}: grew ahead of the backlog");
-            }
-            let c = n.snapshot().links[0];
-            let expect: u64 = (0..100u64).map(|k| k.min(depth)).sum();
-            assert_eq!(c.occupancy_sum, expect, "depth {depth}");
-            // A late arrival drains the whole ring and finds the link idle.
-            assert_eq!(n.traverse(0, TrafficClass::Memory, 3, 10_000), 10_003);
-            assert_eq!(n.links[0].backlog.len, 1);
+    fn the_ring_keeps_the_newest_departures_and_restarts_on_an_idle_link() {
+        let mut n = net(1);
+        let depth = LINK_QUEUE_DEPTH as u64;
+        // 100 same-cycle 3-flit arrivals saturate link 0 (departures 3, 6,
+        // .., 300); the ring keeps the newest `depth` of them while the
+        // statistic still clamps.
+        for k in 1..=100u64 {
+            n.traverse(0, TrafficClass::Memory, 3, 0);
+            let want: Vec<u64> = (k.saturating_sub(depth) + 1..=k).map(|j| 3 * j).collect();
+            assert_eq!(held(&n, 0), want, "after {k} arrivals");
         }
+        let expect: u64 = (0..100u64).map(|k| k.min(depth)).sum();
+        assert_eq!(n.snapshot().links[0].occupancy_sum, expect);
+        // An arrival at cycle 280 drains the departures up to 279 (the
+        // kept 255..=279, and every dropped one before them) and still
+        // finds 7 ahead (282..=300).
+        assert_eq!(n.traverse(0, TrafficClass::Memory, 3, 280), 303);
+        assert_eq!(held(&n, 0), (94..=101).map(|j| 3 * j).collect::<Vec<_>>());
+        assert_eq!(n.snapshot().links[0].max_occupancy, depth);
+        // Arriving exactly when the link frees up restarts the ring.
+        assert_eq!(n.traverse(0, TrafficClass::Memory, 3, 303), 306);
+        assert_eq!((n.links[0].backlog.head, held(&n, 0)), (0, vec![306]));
+        // So does a late arrival; it sees an empty link.
+        let before = n.snapshot().links[0].occupancy_sum;
+        assert_eq!(n.traverse(0, TrafficClass::Memory, 3, 10_000), 10_003);
+        assert_eq!(held(&n, 0), [10_003]);
+        assert_eq!(n.snapshot().links[0].occupancy_sum, before);
+    }
+
+    #[test]
+    fn fan_in_lists_every_arbiter_link_upstream_first() {
+        // A 3x2 mesh: tiles 0 1 2 / 3 4 5. Row 1's west links (5 then 4),
+        // then its north link (carrying tiles 3..6), then row 0's west links.
+        let f = FanIn::new(&Mesh::new(3, 2, NocConfig::default()));
+        let groups: Vec<(u32, u32, u32)> =
+            f.groups.iter().map(|g| (g.link, g.first, g.end)).collect();
+        assert_eq!(
+            groups,
+            [
+                (5 * 4 + 1, 5, 6),
+                (4 * 4 + 1, 4, 6),
+                (3 * 4 + 3, 3, 6),
+                (2 * 4 + 1, 2, 3),
+                (4 + 1, 1, 3)
+            ]
+        );
+        assert_eq!(f.starts, [0, 0, 1, 3, 4, 6, 9]);
+        assert!(FanIn::new(&Mesh::new(1, 1, NocConfig::default())).groups.is_empty());
     }
 
     #[test]
     fn a_walk_chains_hops_and_reports_each_one() {
-        let mut n = net(2, 16);
+        let mut n = net(2);
         // Link 4 is busy until cycle 7, so the message queues there.
         assert_eq!(n.traverse(4, TrafficClass::Task, 6, 4), 7);
         let mut hops = Vec::new();

@@ -151,23 +151,6 @@ impl Mesh {
         }
     }
 
-    /// Every tile's dimension-ordered route to `to`, flattened into one
-    /// table (see [`RouteTable`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is outside the mesh.
-    pub fn routes_to(&self, to: TileId) -> RouteTable {
-        let mut links = Vec::new();
-        let mut offsets = Vec::with_capacity(self.num_tiles() + 1);
-        offsets.push(0);
-        for t in 0..self.num_tiles() as u32 {
-            self.route_links(TileId(t), to, |l| links.push(l));
-            offsets.push(links.len() as u32);
-        }
-        RouteTable { links, offsets }
-    }
-
     /// Total number of directed link slots (`num_tiles * LINKS_PER_TILE`).
     /// Edge tiles own slots pointing off-mesh that no route ever visits;
     /// indexing by slot keeps link lookup a shift instead of a map.
@@ -212,31 +195,6 @@ impl Mesh {
             }
         }
         total as f64 / pairs as f64
-    }
-}
-
-/// Every tile's route to one destination tile, as link ids in traversal
-/// order (see [`Mesh::route_links`]), flattened into one array. Built once
-/// per mesh for traffic that always heads to the same tile, so sending it
-/// reads a slice instead of recomputing coordinates hop by hop.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RouteTable {
-    /// Every route's link ids, concatenated in source-tile order.
-    links: Vec<u32>,
-    /// Tile `t`'s route is `links[offsets[t]..offsets[t + 1]]`.
-    offsets: Vec<u32>,
-}
-
-impl RouteTable {
-    /// The route from `from`, as link ids in traversal order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is outside the mesh the table was built for.
-    #[inline]
-    pub fn route(&self, from: TileId) -> &[u32] {
-        let t = from.index();
-        &self.links[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 }
 
@@ -376,23 +334,5 @@ mod tests {
     fn route_walk_on_same_tile_is_empty() {
         let m = mesh4x4();
         assert!(route(&m, 7, 7).is_empty());
-    }
-
-    #[test]
-    fn route_table_matches_route_links_and_hops() {
-        for (w, h) in [(8, 8), (4, 4), (3, 5), (1, 1)] {
-            let m = Mesh::new(w, h, NocConfig::default());
-            let table = m.routes_to(TileId(0));
-            for t in 0..w * h {
-                let from = TileId(t);
-                assert_eq!(table.route(from), route(&m, t, 0), "{w}x{h} tile {t}");
-                let hops = table.route(from).len() as u64;
-                assert_eq!(hops, m.hops(from, TileId(0)), "{w}x{h} tile {t}");
-            }
-        }
-        // The 8x8 arbiter routes cross 448 links in all.
-        let m = Mesh::new(8, 8, NocConfig::default());
-        let table = m.routes_to(TileId(0));
-        assert_eq!((0..64).map(|t| table.route(TileId(t)).len()).sum::<usize>(), 448);
     }
 }

@@ -13,7 +13,7 @@
 //! conflict, so a steady-state simulation step performs no heap allocation.
 
 use swarm_mem::{AccessKind, CacheModel, HitLevel, SimMemory, UndoEntry};
-use swarm_noc::{Hop, LinkNet, Mesh, RouteTable, TrafficClass};
+use swarm_noc::{FanIn, Hop, LinkNet, Mesh, TrafficClass};
 use swarm_types::{Addr, CoreId, LineAddr, NocModel, SystemConfig, TaskId, TileId};
 
 use crate::arena::TaskArena;
@@ -98,12 +98,12 @@ pub struct SimState {
     pub caches: CacheModel,
     /// Network model.
     pub mesh: Mesh,
-    /// Every tile's route to the GVT arbiter (tile 0), precomputed: the
-    /// per-epoch GVT exchange sends one message from every tile along these.
-    arbiter_routes: RouteTable,
     /// Per-link contention state: `Some` only under
     /// [`NocModel::Contention`]; `None` keeps the analytic fast path intact.
     pub(crate) links: Option<LinkNet>,
+    /// The per-epoch GVT exchange's link-major schedule and scratch (see
+    /// [`FanIn`]): `Some` exactly when `links` is.
+    gvt_fan_in: Option<FanIn>,
     /// The engine's current cycle, mirrored here at every event so state
     /// methods can time the messages they send without threading a clock
     /// parameter through every mechanism.
@@ -196,14 +196,15 @@ impl SimState {
         let num_tiles = cfg.num_tiles();
         let num_cores = cfg.num_cores();
         let mesh = Mesh::new(cfg.tiles_x, cfg.tiles_y, cfg.noc.clone());
-        let links = (cfg.noc.model == NocModel::Contention)
-            .then(|| LinkNet::new(&cfg.noc, mesh.num_links()));
+        let contention = cfg.noc.model == NocModel::Contention;
+        let links = contention.then(|| LinkNet::new(&cfg.noc, mesh.num_links()));
+        let gvt_fan_in = contention.then(|| FanIn::new(&mesh));
         SimState {
             mem: SimMemory::new(),
             caches: CacheModel::new(cfg.cache.clone(), num_tiles, cfg.cores_per_tile),
-            arbiter_routes: mesh.routes_to(TileId(0)),
             mesh,
             links,
+            gvt_fan_in,
             now_cycle: 0,
             line_table: LineTable::new(),
             tasks: TaskArena::new(),
@@ -283,16 +284,47 @@ impl SimState {
     }
 
     /// The per-epoch GVT exchange: every tile, in tile order, sends the
-    /// arbiter (tile 0) an update over its precomputed route, all leaving
-    /// at cycle `enter`.
+    /// arbiter (tile 0) an update along its X-Y route, all leaving at cycle
+    /// `enter`. Under [`NocModel::Contention`] the routes are walked
+    /// link-major (see [`FanIn`]), which leaves every link as walking them
+    /// message by message would; observers then see each message's
+    /// per-link occupancy events, replayed from the recorded hops, and its
+    /// network event in the order a message-by-message walk emits them.
     pub(crate) fn exchange_gvt(&mut self, enter: u64) {
         let flits = 2 * self.mesh.control_flits();
-        let routes = std::mem::take(&mut self.arbiter_routes);
-        for t in 0..self.cfg.num_tiles() as u32 {
-            let route = routes.route(TileId(t));
-            self.deliver(TrafficClass::Gvt, route, route.len() as u64, flits, enter);
+        // The arbiter's own update crosses no link. It is the exchange's
+        // first message, so it is the one an armed `DuplicateMessage` copies.
+        self.deliver(TrafficClass::Gvt, &[], 0, flits, enter);
+        let replay = self.observers.wants_link_occupancy();
+        let fan_in = match (self.links.as_mut(), self.gvt_fan_in.as_mut()) {
+            (Some(links), Some(fan_in)) => {
+                links.walk_fan_in(fan_in, TrafficClass::Gvt, flits, enter, replay);
+                Some(&*fan_in)
+            }
+            _ => None,
+        };
+        for t in 1..self.cfg.num_tiles() {
+            let tile = TileId(t as u32);
+            let queue_cycles = match fan_in {
+                Some(fan_in) => {
+                    if replay {
+                        for hop in fan_in.route_hops(tile) {
+                            let event = occupancy_event(hop, TrafficClass::Gvt, flits);
+                            self.observers.link_occupancy(&event);
+                        }
+                    }
+                    fan_in.queued()[t]
+                }
+                None => 0,
+            };
+            let hops = self.mesh.hops(tile, TileId(0));
+            self.observers.network(&NetworkEvent {
+                class: TrafficClass::Gvt,
+                hops,
+                flits,
+                queue_cycles,
+            });
         }
-        self.arbiter_routes = routes;
     }
 
     /// Walk `route` and announce the message (see
@@ -331,15 +363,8 @@ impl SimState {
             return links.walk(route, class, flits, enter, |_| {});
         }
         let observers = &mut self.observers;
-        links.walk(route, class, flits, enter, |hop: Hop| {
-            observers.link_occupancy(&LinkOccupancyEvent {
-                link: hop.link,
-                class,
-                flits,
-                enter: hop.enter,
-                depart: hop.depart,
-                queue_cycles: hop.queue_cycles,
-            });
+        links.walk(route, class, flits, enter, |hop| {
+            observers.link_occupancy(&occupancy_event(&hop, class, flits));
         })
     }
 
@@ -1050,5 +1075,96 @@ impl SimState {
             }
         }
         true
+    }
+}
+
+/// The observer event for one link a `flits`-flit message of `class`
+/// crossed.
+fn occupancy_event(hop: &Hop, class: TrafficClass, flits: u64) -> LinkOccupancyEvent {
+    LinkOccupancyEvent {
+        link: hop.link,
+        class,
+        flits,
+        enter: hop.enter,
+        depart: hop.depart,
+        queue_cycles: hop.queue_cycles,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use super::*;
+    use crate::observer::SimObserver;
+
+    /// Every network and link-occupancy event, in emission order, and for
+    /// each network event the occupancy events emitted since the previous
+    /// one.
+    #[derive(Default)]
+    struct Tape {
+        messages: Vec<NetworkEvent>,
+        hops: Vec<LinkOccupancyEvent>,
+        hops_before: Vec<u64>,
+        since: u64,
+    }
+
+    impl SimObserver for Tape {
+        fn on_network_message(&mut self, event: &NetworkEvent) {
+            self.messages.push(*event);
+            self.hops_before.push(std::mem::take(&mut self.since));
+        }
+        fn on_link_occupancy(&mut self, event: &LinkOccupancyEvent) {
+            self.hops.push(*event);
+            self.since += 1;
+        }
+    }
+
+    /// One GVT exchange at cycle 40 on a 256-core (8x8-tile) contention
+    /// machine whose links already carry traffic, with the duplicate fault
+    /// armed or not: the events it emitted and the final link counters.
+    fn exchange(duplicate: bool) -> (Tape, swarm_noc::LinkStats) {
+        let mut cfg = SystemConfig::with_cores(256);
+        cfg.noc.model = NocModel::Contention;
+        let mut state = SimState::new(cfg);
+        let tape = Rc::new(RefCell::new(Tape::default()));
+        state.observers.attach(Box::new(Rc::clone(&tape)));
+        for from in [9, 18, 63] {
+            state.send_message(TrafficClass::Memory, TileId(from), TileId(0), 1, 5, 30);
+        }
+        let before = tape.borrow().messages.len();
+        state.faults.duplicate_next = duplicate;
+        state.exchange_gvt(40);
+        assert!(!state.faults.duplicate_next, "the exchange consumes an armed duplicate");
+        let links = state.links.as_ref().expect("contention machine").snapshot();
+        drop(state);
+        let mut tape = Rc::try_unwrap(tape).ok().expect("the state is gone").into_inner();
+        tape.messages.drain(..before);
+        tape.hops_before.drain(..before);
+        tape.hops.retain(|h| h.class == TrafficClass::Gvt);
+        (tape, links)
+    }
+
+    #[test]
+    fn an_armed_duplicate_copies_the_arbiters_own_gvt_update_and_no_link() {
+        let (plain, plain_links) = exchange(false);
+        let (dup, dup_links) = exchange(true);
+        assert_eq!(plain.messages.len(), 64);
+        assert_eq!(dup.messages.len(), 65);
+        let arbiter = NetworkEvent { class: TrafficClass::Gvt, hops: 0, flits: 2, queue_cycles: 0 };
+        assert_eq!(dup.messages[..2], [arbiter, arbiter]);
+        assert_eq!(dup.messages[1..], plain.messages[..]);
+        assert!(plain.messages.iter().any(|m| m.queue_cycles > 0), "the exchange queued");
+        // The 63 other routes cross 448 links, replayed for the observer
+        // message by message either way: each update follows its own hops.
+        // The links end up identical.
+        assert_eq!(plain.hops.len(), 448);
+        for tape in [&plain, &dup] {
+            let hops: Vec<u64> = tape.messages.iter().map(|m| m.hops).collect();
+            assert_eq!(tape.hops_before, hops);
+        }
+        assert_eq!(dup.hops, plain.hops);
+        assert_eq!(dup_links, plain_links);
     }
 }

@@ -23,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use swarm_sim::{InitialTask, RoundRobinMapper, RunStats, Sim, SwarmApp, TaskCtx, TaskMapper};
-use swarm_types::{Hint, SystemConfig, TileId};
+use swarm_types::{Hint, NocModel, SystemConfig, TileId};
 
 struct CountingAllocator;
 
@@ -227,6 +227,47 @@ fn three_argument_children_allocate_nothing_per_task() {
     assert!(
         long >= short && long - short <= DOUBLING_ALLOWANCE,
         "children with three arguments must not allocate per task, got {short} -> {long}"
+    );
+}
+
+/// One complete 256-core (8x8-tile) run of [`SilentChains`] under the
+/// contention NoC: its allocation count and statistics. Round-robin
+/// placement sends every enqueue across the mesh, so messages fill the
+/// link rings, and every GVT epoch walks the exchange's fan-in.
+fn contention_run(chain: u64) -> (u64, RunStats) {
+    let mut stats = None;
+    let allocs = measured(|| {
+        let mut cfg = SystemConfig::with_cores(256);
+        cfg.noc.model = NocModel::Contention;
+        let mut engine = Sim::builder()
+            .config(cfg)
+            .app(SilentChains { roots: 8, chain })
+            .mapper(Box::new(RoundRobinMapper::new()))
+            .build()
+            .expect("contention workload builds");
+        stats = Some(engine.run().expect("contention workload runs"));
+    });
+    (allocs, stats.expect("run completed"))
+}
+
+#[test]
+fn longer_contention_chains_on_256_cores_allocate_no_more_than_short_ones() {
+    contention_run(64);
+    let (short, short_stats) = contention_run(256);
+    let (long, long_stats) = contention_run(2048);
+    // The long run must cross many more GVT epochs and queue on the links
+    // for the differential to cover the rings and the exchange.
+    assert!(
+        long_stats.gvt_updates >= 4 * short_stats.gvt_updates && short_stats.noc_queue_cycles > 0,
+        "GVT updates {} -> {}, queueing cycles {}",
+        short_stats.gvt_updates,
+        long_stats.gvt_updates,
+        short_stats.noc_queue_cycles
+    );
+    assert!(
+        long >= short && long - short <= DOUBLING_ALLOWANCE,
+        "7x more contention steps and GVT exchanges must add at most a few \
+         metadata-array doublings, got {short} -> {long}"
     );
 }
 

@@ -257,7 +257,6 @@ impl Canonical for NocConfig {
         buf.put_u64(self.control_flits);
         self.model.canonicalize(buf);
         buf.put_u64(self.link_flits_per_cycle);
-        buf.put_u64(self.link_queue_depth);
     }
 }
 
@@ -338,7 +337,6 @@ mod tests {
             |c| c.noc.control_flits += 1,
             |c| c.noc.model = NocModel::Contention,
             |c| c.noc.link_flits_per_cycle += 1,
-            |c| c.noc.link_queue_depth += 1,
             |c| c.queues.task_queue_per_core += 1,
             |c| c.queues.commit_queue_per_core += 1,
             |c| c.queues.spill_threshold_pct += 1,

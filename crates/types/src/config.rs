@@ -97,11 +97,6 @@ pub struct NocConfig {
     /// Flits a link accepts per cycle in [`NocModel::Contention`]; the
     /// service time of an `f`-flit message is `ceil(f / link_flits_per_cycle)`.
     pub link_flits_per_cycle: u64,
-    /// Queue-depth bound per link in [`NocModel::Contention`]: the occupancy
-    /// statistic reported per link saturates here. Links are work-conserving
-    /// FIFOs, so departure times do not depend on this bound — it bounds the
-    /// *observed* backlog, mirroring a router's finite buffer occupancy.
-    pub link_queue_depth: u64,
 }
 
 impl Default for NocConfig {
@@ -113,7 +108,6 @@ impl Default for NocConfig {
             control_flits: 1,
             model: NocModel::Analytic,
             link_flits_per_cycle: 1,
-            link_queue_depth: 16,
         }
     }
 }
@@ -349,9 +343,6 @@ impl SystemConfig {
         if self.noc.link_flits_per_cycle == 0 {
             return Err("noc.link_flits_per_cycle must be positive".into());
         }
-        if self.noc.link_queue_depth == 0 {
-            return Err("noc.link_queue_depth must be positive".into());
-        }
         let max_buckets = u16::MAX as usize + 1;
         if self.num_buckets() > max_buckets {
             return Err(format!(
@@ -455,10 +446,6 @@ mod tests {
         let mut cfg = SystemConfig::with_cores(16);
         cfg.noc.link_flits_per_cycle = 0;
         assert!(cfg.validate().unwrap_err().contains("link_flits_per_cycle"));
-
-        let mut cfg = SystemConfig::with_cores(16);
-        cfg.noc.link_queue_depth = 0;
-        assert!(cfg.validate().unwrap_err().contains("link_queue_depth"));
     }
 
     #[test]

@@ -300,17 +300,17 @@ mod seed_reference {
 
     use std::collections::VecDeque;
 
-    use swarm_repro::noc::{LinkCounters, LinkStats, TrafficClass};
+    use swarm_repro::noc::{LinkCounters, LinkStats, TrafficClass, LINK_QUEUE_DEPTH};
     use swarm_types::NocConfig;
 
     /// The seed's per-link contention state: parallel per-link vectors and
     /// an unbounded `VecDeque` backlog per link, walked one `traverse` per
-    /// hop. The packed, depth-capped `LinkNet` must reproduce every
-    /// departure and counter of it.
+    /// hop, with the occupancy statistic clamped at `LINK_QUEUE_DEPTH`. The
+    /// packed `LinkNet`, whose fixed rings store only that many departures,
+    /// must reproduce every departure and counter of it.
     #[derive(Debug, Clone)]
     pub struct SeedLinkNet {
         flits_per_cycle: u64,
-        queue_depth: u64,
         /// Cycle at which each link finishes serving everything accepted so far.
         busy_until: Vec<u64>,
         /// Departure cycles of the messages still in flight on each link, in
@@ -325,10 +325,8 @@ mod seed_reference {
     impl SeedLinkNet {
         pub fn new(cfg: &NocConfig, num_links: usize) -> Self {
             assert!(cfg.link_flits_per_cycle > 0, "link_flits_per_cycle must be positive");
-            assert!(cfg.link_queue_depth > 0, "link_queue_depth must be positive");
             SeedLinkNet {
                 flits_per_cycle: cfg.link_flits_per_cycle,
-                queue_depth: cfg.link_queue_depth,
                 busy_until: vec![0; num_links],
                 in_flight: vec![VecDeque::new(); num_links],
                 counters: vec![LinkCounters::default(); num_links],
@@ -348,7 +346,7 @@ mod seed_reference {
             while queue.front().is_some_and(|&d| d <= enter) {
                 queue.pop_front();
             }
-            let occupancy = (queue.len() as u64).min(self.queue_depth);
+            let occupancy = (queue.len() as u64).min(LINK_QUEUE_DEPTH as u64);
             queue.push_back(depart);
 
             let c = &mut self.counters[i];
@@ -922,36 +920,38 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The packed `LinkNet`, whose stored backlog is capped at the queue
-    /// depth, matches the seed's unbounded-`VecDeque` model departure for
-    /// departure. Messages walk random multi-link routes over a few links:
-    /// same-cycle bursts grow backlogs far past every depth tried, and idle
-    /// gaps drain them part way, so arrivals land in the middle of stored
-    /// backlogs. Arrival cycles jump backwards as well as forwards, flit
-    /// counts vary, and the link width and depth cover the narrow, wide,
-    /// shallow and deep cases. The final counter snapshots must be equal
-    /// too.
+    /// The packed `LinkNet`, whose fixed rings store at most
+    /// `LINK_QUEUE_DEPTH` departures per link, matches the seed's
+    /// unbounded-`VecDeque` model departure for departure. Messages walk
+    /// random multi-link routes over a few links: now and then a message is
+    /// sent as a same-cycle burst of 20 copies, which fills its first
+    /// link's ring past the depth and hits the occupancy clamp, and idle
+    /// gaps drain backlogs part way, so arrivals land in the middle of
+    /// stored backlogs. Arrival cycles jump backwards as well as forwards,
+    /// flit counts vary, and the link width covers the narrow and wide
+    /// cases. The final counter snapshots must be equal too.
     #[test]
     fn link_net_matches_seed_unbounded_backlog(
         width_idx in 0usize..3,
-        depth_idx in 0usize..4,
         msgs in proptest::collection::vec(
-            (0u64..8, 0usize..4, 1u64..13, 0u64..48, 1usize..5, any::<u32>()),
-            1..400,
+            ((0u64..8, 0usize..4, 1u64..13), (0u64..48, 1usize..5, any::<u32>(), 0u64..8)),
+            1..300,
         ),
     ) {
-        use swarm_repro::noc::{LinkNet, TrafficClass};
+        use swarm_repro::noc::{LinkNet, TrafficClass, LINK_QUEUE_DEPTH};
         const NUM_LINKS: u32 = 6;
         let cfg = swarm_types::NocConfig {
             link_flits_per_cycle: [1, 2, 4][width_idx],
-            link_queue_depth: [1, 2, 16, 64][depth_idx],
             ..swarm_types::NocConfig::default()
         };
         let mut net = LinkNet::new(&cfg, NUM_LINKS as usize);
         let mut seed = seed_reference::SeedLinkNet::new(&cfg, NUM_LINKS as usize);
         let mut now = 0u64;
         let mut route = Vec::new();
-        for (step, &(advance, class_idx, flits, jitter, hops, route_bits)) in msgs.iter().enumerate() {
+        let mut burst_links = Vec::new();
+        for (step, &((advance, class_idx, flits), (jitter, hops, route_bits, burst))) in
+            msgs.iter().enumerate()
+        {
             // Mostly the clock creeps forward slower than the links drain;
             // now and then it jumps ahead by up to ~190 cycles.
             now += if advance == 7 { 4 * jitter } else { advance };
@@ -959,24 +959,99 @@ proptest! {
             let class = TrafficClass::ALL[class_idx];
             route.clear();
             route.extend((0..hops).map(|k| (route_bits >> (4 * k)) % NUM_LINKS));
-
-            let mut got = Vec::new();
-            let queued = net.walk(&route, class, flits, enter, |hop| got.push(hop));
-            let service = flits.div_ceil(cfg.link_flits_per_cycle).max(1);
-            let mut at = enter;
-            let mut want_queued = 0;
-            prop_assert_eq!(got.len(), route.len());
-            for (k, &link) in route.iter().enumerate() {
-                let depart = seed.traverse(link, class, flits, at);
-                prop_assert_eq!(got[k].link, link);
-                prop_assert_eq!(got[k].enter, at, "step {} hop {}", step, k);
-                prop_assert_eq!(got[k].depart, depart, "step {} hop {}", step, k);
-                prop_assert_eq!(got[k].queue_cycles, depart - at - service);
-                want_queued += depart - at - service;
-                at = depart;
+            let copies = if burst == 7 { 20 } else { 1 };
+            // A route that comes back to its first link restarts that
+            // link's backlog, so only bursts whose first link is not
+            // revisited must hit the clamp.
+            if copies > 1 && !route[1..].contains(&route[0]) {
+                burst_links.push(route[0]);
             }
-            prop_assert_eq!(queued, want_queued, "step {}", step);
+
+            for _ in 0..copies {
+                let mut got = Vec::new();
+                let queued = net.walk(&route, class, flits, enter, |hop| got.push(hop));
+                let service = flits.div_ceil(cfg.link_flits_per_cycle).max(1);
+                let mut at = enter;
+                let mut want_queued = 0;
+                prop_assert_eq!(got.len(), route.len());
+                for (k, &link) in route.iter().enumerate() {
+                    let depart = seed.traverse(link, class, flits, at);
+                    prop_assert_eq!(got[k].link, link);
+                    prop_assert_eq!(got[k].enter, at, "step {} hop {}", step, k);
+                    prop_assert_eq!(got[k].depart, depart, "step {} hop {}", step, k);
+                    prop_assert_eq!(got[k].queue_cycles, depart - at - service);
+                    want_queued += depart - at - service;
+                    at = depart;
+                }
+                prop_assert_eq!(queued, want_queued, "step {}", step);
+            }
         }
-        prop_assert_eq!(net.snapshot(), seed.snapshot());
+        let snapshot = net.snapshot();
+        // A burst's 17th copy finds the 16 before it still on the link.
+        for &link in &burst_links {
+            prop_assert_eq!(snapshot.links[link as usize].max_occupancy, LINK_QUEUE_DEPTH as u64);
+        }
+        prop_assert_eq!(snapshot, seed.snapshot());
+    }
+
+    /// The GVT exchange's link-major fan-in walk leaves the links exactly as
+    /// walking every tile's X-Y route to tile 0 in tile order does, on
+    /// single-tile, single-row, single-column, odd and 8x8 meshes: after
+    /// random prior traffic through `LinkNet::walk`, each exchange must give
+    /// equal per-tile queueing totals and, message by message, the same
+    /// hops, and the final counter snapshots must be equal.
+    #[test]
+    fn gvt_fan_in_matches_per_tile_route_walks(
+        shape in 0usize..5,
+        side in 2u32..10,
+        width_idx in 0usize..2,
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec((any::<u32>(), 0u64..64, 1u64..6), 0..60), 0u64..64, 0u64..4),
+            1..4,
+        ),
+    ) {
+        use swarm_repro::noc::{FanIn, LinkNet, Mesh, TrafficClass};
+        let (w, h) = [(1, 1), (1, side), (side, 1), (3, 5), (8, 8)][shape];
+        let cfg = swarm_types::NocConfig {
+            link_flits_per_cycle: [1, 2][width_idx],
+            ..swarm_types::NocConfig::default()
+        };
+        let mesh = Mesh::new(w, h, cfg.clone());
+        let tiles = w * h;
+        let mut fan_net = LinkNet::new(&cfg, mesh.num_links());
+        let mut route_net = LinkNet::new(&cfg, mesh.num_links());
+        let mut fan_in = FanIn::new(&mesh);
+        let mut now = 0u64;
+        let mut route = Vec::new();
+        for (round, (traffic, offset, record)) in rounds.iter().enumerate() {
+            for &(ends, advance, flits) in traffic {
+                now += advance;
+                let (from, to) = (TileId((ends & 0xffff) % tiles), TileId((ends >> 16) % tiles));
+                route.clear();
+                mesh.route_links(from, to, |l| route.push(l));
+                for net in [&mut fan_net, &mut route_net] {
+                    net.walk(&route, TrafficClass::Memory, flits, now, |_| {});
+                }
+            }
+            // The exchange leaves inside the prior traffic's window, so its
+            // messages queue behind it.
+            let enter = now.saturating_sub(*offset);
+            let record = *record != 0;
+            fan_net.walk_fan_in(&mut fan_in, TrafficClass::Gvt, 2, enter, record);
+            for t in 0..tiles {
+                let from = TileId(t);
+                route.clear();
+                mesh.route_links(from, TileId(0), |l| route.push(l));
+                let mut hops = Vec::new();
+                let queued =
+                    route_net.walk(&route, TrafficClass::Gvt, 2, enter, |hop| hops.push(hop));
+                prop_assert_eq!(fan_in.queued()[t as usize], queued, "round {} tile {}", round, t);
+                if record {
+                    prop_assert_eq!(fan_in.route_hops(from), &hops[..], "round {} tile {}", round, t);
+                }
+            }
+            prop_assert_eq!(fan_in.queued().len(), tiles as usize);
+        }
+        prop_assert_eq!(fan_net.snapshot(), route_net.snapshot());
     }
 }
