@@ -9,8 +9,7 @@
 //! swarm serve --tcp 127.0.0.1:7433
 //! ```
 //!
-//! It is the only binary: the old per-figure names (`ablation_lb`,
-//! `noc_profile`) resolve as subcommand aliases.
+//! It is the only binary.
 
 use swarm_bench::registry;
 

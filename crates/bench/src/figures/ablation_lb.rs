@@ -9,8 +9,8 @@ use swarm_apps::{AppSpec, BenchmarkId};
 
 const SIGNALS: [Scheduler; 3] = [Scheduler::Hints, Scheduler::LbHints, Scheduler::IdleLb];
 
-/// Run the `ablation_lb` command with the argument slice that follows the
-/// subcommand name (`swarm ablation_lb <args...>`).
+/// Run the `ablation-lb` command with the argument slice that follows the
+/// subcommand name (`swarm ablation-lb <args...>`).
 pub fn run(args: &[String]) -> i32 {
     let args = match HarnessArgs::parse_args(args) {
         Ok(args) => args,

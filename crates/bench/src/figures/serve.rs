@@ -15,18 +15,15 @@
 //! [`PARTIAL`](crate::exit_code::PARTIAL) — after the session completes,
 //! since a serve session keeps answering across bad requests by design.
 
-use std::cell::RefCell;
 use std::path::PathBuf;
-use std::rc::Rc;
 
 use swarm_serve::{
     FailureKind, PipeSummary, PointFailure, PointOutcome, PointRunner, RunPoint, ServeOptions,
     Server, TcpServer,
 };
-use swarm_sim::SimObserver;
 
 use crate::pool::{FailurePolicy, Pool};
-use crate::runner::{run_point_result_observed, RunError};
+use crate::runner::RunError;
 
 /// Project a [`RunError`] onto the protocol failure taxonomy. The wire
 /// message is the error's display form, which already names the point.
@@ -40,20 +37,9 @@ fn to_failure(err: &RunError) -> PointFailure {
     PointFailure { kind, message: err.to_string() }
 }
 
-/// Logs every GVT update of an observed run.
-struct GvtLog(Rc<RefCell<Vec<u64>>>);
-
-impl SimObserver for GvtLog {
-    fn on_gvt_update(&mut self, now: u64) {
-        self.0.borrow_mut().push(now);
-    }
-}
-
 /// The [`PointRunner`] the server schedules on: batches go through the
 /// work-sharing [`Pool`] under [`FailurePolicy::CollectAll`] (one bad point
-/// must not skip its batch-mates); an observed run simulates on the
-/// calling thread (the server's dispatcher) with a [`GvtLog`] attached,
-/// then replays the log into the callback.
+/// must not skip its batch-mates).
 struct PoolRunner {
     pool: Pool,
 }
@@ -71,13 +57,6 @@ impl PointRunner for PoolRunner {
             .into_iter()
             .map(|result| result.map_err(|err| to_failure(&err)))
             .collect()
-    }
-
-    fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let result = run_point_result_observed(*point, false, GvtLog(Rc::clone(&log)));
-        log.borrow().iter().for_each(|&gvt| on_gvt(gvt));
-        result.map_err(|err| to_failure(&err))
     }
 }
 
@@ -232,18 +211,6 @@ mod tests {
         let direct = crate::runner::run_point_result(point, false).unwrap();
         let via_pool = PoolRunner::new(1).run_batch(&[point]).pop().unwrap().unwrap();
         assert_eq!(via_pool, direct);
-    }
-
-    #[test]
-    fn observed_run_streams_gvt_and_matches_the_unobserved_run() {
-        let point =
-            RunPoint::new(AppSpec::coarse(BenchmarkId::Des), Scheduler::Hints, 4, InputScale::Tiny);
-        let mut gvts: Vec<u64> = Vec::new();
-        let observed = PoolRunner::new(1).run_observed(&point, &mut |gvt| gvts.push(gvt)).unwrap();
-        let direct = crate::runner::run_point_result(point, false).unwrap();
-        assert_eq!(observed, direct, "observation must not perturb the run");
-        assert!(!gvts.is_empty(), "a real run advances GVT at least once");
-        assert!(gvts.windows(2).all(|w| w[0] <= w[1]), "GVT is monotonic: {gvts:?}");
     }
 
     #[test]

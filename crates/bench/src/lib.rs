@@ -58,7 +58,4 @@ pub use report::{
     classification_header, format_breakdown_table_results, format_classification_row,
     format_speedup_table_results, format_traffic_table_results, gmean,
 };
-pub use runner::{
-    run_point_result, run_point_result_observed, speedup_curve, ExperimentPoint, RunError,
-    RunRequest,
-};
+pub use runner::{run_point_result, speedup_curve, ExperimentPoint, RunError, RunRequest};

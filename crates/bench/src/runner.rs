@@ -101,37 +101,12 @@ pub struct ExperimentPoint {
 /// typed simulator error, even a panic inside the app or engine — into a
 /// structured [`RunError`] instead of unwinding.
 pub fn run_point_result(request: RunRequest, profiled: bool) -> Result<RunStats, RunError> {
-    run_point_guarded(request, profiled, |builder| builder)
-}
-
-/// Like [`run_point_result`], but with `observer` attached to the engine so
-/// the caller sees simulation progress ([`swarm_sim::SimObserver`] hooks)
-/// while the point runs. `swarm serve` uses this for `"progress":true`
-/// submissions.
-pub fn run_point_result_observed(
-    request: RunRequest,
-    profiled: bool,
-    observer: impl swarm_sim::SimObserver + 'static,
-) -> Result<RunStats, RunError> {
-    run_point_guarded(request, profiled, |builder| builder.observer(observer))
-}
-
-/// The shared guarded runner: builds the machine for `request`, lets
-/// `attach` augment the builder (observers), and converts panics into
-/// [`RunError::Panicked`].
-fn run_point_guarded(
-    request: RunRequest,
-    profiled: bool,
-    attach: impl FnOnce(swarm_sim::SimBuilder) -> swarm_sim::SimBuilder,
-) -> Result<RunStats, RunError> {
     let guarded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut builder = attach(
-            Sim::builder()
-                .config(request.system_config())
-                .app_boxed(request.spec.build(request.scale, request.seed))
-                .scheduler(request.scheduler)
-                .profiling(profiled),
-        );
+        let mut builder = Sim::builder()
+            .config(request.system_config())
+            .app_boxed(request.spec.build(request.scale, request.seed))
+            .scheduler(request.scheduler)
+            .profiling(profiled);
         if let Some(fault) = request.fault {
             builder = builder.fault_plan(FaultPlan::from(fault));
         }

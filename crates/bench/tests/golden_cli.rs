@@ -183,17 +183,6 @@ fn speedup_figures_honour_the_noc_model() {
 }
 
 #[test]
-fn legacy_alias_names_resolve_too() {
-    // `swarm ablation_lb` (the legacy binary's name) must behave exactly
-    // like the canonical `swarm ablation-lb`.
-    let swarm = env!("CARGO_BIN_EXE_swarm");
-    let args = ["--scale", "tiny", "--cores", "1,4", "--jobs", "2", "--apps", "des"];
-    let dashed = stdout_of(swarm, &[&["ablation-lb"], &args[..]].concat());
-    let underscored = stdout_of(swarm, &[&["ablation_lb"], &args[..]].concat());
-    assert_eq!(dashed, underscored);
-}
-
-#[test]
 fn swarm_list_names_every_command() {
     let listing = String::from_utf8(stdout_of(env!("CARGO_BIN_EXE_swarm"), &["list"])).unwrap();
     for spec in swarm_bench::REGISTRY {

@@ -134,25 +134,56 @@ impl TileMap {
     }
 }
 
-/// The paper's hint-based load balancer: committed cycles per bucket drive
-/// the periodic reconfiguration.
+/// The paper's hint-based load balancer: hints hash into buckets, buckets
+/// map to tiles through a [`TileMap`], and each load-balance epoch
+/// rebalances the map by a per-bucket load signal. LBHints uses committed
+/// cycles; the Section VI-A ablation, IdleLB, uses idle task counts.
 #[derive(Debug)]
 pub struct LbHintMapper {
     tile_map: TileMap,
-    bucket_cycles: Vec<u64>,
+    signal: LoadSignal,
+    /// Per-bucket load gathered since the last epoch: committed cycles, or
+    /// enqueued tasks.
+    bucket_load: Vec<u64>,
     correction_pct: u8,
     rng: SmallRng,
+}
+
+/// What an [`LbHintMapper`] balances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoadSignal {
+    /// Committed cycles per bucket (LBHints, the paper's design).
+    CommittedCycles,
+    /// Enqueues per bucket, weighted by the idle task count of the
+    /// bucket's tile. The paper shows this performs significantly worse:
+    /// balancing queued tasks does not balance useful work.
+    IdleCount,
 }
 
 impl LbHintMapper {
     /// Create an LBHints mapper for the machine described by `cfg`.
     pub fn new(cfg: &SystemConfig) -> Self {
+        Self::with_signal(cfg, LoadSignal::CommittedCycles)
+    }
+
+    /// Create the idle-count ablation (IdleLB) for the machine described by
+    /// `cfg`.
+    pub(crate) fn idle_count(cfg: &SystemConfig) -> Self {
+        Self::with_signal(cfg, LoadSignal::IdleCount)
+    }
+
+    fn with_signal(cfg: &SystemConfig, signal: LoadSignal) -> Self {
         let buckets = cfg.num_buckets().max(cfg.num_tiles());
+        let rng_salt = match signal {
+            LoadSignal::CommittedCycles => 0x4c42_4849,
+            LoadSignal::IdleCount => 0x4944_4c45,
+        };
         LbHintMapper {
             tile_map: TileMap::new(buckets, cfg.num_tiles()),
-            bucket_cycles: vec![0; buckets],
+            signal,
+            bucket_load: vec![0; buckets],
             correction_pct: cfg.lb_correction_pct,
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x4c42_4849),
+            rng: SmallRng::seed_from_u64(cfg.seed ^ rng_salt),
         }
     }
 
@@ -164,73 +195,19 @@ impl LbHintMapper {
 
 impl TaskMapper for LbHintMapper {
     fn name(&self) -> &str {
-        "LBHints"
-    }
-
-    fn map_task(&mut self, hint: Hint, _creator: Option<TileId>, num_tiles: usize) -> TileId {
-        match self.bucket_of(hint) {
-            Some(bucket) => self.tile_map.tile_of(bucket),
-            None => TileId(self.rng.gen_range(0..num_tiles as u32)),
+        match self.signal {
+            LoadSignal::CommittedCycles => "LBHints",
+            LoadSignal::IdleCount => "IdleLB",
         }
-    }
-
-    fn bucket_of(&self, hint: Hint) -> Option<u16> {
-        hint.raw().map(|v| hash_to_bucket(v, self.tile_map.num_buckets()))
-    }
-
-    fn serialize_same_hint(&self) -> bool {
-        true
-    }
-
-    fn on_commit(&mut self, _tile: TileId, bucket: Option<u16>, cycles: u64) {
-        if let Some(b) = bucket {
-            let idx = b as usize % self.bucket_cycles.len();
-            self.bucket_cycles[idx] += cycles;
-        }
-    }
-
-    fn on_lb_epoch(&mut self, _now: u64, _idle_per_tile: &[usize]) -> bool {
-        let changed = self.tile_map.rebalance(&self.bucket_cycles, self.correction_pct);
-        self.bucket_cycles.iter_mut().for_each(|c| *c = 0);
-        changed
-    }
-}
-
-/// The ablation of Section VI-A: the same bucketed tile map, but using idle
-/// task counts as the load signal instead of committed cycles. The paper
-/// shows this performs significantly worse because balancing queued tasks
-/// does not balance useful work.
-#[derive(Debug)]
-pub struct IdleLbMapper {
-    tile_map: TileMap,
-    bucket_enqueues: Vec<u64>,
-    correction_pct: u8,
-    rng: SmallRng,
-}
-
-impl IdleLbMapper {
-    /// Create an idle-count load balancer for the machine described by `cfg`.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        let buckets = cfg.num_buckets().max(cfg.num_tiles());
-        IdleLbMapper {
-            tile_map: TileMap::new(buckets, cfg.num_tiles()),
-            bucket_enqueues: vec![0; buckets],
-            correction_pct: cfg.lb_correction_pct,
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x49444c45),
-        }
-    }
-}
-
-impl TaskMapper for IdleLbMapper {
-    fn name(&self) -> &str {
-        "IdleLB"
     }
 
     fn map_task(&mut self, hint: Hint, _creator: Option<TileId>, num_tiles: usize) -> TileId {
         match self.bucket_of(hint) {
             Some(bucket) => {
-                let idx = bucket as usize % self.bucket_enqueues.len();
-                self.bucket_enqueues[idx] += 1;
+                if self.signal == LoadSignal::IdleCount {
+                    let idx = bucket as usize % self.bucket_load.len();
+                    self.bucket_load[idx] += 1;
+                }
                 self.tile_map.tile_of(bucket)
             }
             None => TileId(self.rng.gen_range(0..num_tiles as u32)),
@@ -245,28 +222,37 @@ impl TaskMapper for IdleLbMapper {
         true
     }
 
-    fn on_lb_epoch(&mut self, _now: u64, idle_per_tile: &[usize]) -> bool {
-        // Weight buckets by how many tasks were recently enqueued to them and
-        // treat a tile's idle-task count as its load: tiles with long queues
-        // donate buckets to tiles with short queues.
-        if idle_per_tile.iter().all(|&c| c == 0) {
-            self.bucket_enqueues.iter_mut().for_each(|c| *c = 0);
-            return false;
+    fn on_commit(&mut self, _tile: TileId, bucket: Option<u16>, cycles: u64) {
+        if let (LoadSignal::CommittedCycles, Some(b)) = (self.signal, bucket) {
+            let idx = b as usize % self.bucket_load.len();
+            self.bucket_load[idx] += cycles;
         }
-        // Scale the per-bucket enqueue counts so tiles with many idle tasks
-        // appear overloaded: weight each bucket by its enqueue count times
-        // the idleness of its current tile.
-        let weights: Vec<u64> = self
-            .bucket_enqueues
-            .iter()
-            .enumerate()
-            .map(|(b, &e)| {
-                let tile = self.tile_map.tile_of(b as u16).index();
-                e * (1 + idle_per_tile.get(tile).copied().unwrap_or(0) as u64)
-            })
-            .collect();
-        let changed = self.tile_map.rebalance(&weights, self.correction_pct);
-        self.bucket_enqueues.iter_mut().for_each(|c| *c = 0);
+    }
+
+    fn on_lb_epoch(&mut self, _now: u64, idle_per_tile: &[usize]) -> bool {
+        let changed = match self.signal {
+            LoadSignal::CommittedCycles => {
+                self.tile_map.rebalance(&self.bucket_load, self.correction_pct)
+            }
+            // No tile holds an idle task: nothing to balance.
+            LoadSignal::IdleCount if idle_per_tile.iter().all(|&c| c == 0) => false,
+            LoadSignal::IdleCount => {
+                // A tile's idle-task count is its load: weight each bucket
+                // by its enqueues times the idleness of its current tile, so
+                // tiles with long queues donate buckets to short ones.
+                let weights: Vec<u64> = self
+                    .bucket_load
+                    .iter()
+                    .enumerate()
+                    .map(|(b, &e)| {
+                        let tile = self.tile_map.tile_of(b as u16).index();
+                        e * (1 + idle_per_tile.get(tile).copied().unwrap_or(0) as u64)
+                    })
+                    .collect();
+                self.tile_map.rebalance(&weights, self.correction_pct)
+            }
+        };
+        self.bucket_load.iter_mut().for_each(|c| *c = 0);
         changed
     }
 }
@@ -368,7 +354,7 @@ mod tests {
     #[test]
     fn idle_lb_reacts_to_idle_imbalance() {
         let cfg = SystemConfig::with_cores(16);
-        let mut m = IdleLbMapper::new(&cfg);
+        let mut m = LbHintMapper::idle_count(&cfg);
         // Enqueue many tasks whose buckets map to tile 0.
         let tiles = cfg.num_tiles();
         for h in 0..200u64 {

@@ -12,8 +12,9 @@
 //! * **Data-centric load balancing** ([`LbHintMapper`]): hints hash into
 //!   buckets, buckets map to tiles through a reconfigurable tile map, and a
 //!   periodic rebalancer redistributes buckets using *committed cycles* as
-//!   the load signal (Section VI). The inferior idle-task-count signal the
-//!   paper evaluates against is [`IdleLbMapper`].
+//!   the load signal (Section VI). The same mapper also runs the inferior
+//!   idle-task-count signal the paper evaluates against
+//!   ([`Scheduler::IdleLb`]).
 //! * **Baselines**: [`RandomMapper`] (Swarm's default) and [`StealingMapper`]
 //!   (an idealized work-stealing scheduler), used throughout the evaluation.
 //! * **Access classification** ([`profile`]): the architecture-independent
@@ -34,7 +35,7 @@ pub mod lb;
 pub mod profile;
 pub mod schedulers;
 
-pub use lb::{IdleLbMapper, LbHintMapper, TileMap};
+pub use lb::{LbHintMapper, TileMap};
 pub use profile::{classify_accesses, AccessClass, AccessClassification};
 pub use schedulers::{HintMapper, RandomMapper, StealingMapper};
 
@@ -92,7 +93,7 @@ impl Scheduler {
             Scheduler::Stealing => Box::new(StealingMapper::new(cfg.seed)),
             Scheduler::Hints => Box::new(HintMapper::new(cfg.seed)),
             Scheduler::LbHints => Box::new(LbHintMapper::new(cfg)),
-            Scheduler::IdleLb => Box::new(IdleLbMapper::new(cfg)),
+            Scheduler::IdleLb => Box::new(LbHintMapper::idle_count(cfg)),
         }
     }
 }

@@ -19,14 +19,4 @@ pub trait PointRunner: Send + Sync {
     /// Run a batch of points, returning one outcome per point in order.
     /// Implementations may parallelise internally.
     fn run_batch(&self, points: &[RunPoint]) -> Vec<PointOutcome>;
-
-    /// Run a single point, invoking `on_gvt` as its global virtual time
-    /// advances (for `"progress":true` submissions). The default ignores
-    /// progress and delegates to [`run_batch`](PointRunner::run_batch).
-    fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
-        let _ = on_gvt;
-        self.run_batch(std::slice::from_ref(point))
-            .pop()
-            .expect("run_batch returns one outcome per point")
-    }
 }

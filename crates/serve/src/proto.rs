@@ -336,7 +336,8 @@ pub struct SubmitRequest {
     /// The run matrix.
     pub points: Vec<RunPoint>,
     /// Stream `progress` events (GVT advance) for points this submission
-    /// actually simulates.
+    /// actually simulates and that complete; they precede the point's
+    /// `point-finished` event.
     pub progress: bool,
 }
 
@@ -433,14 +434,14 @@ pub enum Event {
         /// Zero-based index into the submitted matrix.
         index: u64,
     },
-    /// GVT progress of an in-flight simulated point (only with
-    /// `"progress":true`, throttled).
+    /// GVT progress of a simulated point (only with `"progress":true`,
+    /// one per 64 GVT updates), read off its finished run.
     Progress {
         /// Echoed request id.
         id: String,
         /// Zero-based point index.
         index: u64,
-        /// Current global virtual time.
+        /// The cycle of that GVT update.
         gvt: u64,
     },
     /// Point `index` finished; `stats` is its full result.

@@ -4,10 +4,9 @@
 //! in-flight bookkeeping; any number of client handlers (one per pipe or
 //! TCP connection) submit work to it. A dedicated dispatcher thread pulls
 //! fair batches off the queue and is the only caller of the
-//! [`PointRunner`]: plain points run through
-//! [`run_batch`](PointRunner::run_batch), then each `"progress":true`
-//! point through [`run_observed`](PointRunner::run_observed). Handlers
-//! block on a condvar until their points complete.
+//! [`PointRunner`]: every batch, progress points included, runs through
+//! one [`run_batch`](PointRunner::run_batch). Handlers block on a condvar
+//! until their points complete.
 //!
 //! Every queued point has one completion slot, shared by the request that
 //! queued it and every request waiting on the same point. The dispatcher
@@ -46,7 +45,8 @@ const INFLIGHT_PER_CLIENT: usize = 4;
 /// Max points per dispatch batch across all clients.
 const BATCH_POINTS: usize = 16;
 /// A `progress:true` submission gets one `progress` event per this many
-/// GVT updates.
+/// GVT updates. GVT advances every `gvt_epoch` cycles, so the events are
+/// read off the finished run's `gvt_updates` count.
 const PROGRESS_EVERY: u64 = 64;
 
 /// The result cache's settings for a [`Server`].
@@ -64,15 +64,12 @@ impl Default for ServeOptions {
     }
 }
 
-/// Where the dispatcher publishes one in-flight point's outcome, with the
-/// throttled GVT watermarks of a progress run (empty otherwise).
-type Slot = OnceLock<(PointOutcome, Vec<u64>)>;
+/// Where the dispatcher publishes one in-flight point's outcome.
+type Slot = OnceLock<PointOutcome>;
 
 struct Job {
     point: RunPoint,
     key: CanonKey,
-    /// Run observed, keeping every [`PROGRESS_EVERY`]th GVT update.
-    progress: bool,
     slot: Arc<Slot>,
 }
 
@@ -96,11 +93,11 @@ struct Shared {
 
 impl Shared {
     /// Memoize `job`'s outcome, fill its slot and wake the waiters.
-    fn complete(&self, job: Job, outcome: PointOutcome, gvts: Vec<u64>) {
+    fn complete(&self, job: Job, outcome: PointOutcome) {
         let mut state = self.state.lock().unwrap();
         state.in_flight.remove(&job.key);
         state.cache.insert(job.key, outcome.clone());
-        let _ = job.slot.set((outcome, gvts));
+        let _ = job.slot.set(outcome);
         drop(state);
         self.done_cv.notify_all();
     }
@@ -178,31 +175,20 @@ impl<R: PointRunner + 'static> Server<R> {
                     state = shared.work_cv.wait(state).unwrap();
                 }
             };
-            let (observed, plain): (Vec<Job>, Vec<Job>) =
-                batch.into_iter().partition(|job| job.progress);
-            if !plain.is_empty() {
-                let points: Vec<RunPoint> = plain.iter().map(|job| job.point).collect();
-                for (job, outcome) in plain.into_iter().zip(runner.run_batch(&points)) {
-                    shared.complete(job, outcome, Vec::new());
-                }
-            }
-            for job in observed {
-                let (mut updates, mut gvts) = (0u64, Vec::new());
-                let outcome = runner.run_observed(&job.point, &mut |gvt| {
-                    updates += 1;
-                    if updates.is_multiple_of(PROGRESS_EVERY) {
-                        gvts.push(gvt);
-                    }
-                });
-                shared.complete(job, outcome, gvts);
+            let points: Vec<RunPoint> = batch.iter().map(|job| job.point).collect();
+            for (job, outcome) in batch.into_iter().zip(runner.run_batch(&points)) {
+                shared.complete(job, outcome);
             }
         })
     }
 
+    /// Stop and join the dispatcher, leaving the server ready to spawn
+    /// another (a [`Server`] serves pipe sessions one after another).
     fn stop_dispatcher(&self, handle: JoinHandle<()>) {
         self.shared.state.lock().unwrap().stop = true;
         self.shared.work_cv.notify_all();
         let _ = handle.join();
+        self.shared.state.lock().unwrap().stop = false;
     }
 
     /// Serve one session over an arbitrary reader/writer pair (stdin and
@@ -334,8 +320,7 @@ impl<R: PointRunner + 'static> Server<R> {
                     let slot = Arc::new(Slot::new());
                     state.in_flight.insert(key, Arc::clone(&slot));
                     report.misses += 1;
-                    let progress = submit.progress;
-                    jobs.push(Job { point, key, progress, slot: Arc::clone(&slot) });
+                    jobs.push(Job { point, key, slot: Arc::clone(&slot) });
                     Resolution::Pending { slot, owned: true }
                 })
                 .collect();
@@ -346,28 +331,29 @@ impl<R: PointRunner + 'static> Server<R> {
 
         let mut ok = 0u64;
         let mut failed = 0u64;
-        for (index, resolution) in resolutions.into_iter().enumerate() {
+        for ((index, resolution), point) in resolutions.into_iter().enumerate().zip(&submit.points)
+        {
             let index = index as u64;
             emit(writer, &Event::PointStarted { id: id.clone(), index })?;
             let (outcome, source) = match resolution {
                 Resolution::Ready(outcome, source) => (outcome, source),
-                Resolution::Pending { slot, owned: false } => {
-                    (self.wait_for(&slot).0.clone(), CacheSource::Memory)
-                }
-                Resolution::Pending { slot, owned: true } => {
-                    let (outcome, gvts) = self.wait_for(&slot);
-                    // Progress was buffered until the run ended; it still
-                    // precedes the point-finished event. Only the owner
-                    // streams it.
-                    for &gvt in gvts {
-                        emit(writer, &Event::Progress { id: id.clone(), index, gvt })?;
-                    }
-                    (outcome.clone(), CacheSource::Fresh)
+                Resolution::Pending { slot, owned } => {
+                    let source = if owned { CacheSource::Fresh } else { CacheSource::Memory };
+                    (self.wait_for(&slot).clone(), source)
                 }
             };
             match outcome {
                 Ok(stats) => {
                     ok += 1;
+                    // Only the request that simulated the point streams its
+                    // progress: GVT update k fired at cycle k × gvt_epoch.
+                    if submit.progress && source == CacheSource::Fresh {
+                        let every = PROGRESS_EVERY * point.system_config().spec.gvt_epoch;
+                        for k in 1..=stats.gvt_updates / PROGRESS_EVERY {
+                            let gvt = k * every;
+                            emit(writer, &Event::Progress { id: id.clone(), index, gvt })?;
+                        }
+                    }
                     emit(writer, &Event::PointFinished { id: id.clone(), index, source, stats })?;
                 }
                 Err(error) => {
@@ -391,7 +377,7 @@ impl<R: PointRunner + 'static> Server<R> {
     }
 
     /// Block until the dispatcher fills `slot`.
-    fn wait_for<'s>(&self, slot: &'s Slot) -> &'s (PointOutcome, Vec<u64>) {
+    fn wait_for<'s>(&self, slot: &'s Slot) -> &'s PointOutcome {
         let state = self.shared.state.lock().unwrap();
         let _state = self.shared.done_cv.wait_while(state, |_| slot.get().is_none()).unwrap();
         slot.get().expect("the dispatcher fills every slot it was queued with")
@@ -505,6 +491,7 @@ impl TcpServer {
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
+                reap(&mut handlers);
                 let Ok(stream) = stream else { continue };
                 let server = Arc::clone(&server);
                 handlers.push(std::thread::spawn(move || {
@@ -544,6 +531,14 @@ impl Drop for TcpServer {
     }
 }
 
+/// Join every connection thread in `handlers` that has exited, keeping the
+/// rest, so a long-lived server holds no thread of a past connection.
+fn reap(handlers: &mut Vec<JoinHandle<()>>) {
+    for finished in handlers.extract_if(.., |handler| handler.is_finished()) {
+        let _ = finished.join();
+    }
+}
+
 fn handle_tcp_client<R: PointRunner + 'static>(
     server: &Server<R>,
     stream: TcpStream,
@@ -555,4 +550,30 @@ fn handle_tcp_client<R: PointRunner + 'static>(
     let result = server.session_loop(client, reader, &mut writer, &mut summary);
     server.unregister_client();
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reap_joins_exited_connection_threads_and_keeps_live_ones() {
+        let (release, wait) = mpsc::channel::<()>();
+        let live = std::thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let mut handlers: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        handlers.insert(1, live);
+        while handlers.iter().filter(|handler| handler.is_finished()).count() < 3 {
+            std::thread::yield_now();
+        }
+        reap(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the live connection thread is kept");
+        assert!(!handlers[0].is_finished());
+        release.send(()).unwrap();
+        handlers.pop().unwrap().join().unwrap();
+        reap(&mut handlers);
+        assert!(handlers.is_empty());
+    }
 }

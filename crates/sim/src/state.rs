@@ -921,22 +921,8 @@ impl SimState {
                 }
                 TaskStatus::Committed | TaskStatus::Discarded => continue,
             }
-            // Non-running members are reset immediately.
-            {
-                let body = self.tasks.body_mut(t);
-                body.reset_execution();
-                body.abort_count += 1;
-            }
-            if discard[i] {
-                self.tasks.set_status(t, TaskStatus::Discarded);
-                self.remaining_tasks -= 1;
-                self.tasks.free_body(t);
-            } else {
-                self.tasks.set_status(t, TaskStatus::Idle);
-                self.tasks.set_aborted(t, false);
-                self.idle_insert(tile, key);
-                self.note_wake(tile);
-            }
+            // Non-running members are settled immediately.
+            self.requeue_or_discard(t, discard[i]);
         }
 
         set.clear();
@@ -953,28 +939,29 @@ impl SimState {
     }
 
     /// Requeue or discard a running task whose execution was aborted, once
-    /// its core finally releases it. Returns `true` if it was requeued.
-    pub fn settle_aborted_running_task(&mut self, task: TaskId) -> bool {
-        let tile = self.tasks.tile(task);
-        let key = self.tasks.key(task);
-        let discard = self.tasks.pending_discard(task);
-        {
-            let body = self.tasks.body_mut(task);
-            body.reset_execution();
-            body.abort_count += 1;
-        }
+    /// its core finally releases it.
+    pub fn settle_aborted_running_task(&mut self, task: TaskId) {
+        self.requeue_or_discard(task, self.tasks.pending_discard(task));
+    }
+
+    /// Reset an aborted task's execution and count the abort, then discard
+    /// it (its parent's re-execution re-creates it) or requeue it idle on
+    /// its tile.
+    fn requeue_or_discard(&mut self, task: TaskId, discard: bool) {
+        let body = self.tasks.body_mut(task);
+        body.reset_execution();
+        body.abort_count += 1;
         self.tasks.set_aborted(task, false);
         self.tasks.set_pending_discard(task, false);
         if discard {
             self.tasks.set_status(task, TaskStatus::Discarded);
             self.remaining_tasks -= 1;
             self.tasks.free_body(task);
-            false
         } else {
+            let tile = self.tasks.tile(task);
             self.tasks.set_status(task, TaskStatus::Idle);
-            self.idle_insert(tile, key);
+            self.idle_insert(tile, self.tasks.key(task));
             self.note_wake(tile);
-            true
         }
     }
 
@@ -1002,35 +989,24 @@ impl SimState {
         self.unregister_access_sets(task);
         self.tiles[tile.index()].finished.remove(&key);
         self.remaining_tasks -= 1;
-        if self.profiling {
-            // Take the trace out of the body so the event can borrow it
-            // while the observers borrow the rest of the state; its (cleared)
-            // buffer goes back afterwards so the slot recycles the capacity.
-            let mut trace = std::mem::take(&mut self.tasks.body_mut(task).access_trace);
-            self.observers.commit(&CommitEvent {
-                task,
-                ts,
-                hint,
-                tile,
-                bucket,
-                cycles,
-                num_args,
-                accesses: Some(trace.as_slice()),
-            });
-            trace.clear();
-            self.tasks.body_mut(task).access_trace = trace;
-        } else {
-            self.observers.commit(&CommitEvent {
-                task,
-                ts,
-                hint,
-                tile,
-                bucket,
-                cycles,
-                num_args,
-                accesses: None,
-            });
-        }
+        // Take the trace out of the body so the event can borrow it while
+        // the observers borrow the rest of the state; its (cleared) buffer
+        // goes back afterwards so the slot recycles the capacity. Unprofiled
+        // runs record no trace, and taking an empty one allocates nothing.
+        let mut trace = std::mem::take(&mut self.tasks.body_mut(task).access_trace);
+        let accesses = self.profiling.then_some(trace.as_slice());
+        self.observers.commit(&CommitEvent {
+            task,
+            ts,
+            hint,
+            tile,
+            bucket,
+            cycles,
+            num_args,
+            accesses,
+        });
+        trace.clear();
+        self.tasks.body_mut(task).access_trace = trace;
         self.tasks.set_status(task, TaskStatus::Committed);
         // Reclaim the body slot: the task's speculative state is final.
         self.tasks.free_body(task);

@@ -149,6 +149,7 @@ pub struct SpeculationConfig {
     /// Cycles per commit-queue timestamp comparison during a check.
     pub conflict_compare_cost: u64,
     /// Cycles between GVT (global virtual time) updates (200 in the paper).
+    /// The n-th update, from 1, fires at cycle n × gvt_epoch.
     pub gvt_epoch: u64,
     /// Cycles charged per Swarm task-management instruction
     /// (enqueue / dequeue / finish, 5 in the paper).

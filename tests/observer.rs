@@ -150,3 +150,74 @@ fn contention_link_walks_agree_with_and_without_an_observer() {
     assert!(with_observer.gvt_updates > 0);
     assert_eq!(counter.borrow().gvt_hops, with_observer.gvt_updates * 448);
 }
+
+/// Logs the cycle of every GVT update.
+#[derive(Default)]
+struct GvtLog(Vec<u64>);
+
+impl SimObserver for GvtLog {
+    fn on_gvt_update(&mut self, now: u64) {
+        self.0.push(now);
+    }
+}
+
+/// Run `cfg` and check that GVT update n, from 1, fired at cycle
+/// n × `gvt_epoch`. `None` if the run failed.
+fn check_gvt_cadence(
+    spec: AppSpec,
+    scheduler: Scheduler,
+    cfg: SystemConfig,
+    fault: Option<swarm_repro::sim::FaultEvent>,
+) -> Option<()> {
+    let epoch = cfg.spec.gvt_epoch;
+    let log = Rc::new(RefCell::new(GvtLog::default()));
+    let mut builder = Sim::builder()
+        .config(cfg)
+        .app_boxed(spec.build(InputScale::Tiny, 99))
+        .scheduler(scheduler)
+        .observer(Rc::clone(&log));
+    if let Some(fault) = fault {
+        builder = builder.fault_plan(fault.into());
+    }
+    let stats = builder.build().expect("a valid simulation description").run().ok()?;
+    let at = format!("{} under {scheduler} with {fault:?}", spec.name());
+    let log = &log.borrow().0;
+    assert_eq!(log.len() as u64, stats.gvt_updates, "{at}");
+    for (n, &cycle) in (1..).zip(log) {
+        assert_eq!(cycle, n * epoch, "{at}: GVT update {n} off its epoch");
+    }
+    Some(())
+}
+
+#[test]
+fn gvt_updates_fire_every_epoch_on_the_dot() {
+    // `swarm serve` derives progress events from this cadence: the k-th
+    // of every 64 updates is reported at GVT k × 64 × gvt_epoch.
+    for bench in BenchmarkId::ALL {
+        for scheduler in Scheduler::ALL {
+            for cores in [1, 4, 64] {
+                for noc in [NocModel::Analytic, NocModel::Contention] {
+                    let mut cfg = SystemConfig::with_cores(cores);
+                    cfg.noc.model = noc;
+                    check_gvt_cadence(AppSpec::coarse(bench), scheduler, cfg, None)
+                        .unwrap_or_else(|| panic!("{bench} {scheduler} {cores} {noc:?} failed"));
+                }
+            }
+        }
+    }
+    // The same under every standard fault, for the runs that recover: a
+    // fault may wedge a run, but never moves a GVT tick.
+    let mut recovered = 0;
+    for fault in swarm_repro::sim::standard_faults(100) {
+        for bench in BenchmarkId::ALL {
+            for cores in [1, 4] {
+                let mut cfg = SystemConfig::with_cores(cores);
+                cfg.max_cycles = 10_000_000;
+                let spec = AppSpec::coarse(bench);
+                recovered +=
+                    check_gvt_cadence(spec, Scheduler::Hints, cfg, Some(fault)).is_some() as usize;
+            }
+        }
+    }
+    assert!(recovered >= 100, "only {recovered} faulted runs completed");
+}

@@ -18,7 +18,7 @@ use std::thread::ThreadId;
 use proptest::prelude::*;
 use spatial_hints::Scheduler;
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
-use swarm_bench::{run_point_result, run_point_result_observed, RunError};
+use swarm_bench::{run_point_result, RunError};
 use swarm_serve::proto::{render_request, ErrorCode, Wire};
 use swarm_serve::{
     parse_event, CacheSource, Event, FailureKind, PipeSummary, PointFailure, PointOutcome,
@@ -43,21 +43,6 @@ struct DirectRunner;
 impl PointRunner for DirectRunner {
     fn run_batch(&self, points: &[RunPoint]) -> Vec<PointOutcome> {
         points.iter().map(|p| run_point_result(*p, false).map_err(|e| to_failure(&e))).collect()
-    }
-
-    fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
-        struct Collect(std::sync::Arc<Mutex<Vec<u64>>>);
-        impl swarm_sim::SimObserver for Collect {
-            fn on_gvt_update(&mut self, now: u64) {
-                self.0.lock().unwrap().push(now);
-            }
-        }
-        let gvts = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let result = run_point_result_observed(*point, false, Collect(gvts.clone()));
-        for &gvt in gvts.lock().unwrap().iter() {
-            on_gvt(gvt);
-        }
-        result.map_err(|e| to_failure(&e))
     }
 }
 
@@ -310,6 +295,14 @@ fn failing_points_fail_typed_without_poisoning_the_matrix() {
 
 #[test]
 fn progress_mode_streams_gvt_without_perturbing_the_result() {
+    /// Logs the cycle of every GVT update.
+    struct GvtLog(std::sync::Arc<Mutex<Vec<u64>>>);
+    impl swarm_sim::SimObserver for GvtLog {
+        fn on_gvt_update(&mut self, now: u64) {
+            self.0.lock().unwrap().push(now);
+        }
+    }
+
     // At small scale this run makes several hundred GVT updates, so the
     // fixed 1-in-64 throttle still streams a handful of progress events.
     let p =
@@ -317,36 +310,57 @@ fn progress_mode_streams_gvt_without_perturbing_the_result() {
     let server = Server::new(DirectRunner, ServeOptions::default()).unwrap();
     let (_, events) = pipe(&server, submit_line("prog", &[p], true));
 
-    let gvts: Vec<u64> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Progress { gvt, .. } => Some(*gvt),
-            _ => None,
-        })
-        .collect();
-    assert!(gvts.windows(2).all(|w| w[0] <= w[1]), "GVT is monotonic: {gvts:?}");
+    // The reference: the same point run with a GVT observer attached.
+    let log = std::sync::Arc::new(Mutex::new(Vec::new()));
+    let observed = swarm_sim::Sim::builder()
+        .config(p.system_config())
+        .app_boxed(p.spec.build(p.scale, p.seed))
+        .scheduler(p.scheduler)
+        .observer(GvtLog(log.clone()))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let every_64th: Vec<u64> = log.lock().unwrap().iter().skip(63).step_by(64).copied().collect();
+    assert!(every_64th.len() >= 2, "too few GVT updates to stream progress: {every_64th:?}");
 
+    // Accepted, started, one progress event per 64th GVT update, finished,
+    // done.
+    let progress: Vec<Event> = every_64th
+        .iter()
+        .map(|&gvt| Event::Progress { id: "prog".into(), index: 0, gvt })
+        .collect();
+    assert_eq!(events.len(), 4 + progress.len(), "{events:?}");
+    assert!(matches!(events[0], Event::Accepted { points: 1, .. }), "{:?}", events[0]);
+    assert!(matches!(events[1], Event::PointStarted { index: 0, .. }), "{:?}", events[1]);
+    assert_eq!(&events[2..2 + progress.len()], &progress[..]);
     let finished = finished_stats(&events);
     assert_eq!(finished.len(), 1);
     assert_eq!(finished[0].1, CacheSource::Fresh);
+    assert_eq!(finished[0].2, observed, "observation must not perturb the run");
     assert_eq!(finished[0].2, run_point_result(p, false).unwrap());
-    let gvt_updates = finished[0].2.gvt_updates;
-    assert!(gvt_updates >= 64, "too few GVT updates to stream progress: {gvt_updates}");
-    assert_eq!(gvts.len() as u64, gvt_updates / 64, "one progress event per 64 GVT updates");
+    assert!(matches!(events[2 + progress.len()], Event::PointFinished { .. }));
+    assert!(matches!(events[3 + progress.len()], Event::RunDone { .. }));
+
+    // A repeat in a second session on the same server is served from the
+    // cache and streams no progress; nor does a point that fails, having no
+    // finished run to read it from.
+    let mut bad = p;
+    bad.fault = Some("lost-wake:ts=1@0".parse().unwrap());
+    let (_, again) = pipe(&server, submit_line("again", &[p, bad], true));
+    assert!(!again.iter().any(|e| matches!(e, Event::Progress { .. })), "{again:?}");
+    assert!(again.iter().any(|e| matches!(e, Event::PointFailed { index: 1, .. })), "{again:?}");
 }
 
 #[test]
 fn progress_runs_never_simulate_on_the_session_thread() {
-    /// Wraps [`DirectRunner`] and records the thread of every call.
-    struct ThreadRecorder(std::sync::Arc<Mutex<Vec<(&'static str, ThreadId)>>>);
+    /// Wraps [`DirectRunner`] and records the thread and size of every
+    /// batch.
+    struct ThreadRecorder(std::sync::Arc<Mutex<Vec<(usize, ThreadId)>>>);
     impl PointRunner for ThreadRecorder {
         fn run_batch(&self, points: &[RunPoint]) -> Vec<PointOutcome> {
-            self.0.lock().unwrap().push(("run_batch", std::thread::current().id()));
+            self.0.lock().unwrap().push((points.len(), std::thread::current().id()));
             DirectRunner.run_batch(points)
-        }
-        fn run_observed(&self, point: &RunPoint, on_gvt: &mut dyn FnMut(u64)) -> PointOutcome {
-            self.0.lock().unwrap().push(("run_observed", std::thread::current().id()));
-            DirectRunner.run_observed(point, on_gvt)
         }
     }
 
@@ -360,13 +374,13 @@ fn progress_runs_never_simulate_on_the_session_thread() {
     assert_eq!(summary, PipeSummary::default());
     assert_eq!(finished_stats(&events).len(), 2);
 
+    // Progress points are queued together, so they reach the runner as one
+    // batch, simulated off the session thread.
     let session = std::thread::current().id();
     let calls = calls.lock().unwrap();
-    assert_eq!(calls.len(), 2, "one observed run per point: {calls:?}");
-    for (method, thread) in calls.iter() {
-        assert_eq!(*method, "run_observed");
-        assert_ne!(*thread, session, "the session thread must not simulate");
-    }
+    assert_eq!(calls.len(), 1, "one batch for both progress points: {calls:?}");
+    assert_eq!(calls[0].0, 2, "{calls:?}");
+    assert_ne!(calls[0].1, session, "the session thread must not simulate");
 }
 
 #[test]
