@@ -5,6 +5,11 @@
 //! the machine parameters), so it takes no flags but `-h`/`--help`; any
 //! other argument is a usage error.
 
+use swarm_types::config::{
+    CONFLICT_CHECK_COST, CONFLICT_COMPARE_COST, GVT_EPOCH, HOP_LATENCY, L1_LATENCY, L2_LATENCY,
+    L3_LATENCY, LB_BUCKETS_PER_TILE, LB_CORRECTION_PCT, LINK_BITS, MEM_LATENCY, TASK_MGMT_COST,
+    TURN_PENALTY,
+};
 use swarm_types::SystemConfig;
 
 const USAGE: &str = "usage: swarm sysconfig\n\nPrint Table II, the 256-core machine configuration.";
@@ -32,22 +37,17 @@ pub fn run(args: &[String]) -> i32 {
         cfg.num_tiles(),
         cfg.cores_per_tile
     );
-    println!(
-        "  L1 caches   {} lines/core, {}-cycle latency",
-        cfg.cache.l1_lines, cfg.cache.l1_latency
-    );
-    println!(
-        "  L2 caches   {} lines/tile, {}-cycle latency",
-        cfg.cache.l2_lines, cfg.cache.l2_latency
-    );
+    println!("  L1 caches   {} lines/core, {}-cycle latency", cfg.cache.l1_lines, L1_LATENCY);
+    println!("  L2 caches   {} lines/tile, {}-cycle latency", cfg.cache.l2_lines, L2_LATENCY);
     println!(
         "  L3 cache    {} lines/slice (static NUCA), {}-cycle bank latency",
-        cfg.cache.l3_lines_per_tile, cfg.cache.l3_latency
+        cfg.cache.l3_lines_per_tile, L3_LATENCY
     );
-    println!("  Main mem    {}-cycle latency", cfg.cache.mem_latency);
+    println!("  Main mem    {MEM_LATENCY}-cycle latency");
     println!(
-        "  NoC         {}x{} mesh, {}-bit links, X-Y routing, {} cycle/hop (+{} on turns)",
-        cfg.tiles_x, cfg.tiles_y, cfg.noc.link_bits, cfg.noc.hop_latency, cfg.noc.turn_penalty
+        "  NoC         {}x{} mesh, {LINK_BITS}-bit links, X-Y routing, {HOP_LATENCY} cycle/hop \
+         (+{TURN_PENALTY} on turns)",
+        cfg.tiles_x, cfg.tiles_y
     );
     println!(
         "  Queues      {} task queue entries/core ({} total), {} commit queue entries/core ({} total)",
@@ -56,19 +56,20 @@ pub fn run(args: &[String]) -> i32 {
         cfg.queues.commit_queue_per_core,
         cfg.queues.commit_queue_per_core * cfg.num_cores()
     );
-    println!("  Swarm instrs {} cycles per enqueue/dequeue/finish", cfg.spec.task_mgmt_cost);
+    println!("  Swarm instrs {TASK_MGMT_COST} cycles per enqueue/dequeue/finish");
     println!(
-        "  Conflicts   exact line-granular read/write sets, {}-cycle checks (+{}/comparison)",
-        cfg.spec.conflict_check_cost, cfg.spec.conflict_compare_cost
+        "  Conflicts   exact line-granular read/write sets, {CONFLICT_CHECK_COST}-cycle checks \
+         (+{CONFLICT_COMPARE_COST}/comparison)"
     );
-    println!("  Commits     GVT updates every {} cycles", cfg.spec.gvt_epoch);
+    println!("  Commits     GVT updates every {GVT_EPOCH} cycles");
     println!(
-        "  Spills      coalescers fire at {}% occupancy, spill up to {} tasks",
-        cfg.queues.spill_threshold_pct, cfg.queues.spill_batch
+        "  Spills      up to {} tasks, only when a tile's task queue is full",
+        cfg.queues.spill_batch
     );
     println!(
-        "  LB          {} buckets/tile, reconfig every {} cycles, correction {}%",
-        cfg.lb_buckets_per_tile, cfg.lb_epoch, cfg.lb_correction_pct
+        "  LB          {LB_BUCKETS_PER_TILE} buckets/tile, reconfig every {} cycles, \
+         correction {LB_CORRECTION_PCT}%",
+        cfg.lb_epoch
     );
 
     crate::exit_code::OK

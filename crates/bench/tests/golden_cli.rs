@@ -161,10 +161,24 @@ fn summary_json_matches_legacy() {
 fn sysconfig_matches_legacy() {
     // No sweep flags: sysconfig runs no simulations.
     assert_runs("sysconfig", &[], "Table II: configuration of the 256-core system");
-    // It prints the machine a 256-core point simulates.
+    // It prints the machine a 256-core point simulates, pinned whole.
     let stdout = String::from_utf8(stdout_of(env!("CARGO_BIN_EXE_swarm"), &["sysconfig"])).unwrap();
-    let epoch = swarm_types::SystemConfig::with_cores(256).lb_epoch;
-    assert!(stdout.contains(&format!("reconfig every {epoch} cycles")), "{stdout}");
+    let expected = "\
+Table II: configuration of the 256-core system
+  Cores       256 cores in 64 tiles (4 cores/tile)
+  L1 caches   256 lines/core, 2-cycle latency
+  L2 caches   4096 lines/tile, 7-cycle latency
+  L3 cache    16384 lines/slice (static NUCA), 9-cycle bank latency
+  Main mem    120-cycle latency
+  NoC         8x8 mesh, 128-bit links, X-Y routing, 1 cycle/hop (+1 on turns)
+  Queues      64 task queue entries/core (16384 total), 16 commit queue entries/core (4096 total)
+  Swarm instrs 5 cycles per enqueue/dequeue/finish
+  Conflicts   exact line-granular read/write sets, 5-cycle checks (+1/comparison)
+  Commits     GVT updates every 200 cycles
+  Spills      up to 15 tasks, only when a tile's task queue is full
+  LB          16 buckets/tile, reconfig every 10000 cycles, correction 80%
+";
+    assert_eq!(stdout, expected);
 }
 
 #[test]

@@ -11,6 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use swarm_sim::TaskMapper;
+use swarm_types::config::{LB_CORRECTION_PCT, POLICY_SEED};
 use swarm_types::{hash_to_bucket, Hint, SystemConfig, TileId};
 
 /// The reconfigurable bucket-to-tile indirection table.
@@ -145,7 +146,6 @@ pub struct LbHintMapper {
     /// Per-bucket load gathered since the last epoch: committed cycles, or
     /// enqueued tasks.
     bucket_load: Vec<u64>,
-    correction_pct: u8,
     rng: SmallRng,
 }
 
@@ -182,8 +182,7 @@ impl LbHintMapper {
             tile_map: TileMap::new(buckets, cfg.num_tiles()),
             signal,
             bucket_load: vec![0; buckets],
-            correction_pct: cfg.lb_correction_pct,
-            rng: SmallRng::seed_from_u64(cfg.seed ^ rng_salt),
+            rng: SmallRng::seed_from_u64(POLICY_SEED ^ rng_salt),
         }
     }
 
@@ -232,7 +231,7 @@ impl TaskMapper for LbHintMapper {
     fn on_lb_epoch(&mut self, _now: u64, idle_per_tile: &[usize]) -> bool {
         let changed = match self.signal {
             LoadSignal::CommittedCycles => {
-                self.tile_map.rebalance(&self.bucket_load, self.correction_pct)
+                self.tile_map.rebalance(&self.bucket_load, LB_CORRECTION_PCT)
             }
             // No tile holds an idle task: nothing to balance.
             LoadSignal::IdleCount if idle_per_tile.iter().all(|&c| c == 0) => false,
@@ -249,7 +248,7 @@ impl TaskMapper for LbHintMapper {
                         e * (1 + idle_per_tile.get(tile).copied().unwrap_or(0) as u64)
                     })
                     .collect();
-                self.tile_map.rebalance(&weights, self.correction_pct)
+                self.tile_map.rebalance(&weights, LB_CORRECTION_PCT)
             }
         };
         self.bucket_load.iter_mut().for_each(|c| *c = 0);

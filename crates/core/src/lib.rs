@@ -40,6 +40,7 @@ pub use profile::{classify_accesses, AccessClass, AccessClassification};
 pub use schedulers::{HintMapper, RandomMapper, StealingMapper};
 
 use swarm_sim::TaskMapper;
+use swarm_types::config::POLICY_SEED;
 use swarm_types::SystemConfig;
 
 /// The schedulers compared throughout the paper's evaluation.
@@ -89,9 +90,9 @@ impl Scheduler {
     /// Instantiate the corresponding task mapper for `cfg`.
     pub fn build(self, cfg: &SystemConfig) -> Box<dyn TaskMapper> {
         match self {
-            Scheduler::Random => Box::new(RandomMapper::new(cfg.seed)),
-            Scheduler::Stealing => Box::new(StealingMapper::new(cfg.seed)),
-            Scheduler::Hints => Box::new(HintMapper::new(cfg.seed)),
+            Scheduler::Random => Box::new(RandomMapper::new(POLICY_SEED)),
+            Scheduler::Stealing => Box::new(StealingMapper::new(POLICY_SEED)),
+            Scheduler::Hints => Box::new(HintMapper::new(POLICY_SEED)),
             Scheduler::LbHints => Box::new(LbHintMapper::new(cfg)),
             Scheduler::IdleLb => Box::new(LbHintMapper::idle_count(cfg)),
         }

@@ -20,6 +20,7 @@
 //! which L1s may hold it, and a repeat of the previous access probes no
 //! cache set at all (see [`CacheModel`]).
 
+use swarm_types::config::{L1_LATENCY, L2_LATENCY, L3_LATENCY, MEM_LATENCY};
 use swarm_types::{CacheConfig, CoreId, LineAddr, TileId};
 
 use crate::lru::{LruList, LruSet, NIL};
@@ -286,7 +287,7 @@ struct LastAccess {
 /// use swarm_mem::{AccessKind, CacheModel, HitLevel};
 /// use swarm_types::{CacheConfig, CoreId, LineAddr};
 ///
-/// let mut caches = CacheModel::new(CacheConfig::default(), 4, 4);
+/// let mut caches = CacheModel::new(&CacheConfig::default(), 4, 4);
 /// let line = LineAddr(10);
 /// let first = caches.access(CoreId(0), line, AccessKind::Read);
 /// assert!(matches!(first.level, HitLevel::Memory { .. }));
@@ -295,7 +296,6 @@ struct LastAccess {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheModel {
-    cfg: CacheConfig,
     cores_per_tile: u32,
     /// `log2(cores_per_tile)` when it is a power of two (it always is on the
     /// paper's machines): turns the per-access core->tile divide into a shift.
@@ -311,7 +311,6 @@ pub struct CacheModel {
     l3: Vec<LruList>,
     dir: DirTable,
     last: Option<LastAccess>,
-    accesses: u64,
     l1_hits: u64,
     l2_hits: u64,
     remote_l2_hits: u64,
@@ -325,7 +324,7 @@ impl CacheModel {
     /// # Panics
     ///
     /// Panics if `num_tiles` or `cores_per_tile` is zero.
-    pub fn new(cfg: CacheConfig, num_tiles: usize, cores_per_tile: u32) -> Self {
+    pub fn new(cfg: &CacheConfig, num_tiles: usize, cores_per_tile: u32) -> Self {
         assert!(num_tiles > 0, "num_tiles must be positive");
         assert!(cores_per_tile > 0, "cores_per_tile must be positive");
         let num_cores = num_tiles * cores_per_tile as usize;
@@ -335,12 +334,10 @@ impl CacheModel {
             l3: (0..num_tiles).map(|_| LruList::new(cfg.l3_lines_per_tile.max(1))).collect(),
             dir: DirTable::new(),
             last: None,
-            cfg,
             tile_shift: cores_per_tile.is_power_of_two().then(|| cores_per_tile.trailing_zeros()),
             cores_per_tile,
             num_tiles,
             exact_holders: num_cores <= 64,
-            accesses: 0,
             l1_hits: 0,
             l2_hits: 0,
             remote_l2_hits: 0,
@@ -372,7 +369,6 @@ impl CacheModel {
     /// Perform one access from `core` to `line` and report where it was
     /// served from and which tiles were invalidated.
     pub fn access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) -> AccessOutcome {
-        self.accesses += 1;
         let tile = self.tile_of(core);
         if let Some(last) = self.last {
             if last.core == core && last.line == line {
@@ -403,10 +399,10 @@ impl CacheModel {
         // Determine where the data is found.
         let (level, base_latency, remote) = if l1_hit {
             self.l1_hits += 1;
-            (HitLevel::L1, self.cfg.l1_latency, false)
+            (HitLevel::L1, L1_LATENCY, false)
         } else if l2_hit {
             self.l2_hits += 1;
-            (HitLevel::L2, self.cfg.l1_latency + self.cfg.l2_latency, false)
+            (HitLevel::L2, L1_LATENCY + L2_LATENCY, false)
         } else {
             // Miss in the local tile: consult the (home) directory.
             // Without an owner, the lowest-indexed other sharer forwards (on
@@ -417,26 +413,15 @@ impl CacheModel {
                 .or_else(|| Invalidated::new(dir_snapshot.sharers, tile, self.num_tiles).next());
             if let Some(owner) = remote_holder {
                 self.remote_l2_hits += 1;
-                (
-                    HitLevel::RemoteL2 { owner },
-                    self.cfg.l1_latency + self.cfg.l2_latency * 2 + self.cfg.l3_latency,
-                    true,
-                )
+                (HitLevel::RemoteL2 { owner }, L1_LATENCY + L2_LATENCY * 2 + L3_LATENCY, true)
             } else if dir_snapshot.l3_slot != NIL {
                 self.l3_hits += 1;
-                (
-                    HitLevel::L3 { home },
-                    self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.l3_latency,
-                    true,
-                )
+                (HitLevel::L3 { home }, L1_LATENCY + L2_LATENCY + L3_LATENCY, true)
             } else {
                 self.mem_accesses += 1;
                 (
                     HitLevel::Memory { home },
-                    self.cfg.l1_latency
-                        + self.cfg.l2_latency
-                        + self.cfg.l3_latency
-                        + self.cfg.mem_latency,
+                    L1_LATENCY + L2_LATENCY + L3_LATENCY + MEM_LATENCY,
                     true,
                 )
             }
@@ -491,12 +476,7 @@ impl CacheModel {
         let dir = self.dir.val_at_mut(dir_pos);
         dir.record(kind, tile);
         dir.l1_holders = holders | Self::holder_bit(core.index());
-        AccessOutcome {
-            level: HitLevel::L1,
-            base_latency: self.cfg.l1_latency,
-            invalidated,
-            remote: false,
-        }
+        AccessOutcome { level: HitLevel::L1, base_latency: L1_LATENCY, invalidated, remote: false }
     }
 
     /// The tiles an access of `kind` from `tile` invalidates, given the
@@ -554,11 +534,6 @@ impl CacheModel {
         self.last = None;
     }
 
-    /// Total number of accesses observed.
-    pub fn access_count(&self) -> u64 {
-        self.accesses
-    }
-
     /// (l1, l2, remote L2, l3, memory) hit counters.
     pub fn hit_counters(&self) -> (u64, u64, u64, u64, u64) {
         (self.l1_hits, self.l2_hits, self.remote_l2_hits, self.l3_hits, self.mem_accesses)
@@ -570,7 +545,7 @@ mod tests {
     use super::*;
 
     fn model() -> CacheModel {
-        CacheModel::new(CacheConfig::default(), 4, 4)
+        CacheModel::new(&CacheConfig::default(), 4, 4)
     }
 
     #[test]
@@ -583,7 +558,7 @@ mod tests {
         let b = m.access(CoreId(0), line, AccessKind::Read);
         assert_eq!(b.level, HitLevel::L1);
         assert!(!b.remote);
-        assert_eq!(b.base_latency, CacheConfig::default().l1_latency);
+        assert_eq!(b.base_latency, L1_LATENCY);
     }
 
     #[test]
@@ -630,7 +605,7 @@ mod tests {
     #[test]
     fn l1_capacity_eviction_falls_back_to_l2() {
         let cfg = CacheConfig { l1_lines: 2, ..Default::default() };
-        let mut m = CacheModel::new(cfg, 1, 1);
+        let mut m = CacheModel::new(&cfg, 1, 1);
         m.access(CoreId(0), LineAddr(1), AccessKind::Read);
         m.access(CoreId(0), LineAddr(2), AccessKind::Read);
         m.access(CoreId(0), LineAddr(3), AccessKind::Read); // evicts line 1 from L1
@@ -665,7 +640,7 @@ mod tests {
             m.access(CoreId((i % 16) as u32), LineAddr(i % 7), AccessKind::Read);
         }
         let (a, b, c, d, e) = m.hit_counters();
-        assert_eq!(a + b + c + d + e, m.access_count());
+        assert_eq!(a + b + c + d + e, 50);
     }
 
     /// Regression test for the >64-tile directory bug: on an 8x16 mesh
@@ -674,7 +649,7 @@ mod tests {
     /// was never invalidated and never found as a forwarder.
     #[test]
     fn tiles_beyond_64_are_invalidated_and_forward() {
-        let mut m = CacheModel::new(CacheConfig::default(), 128, 1);
+        let mut m = CacheModel::new(&CacheConfig::default(), 128, 1);
         let line = LineAddr(1000);
 
         // Tile 70 reads the line; its alias-group bit (6) is set.
@@ -711,7 +686,7 @@ mod tests {
     /// degenerates to the exact per-tile behavior.
     #[test]
     fn alias_groups_are_exact_below_64_tiles() {
-        let mut m = CacheModel::new(CacheConfig::default(), 64, 1);
+        let mut m = CacheModel::new(&CacheConfig::default(), 64, 1);
         let line = LineAddr(4242);
         for t in [0u32, 5, 63] {
             m.access(CoreId(t), line, AccessKind::Read);

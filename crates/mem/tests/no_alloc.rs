@@ -47,7 +47,7 @@ fn measured(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_cache_read_hits_allocate_nothing() {
-    let mut caches = CacheModel::new(CacheConfig::default(), 4, 4);
+    let mut caches = CacheModel::new(&CacheConfig::default(), 4, 4);
     let lines: Vec<LineAddr> = (0..32).map(LineAddr).collect();
     // Warm up: fill L1s and create the directory entries.
     for _ in 0..2 {
@@ -68,7 +68,7 @@ fn steady_state_cache_read_hits_allocate_nothing() {
 
 #[test]
 fn steady_state_single_sharer_writes_allocate_nothing() {
-    let mut caches = CacheModel::new(CacheConfig::default(), 4, 4);
+    let mut caches = CacheModel::new(&CacheConfig::default(), 4, 4);
     let lines: Vec<LineAddr> = (0..32).map(LineAddr).collect();
     for &line in &lines {
         caches.access(CoreId(0), line, AccessKind::Write);

@@ -12,9 +12,9 @@
 //!
 //! ```
 //! use swarm_noc::{Mesh, TrafficClass, TrafficStats};
-//! use swarm_types::{NocConfig, TileId};
+//! use swarm_types::TileId;
 //!
-//! let mesh = Mesh::new(4, 4, NocConfig::default());
+//! let mesh = Mesh::new(4, 4);
 //! let hops = mesh.hops(TileId(0), TileId(15));
 //! assert_eq!(hops, 6); // 3 in X + 3 in Y
 //!
@@ -28,5 +28,5 @@ pub mod mesh;
 pub mod traffic;
 
 pub use link::{FanIn, Hop, LinkCounters, LinkNet, LinkStats, LINK_QUEUE_DEPTH};
-pub use mesh::{Mesh, DIR_LABELS, LINKS_PER_TILE};
+pub use mesh::{flits_for_bytes, Mesh, DIR_LABELS, LINE_FLITS, LINKS_PER_TILE};
 pub use traffic::{TrafficClass, TrafficStats};

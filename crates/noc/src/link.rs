@@ -550,7 +550,7 @@ mod tests {
     fn fan_in_lists_every_arbiter_link_upstream_first() {
         // A 3x2 mesh: tiles 0 1 2 / 3 4 5. Row 1's west links (5 then 4),
         // then its north link (carrying tiles 3..6), then row 0's west links.
-        let f = FanIn::new(&Mesh::new(3, 2, NocConfig::default()));
+        let f = FanIn::new(&Mesh::new(3, 2));
         let groups: Vec<(u32, u32, u32)> =
             f.groups.iter().map(|g| (g.link, g.first, g.end)).collect();
         assert_eq!(
@@ -564,7 +564,7 @@ mod tests {
             ]
         );
         assert_eq!(f.starts, [0, 0, 1, 3, 4, 6, 9]);
-        assert!(FanIn::new(&Mesh::new(1, 1, NocConfig::default())).groups.is_empty());
+        assert!(FanIn::new(&Mesh::new(1, 1)).groups.is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Mesh geometry, routing distance and latency.
 
-use swarm_types::{NocConfig, TileId};
+use swarm_types::config::{CONTROL_FLITS, HOP_LATENCY, LINK_BITS, TURN_PENALTY};
+use swarm_types::{TileId, CACHE_LINE_BYTES};
 
 /// Directed-link slots per tile: east, west, south, north (in the direction
 /// encoding of [`Mesh::route_links`]).
@@ -9,17 +10,23 @@ pub const LINKS_PER_TILE: usize = 4;
 /// Direction labels matching the link-id encoding of [`Mesh::route_links`].
 pub const DIR_LABELS: [&str; LINKS_PER_TILE] = ["E", "W", "S", "N"];
 
+/// Number of flits needed to move `bytes` of payload over a mesh link,
+/// including one head flit of control.
+pub const fn flits_for_bytes(bytes: u64) -> u64 {
+    CONTROL_FLITS + (bytes * 8).div_ceil(LINK_BITS)
+}
+
+/// Flits for a full cache line (64 bytes).
+pub const LINE_FLITS: u64 = flits_for_bytes(CACHE_LINE_BYTES);
+
 /// A 2D mesh of tiles with dimension-ordered (X-Y) routing.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     width: u32,
     height: u32,
-    cfg: NocConfig,
     /// `log2(width)` when the width is a power of two, so the hot-path
     /// coordinate split can use shift/mask instead of division.
     width_shift: Option<u32>,
-    /// Cached [`Mesh::flits_for_bytes`] of one cache line.
-    line_flits: u64,
 }
 
 impl Mesh {
@@ -27,17 +34,11 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero, or if `cfg.link_bits` is zero —
-    /// callers construct meshes from a validated `SystemConfig`
-    /// (`SystemConfig::validate` rejects zero NoC knobs), so a zero width
-    /// here is a bug, not a user error to clamp away.
-    pub fn new(width: u32, height: u32, cfg: NocConfig) -> Self {
+    /// Panics if either dimension is zero.
+    pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
-        assert!(cfg.link_bits > 0, "link_bits must be positive");
-        let bits = swarm_types::CACHE_LINE_BYTES * 8;
-        let line_flits = cfg.control_flits + bits.div_ceil(cfg.link_bits);
         let width_shift = width.is_power_of_two().then(|| width.trailing_zeros());
-        Mesh { width, height, cfg, width_shift, line_flits }
+        Mesh { width, height, width_shift }
     }
 
     /// Split a tile id into (x, y) without the bounds check.
@@ -106,24 +107,7 @@ impl Mesh {
         let (tx, ty) = self.split(to.0);
         let hops = u64::from(fx.abs_diff(tx) + fy.abs_diff(ty));
         let turns = u64::from(fx != tx && fy != ty);
-        hops * self.cfg.hop_latency + turns * self.cfg.turn_penalty
-    }
-
-    /// Number of flits needed to move `bytes` of payload over this mesh's
-    /// links, including one head flit of control.
-    pub fn flits_for_bytes(&self, bytes: u64) -> u64 {
-        let bits = bytes * 8;
-        self.cfg.control_flits + bits.div_ceil(self.cfg.link_bits)
-    }
-
-    /// Flits for a full cache line (64 bytes).
-    pub fn line_flits(&self) -> u64 {
-        self.line_flits
-    }
-
-    /// Flits for a short control-only message (GVT update, abort signal).
-    pub fn control_flits(&self) -> u64 {
-        self.cfg.control_flits
+        hops * HOP_LATENCY + turns * TURN_PENALTY
     }
 
     /// Visit every directed link on the dimension-ordered (X-then-Y) route
@@ -203,7 +187,7 @@ mod tests {
     use super::*;
 
     fn mesh4x4() -> Mesh {
-        Mesh::new(4, 4, NocConfig::default())
+        Mesh::new(4, 4)
     }
 
     #[test]
@@ -248,17 +232,15 @@ mod tests {
 
     #[test]
     fn line_flits_match_link_width() {
-        let m = mesh4x4();
         // 64 bytes = 512 bits over 128-bit links = 4 flits + 1 control.
-        assert_eq!(m.line_flits(), 5);
-        assert_eq!(m.control_flits(), 1);
-        assert_eq!(m.flits_for_bytes(0), 1);
-        assert_eq!(m.flits_for_bytes(16), 2);
+        assert_eq!(LINE_FLITS, 5);
+        assert_eq!(flits_for_bytes(0), CONTROL_FLITS);
+        assert_eq!(flits_for_bytes(16), 2);
     }
 
     #[test]
     fn single_tile_mesh_is_free() {
-        let m = Mesh::new(1, 1, NocConfig::default());
+        let m = Mesh::new(1, 1);
         assert_eq!(m.num_tiles(), 1);
         assert_eq!(m.latency(TileId(0), TileId(0)), 0);
         assert_eq!(m.mean_hops(), 0.0);
@@ -266,8 +248,8 @@ mod tests {
 
     #[test]
     fn mean_hops_grows_with_mesh_size() {
-        let small = Mesh::new(2, 2, NocConfig::default()).mean_hops();
-        let large = Mesh::new(8, 8, NocConfig::default()).mean_hops();
+        let small = Mesh::new(2, 2).mean_hops();
+        let large = Mesh::new(8, 8).mean_hops();
         assert!(large > small);
     }
 
@@ -276,13 +258,6 @@ mod tests {
     fn out_of_range_tile_panics() {
         let m = mesh4x4();
         let _ = m.coords(TileId(16));
-    }
-
-    #[test]
-    #[should_panic(expected = "link_bits")]
-    fn zero_link_bits_panics_instead_of_clamping() {
-        let cfg = NocConfig { link_bits: 0, ..NocConfig::default() };
-        let _ = Mesh::new(4, 4, cfg);
     }
 
     /// Collect the route as a link-id list.

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
+use swarm_types::config::GVT_EPOCH;
 use swarm_types::{CanonKey, Canonical, FastHashMap};
 
 use crate::cache::ResultCache;
@@ -45,7 +46,7 @@ const INFLIGHT_PER_CLIENT: usize = 4;
 /// Max points per dispatch batch across all clients.
 const BATCH_POINTS: usize = 16;
 /// A `progress:true` submission gets one `progress` event per this many
-/// GVT updates. GVT advances every `gvt_epoch` cycles, so the events are
+/// GVT updates. GVT advances every `GVT_EPOCH` cycles, so the events are
 /// read off the finished run's `gvt_updates` count.
 const PROGRESS_EVERY: u64 = 64;
 
@@ -331,8 +332,7 @@ impl<R: PointRunner + 'static> Server<R> {
 
         let mut ok = 0u64;
         let mut failed = 0u64;
-        for ((index, resolution), point) in resolutions.into_iter().enumerate().zip(&submit.points)
-        {
+        for (index, resolution) in resolutions.into_iter().enumerate() {
             let index = index as u64;
             emit(writer, &Event::PointStarted { id: id.clone(), index })?;
             let (outcome, source) = match resolution {
@@ -346,9 +346,9 @@ impl<R: PointRunner + 'static> Server<R> {
                 Ok(stats) => {
                     ok += 1;
                     // Only the request that simulated the point streams its
-                    // progress: GVT update k fired at cycle k × gvt_epoch.
+                    // progress: GVT update k fired at cycle k × GVT_EPOCH.
                     if submit.progress && source == CacheSource::Fresh {
-                        let every = PROGRESS_EVERY * point.system_config().spec.gvt_epoch;
+                        let every = PROGRESS_EVERY * GVT_EPOCH;
                         for k in 1..=stats.gvt_updates / PROGRESS_EVERY {
                             let gvt = k * every;
                             emit(writer, &Event::Progress { id: id.clone(), index, gvt })?;

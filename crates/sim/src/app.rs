@@ -7,6 +7,7 @@
 //! (Listing 1 and 2 of the paper map directly onto this API).
 
 use swarm_mem::{SimMemory, UndoEntry};
+use swarm_types::config::{TASK_BASE_COST, TASK_MGMT_COST};
 use swarm_types::{Addr, CoreId, Hint, LineAddr, TaskFnId, TaskId, Timestamp};
 
 use crate::state::SimState;
@@ -112,7 +113,7 @@ impl<'a> TaskCtx<'a> {
     /// allocates nothing; [`TaskCtx::into_outcome`] and the engine return
     /// them once the outcome is integrated.
     pub(crate) fn new(state: &'a mut SimState, task: TaskId, core: CoreId, ts: Timestamp) -> Self {
-        let base = state.cfg.spec.task_base_cost + state.cfg.spec.task_mgmt_cost;
+        let base = TASK_BASE_COST + TASK_MGMT_COST;
         let read_lines = std::mem::take(&mut state.ctx_read_buf);
         let write_lines = std::mem::take(&mut state.ctx_write_buf);
         let undo = std::mem::take(&mut state.ctx_undo);
@@ -188,7 +189,7 @@ impl<'a> TaskCtx<'a> {
     /// children with equal or later timestamps.
     pub fn enqueue(&mut self, fid: TaskFnId, ts: Timestamp, hint: Hint, args: &[u64]) {
         assert!(ts >= self.ts, "child timestamp {ts} is lower than parent timestamp {}", self.ts);
-        self.cycles += self.state.cfg.spec.task_mgmt_cost;
+        self.cycles += TASK_MGMT_COST;
         self.children.push(PendingChild { fid, ts, hint, args: args.into() });
     }
 
@@ -200,7 +201,7 @@ impl<'a> TaskCtx<'a> {
     /// Tear the context down into an [`ExecutionOutcome`], charging the
     /// finish overhead.
     pub(crate) fn into_outcome(mut self) -> ExecutionOutcome {
-        self.cycles += self.state.cfg.spec.task_mgmt_cost;
+        self.cycles += TASK_MGMT_COST;
         let TaskCtx { cycles, mut read_lines, mut write_lines, undo, trace, children, .. } = self;
         // Sort + dedup the line lists: their order feeds line_table
         // registration and abort-cascade traversal, so it must not depend on

@@ -24,7 +24,8 @@
 //! recycled between bodies, and the per-core pending-children lists reuse
 //! their capacity across dispatches.
 
-use swarm_noc::TrafficClass;
+use swarm_noc::{flits_for_bytes, TrafficClass};
+use swarm_types::config::GVT_EPOCH;
 use swarm_types::{CoreId, Hint, SimError, SimResult, SystemConfig, TaskId, TileId, Timestamp};
 
 use crate::app::{ExecutionOutcome, SwarmApp, TaskCtx};
@@ -220,9 +221,8 @@ impl Engine {
             self.enqueue_task(t.fid, t.ts, t.hint, t.args.as_slice().into(), None)?;
         }
         self.process_wakes();
-        let gvt_epoch = self.state.cfg.spec.gvt_epoch;
         let lb_epoch = self.state.cfg.lb_epoch;
-        self.events.schedule(gvt_epoch, Event::Gvt);
+        self.events.schedule(GVT_EPOCH, Event::Gvt);
         self.events.schedule(lb_epoch, Event::LbEpoch);
         // Schedule every planned fault at its exact cycle; same-cycle plan
         // entries fire in plan order (the wheel's FIFO slot contract).
@@ -455,7 +455,7 @@ impl Engine {
         if let Some(src) = parent_tile {
             if src != tile {
                 let hops = self.state.mesh.hops(src, tile);
-                let flits = self.state.mesh.flits_for_bytes(34);
+                let flits = flits_for_bytes(34);
                 let wait =
                     self.state.send_message(TrafficClass::Task, src, tile, hops, flits, self.now);
                 if self.state.links.is_some() {
@@ -880,7 +880,7 @@ impl Engine {
             if self.pending_core_events == 0 {
                 return Err(self.deadlock_error());
             }
-            self.events.schedule(self.now + self.state.cfg.spec.gvt_epoch, Event::Gvt);
+            self.events.schedule(self.now + GVT_EPOCH, Event::Gvt);
         }
         Ok(())
     }

@@ -220,7 +220,7 @@ impl SwarmApp for ScenarioApp {
 }
 
 /// A machine starved for queue space: six task-queue entries and three
-/// commit-queue entries per core, with an aggressive spill coalescer. Runs
+/// commit-queue entries per core, spilling two tasks at a time. Runs
 /// of more than a handful of tasks spill, refill, resource-abort at
 /// dispatch, and execute out of commit order — every conformance invariant
 /// must survive that regime too.
@@ -228,7 +228,6 @@ pub fn pressured_config(cores: u32) -> SystemConfig {
     let mut cfg = SystemConfig::with_cores(cores);
     cfg.queues.task_queue_per_core = 6;
     cfg.queues.commit_queue_per_core = 3;
-    cfg.queues.spill_threshold_pct = 50;
     cfg.queues.spill_batch = 2;
     cfg
 }

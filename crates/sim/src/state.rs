@@ -13,7 +13,10 @@
 //! conflict, so a steady-state simulation step performs no heap allocation.
 
 use swarm_mem::{AccessKind, CacheModel, HitLevel, SimMemory, UndoEntry};
-use swarm_noc::{FanIn, Hop, LinkNet, Mesh, TrafficClass};
+use swarm_noc::{FanIn, Hop, LinkNet, Mesh, TrafficClass, LINE_FLITS};
+use swarm_types::config::{
+    CONFLICT_CHECK_COST, CONFLICT_COMPARE_COST, CONTROL_FLITS, SPILL_COST_PER_TASK,
+};
 use swarm_types::{Addr, CoreId, LineAddr, NocModel, SystemConfig, TaskId, TileId};
 
 use crate::arena::TaskArena;
@@ -195,13 +198,13 @@ impl SimState {
         );
         let num_tiles = cfg.num_tiles();
         let num_cores = cfg.num_cores();
-        let mesh = Mesh::new(cfg.tiles_x, cfg.tiles_y, cfg.noc.clone());
+        let mesh = Mesh::new(cfg.tiles_x, cfg.tiles_y);
         let contention = cfg.noc.model == NocModel::Contention;
         let links = contention.then(|| LinkNet::new(&cfg.noc, mesh.num_links()));
         let gvt_fan_in = contention.then(|| FanIn::new(&mesh));
         SimState {
             mem: SimMemory::new(),
-            caches: CacheModel::new(cfg.cache.clone(), num_tiles, cfg.cores_per_tile),
+            caches: CacheModel::new(&cfg.cache, num_tiles, cfg.cores_per_tile),
             mesh,
             links,
             gvt_fan_in,
@@ -291,7 +294,7 @@ impl SimState {
     /// per-link occupancy events, replayed from the recorded hops, and its
     /// network event in the order a message-by-message walk emits them.
     pub(crate) fn exchange_gvt(&mut self, enter: u64) {
-        let flits = 2 * self.mesh.control_flits();
+        let flits = 2 * CONTROL_FLITS;
         // The arbiter's own update crosses no link. It is the exchange's
         // first message, so it is the one an armed `DuplicateMessage` copies.
         self.deliver(TrafficClass::Gvt, &[], 0, flits, enter);
@@ -525,10 +528,10 @@ impl SimState {
     /// spill buffers in memory: the observers' [`SpillEvent`], then the
     /// line-sized memory messages to and from tile 0.
     fn spill_traffic(&mut self, tile: TileId, tasks: u64, direction: SpillDirection) {
-        let cycles = tasks * self.cfg.queues.spill_cost_per_task;
+        let cycles = tasks * SPILL_COST_PER_TASK;
         self.observers.spill(&SpillEvent { tile, tasks, cycles, direction });
         let hops = self.mesh.hops(tile, TileId(0)).max(1);
-        let flits = self.mesh.line_flits() * tasks;
+        let flits = LINE_FLITS * tasks;
         let at = self.now_cycle;
         self.send_message(TrafficClass::Memory, tile, TileId(0), hops, flits, at);
     }
@@ -671,7 +674,6 @@ impl SimState {
         // Charge the cache/NoC cost of the access itself.
         let outcome = self.caches.access(core, line, kind);
         let mut latency = outcome.base_latency + check_cost;
-        let line_flits = self.mesh.line_flits();
         // An active DelayedMessage fault slows every off-tile transfer this
         // tile issues (zero unless armed, so the fault-free path is exact).
         let delay = self.faults.extra_remote_latency(tile);
@@ -694,30 +696,28 @@ impl SimState {
                     tile,
                     owner,
                     owner_hops,
-                    line_flits,
+                    LINE_FLITS,
                     at,
                 );
                 let home_hops = self.mesh.hops(tile, home);
-                let control_flits = self.mesh.control_flits();
-                self.send_message(TrafficClass::Memory, tile, home, home_hops, control_flits, at);
+                self.send_message(TrafficClass::Memory, tile, home, home_hops, CONTROL_FLITS, at);
             }
             HitLevel::L3 { home } => {
                 latency += 2 * self.mesh.latency(tile, home) + delay;
                 let hops = self.mesh.hops(tile, home);
                 latency +=
-                    self.send_message(TrafficClass::Memory, tile, home, hops, line_flits, at);
+                    self.send_message(TrafficClass::Memory, tile, home, hops, LINE_FLITS, at);
             }
             HitLevel::Memory { home } => {
                 latency += 2 * self.mesh.latency(tile, home) + delay;
                 let hops = self.mesh.hops(tile, home) * 2 + 2;
                 latency +=
-                    self.send_message(TrafficClass::Memory, tile, home, hops, line_flits, at);
+                    self.send_message(TrafficClass::Memory, tile, home, hops, LINE_FLITS, at);
             }
         }
         for inv in outcome.invalidated {
             let hops = self.mesh.hops(tile, inv);
-            let control_flits = self.mesh.control_flits();
-            self.send_message(TrafficClass::Memory, tile, inv, hops, control_flits, at);
+            self.send_message(TrafficClass::Memory, tile, inv, hops, CONTROL_FLITS, at);
         }
         latency
     }
@@ -742,7 +742,7 @@ impl SimState {
         debug_assert!(victims.is_empty());
         let mut check_cost = 0;
         if let Some(acc) = self.line_table.get(line) {
-            check_cost = self.accessor_cost(acc.readers.len() + acc.writers.len());
+            check_cost = accessor_cost(acc.readers.len() + acc.writers.len());
             for &wk in &acc.writers {
                 if wk.1 != task && wk > my_key {
                     victims.push(wk.1);
@@ -775,12 +775,7 @@ impl SimState {
     fn check_cost(&self, line: LineAddr) -> u64 {
         self.line_table
             .get(line)
-            .map_or(0, |acc| self.accessor_cost(acc.readers.len() + acc.writers.len()))
-    }
-
-    /// The conflict-check cost of comparing against `compared` accessors.
-    fn accessor_cost(&self, compared: usize) -> u64 {
-        self.cfg.spec.conflict_check_cost + compared as u64 * self.cfg.spec.conflict_compare_cost
+            .map_or(0, |acc| accessor_cost(acc.readers.len() + acc.writers.len()))
     }
 
     /// Register a completed execution's read/write sets in the line table so
@@ -891,9 +886,8 @@ impl SimState {
                 // Abort message to the victim's tile (occupies links under
                 // contention; the cascade itself is not delayed by it).
                 let hops = self.mesh.hops(aborter_tile, tile);
-                let control_flits = self.mesh.control_flits();
                 let at = self.now_cycle;
-                self.send_message(TrafficClass::Abort, aborter_tile, tile, hops, control_flits, at);
+                self.send_message(TrafficClass::Abort, aborter_tile, tile, hops, CONTROL_FLITS, at);
             }
             match status {
                 TaskStatus::Idle => {
@@ -933,7 +927,7 @@ impl SimState {
 
         // 5. Rollback memory traffic.
         if rollback_entries > 0 {
-            let flits = rollback_entries * self.mesh.control_flits();
+            let flits = rollback_entries * CONTROL_FLITS;
             self.record_traffic(TrafficClass::Abort, 1, flits);
         }
     }
@@ -1052,6 +1046,11 @@ impl SimState {
         }
         true
     }
+}
+
+/// The conflict-check cost of comparing against `compared` accessors.
+fn accessor_cost(compared: usize) -> u64 {
+    CONFLICT_CHECK_COST + compared as u64 * CONFLICT_COMPARE_COST
 }
 
 /// The observer event for one link a `flits`-flit message of `class`

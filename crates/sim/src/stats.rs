@@ -94,15 +94,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Abort ratio: aborted executions per committed task.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.tasks_committed == 0 {
-            0.0
-        } else {
-            self.tasks_aborted as f64 / self.tasks_committed as f64
-        }
-    }
-
     /// Coefficient of variation of per-tile committed cycles (a measure of
     /// load imbalance; 0 means perfectly balanced).
     pub fn load_imbalance(&self) -> f64 {
@@ -155,12 +146,6 @@ mod tests {
         let b = CycleBreakdown::default();
         assert_eq!(b.total(), 0);
         assert_eq!(b.fractions(), [0.0; 5]);
-    }
-
-    #[test]
-    fn abort_ratio_handles_zero_commits() {
-        let s = RunStats::default();
-        assert_eq!(s.abort_ratio(), 0.0);
     }
 
     #[test]

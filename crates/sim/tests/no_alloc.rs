@@ -337,7 +337,7 @@ impl SwarmApp for ChurnChains {
     }
 }
 
-/// A single core with a 10-entry task queue and a one-task spill coalescer:
+/// A single core with a 10-entry task queue that spills one task at a time:
 /// each driver step injects `LEAVES + 1` tasks, so the queue overflows every
 /// step and (with `spill_batch = 1`) stays pinned at capacity, which blocks
 /// refills and forces out-of-commit-order execution (see `tests/fuzz.rs` at
@@ -348,7 +348,6 @@ fn churn_run(chain: u64) -> (u64, RunStats) {
         let mut cfg = SystemConfig::single_core();
         cfg.queues.task_queue_per_core = 10;
         cfg.queues.commit_queue_per_core = 4;
-        cfg.queues.spill_threshold_pct = 60;
         cfg.queues.spill_batch = 1;
         let mut engine = Sim::builder()
             .config(cfg)

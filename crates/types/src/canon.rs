@@ -28,15 +28,13 @@
 //! let a = SystemConfig::with_cores(16);
 //! let mut b = SystemConfig::with_cores(16);
 //! assert_eq!(key_of(&a), key_of(&b), "equal configs share a key");
-//! b.seed ^= 1;
+//! b.lb_epoch += 1;
 //! assert_ne!(key_of(&a), key_of(&b), "any field change moves the key");
 //! ```
 
 use std::fmt;
 
-use crate::config::{
-    CacheConfig, NocConfig, NocModel, QueueConfig, SpeculationConfig, SystemConfig,
-};
+use crate::config::{self, CacheConfig, NocConfig, NocModel, QueueConfig, SystemConfig};
 use crate::hashing::hash64;
 
 /// Append-only byte buffer for canonical encodings.
@@ -228,15 +226,18 @@ impl<T: Canonical> Canonical for Vec<T> {
     }
 }
 
+// The fixed machine constants of `config` are written too, so editing one
+// moves every key.
+
 impl Canonical for CacheConfig {
     fn canonicalize(&self, buf: &mut CanonBuf) {
-        buf.put_u64(self.l1_latency);
+        buf.put_u64(config::L1_LATENCY);
         buf.put_usize(self.l1_lines);
-        buf.put_u64(self.l2_latency);
+        buf.put_u64(config::L2_LATENCY);
         buf.put_usize(self.l2_lines);
-        buf.put_u64(self.l3_latency);
+        buf.put_u64(config::L3_LATENCY);
         buf.put_usize(self.l3_lines_per_tile);
-        buf.put_u64(self.mem_latency);
+        buf.put_u64(config::MEM_LATENCY);
     }
 }
 
@@ -251,10 +252,10 @@ impl Canonical for NocModel {
 
 impl Canonical for NocConfig {
     fn canonicalize(&self, buf: &mut CanonBuf) {
-        buf.put_u64(self.hop_latency);
-        buf.put_u64(self.turn_penalty);
-        buf.put_u64(self.link_bits);
-        buf.put_u64(self.control_flits);
+        buf.put_u64(config::HOP_LATENCY);
+        buf.put_u64(config::TURN_PENALTY);
+        buf.put_u64(config::LINK_BITS);
+        buf.put_u64(config::CONTROL_FLITS);
         self.model.canonicalize(buf);
         buf.put_u64(self.link_flits_per_cycle);
     }
@@ -264,20 +265,8 @@ impl Canonical for QueueConfig {
     fn canonicalize(&self, buf: &mut CanonBuf) {
         buf.put_usize(self.task_queue_per_core);
         buf.put_usize(self.commit_queue_per_core);
-        buf.put_u8(self.spill_threshold_pct);
         buf.put_usize(self.spill_batch);
-        buf.put_u64(self.spill_cost_per_task);
-    }
-}
-
-impl Canonical for SpeculationConfig {
-    fn canonicalize(&self, buf: &mut CanonBuf) {
-        buf.put_u64(self.conflict_check_cost);
-        buf.put_u64(self.conflict_compare_cost);
-        buf.put_u64(self.gvt_epoch);
-        buf.put_u64(self.task_mgmt_cost);
-        buf.put_u64(self.task_base_cost);
-        buf.put_u64(self.rollback_cost_per_entry);
+        buf.put_u64(config::SPILL_COST_PER_TASK);
     }
 }
 
@@ -289,11 +278,15 @@ impl Canonical for SystemConfig {
         self.cache.canonicalize(buf);
         self.noc.canonicalize(buf);
         self.queues.canonicalize(buf);
-        self.spec.canonicalize(buf);
-        buf.put_usize(self.lb_buckets_per_tile);
+        buf.put_u64(config::CONFLICT_CHECK_COST);
+        buf.put_u64(config::CONFLICT_COMPARE_COST);
+        buf.put_u64(config::GVT_EPOCH);
+        buf.put_u64(config::TASK_MGMT_COST);
+        buf.put_u64(config::TASK_BASE_COST);
+        buf.put_usize(config::LB_BUCKETS_PER_TILE);
         buf.put_u64(self.lb_epoch);
-        buf.put_u8(self.lb_correction_pct);
-        buf.put_u64(self.seed);
+        buf.put_u8(config::LB_CORRECTION_PCT);
+        buf.put_u64(config::POLICY_SEED);
         buf.put_u64(self.max_cycles);
         buf.put_u64(self.max_wall_ms);
     }
@@ -324,34 +317,15 @@ mod tests {
             |c| c.tiles_x += 1,
             |c| c.tiles_y += 1,
             |c| c.cores_per_tile += 1,
-            |c| c.cache.l1_latency += 1,
             |c| c.cache.l1_lines += 1,
-            |c| c.cache.l2_latency += 1,
             |c| c.cache.l2_lines += 1,
-            |c| c.cache.l3_latency += 1,
             |c| c.cache.l3_lines_per_tile += 1,
-            |c| c.cache.mem_latency += 1,
-            |c| c.noc.hop_latency += 1,
-            |c| c.noc.turn_penalty += 1,
-            |c| c.noc.link_bits += 1,
-            |c| c.noc.control_flits += 1,
             |c| c.noc.model = NocModel::Contention,
             |c| c.noc.link_flits_per_cycle += 1,
             |c| c.queues.task_queue_per_core += 1,
             |c| c.queues.commit_queue_per_core += 1,
-            |c| c.queues.spill_threshold_pct += 1,
             |c| c.queues.spill_batch += 1,
-            |c| c.queues.spill_cost_per_task += 1,
-            |c| c.spec.conflict_check_cost += 1,
-            |c| c.spec.conflict_compare_cost += 1,
-            |c| c.spec.gvt_epoch += 1,
-            |c| c.spec.task_mgmt_cost += 1,
-            |c| c.spec.task_base_cost += 1,
-            |c| c.spec.rollback_cost_per_entry += 1,
-            |c| c.lb_buckets_per_tile += 1,
             |c| c.lb_epoch += 1,
-            |c| c.lb_correction_pct += 1,
-            |c| c.seed += 1,
             |c| c.max_cycles += 1,
             |c| c.max_wall_ms += 1,
         ];

@@ -8,36 +8,70 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::TileId;
 
-/// Cache hierarchy parameters (latencies in cycles, capacities in lines).
+// Fixed parameters of the simulated machine: the paper's Table II and the
+// Swarm task unit (Jeffrey et al., MICRO 2015). No experiment varies them,
+// so they are constants rather than `SystemConfig` fields; result-cache keys
+// still hash them (see `SystemConfig`'s `Canonical` impl), so editing one
+// invalidates every cached result.
+
+/// L1 hit latency (cycles).
+pub const L1_LATENCY: u64 = 2;
+/// L2 hit latency (cycles).
+pub const L2_LATENCY: u64 = 7;
+/// L3 bank hit latency (cycles).
+pub const L3_LATENCY: u64 = 9;
+/// Main memory latency (cycles).
+pub const MEM_LATENCY: u64 = 120;
+/// NoC cycles per hop when going straight.
+pub const HOP_LATENCY: u64 = 1;
+/// Extra NoC cycles when a route turns (X-Y routing turns at most once).
+pub const TURN_PENALTY: u64 = 1;
+/// NoC link width in bits; a 64-byte line payload is `512 / LINK_BITS` flits.
+pub const LINK_BITS: u64 = 128;
+/// Flits in a control message (task enqueue header, GVT update, abort).
+pub const CONTROL_FLITS: u64 = 1;
+/// Cycles charged per spilled or refilled task.
+pub const SPILL_COST_PER_TASK: u64 = 10;
+/// Cycles per conflict check at a tile (5 in the paper).
+pub const CONFLICT_CHECK_COST: u64 = 5;
+/// Cycles per commit-queue timestamp comparison during a conflict check.
+pub const CONFLICT_COMPARE_COST: u64 = 1;
+/// Cycles between GVT (global virtual time) updates (200 in the paper).
+/// The n-th update, from 1, fires at cycle n × `GVT_EPOCH`.
+pub const GVT_EPOCH: u64 = 200;
+/// Cycles charged per Swarm task-management instruction
+/// (enqueue / dequeue / finish, 5 in the paper).
+pub const TASK_MGMT_COST: u64 = 5;
+/// Base cycles charged to every task execution, modelling the non-memory
+/// instructions of a short task body.
+pub const TASK_BASE_COST: u64 = 10;
+/// Load-balancer buckets per tile (16 in the paper).
+pub const LB_BUCKETS_PER_TILE: usize = 16;
+/// Fraction (percent) of a tile's load surplus or deficit corrected per
+/// load-balancer reconfiguration (80% in the paper).
+pub const LB_CORRECTION_PCT: u8 = 80;
+/// Seed of every randomized scheduling policy (Random placement, the
+/// Stealing mapper's initial tasks, NOHINT placement). Application inputs
+/// are seeded separately, per run point.
+pub const POLICY_SEED: u64 = 0xC0FFEE;
+
+const _: () = assert!(GVT_EPOCH > 0 && LINK_BITS > 0 && CONTROL_FLITS > 0);
+const _: () = assert!(LB_CORRECTION_PCT <= 100);
+
+/// Cache capacities in lines (latencies are the `*_LATENCY` constants).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
-    /// L1 hit latency (cycles).
-    pub l1_latency: u64,
     /// Per-core L1 capacity in cache lines (16 KB / 64 B = 256 in the paper).
     pub l1_lines: usize,
-    /// L2 hit latency (cycles).
-    pub l2_latency: u64,
     /// Per-tile L2 capacity in cache lines (256 KB / 64 B = 4096).
     pub l2_lines: usize,
-    /// L3 bank hit latency (cycles).
-    pub l3_latency: u64,
     /// Per-tile L3 slice capacity in cache lines (1 MB / 64 B = 16384).
     pub l3_lines_per_tile: usize,
-    /// Main memory latency (cycles).
-    pub mem_latency: u64,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            l1_latency: 2,
-            l1_lines: 256,
-            l2_latency: 7,
-            l2_lines: 4096,
-            l3_latency: 9,
-            l3_lines_per_tile: 16384,
-            mem_latency: 120,
-        }
+        CacheConfig { l1_lines: 256, l2_lines: 4096, l3_lines_per_tile: 16384 }
     }
 }
 
@@ -45,7 +79,7 @@ impl Default for CacheConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum NocModel {
     /// Purely analytic hop latencies (the historical model, and the default):
-    /// every message pays `hops * hop_latency (+ turn_penalty)` regardless of
+    /// every message pays `hops * HOP_LATENCY (+ TURN_PENALTY)` regardless of
     /// load. Figure outputs are pinned against this mode.
     #[default]
     Analytic,
@@ -81,17 +115,11 @@ impl std::str::FromStr for NocModel {
     }
 }
 
-/// On-chip network parameters (16x16 mesh of 128-bit links in the paper).
+/// On-chip network parameters (16x16 mesh of 128-bit links in the paper;
+/// the fixed ones are [`HOP_LATENCY`], [`TURN_PENALTY`], [`LINK_BITS`] and
+/// [`CONTROL_FLITS`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NocConfig {
-    /// Cycles per hop when going straight.
-    pub hop_latency: u64,
-    /// Extra cycles when a route turns (X-Y routing turns at most once).
-    pub turn_penalty: u64,
-    /// Link width in bits; a 64-byte line payload is `512 / link_bits` flits.
-    pub link_bits: u64,
-    /// Flits in a control message (task enqueue header, GVT update, abort).
-    pub control_flits: u64,
     /// Fidelity of the delivery-time model (see [`NocModel`]).
     pub model: NocModel,
     /// Flits a link accepts per cycle in [`NocModel::Contention`]; the
@@ -101,14 +129,7 @@ pub struct NocConfig {
 
 impl Default for NocConfig {
     fn default() -> Self {
-        NocConfig {
-            hop_latency: 1,
-            turn_penalty: 1,
-            link_bits: 128,
-            control_flits: 1,
-            model: NocModel::Analytic,
-            link_flits_per_cycle: 1,
-        }
+        NocConfig { model: NocModel::Analytic, link_flits_per_cycle: 1 }
     }
 }
 
@@ -119,58 +140,14 @@ pub struct QueueConfig {
     pub task_queue_per_core: usize,
     /// Commit queue entries per core (16 in the paper).
     pub commit_queue_per_core: usize,
-    /// Occupancy fraction (percent) of the task queue at which the spill
-    /// coalescer fires (85% in the paper).
-    pub spill_threshold_pct: u8,
-    /// Number of tasks spilled per coalescer invocation (15 in the paper).
+    /// Number of idle tasks spilled when a task arrives at a tile whose task
+    /// queue is full, and refilled per batch (15 in the paper).
     pub spill_batch: usize,
-    /// Cycles charged per spilled or refilled task.
-    pub spill_cost_per_task: u64,
 }
 
 impl Default for QueueConfig {
     fn default() -> Self {
-        QueueConfig {
-            task_queue_per_core: 64,
-            commit_queue_per_core: 16,
-            spill_threshold_pct: 85,
-            spill_batch: 15,
-            spill_cost_per_task: 10,
-        }
-    }
-}
-
-/// Speculation and commit-protocol parameters. Conflicts are detected on
-/// exact line-granular read/write sets, so no signature is parameterised.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpeculationConfig {
-    /// Cycles per conflict check at a tile (5 in the paper).
-    pub conflict_check_cost: u64,
-    /// Cycles per commit-queue timestamp comparison during a check.
-    pub conflict_compare_cost: u64,
-    /// Cycles between GVT (global virtual time) updates (200 in the paper).
-    /// The n-th update, from 1, fires at cycle n × gvt_epoch.
-    pub gvt_epoch: u64,
-    /// Cycles charged per Swarm task-management instruction
-    /// (enqueue / dequeue / finish, 5 in the paper).
-    pub task_mgmt_cost: u64,
-    /// Base cycles charged to every task execution, modelling the
-    /// non-memory instructions of a short task body.
-    pub task_base_cost: u64,
-    /// Cycles charged per undo-log entry rolled back on abort.
-    pub rollback_cost_per_entry: u64,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig {
-            conflict_check_cost: 5,
-            conflict_compare_cost: 1,
-            gvt_epoch: 200,
-            task_mgmt_cost: 5,
-            task_base_cost: 10,
-            rollback_cost_per_entry: 2,
-        }
+        QueueConfig { task_queue_per_core: 64, commit_queue_per_core: 16, spill_batch: 15 }
     }
 }
 
@@ -199,20 +176,11 @@ pub struct SystemConfig {
     pub noc: NocConfig,
     /// Queue and spill parameters.
     pub queues: QueueConfig,
-    /// Speculation parameters.
-    pub spec: SpeculationConfig,
-    /// Load-balancer buckets per tile (16 in the paper).
-    pub lb_buckets_per_tile: usize,
     /// Cycles between load-balancer reconfigurations. The paper
     /// reconfigures every 500 Kcycles on >1 Bcycle runs; the default is
     /// scaled down together with the workloads, whose runs last thousands
     /// to millions of cycles.
     pub lb_epoch: u64,
-    /// Fraction (percent) of a tile's load surplus/deficit corrected per
-    /// reconfiguration (80% in the paper).
-    pub lb_correction_pct: u8,
-    /// Seed for all randomized policies (Random mapper, NOHINT placement).
-    pub seed: u64,
     /// Maximum simulated cycles the run may consume before it is aborted
     /// with `SimError::CycleBudgetExceeded`. Checked at GVT epochs so the
     /// hot loop pays nothing; 0 disables the budget.
@@ -234,11 +202,7 @@ impl Default for SystemConfig {
             cache: CacheConfig::default(),
             noc: NocConfig::default(),
             queues: QueueConfig::default(),
-            spec: SpeculationConfig::default(),
-            lb_buckets_per_tile: 16,
             lb_epoch: 10_000,
-            lb_correction_pct: 80,
-            seed: 0xC0FFEE,
             max_cycles: 0,
             max_wall_ms: 0,
         }
@@ -300,7 +264,7 @@ impl SystemConfig {
 
     /// Total number of load-balancer buckets.
     pub fn num_buckets(&self) -> usize {
-        (self.lb_buckets_per_tile * self.num_tiles()).max(1)
+        (LB_BUCKETS_PER_TILE * self.num_tiles()).max(1)
     }
 
     /// The tile that is the static-NUCA home of an L3 line.
@@ -313,9 +277,9 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if any dimension or capacity is zero, a percentage
-    /// parameter exceeds 100, or the machine has more load-balancer buckets
-    /// than a `u16` bucket id can name (65,536).
+    /// Returns `Err` if any dimension, capacity, epoch or link rate is zero,
+    /// or the machine has more load-balancer buckets than a `u16` bucket id
+    /// can name (65,536).
     pub fn validate(&self) -> Result<(), String> {
         if self.tiles_x == 0 || self.tiles_y == 0 {
             return Err("mesh dimensions must be positive".into());
@@ -326,20 +290,8 @@ impl SystemConfig {
         if self.queues.task_queue_per_core == 0 || self.queues.commit_queue_per_core == 0 {
             return Err("queue capacities must be positive".into());
         }
-        if self.queues.spill_threshold_pct > 100 {
-            return Err("spill_threshold_pct must be <= 100".into());
-        }
-        if self.lb_correction_pct > 100 {
-            return Err("lb_correction_pct must be <= 100".into());
-        }
-        if self.spec.gvt_epoch == 0 || self.lb_epoch == 0 {
-            return Err("epoch lengths must be positive".into());
-        }
-        if self.noc.link_bits == 0 {
-            return Err("noc.link_bits must be positive".into());
-        }
-        if self.noc.control_flits == 0 {
-            return Err("noc.control_flits must be positive".into());
+        if self.lb_epoch == 0 {
+            return Err("lb_epoch must be positive".into());
         }
         if self.noc.link_flits_per_cycle == 0 {
             return Err("noc.link_flits_per_cycle must be positive".into());
@@ -350,7 +302,7 @@ impl SystemConfig {
                 "{} tiles x {} load-balancer buckets per tile exceed the {max_buckets} \
                  buckets a bucket id can name",
                 self.num_tiles(),
-                self.lb_buckets_per_tile
+                LB_BUCKETS_PER_TILE
             ));
         }
         Ok(())
@@ -371,8 +323,8 @@ mod tests {
         assert_eq!(cfg.queues.commit_queue_per_core, 16);
         assert_eq!(cfg.task_queue_per_tile() * 64, 16384);
         assert_eq!(cfg.commit_queue_per_tile() * 64, 4096);
-        assert_eq!(cfg.spec.gvt_epoch, 200);
-        assert_eq!(cfg.lb_buckets_per_tile, 16);
+        assert_eq!(GVT_EPOCH, 200);
+        assert_eq!(LB_BUCKETS_PER_TILE, 16);
         assert_eq!(cfg.num_buckets(), 1024);
         cfg.validate().unwrap();
     }
@@ -415,12 +367,12 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::with_cores(16);
-        cfg.queues.spill_threshold_pct = 150;
+        cfg.queues.commit_queue_per_core = 0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::with_cores(16);
-        cfg.spec.gvt_epoch = 0;
-        assert!(cfg.validate().is_err());
+        cfg.lb_epoch = 0;
+        assert!(cfg.validate().unwrap_err().contains("lb_epoch"));
     }
 
     #[test]
@@ -436,14 +388,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_noc_knobs() {
-        let mut cfg = SystemConfig::with_cores(16);
-        cfg.noc.link_bits = 0;
-        assert!(cfg.validate().unwrap_err().contains("link_bits"));
-
-        let mut cfg = SystemConfig::with_cores(16);
-        cfg.noc.control_flits = 0;
-        assert!(cfg.validate().unwrap_err().contains("control_flits"));
-
         let mut cfg = SystemConfig::with_cores(16);
         cfg.noc.link_flits_per_cycle = 0;
         assert!(cfg.validate().unwrap_err().contains("link_flits_per_cycle"));

@@ -29,7 +29,7 @@ pub mod hint;
 pub mod ids;
 
 pub use canon::{key_of, CanonBuf, CanonKey, Canonical};
-pub use config::{CacheConfig, NocConfig, NocModel, QueueConfig, SpeculationConfig, SystemConfig};
+pub use config::{CacheConfig, NocConfig, NocModel, QueueConfig, SystemConfig};
 pub use error::{SimError, SimResult};
 pub use hashing::{
     fast_mix64, hash64, hash_to_bucket, hash_to_range, hash_to_u16, FastBuildHasher, FastHashMap,

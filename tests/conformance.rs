@@ -61,13 +61,17 @@ fn contention_config(cores: u32) -> SystemConfig {
 
 /// One row per app: `name => (benchmark, fine_grain, stable_commit_count)`.
 ///
-/// `stable_commit_count` is false only for coarse `sssp` and `astar` —
-/// both spawn several tasks at *equal* timestamps for the same vertex, and
-/// which of the ties commits first (and therefore whether the later ones
-/// re-spawn) legitimately depends on the schedule — and for the synthetic
+/// `stable_commit_count` is false for coarse `sssp` and `astar` — both
+/// spawn several tasks at *equal* timestamps for the same vertex, and which
+/// of the ties commits first (and therefore whether the later ones
+/// re-spawn) legitimately depends on the schedule — for the synthetic
 /// `stream` app, whose relaxation wavefront re-spawns depend the same way on
-/// how equal-timestamp relaxations serialize; every other app has a
-/// schedule-independent committed task structure.
+/// how equal-timestamp relaxations serialize, and for fine-grain `astar`:
+/// it prunes a task whose timestamp reaches the target's best distance
+/// (`ts >= best`), so tasks whose timestamp equals that distance race the
+/// target's claim in creation order, and whether they run and spawn depends
+/// on the schedule. Every other app has a schedule-independent committed
+/// task structure.
 macro_rules! conformance_suite {
     ($($test:ident => ($bench:ident, $fine:expr, $stable:expr)),* $(,)?) => {
         $(
@@ -102,7 +106,7 @@ conformance_suite! {
     hostile_conforms => (Hostile, false, true),
     bfs_fine_conforms => (Bfs, true, true),
     sssp_fine_conforms => (Sssp, true, true),
-    astar_fine_conforms => (Astar, true, true),
+    astar_fine_conforms => (Astar, true, false),
     color_fine_conforms => (Color, true, true),
 }
 

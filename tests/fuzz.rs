@@ -119,8 +119,8 @@ mod corpus {
     }
 }
 
-/// A machine with almost no task-queue headroom: 10 entries and a
-/// one-task-at-a-time coalescer. With `spill_batch = 1` each overflowing
+/// A machine with almost no task-queue headroom: 10 entries, spilling one
+/// task at a time. With `spill_batch = 1` each overflowing
 /// enqueue spills one task and inserts one, so once the queue reaches
 /// capacity it *stays* there between commits — and a full queue is exactly
 /// the condition under which the dispatcher may not refill an
@@ -129,7 +129,6 @@ fn starved_single_core() -> SystemConfig {
     let mut cfg = SystemConfig::single_core();
     cfg.queues.task_queue_per_core = 10;
     cfg.queues.commit_queue_per_core = 4;
-    cfg.queues.spill_threshold_pct = 60;
     cfg.queues.spill_batch = 1;
     cfg
 }

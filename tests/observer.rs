@@ -13,6 +13,7 @@ use std::rc::Rc;
 use swarm_repro::noc::TrafficClass;
 use swarm_repro::prelude::*;
 use swarm_repro::sim::observer::LinkOccupancyEvent;
+use swarm_repro::types::config::GVT_EPOCH;
 use swarm_repro::types::NocModel;
 
 /// A from-scratch reimplementation of the headline counters, fed only by
@@ -162,14 +163,13 @@ impl SimObserver for GvtLog {
 }
 
 /// Run `cfg` and check that GVT update n, from 1, fired at cycle
-/// n × `gvt_epoch`. `None` if the run failed.
+/// n × `GVT_EPOCH`. `None` if the run failed.
 fn check_gvt_cadence(
     spec: AppSpec,
     scheduler: Scheduler,
     cfg: SystemConfig,
     fault: Option<swarm_repro::sim::FaultEvent>,
 ) -> Option<()> {
-    let epoch = cfg.spec.gvt_epoch;
     let log = Rc::new(RefCell::new(GvtLog::default()));
     let mut builder = Sim::builder()
         .config(cfg)
@@ -184,7 +184,7 @@ fn check_gvt_cadence(
     let log = &log.borrow().0;
     assert_eq!(log.len() as u64, stats.gvt_updates, "{at}");
     for (n, &cycle) in (1..).zip(log) {
-        assert_eq!(cycle, n * epoch, "{at}: GVT update {n} off its epoch");
+        assert_eq!(cycle, n * GVT_EPOCH, "{at}: GVT update {n} off its epoch");
     }
     Some(())
 }
@@ -192,7 +192,7 @@ fn check_gvt_cadence(
 #[test]
 fn gvt_updates_fire_every_epoch_on_the_dot() {
     // `swarm serve` derives progress events from this cadence: the k-th
-    // of every 64 updates is reported at GVT k × 64 × gvt_epoch.
+    // of every 64 updates is reported at GVT k × 64 × GVT_EPOCH.
     for bench in BenchmarkId::ALL {
         for scheduler in Scheduler::ALL {
             for cores in [1, 4, 64] {

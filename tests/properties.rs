@@ -19,6 +19,7 @@ use swarm_types::{CacheConfig, CoreId, LineAddr, TaskId, TileId};
 mod seed_reference {
     use std::collections::HashMap;
 
+    use swarm_types::config::{L1_LATENCY, L2_LATENCY, L3_LATENCY, MEM_LATENCY};
     use swarm_types::{CacheConfig, CoreId, LineAddr, TileId};
 
     const NONE: u64 = u64::MAX;
@@ -124,7 +125,6 @@ mod seed_reference {
     /// group in ascending order; at <= 64 tiles that is the seed's walk.
     #[derive(Debug, Clone)]
     pub struct SeedCacheModel {
-        cfg: CacheConfig,
         cores_per_tile: u32,
         num_tiles: usize,
         l1: Vec<SeedLruSet>,
@@ -144,14 +144,13 @@ mod seed_reference {
     }
 
     impl SeedCacheModel {
-        pub fn new(cfg: CacheConfig, num_tiles: usize, cores_per_tile: u32) -> Self {
+        pub fn new(cfg: &CacheConfig, num_tiles: usize, cores_per_tile: u32) -> Self {
             let num_cores = num_tiles * cores_per_tile as usize;
             SeedCacheModel {
                 l1: (0..num_cores).map(|_| SeedLruSet::new(cfg.l1_lines.max(1))).collect(),
                 l2: (0..num_tiles).map(|_| SeedLruSet::new(cfg.l2_lines.max(1))).collect(),
                 l3: (0..num_tiles).map(|_| SeedLruSet::new(cfg.l3_lines_per_tile.max(1))).collect(),
                 dir: HashMap::new(),
-                cfg,
                 cores_per_tile,
                 num_tiles,
                 hits: (0, 0, 0, 0, 0),
@@ -188,10 +187,10 @@ mod seed_reference {
 
             let (level, base_latency, remote) = if l1_hit {
                 self.hits.0 += 1;
-                (HitLevel::L1, self.cfg.l1_latency, false)
+                (HitLevel::L1, L1_LATENCY, false)
             } else if l2_hit {
                 self.hits.1 += 1;
-                (HitLevel::L2, self.cfg.l1_latency + self.cfg.l2_latency, false)
+                (HitLevel::L2, L1_LATENCY + L2_LATENCY, false)
             } else {
                 let remote_holder = dir_snapshot
                     .owner
@@ -199,26 +198,15 @@ mod seed_reference {
                     .or_else(|| self.dir_first_other_sharer(dir_snapshot.sharers, tile));
                 if let Some(owner) = remote_holder {
                     self.hits.2 += 1;
-                    (
-                        HitLevel::RemoteL2 { owner },
-                        self.cfg.l1_latency + self.cfg.l2_latency * 2 + self.cfg.l3_latency,
-                        true,
-                    )
+                    (HitLevel::RemoteL2 { owner }, L1_LATENCY + L2_LATENCY * 2 + L3_LATENCY, true)
                 } else if dir_snapshot.in_l3 && self.l3[home.index()].contains(key) {
                     self.hits.3 += 1;
-                    (
-                        HitLevel::L3 { home },
-                        self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.l3_latency,
-                        true,
-                    )
+                    (HitLevel::L3 { home }, L1_LATENCY + L2_LATENCY + L3_LATENCY, true)
                 } else {
                     self.hits.4 += 1;
                     (
                         HitLevel::Memory { home },
-                        self.cfg.l1_latency
-                            + self.cfg.l2_latency
-                            + self.cfg.l3_latency
-                            + self.cfg.mem_latency,
+                        L1_LATENCY + L2_LATENCY + L3_LATENCY + MEM_LATENCY,
                         true,
                     )
                 }
@@ -602,15 +590,10 @@ proptest! {
         let machines = [(1usize, 1u32), (4, 1), (4, 4), (16, 2), (16, 4), (128, 1)];
         let (num_tiles, cores_per_tile) = machines[machine_idx];
         // Tiny capacities so the random workload constantly evicts.
-        let cfg = CacheConfig {
-            l1_lines: 2,
-            l2_lines: 4,
-            l3_lines_per_tile: 8,
-            ..CacheConfig::default()
-        };
+        let cfg = CacheConfig { l1_lines: 2, l2_lines: 4, l3_lines_per_tile: 8 };
         let num_cores = num_tiles * cores_per_tile as usize;
-        let mut new_impl = CacheModel::new(cfg.clone(), num_tiles, cores_per_tile);
-        let mut seed = seed_reference::SeedCacheModel::new(cfg, num_tiles, cores_per_tile);
+        let mut new_impl = CacheModel::new(&cfg, num_tiles, cores_per_tile);
+        let mut seed = seed_reference::SeedCacheModel::new(&cfg, num_tiles, cores_per_tile);
         let mut previous = (CoreId(0), LineAddr(0));
         for (step, &(core_sel, line, op)) in ops.iter().enumerate() {
             let (core, line) = if op >= 8 {
@@ -887,7 +870,7 @@ proptest! {
         to_seed in any::<u32>(),
     ) {
         use swarm_repro::noc::{Mesh, LINKS_PER_TILE};
-        let mesh = Mesh::new(width, height, swarm_types::NocConfig::default());
+        let mesh = Mesh::new(width, height);
         let tiles = width * height;
         let from = TileId(from_seed % tiles);
         let to = TileId(to_seed % tiles);
@@ -1016,7 +999,7 @@ proptest! {
             link_flits_per_cycle: [1, 2][width_idx],
             ..swarm_types::NocConfig::default()
         };
-        let mesh = Mesh::new(w, h, cfg.clone());
+        let mesh = Mesh::new(w, h);
         let tiles = w * h;
         let mut fan_net = LinkNet::new(&cfg, mesh.num_links());
         let mut route_net = LinkNet::new(&cfg, mesh.num_links());
