@@ -100,7 +100,6 @@ struct SiloReference {
     district_next_oid: Vec<u64>,
     customer_balance: Vec<u64>,
     stock_quantity: Vec<u64>,
-    total_order_lines: u64,
 }
 
 impl Silo {
@@ -172,7 +171,6 @@ impl Silo {
             district_next_oid: vec![0; num_districts as usize],
             customer_balance: vec![1_000_000; num_customers as usize],
             stock_quantity: (0..num_stock).map(Self::initial_stock).collect(),
-            total_order_lines: 0,
         };
         for txn in txns {
             match txn {
@@ -186,7 +184,6 @@ impl Silo {
                         } else {
                             r.stock_quantity[s] = r.stock_quantity[s] + 91 - qty;
                         }
-                        r.total_order_lines += 1;
                     }
                 }
                 Txn::Payment { warehouse, district, customer, amount } => {

@@ -11,7 +11,7 @@
 //!
 //! It is the only binary.
 
-use swarm_bench::registry;
+use swarm_bench::{exit_code, registry};
 
 fn print_usage() {
     println!("usage: swarm <command> [flags...]");
@@ -31,7 +31,8 @@ fn print_usage() {
     println!("                        failure policy: stop promptly (default) or run");
     println!("                        everything; failed points print n/a");
     println!();
-    println!("exit codes: 0 ok, 2 usage error, 3 some points failed, 4 chaos violation");
+    println!("exit codes: 0 ok, 2 usage error, 3 some points failed, 4 chaos violation,");
+    println!("            141 stdout closed by its reader");
     println!();
     println!("commands:");
     print_command_table();
@@ -46,7 +47,25 @@ fn print_command_table() {
     }
 }
 
+/// End the process quietly, with [`exit_code::BROKEN_PIPE`], when stdout's
+/// reader goes away (`swarm chaos | head -1`). Every `println!` panics on a
+/// write error, and a closed pipe is the reader's choice, not a failure of
+/// the command; any other panic still reaches the default hook.
+fn exit_quietly_on_broken_pipe() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let closed = info.payload_as_str().is_some_and(|message| {
+            message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
+        });
+        if closed {
+            std::process::exit(exit_code::BROKEN_PIPE);
+        }
+        default_hook(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None | Some("--help") | Some("-h") | Some("help") => print_usage(),

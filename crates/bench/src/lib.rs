@@ -49,6 +49,10 @@ pub mod exit_code {
     /// The chaos battery found a contract violation (a fault made a run
     /// hang, panic, or go nondeterministic instead of failing typed).
     pub const CHAOS: i32 = 4;
+    /// Stdout's reader went away before the output ended (`swarm chaos |
+    /// head -1`): 128 + SIGPIPE, what a shell reports for a program that a
+    /// closed pipe ends.
+    pub const BROKEN_PIPE: i32 = 141;
 }
 
 pub use cli::{ExtraFlag, HarnessArgs, ListArg, UsageError};

@@ -26,23 +26,7 @@ use swarm_types::{CanonKey, FastHashMap};
 
 use crate::exec::PointOutcome;
 use crate::json;
-use crate::proto::{CacheSource, Wire};
-
-/// Monotonic counters describing cache behaviour since startup.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups answered from memory or disk, or by joining a run already
-    /// in flight.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Subset of `hits` answered from the on-disk store.
-    pub disk_hits: u64,
-    /// Memory entries evicted to stay under capacity.
-    pub evictions: u64,
-    /// Outcomes (results and failures) inserted.
-    pub inserts: u64,
-}
+use crate::proto::{CacheReport, CacheSource, Wire};
 
 struct Entry {
     outcome: PointOutcome,
@@ -56,7 +40,11 @@ pub struct ResultCache {
     dir: Option<PathBuf>,
     map: FastHashMap<CanonKey, Entry>,
     stamp: u64,
-    counters: CacheCounters,
+    /// Lookups answered from memory or disk, or by joining a run already in
+    /// flight (`hits`), lookups that found nothing (`misses`), and memory
+    /// entries evicted to stay under capacity, since startup. `entries` is
+    /// filled in by [`ResultCache::report`].
+    counters: CacheReport,
 }
 
 impl ResultCache {
@@ -76,7 +64,7 @@ impl ResultCache {
             dir,
             map: FastHashMap::default(),
             stamp: 0,
-            counters: CacheCounters::default(),
+            counters: CacheReport::default(),
         })
     }
 
@@ -114,7 +102,6 @@ impl ResultCache {
     /// entry if over capacity. A successful result is also written through
     /// to disk when configured; a failure stays in memory only.
     pub fn insert(&mut self, key: CanonKey, outcome: PointOutcome) {
-        self.counters.inserts += 1;
         if let (Some(dir), Ok(stats)) = (&self.dir, &outcome) {
             // Disk write errors are deliberately non-fatal: the cache is an
             // accelerator, and a full disk must not fail the simulation
@@ -148,19 +135,9 @@ impl ResultCache {
         RunStats::from_json(&value).ok()
     }
 
-    /// Counters since startup.
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
-    }
-
-    /// Number of in-memory entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the in-memory tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// Counters since startup, with the in-memory entries resident now.
+    pub fn report(&self) -> CacheReport {
+        CacheReport { entries: self.map.len() as u64, ..self.counters }
     }
 }
 
@@ -207,8 +184,8 @@ mod tests {
         let (got, source) = cache.lookup(key(1)).unwrap();
         assert_eq!(got, Ok(stats("a")));
         assert_eq!(source, CacheSource::Memory);
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.disk_hits, c.inserts), (1, 1, 0, 1));
+        let c = cache.report();
+        assert_eq!((c.hits, c.misses, c.disk_hits, c.entries), (1, 1, 0, 1));
     }
 
     #[test]
@@ -219,13 +196,13 @@ mod tests {
         // Touch key 1 so key 2 becomes the oldest.
         assert!(cache.lookup(key(1)).is_some());
         cache.insert(key(3), Ok(stats("three")));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.counters().evictions, 1);
+        assert_eq!(cache.report().entries, 2);
+        assert_eq!(cache.report().evictions, 1);
         // A memory hit never evicts, so the order of these probes is free.
         assert!(cache.lookup(key(3)).is_some());
         assert!(cache.lookup(key(1)).is_some());
         assert!(cache.lookup(key(2)).is_none(), "LRU entry should be evicted");
-        let c = cache.counters();
+        let c = cache.report();
         assert_eq!((c.hits, c.misses, c.evictions), (3, 1, 1));
     }
 
@@ -237,7 +214,7 @@ mod tests {
         cache.insert(key(5), Err(failure.clone()));
         let (got, source) = cache.lookup(key(5)).unwrap();
         assert_eq!((got, source), (Err(failure), CacheSource::Memory));
-        assert_eq!(cache.len(), 1, "a failure occupies a bounded memory entry");
+        assert_eq!(cache.report().entries, 1, "a failure occupies a bounded memory entry");
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "no failure reaches disk");
         // A restarted cache over the same directory has nothing to serve.
         let mut restarted = ResultCache::new(8, Some(dir.clone())).unwrap();
@@ -257,7 +234,7 @@ mod tests {
         let (got, source) = cache.lookup(key(7)).unwrap();
         assert_eq!(got, Ok(stats("persisted")));
         assert_eq!(source, CacheSource::Disk);
-        assert_eq!(cache.counters().disk_hits, 1);
+        assert_eq!(cache.report().disk_hits, 1);
         // Promoted: the second lookup is a memory hit.
         let (_, source) = cache.lookup(key(7)).unwrap();
         assert_eq!(source, CacheSource::Memory);
@@ -271,7 +248,7 @@ mod tests {
         fs::write(entry_path(&dir, key(9)), "{\"scheduler\":\"Hints\"").unwrap();
         let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap();
         assert!(cache.lookup(key(9)).is_none());
-        assert_eq!(cache.counters().misses, 1);
+        assert_eq!(cache.report().misses, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

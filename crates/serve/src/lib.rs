@@ -40,7 +40,7 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use cache::{CacheCounters, ResultCache};
+pub use cache::ResultCache;
 pub use exec::{PointOutcome, PointRunner};
 pub use json::{JsonError, Value};
 pub use point::RunPoint;

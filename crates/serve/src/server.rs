@@ -251,17 +251,8 @@ impl<R: PointRunner + 'static> Server<R> {
                 }
                 Ok(Request::Stats) => {
                     let state = self.shared.state.lock().unwrap();
-                    let c = state.cache.counters();
-                    let event = Event::ServerStats {
-                        cache: CacheReport {
-                            hits: c.hits,
-                            misses: c.misses,
-                            disk_hits: c.disk_hits,
-                            evictions: c.evictions,
-                            entries: state.cache.len() as u64,
-                        },
-                        clients: state.clients,
-                    };
+                    let event =
+                        Event::ServerStats { cache: state.cache.report(), clients: state.clients };
                     drop(state);
                     emit(writer, &event)?;
                 }
@@ -370,8 +361,9 @@ impl<R: PointRunner + 'static> Server<R> {
 
         {
             let state = self.shared.state.lock().unwrap();
-            report.evictions = state.cache.counters().evictions;
-            report.entries = state.cache.len() as u64;
+            let server = state.cache.report();
+            report.evictions = server.evictions;
+            report.entries = server.entries;
         }
         emit(writer, &Event::RunDone { id: id.clone(), ok, failed, cache: report })
     }

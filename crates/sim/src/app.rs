@@ -55,7 +55,7 @@ pub trait SwarmApp {
 /// Result of executing one task body, handed back to the engine for
 /// integration into the task's speculative record.
 #[derive(Debug)]
-pub struct ExecutionOutcome {
+pub(crate) struct ExecutionOutcome {
     /// Cycles consumed by the execution (memory, compute and task-management
     /// overheads).
     pub cycles: u64,

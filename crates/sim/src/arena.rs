@@ -10,7 +10,7 @@
 //!
 //! [`TaskArena`] splits a task in two:
 //!
-//! * **Hot scalars** (`ts`, `tile`, `status`, `hint_hash`, abort flags)
+//! * **Hot scalars** (`ts`, `tile`, `status`, `hint_hash`, `ready_at`)
 //!   live in one packed record per task, in a flat array indexed by id.
 //!   They are exactly what the dispatch/abort/commit scans touch — and
 //!   those scans read several of them per visited task, so packing them
@@ -36,53 +36,42 @@ const NO_BODY: u32 = u32::MAX;
 /// *not* touch. Stored in a free-listed arena slot; reclaimed (with `Vec`
 /// capacities kept for the next task in the slot) on commit or discard.
 #[derive(Debug, Clone, Default)]
-pub struct TaskBody {
+pub(crate) struct TaskBody {
     /// Task function to run.
-    pub fid: TaskFnId,
+    pub(crate) fid: TaskFnId,
     /// Spatial hint, with `SAMEHINT` already resolved against the parent.
-    pub hint: Hint,
+    pub(crate) hint: Hint,
     /// Load-balancer bucket (only set when the active mapper uses buckets).
-    pub bucket: Option<u16>,
+    pub(crate) bucket: Option<u16>,
     /// Parent task, if any (initial tasks have none).
-    pub parent: Option<TaskId>,
+    pub(crate) parent: Option<TaskId>,
     /// Task arguments.
-    pub args: TaskArgs,
+    pub(crate) args: TaskArgs,
     /// Cache lines read by the current execution.
-    pub read_set: Vec<LineAddr>,
+    pub(crate) read_set: Vec<LineAddr>,
     /// Cache lines written by the current execution.
-    pub write_set: Vec<LineAddr>,
+    pub(crate) write_set: Vec<LineAddr>,
     /// Undo-log entries of the current execution (already applied).
-    pub undo: Vec<UndoEntry>,
+    pub(crate) undo: Vec<UndoEntry>,
     /// Children created by the current execution.
-    pub children: Vec<TaskId>,
+    pub(crate) children: Vec<TaskId>,
     /// Word-granular accesses (addr, is_write) recorded when profiling on.
-    pub access_trace: Vec<(Addr, bool)>,
+    pub(crate) access_trace: Vec<(Addr, bool)>,
     /// Cycles consumed by the current execution.
-    pub exec_cycles: u64,
-    /// Cycle at which the current execution was dispatched.
-    pub dispatched_at: u64,
-    /// Number of times this task has been aborted so far.
-    pub abort_count: u32,
+    pub(crate) exec_cycles: u64,
 }
 
 impl TaskBody {
     /// Clear all speculative state accumulated by the current execution
-    /// (called after an abort, before the task is re-queued). Keeps every
-    /// buffer's capacity.
-    pub fn reset_execution(&mut self) {
-        self.reset_speculation_only();
-        self.exec_cycles = 0;
-    }
-
-    /// Roll back only the speculation bookkeeping of a running task (its
-    /// undo entries have already been applied by the cascade); keep the
-    /// timing so the engine can settle it at finish time.
-    pub(crate) fn reset_speculation_only(&mut self) {
+    /// (called once its undo entries have been rolled back by an abort).
+    /// Keeps every buffer's capacity.
+    pub(crate) fn reset_execution(&mut self) {
         self.read_set.clear();
         self.write_set.clear();
         self.undo.clear();
         self.children.clear();
         self.access_trace.clear();
+        self.exec_cycles = 0;
     }
 }
 
@@ -97,8 +86,6 @@ struct TaskMeta {
     status: TaskStatus,
     tile: TileId,
     hint_hash: Option<u16>,
-    aborted: bool,
-    pending_discard: bool,
     /// Body slot; [`NO_BODY`] once reclaimed.
     body_of: u32,
     /// Earliest cycle at which the task may be dispatched or stolen: its
@@ -108,10 +95,14 @@ struct TaskMeta {
     ready_at: u64,
 }
 
+// Two records per 64-byte cache line: the hot scans read one per visited
+// task.
+const _: () = assert!(std::mem::size_of::<TaskMeta>() <= 32);
+
 /// All task records of one simulation. See the module docs for the
 /// hot/cold split and free-list layout.
 #[derive(Debug, Default)]
-pub struct TaskArena {
+pub(crate) struct TaskArena {
     /// Hot scalars, indexed by `TaskId.0` (never recycled).
     meta: Vec<TaskMeta>,
     /// Body slots; freed slots keep their `Vec` capacities for reuse.
@@ -122,29 +113,18 @@ pub struct TaskArena {
 
 impl TaskArena {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TaskArena::default()
     }
 
     /// Number of tasks ever created.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.meta.len()
-    }
-
-    /// Whether no task was ever created.
-    pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
-    }
-
-    /// Number of tasks whose body slot is still live (neither committed
-    /// nor discarded).
-    pub fn live_bodies(&self) -> usize {
-        self.bodies.len() - self.free.len()
     }
 
     /// Register a new task with status [`TaskStatus::Idle`], reusing a
     /// reclaimed body slot when one is free. Returns the new id.
-    pub fn add(&mut self, desc: TaskDescriptor) -> TaskId {
+    pub(crate) fn add(&mut self, desc: TaskDescriptor) -> TaskId {
         let id = TaskId(self.meta.len() as u64);
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -161,15 +141,11 @@ impl TaskArena {
         body.parent = desc.parent;
         body.args = desc.args;
         body.exec_cycles = 0;
-        body.dispatched_at = 0;
-        body.abort_count = 0;
         self.meta.push(TaskMeta {
             ts: desc.ts,
             status: TaskStatus::Idle,
             tile: desc.tile,
             hint_hash: desc.hint_hash,
-            aborted: false,
-            pending_discard: false,
             body_of: slot,
             ready_at: 0,
         });
@@ -178,96 +154,73 @@ impl TaskArena {
 
     /// The task's program-order timestamp.
     #[inline]
-    pub fn ts(&self, id: TaskId) -> Timestamp {
+    pub(crate) fn ts(&self, id: TaskId) -> Timestamp {
         self.meta[id.0 as usize].ts
     }
 
     /// The task's commit-order key `(ts, id)`.
     #[inline]
-    pub fn key(&self, id: TaskId) -> OrderKey {
+    pub(crate) fn key(&self, id: TaskId) -> OrderKey {
         (self.meta[id.0 as usize].ts, id)
     }
 
     /// The tile whose task unit currently holds the task.
     #[inline]
-    pub fn tile(&self, id: TaskId) -> TileId {
+    pub(crate) fn tile(&self, id: TaskId) -> TileId {
         self.meta[id.0 as usize].tile
     }
 
     /// Move the task to another tile (work stealing).
     #[inline]
-    pub fn set_tile(&mut self, id: TaskId, tile: TileId) {
+    pub(crate) fn set_tile(&mut self, id: TaskId, tile: TileId) {
         self.meta[id.0 as usize].tile = tile;
     }
 
     /// The task's lifecycle status. Valid for every task ever created,
     /// including committed and discarded ones.
     #[inline]
-    pub fn status(&self, id: TaskId) -> TaskStatus {
+    pub(crate) fn status(&self, id: TaskId) -> TaskStatus {
         self.meta[id.0 as usize].status
     }
 
     /// Set the task's lifecycle status.
     #[inline]
-    pub fn set_status(&mut self, id: TaskId, status: TaskStatus) {
+    pub(crate) fn set_status(&mut self, id: TaskId, status: TaskStatus) {
         self.meta[id.0 as usize].status = status;
     }
 
     /// The 16-bit hashed hint used by dispatch same-hint serialization.
     #[inline]
-    pub fn hint_hash(&self, id: TaskId) -> Option<u16> {
+    pub(crate) fn hint_hash(&self, id: TaskId) -> Option<u16> {
         self.meta[id.0 as usize].hint_hash
-    }
-
-    /// Whether the current (or just-completed) execution has been aborted.
-    #[inline]
-    pub fn is_aborted(&self, id: TaskId) -> bool {
-        self.meta[id.0 as usize].aborted
-    }
-
-    /// Flag or clear the aborted-in-flight marker.
-    #[inline]
-    pub fn set_aborted(&mut self, id: TaskId, aborted: bool) {
-        self.meta[id.0 as usize].aborted = aborted;
-    }
-
-    /// For an aborted, still-running task: whether it must be discarded
-    /// (instead of requeued) when its core finally releases it.
-    #[inline]
-    pub fn pending_discard(&self, id: TaskId) -> bool {
-        self.meta[id.0 as usize].pending_discard
-    }
-
-    /// Set the sticky discard-on-settle marker.
-    #[inline]
-    pub fn set_pending_discard(&mut self, id: TaskId, discard: bool) {
-        self.meta[id.0 as usize].pending_discard = discard;
     }
 
     /// Earliest cycle at which the task may be dispatched or stolen (its
     /// network delivery time; 0 unless contention delayed it).
     #[inline]
-    pub fn ready_at(&self, id: TaskId) -> u64 {
+    pub(crate) fn ready_at(&self, id: TaskId) -> u64 {
         self.meta[id.0 as usize].ready_at
     }
 
     /// Record the task's delivery time at its destination tile.
     #[inline]
-    pub fn set_ready_at(&mut self, id: TaskId, at: u64) {
+    pub(crate) fn set_ready_at(&mut self, id: TaskId, at: u64) {
         self.meta[id.0 as usize].ready_at = at;
     }
 
-    /// Whether an abort request against this task still makes sense.
+    /// Whether an abort request against this task still makes sense: it is
+    /// neither retired nor already doomed.
     #[inline]
-    pub fn key_is_live_for_abort(&self, id: TaskId) -> bool {
-        !self.status(id).is_terminal() && !self.is_aborted(id)
+    pub(crate) fn key_is_live_for_abort(&self, id: TaskId) -> bool {
+        let status = self.status(id);
+        !status.is_terminal() && !matches!(status, TaskStatus::Doomed { .. })
     }
 
     /// The task's body. Panics if the body was reclaimed (the task
     /// committed or was discarded) — no engine path touches a retired
     /// task's body.
     #[inline]
-    pub fn body(&self, id: TaskId) -> &TaskBody {
+    pub(crate) fn body(&self, id: TaskId) -> &TaskBody {
         let slot = self.meta[id.0 as usize].body_of;
         debug_assert_ne!(slot, NO_BODY, "body of retired task {id:?} accessed");
         &self.bodies[slot as usize]
@@ -275,7 +228,7 @@ impl TaskArena {
 
     /// Mutable access to the task's body. Panics if reclaimed.
     #[inline]
-    pub fn body_mut(&mut self, id: TaskId) -> &mut TaskBody {
+    pub(crate) fn body_mut(&mut self, id: TaskId) -> &mut TaskBody {
         let slot = self.meta[id.0 as usize].body_of;
         debug_assert_ne!(slot, NO_BODY, "body of retired task {id:?} accessed");
         &mut self.bodies[slot as usize]
@@ -284,7 +237,7 @@ impl TaskArena {
     /// Reclaim the task's body slot (on commit or discard): clear its
     /// buffers, keep their capacities, and make the slot available to the
     /// next [`TaskArena::add`].
-    pub fn free_body(&mut self, id: TaskId) {
+    pub(crate) fn free_body(&mut self, id: TaskId) {
         let slot = std::mem::replace(&mut self.meta[id.0 as usize].body_of, NO_BODY);
         debug_assert_ne!(slot, NO_BODY, "body of {id:?} freed twice");
         let body = &mut self.bodies[slot as usize];
@@ -297,6 +250,10 @@ impl TaskArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn live_bodies(arena: &TaskArena) -> usize {
+        arena.bodies.len() - arena.free.len()
+    }
 
     fn desc(ts: Timestamp) -> TaskDescriptor {
         TaskDescriptor {
@@ -323,7 +280,7 @@ mod tests {
         assert_eq!(arena.status(a), TaskStatus::Idle);
         assert_eq!(*arena.body(a).args, [1, 2, 3]);
         assert_eq!(arena.len(), 2);
-        assert_eq!(arena.live_bodies(), 2);
+        assert_eq!(live_bodies(&arena), 2);
     }
 
     #[test]
@@ -335,12 +292,12 @@ mod tests {
         let cap_before = arena.body(a).read_set.capacity();
         arena.set_status(a, TaskStatus::Committed);
         arena.free_body(a);
-        assert_eq!(arena.live_bodies(), 0);
+        assert_eq!(live_bodies(&arena), 0);
         // Status outlives the body.
         assert_eq!(arena.status(a), TaskStatus::Committed);
 
         let b = arena.add(desc(2));
-        assert_eq!(arena.live_bodies(), 1);
+        assert_eq!(live_bodies(&arena), 1);
         let body = arena.body(b);
         assert!(body.read_set.is_empty() && body.undo.is_empty());
         assert!(body.read_set.capacity() >= cap_before);

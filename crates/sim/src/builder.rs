@@ -313,7 +313,7 @@ mod tests {
         let stats = engine.run().unwrap();
         assert_eq!(stats.tasks_committed, 1);
         assert_eq!(stats.cores, 4);
-        assert_eq!(engine.state().mem.load(0x40), 7);
+        assert_eq!(engine.memory().load(0x40), 7);
     }
 
     #[test]

@@ -48,7 +48,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use swarm_types::{SimError, SystemConfig};
 
 use crate::fault::FaultPlan;
-use crate::{MapperFactory, RunStats, Sim, SimState, SwarmApp};
+use crate::state::SimState;
+use crate::{MapperFactory, RunStats, Sim, SwarmApp};
 
 /// A named scheduler to run the battery under.
 pub struct MapperSpec<'a> {

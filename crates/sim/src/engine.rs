@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns the [`SimState`], the application and the scheduler
+//! The engine owns the simulation state, the application and the scheduler
 //! ([`TaskMapper`]), and drives the Swarm execution model:
 //!
 //! * cores dequeue the earliest-timestamp dispatchable task from their tile's
@@ -24,6 +24,7 @@
 //! recycled between bodies, and the per-core pending-children lists reuse
 //! their capacity across dispatches.
 
+use swarm_mem::SimMemory;
 use swarm_noc::{flits_for_bytes, TrafficClass};
 use swarm_types::config::GVT_EPOCH;
 use swarm_types::{CoreId, Hint, SimError, SimResult, SystemConfig, TaskId, TileId, Timestamp};
@@ -183,9 +184,15 @@ impl Engine {
         self
     }
 
-    /// Read-only access to the simulation state (for tests and tools).
-    pub fn state(&self) -> &SimState {
+    /// Read-only access to the simulation state.
+    pub(crate) fn state(&self) -> &SimState {
         &self.state
+    }
+
+    /// The simulated shared memory: after [`Engine::run`], the committed
+    /// final state the application validated.
+    pub fn memory(&self) -> &SimMemory {
+        &self.state.mem
     }
 
     /// Number of events popped from the event queue so far: a deterministic
@@ -496,7 +503,7 @@ impl Engine {
         };
         if let Some((kind, since)) = wait {
             let cycles = self.now.saturating_sub(since);
-            if cycles > 0 || self.state.observers.wants_zero_cycle_waits() {
+            if cycles > 0 || self.state.observers.has_custom() {
                 self.state.observers.core_wait(&CoreWaitEvent { core, kind, cycles });
             }
         }
@@ -600,7 +607,7 @@ impl Engine {
             let hash = self.state.tasks.hint_hash(id);
             let conflicting = hash.is_some()
                 && tile_state.running.iter().any(|&r| {
-                    !self.state.tasks.is_aborted(r)
+                    self.state.tasks.status(r) == TaskStatus::Running
                         && self.state.tasks.hint_hash(r) == hash
                         && self.state.tasks.key(r) < (ts, id)
                 });
@@ -701,7 +708,7 @@ impl Engine {
         self.account_core_transition(core, CoreState::Busy { task: candidate });
         // The built-in statistics observer ignores dequeues, so the event is
         // only materialised when a custom observer is listening.
-        if self.state.observers.wants_dequeue() {
+        if self.state.observers.has_custom() {
             let (ts, hint) =
                 (self.state.tasks.ts(candidate), self.state.tasks.body(candidate).hint);
             self.state.observers.dequeue(&DequeueEvent {
@@ -720,10 +727,8 @@ impl Engine {
         let finish_at = self.now + exec_cycles;
         {
             let ExecutionOutcome { read_lines, write_lines, undo, trace, children, .. } = outcome;
-            let dispatched_at = self.now;
             let body = self.state.tasks.body_mut(candidate);
             body.exec_cycles = exec_cycles;
-            body.dispatched_at = dispatched_at;
             // Copy the outcome into the body's slot-resident buffers (which
             // keep their capacity across the slot's tenants) and hand the
             // outcome buffers back for the next execution.
@@ -733,7 +738,7 @@ impl Engine {
             body.undo.extend_from_slice(&undo);
             body.access_trace.extend_from_slice(&trace);
             self.state.recycle_exec_buffers(read_lines, write_lines, undo, trace);
-            self.state.tasks.set_status(candidate, TaskStatus::Running { core, finish_at });
+            self.state.tasks.set_status(candidate, TaskStatus::Running);
             let slot = &mut self.pending_children[core.index()];
             debug_assert!(slot.is_empty());
             *slot = children;
@@ -771,13 +776,12 @@ impl Engine {
         let tile = self.state.tile_of_core(core);
         self.state.tiles[tile.index()].running.retain(|&t| t != task);
 
-        let aborted = self.state.tasks.is_aborted(task);
         let mut children = std::mem::take(&mut self.pending_children[core.index()]);
-        if aborted {
+        if let TaskStatus::Doomed { discard } = self.state.tasks.status(task) {
             // The execution was doomed while in flight: drop the children it
             // wanted to create and requeue (or discard) the task itself.
             children.clear();
-            self.state.settle_aborted_running_task(task);
+            self.state.requeue_or_discard(task, discard);
         } else {
             self.state.mark_finished(task);
             // Children become visible to the system when their parent's

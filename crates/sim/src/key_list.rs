@@ -23,7 +23,7 @@ use crate::task::OrderKey;
 
 /// A sorted set of commit-order keys. See the module docs for the layout.
 #[derive(Debug, Clone, Default)]
-pub struct KeyList {
+pub(crate) struct KeyList {
     /// `keys[head..]` is sorted ascending and duplicate-free.
     keys: Vec<OrderKey>,
     /// Number of already-removed slots at the front of `keys`.
@@ -31,32 +31,27 @@ pub struct KeyList {
 }
 
 impl KeyList {
-    /// An empty set.
-    pub fn new() -> Self {
-        KeyList::default()
-    }
-
     /// Number of keys in the set.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len() - self.head
     }
 
     /// Whether the set is empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.keys.len() == self.head
     }
 
     /// The smallest key, if any.
     #[inline]
-    pub fn first(&self) -> Option<&OrderKey> {
+    pub(crate) fn first(&self) -> Option<&OrderKey> {
         self.keys.get(self.head)
     }
 
     /// The largest key, if any.
     #[inline]
-    pub fn last(&self) -> Option<&OrderKey> {
+    pub(crate) fn last(&self) -> Option<&OrderKey> {
         if self.is_empty() {
             None
         } else {
@@ -66,18 +61,13 @@ impl KeyList {
 
     /// Iterate the keys in ascending order.
     #[inline]
-    pub fn iter(&self) -> std::slice::Iter<'_, OrderKey> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, OrderKey> {
         self.keys[self.head..].iter()
-    }
-
-    /// Whether `key` is in the set.
-    pub fn contains(&self, key: &OrderKey) -> bool {
-        self.keys[self.head..].binary_search(key).is_ok()
     }
 
     /// Insert `key`; returns whether it was newly added (set semantics: a
     /// duplicate insert is a no-op).
-    pub fn insert(&mut self, key: OrderKey) -> bool {
+    pub(crate) fn insert(&mut self, key: OrderKey) -> bool {
         if self.is_empty() {
             self.keys.clear();
             self.head = 0;
@@ -110,7 +100,7 @@ impl KeyList {
     }
 
     /// Remove `key`; returns whether it was present.
-    pub fn remove(&mut self, key: &OrderKey) -> bool {
+    pub(crate) fn remove(&mut self, key: &OrderKey) -> bool {
         let Ok(pos) = self.keys[self.head..].binary_search(key) else {
             return false;
         };
@@ -151,7 +141,7 @@ mod tests {
 
     #[test]
     fn insert_remove_first_last_match_btreeset_semantics() {
-        let mut list = KeyList::new();
+        let mut list = KeyList::default();
         assert!(list.is_empty() && list.first().is_none() && list.last().is_none());
         for key in [k(5, 1), k(1, 2), k(3, 3), k(1, 1), k(9, 0)] {
             list.insert(key);
@@ -168,12 +158,12 @@ mod tests {
         assert!(list.remove(&k(1, 1)), "min removal");
         assert_eq!(list.first(), Some(&k(1, 2)));
         assert_eq!(list.len(), 3);
-        assert!(list.contains(&k(5, 1)) && !list.contains(&k(1, 1)));
+        assert_eq!(list.iter().copied().collect::<Vec<_>>(), [k(1, 2), k(5, 1), k(9, 0)]);
     }
 
     #[test]
     fn head_slots_are_reused_and_compacted() {
-        let mut list = KeyList::new();
+        let mut list = KeyList::default();
         for i in 0..100u64 {
             list.insert(k(i, i));
         }
@@ -205,7 +195,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut list = KeyList::new();
+        let mut list = KeyList::default();
         let mut reference = BTreeSet::new();
         for _ in 0..4000 {
             let key = k(step() % 50, step() % 8);

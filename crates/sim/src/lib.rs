@@ -14,8 +14,9 @@
 //!
 //! Simulations are described through the fluent, validated [`SimBuilder`]
 //! (see [`Sim::builder`]); measurements flow out through the
-//! [`SimObserver`] event hooks, with the built-in [`StatsObserver`]
-//! producing the [`RunStats`] every figure is built from.
+//! [`SimObserver`] event hooks, with a built-in statistics observer
+//! producing the [`RunStats`] every figure is built from; after a run,
+//! [`Engine::memory`] exposes the final simulated memory.
 //!
 //! # Example: a tiny ordered program
 //!
@@ -53,43 +54,42 @@
 //!     .expect("a complete, valid simulation description");
 //! let stats = engine.run().unwrap();
 //! assert_eq!(stats.tasks_committed, 10);
-//! assert_eq!(engine.state().mem.load(0x1000), 45);
+//! assert_eq!(engine.memory().load(0x1000), 45);
 //! ```
 
 #![warn(missing_docs)]
 
+// The engine internals (`arena`, `key_list`, `state`, `task`) are private
+// modules whose items are `pub(crate)`, so rustc reports any that go unused.
 pub mod app;
-pub mod arena;
+mod arena;
 pub mod builder;
 pub mod conformance;
 pub mod engine;
 pub mod event_queue;
 pub mod fault;
 pub mod fuzz;
-pub mod key_list;
+mod key_list;
 pub mod line_table;
 pub mod mapper;
 pub mod observer;
-pub mod state;
+mod state;
 pub mod stats;
-pub mod task;
+mod task;
 
-pub use app::{ExecutionOutcome, SwarmApp, TaskCtx};
-pub use arena::{TaskArena, TaskBody};
+pub use app::{SwarmApp, TaskCtx};
 pub use builder::{BuildError, MapperFactory, Sim, SimBuilder};
 pub use engine::{Engine, DEFAULT_TASK_LIMIT};
 pub use event_queue::{TimingWheel, WHEEL_SLOTS};
 pub use fault::{standard_faults, FaultEvent, FaultKind, FaultParseError, FaultPlan};
-pub use key_list::KeyList;
 pub use line_table::{LineAccessors, LineTable};
 pub use mapper::{PinnedMapper, RoundRobinMapper, TaskMapper};
 pub use observer::{
     AbortEvent, CommitEvent, CoreWaitEvent, DequeueEvent, FaultInjectedEvent, NetworkEvent,
-    ObserverHub, SimObserver, SpillDirection, SpillEvent, StatsObserver, WaitKind,
+    SimObserver, SpillDirection, SpillEvent, WaitKind,
 };
-pub use state::{CoreState, SimState, TileState};
 pub use stats::{CommittedTaskAccesses, CycleBreakdown, RunStats};
-pub use task::{InitialTask, OrderKey, PendingChild, TaskArgs, TaskDescriptor, TaskStatus};
+pub use task::InitialTask;
 
 #[cfg(test)]
 mod tests {
@@ -221,7 +221,7 @@ mod tests {
             .expect("valid single-core description");
         let stats = engine.run().unwrap();
         assert_eq!(stats.tasks_committed, 20);
-        assert_eq!(engine.state().mem.load(0x1000), (0..20u64).sum());
+        assert_eq!(engine.memory().load(0x1000), (0..20u64).sum());
         assert_eq!(stats.tasks_aborted, 0, "a serial chain never aborts");
     }
 

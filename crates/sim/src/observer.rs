@@ -5,9 +5,9 @@
 //! spilling tasks to memory, idling a core — is announced to a set of
 //! [`SimObserver`]s *as it happens*. The statistics the paper's figures are
 //! built from ([`RunStats`]) are not special-cased inside the engine: they
-//! are accumulated by [`StatsObserver`], the always-attached built-in
-//! observer. Custom metrics (e.g. per-link NoC contention counters, abort
-//! chain lengths, queue-depth traces) attach through
+//! are accumulated by the always-attached built-in statistics observer.
+//! Custom metrics (e.g. per-link NoC contention counters, abort chain
+//! lengths, queue-depth traces) attach through
 //! [`SimBuilder::observer`](crate::SimBuilder::observer) without touching
 //! the engine at all.
 //!
@@ -62,10 +62,10 @@
 
 use std::fmt;
 
-use swarm_noc::{TrafficClass, TrafficStats};
+use swarm_noc::TrafficClass;
 use swarm_types::{Addr, CoreId, Hint, TaskId, TileId, Timestamp};
 
-use crate::stats::{CommittedTaskAccesses, CycleBreakdown, RunStats};
+use crate::stats::{CommittedTaskAccesses, RunStats};
 
 /// A task was dispatched (dequeued) from its tile's task queue onto a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,34 +312,27 @@ impl<T: SimObserver> SimObserver for std::rc::Rc<std::cell::RefCell<T>> {
 }
 
 /// The built-in observer: accumulates every statistic reported in
-/// [`RunStats`] from the event stream alone.
+/// [`RunStats`] from the event stream alone, straight into the record it
+/// returns.
 ///
 /// This is the reference consumer of the observer interface — if a number
 /// appears in a figure, it was derived from events any custom observer also
 /// sees.
 #[derive(Debug, Clone, Default)]
-pub struct StatsObserver {
-    breakdown: CycleBreakdown,
-    traffic: TrafficStats,
-    tasks_committed: u64,
-    tasks_aborted: u64,
-    tasks_spilled: u64,
-    gvt_updates: u64,
-    lb_reconfigs: u64,
-    noc_queue_cycles: u64,
-    committed_cycles_per_tile: Vec<u64>,
-    committed_accesses: Vec<CommittedTaskAccesses>,
+pub(crate) struct StatsObserver {
+    run: RunStats,
 }
 
 impl StatsObserver {
     /// A statistics observer for a machine with `num_tiles` tiles.
-    pub fn new(num_tiles: usize) -> Self {
-        StatsObserver { committed_cycles_per_tile: vec![0; num_tiles], ..StatsObserver::default() }
+    pub(crate) fn new(num_tiles: usize) -> Self {
+        let run = RunStats { committed_cycles_per_tile: vec![0; num_tiles], ..RunStats::default() };
+        StatsObserver { run }
     }
 
-    /// Assemble the final [`RunStats`], draining the collected access traces
-    /// (hence `take`: a second call returns empty traces). `link_stats` is
-    /// the end-of-run link-contention snapshot (`None` in analytic mode).
+    /// Complete and hand over the accumulated [`RunStats`], leaving the
+    /// observer empty: call it once, when the run ends. `link_stats` is the
+    /// end-of-run link-contention snapshot (`None` in analytic mode).
     pub(crate) fn take_run_stats(
         &mut self,
         scheduler: String,
@@ -353,28 +346,20 @@ impl StatsObserver {
             app,
             cores,
             runtime_cycles,
-            breakdown: self.breakdown,
-            traffic: self.traffic,
-            tasks_committed: self.tasks_committed,
-            tasks_aborted: self.tasks_aborted,
-            tasks_spilled: self.tasks_spilled,
-            gvt_updates: self.gvt_updates,
-            lb_reconfigs: self.lb_reconfigs,
-            noc_queue_cycles: self.noc_queue_cycles,
-            committed_cycles_per_tile: self.committed_cycles_per_tile.clone(),
-            committed_accesses: std::mem::take(&mut self.committed_accesses),
             link_stats,
+            ..std::mem::take(&mut self.run)
         }
     }
 }
 
 impl SimObserver for StatsObserver {
     fn on_commit(&mut self, event: &CommitEvent<'_>) {
-        self.tasks_committed += 1;
-        self.breakdown.committed += event.cycles;
-        self.committed_cycles_per_tile[event.tile.index()] += event.cycles;
+        let run = &mut self.run;
+        run.tasks_committed += 1;
+        run.breakdown.committed += event.cycles;
+        run.committed_cycles_per_tile[event.tile.index()] += event.cycles;
         if let Some(accesses) = event.accesses {
-            self.committed_accesses.push(CommittedTaskAccesses {
+            run.committed_accesses.push(CommittedTaskAccesses {
                 hint: event.hint,
                 num_args: event.num_args,
                 accesses: accesses.to_vec(),
@@ -384,42 +369,42 @@ impl SimObserver for StatsObserver {
 
     fn on_abort(&mut self, event: &AbortEvent) {
         if event.executed {
-            self.tasks_aborted += 1;
-            self.breakdown.aborted += event.cycles;
+            self.run.tasks_aborted += 1;
+            self.run.breakdown.aborted += event.cycles;
         }
     }
 
     fn on_network_message(&mut self, event: &NetworkEvent) {
-        self.traffic.record(event.class, event.hops, event.flits);
-        self.noc_queue_cycles += event.queue_cycles;
+        self.run.traffic.record(event.class, event.hops, event.flits);
+        self.run.noc_queue_cycles += event.queue_cycles;
     }
 
     fn on_spill(&mut self, event: &SpillEvent) {
-        self.breakdown.spill += event.cycles;
+        self.run.breakdown.spill += event.cycles;
         if event.direction == SpillDirection::Spilled {
-            self.tasks_spilled += event.tasks;
+            self.run.tasks_spilled += event.tasks;
         }
     }
 
     fn on_core_wait(&mut self, event: &CoreWaitEvent) {
         match event.kind {
-            WaitKind::Empty => self.breakdown.empty += event.cycles,
-            WaitKind::Stalled => self.breakdown.stall += event.cycles,
+            WaitKind::Empty => self.run.breakdown.empty += event.cycles,
+            WaitKind::Stalled => self.run.breakdown.stall += event.cycles,
         }
     }
 
     fn on_gvt_update(&mut self, _now: u64) {
-        self.gvt_updates += 1;
+        self.run.gvt_updates += 1;
     }
 
     fn on_lb_reconfig(&mut self, _now: u64) {
-        self.lb_reconfigs += 1;
+        self.run.lb_reconfigs += 1;
     }
 }
 
 /// The engine's fan-out point: the built-in [`StatsObserver`] plus any
 /// attached custom observers, notified in that order.
-pub struct ObserverHub {
+pub(crate) struct ObserverHub {
     stats: StatsObserver,
     extra: Vec<Box<dyn SimObserver>>,
 }
@@ -459,22 +444,17 @@ impl ObserverHub {
         &mut self.stats
     }
 
-    /// Whether anyone attached would see a dequeue event. The built-in
-    /// statistics observer ignores dequeues, so the engine skips building
-    /// the event entirely (a per-dispatch cost) unless a custom observer is
-    /// attached.
+    /// Whether a custom observer is attached. Three kinds of event are
+    /// invisible to the built-in statistics observer, so the engine builds
+    /// them only when this holds:
+    ///
+    /// * dequeues, which it ignores (building one is a per-dispatch cost);
+    /// * zero-cycle core waits (a core re-dispatching in the cycle it went
+    ///   idle), since it only *sums* wait cycles;
+    /// * per-link occupancy, since the built-in statistics come from the
+    ///   link counters directly.
     #[inline]
-    pub(crate) fn wants_dequeue(&self) -> bool {
-        !self.extra.is_empty()
-    }
-
-    /// Whether anyone attached would notice a zero-cycle core wait. The
-    /// built-in statistics observer only *sums* wait cycles, so a
-    /// `cycles == 0` event is invisible to it; the engine emits such events
-    /// (a core re-dispatching in the same cycle it went idle) only when a
-    /// custom observer is listening.
-    #[inline]
-    pub(crate) fn wants_zero_cycle_waits(&self) -> bool {
+    pub(crate) fn has_custom(&self) -> bool {
         !self.extra.is_empty()
     }
 
@@ -491,14 +471,6 @@ impl ObserverHub {
     #[inline]
     pub(crate) fn abort(&mut self, event: &AbortEvent) {
         fan_out!(self, on_abort, event);
-    }
-
-    /// Whether anyone attached would see a per-link occupancy event. The
-    /// built-in statistics come from the link counters directly, so the
-    /// per-hop event is only materialised for custom observers.
-    #[inline]
-    pub(crate) fn wants_link_occupancy(&self) -> bool {
-        !self.extra.is_empty()
     }
 
     #[inline]

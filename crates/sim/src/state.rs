@@ -31,7 +31,7 @@ use crate::task::{OrderKey, PendingChild, TaskDescriptor, TaskStatus};
 
 /// What a core is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreState {
+pub(crate) enum CoreState {
     /// No dispatchable task was available.
     Idle {
         /// Cycle at which the core became idle.
@@ -52,25 +52,25 @@ pub enum CoreState {
 /// Per-tile task unit state: the task queue (idle + running + finished
 /// entries), the commit queue (finished entries), and the spill buffer.
 #[derive(Debug, Clone, Default)]
-pub struct TileState {
+pub(crate) struct TileState {
     /// Dispatchable tasks, ordered by commit key.
-    pub idle: KeyList,
+    pub(crate) idle: KeyList,
     /// Tasks currently running on this tile's cores.
-    pub running: Vec<TaskId>,
+    pub(crate) running: Vec<TaskId>,
     /// Finished tasks holding commit-queue entries, ordered by commit key.
-    pub finished: KeyList,
+    pub(crate) finished: KeyList,
     /// Tasks spilled to memory by the coalescer, ordered by commit key.
-    pub spilled: KeyList,
+    pub(crate) spilled: KeyList,
 }
 
 impl TileState {
     /// Number of occupied task-queue entries.
-    pub fn task_queue_occupancy(&self) -> usize {
+    pub(crate) fn task_queue_occupancy(&self) -> usize {
         self.idle.len() + self.running.len() + self.finished.len()
     }
 
     /// Number of occupied (or reserved) commit-queue entries.
-    pub fn commit_queue_occupancy(&self) -> usize {
+    pub(crate) fn commit_queue_occupancy(&self) -> usize {
         self.running.len() + self.finished.len()
     }
 }
@@ -92,15 +92,15 @@ pub(crate) struct LastLineAccess {
 
 /// The complete mutable state of one simulation.
 #[derive(Debug)]
-pub struct SimState {
+pub(crate) struct SimState {
     /// System configuration.
-    pub cfg: SystemConfig,
+    pub(crate) cfg: SystemConfig,
     /// Simulated shared memory.
-    pub mem: SimMemory,
+    pub(crate) mem: SimMemory,
     /// Cache hierarchy model.
-    pub caches: CacheModel,
+    pub(crate) caches: CacheModel,
     /// Network model.
-    pub mesh: Mesh,
+    pub(crate) mesh: Mesh,
     /// Per-link contention state: `Some` only under
     /// [`NocModel::Contention`]; `None` keeps the analytic fast path intact.
     pub(crate) links: Option<LinkNet>,
@@ -115,32 +115,32 @@ pub struct SimState {
     /// open-addressed flat table (see [`crate::line_table`]): it is consulted
     /// on every speculative access, and first SipHash, then the `HashMap`
     /// control-byte machinery, dominated its cost.
-    pub line_table: LineTable,
+    pub(crate) line_table: LineTable,
     /// All task records: hot scalars in struct-of-arrays form, heavy bodies
     /// in free-listed slots reclaimed on commit/discard.
-    pub tasks: TaskArena,
+    pub(crate) tasks: TaskArena,
     /// Per-tile task unit state. Change a tile's idle list only through the
     /// state's own `idle_insert`/`idle_remove`, which keep
     /// [`SimState::idle_task_count`] in step.
-    pub tiles: Vec<TileState>,
+    pub(crate) tiles: Vec<TileState>,
     /// Idle tasks across all tiles (the sum of every `tiles[t].idle.len()`),
     /// so a thief learns in O(1) that there is nothing to steal.
     idle_tasks: usize,
     /// Per-core state.
-    pub cores: Vec<CoreState>,
+    pub(crate) cores: Vec<CoreState>,
     /// Number of tasks that are neither committed nor discarded; the run
     /// terminates when this reaches zero.
-    pub remaining_tasks: u64,
+    pub(crate) remaining_tasks: u64,
     /// Whether to record per-task access traces for committed tasks.
-    pub profiling: bool,
+    pub(crate) profiling: bool,
     /// The event fan-out point: the built-in statistics observer plus any
     /// custom [`crate::SimObserver`]s. All statistics accumulation happens
     /// here — the state only *announces* commits, aborts, dequeues, network
     /// messages, spills and waits.
-    pub observers: ObserverHub,
+    pub(crate) observers: ObserverHub,
     /// Tiles that received new dispatchable work or freed commit slots since
     /// the engine last drained this list.
-    pub wake_tiles: Vec<TileId>,
+    pub(crate) wake_tiles: Vec<TileId>,
     /// Live fault switches (see [`crate::fault`]). All disabled unless a
     /// fault plan flipped one mid-run, so fault-free runs are unaffected.
     pub(crate) faults: FaultRuntime,
@@ -190,7 +190,7 @@ impl SimState {
     ///
     /// Panics if the configuration is invalid (see [`SystemConfig::validate`])
     /// or if a tile's commit queue is not larger than its core count.
-    pub fn new(cfg: SystemConfig) -> Self {
+    pub(crate) fn new(cfg: SystemConfig) -> Self {
         cfg.validate().expect("invalid system configuration");
         assert!(
             cfg.commit_queue_per_tile() > cfg.cores_per_tile as usize,
@@ -298,7 +298,7 @@ impl SimState {
         // The arbiter's own update crosses no link. It is the exchange's
         // first message, so it is the one an armed `DuplicateMessage` copies.
         self.deliver(TrafficClass::Gvt, &[], 0, flits, enter);
-        let replay = self.observers.wants_link_occupancy();
+        let replay = self.observers.has_custom();
         let fan_in = match (self.links.as_mut(), self.gvt_fan_in.as_mut()) {
             (Some(links), Some(fan_in)) => {
                 links.walk_fan_in(fan_in, TrafficClass::Gvt, flits, enter, replay);
@@ -362,7 +362,7 @@ impl SimState {
     #[inline]
     fn walk_route(&mut self, class: TrafficClass, route: &[u32], flits: u64, enter: u64) -> u64 {
         let Some(links) = self.links.as_mut() else { return 0 };
-        if !self.observers.wants_link_occupancy() {
+        if !self.observers.has_custom() {
             return links.walk(route, class, flits, enter, |_| {});
         }
         let observers = &mut self.observers;
@@ -373,7 +373,7 @@ impl SimState {
 
     /// The tile a core belongs to.
     #[inline]
-    pub fn tile_of_core(&self, core: CoreId) -> TileId {
+    pub(crate) fn tile_of_core(&self, core: CoreId) -> TileId {
         match self.tile_shift {
             Some(shift) => TileId(core.0 >> shift),
             None => core.tile(self.cfg.cores_per_tile),
@@ -383,7 +383,7 @@ impl SimState {
     /// Mark a running task as finished: move it to the commit queue. (The
     /// engine removes it from the tile's running list, so [`SimState::gvt`]
     /// stops counting it as unfinished from that point on.)
-    pub fn mark_finished(&mut self, task: TaskId) {
+    pub(crate) fn mark_finished(&mut self, task: TaskId) {
         let tile = self.tasks.tile(task);
         let key = self.tasks.key(task);
         self.tasks.set_status(task, TaskStatus::Finished);
@@ -391,13 +391,13 @@ impl SimState {
     }
 
     /// Fill `out` with the number of idle (dispatchable) tasks per tile.
-    pub fn idle_per_tile_into(&self, out: &mut Vec<usize>) {
+    pub(crate) fn idle_per_tile_into(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.tiles.iter().map(|t| t.idle.len()));
     }
 
     /// Number of idle (dispatchable) tasks across all tiles, in O(1).
-    pub fn idle_task_count(&self) -> usize {
+    pub(crate) fn idle_task_count(&self) -> usize {
         self.idle_tasks
     }
 
@@ -426,7 +426,7 @@ impl SimState {
     /// minimums; running is at most one task per core), so the minimum falls
     /// out of a few dozen comparisons — no auxiliary priority queue to keep
     /// in sync with status changes.
-    pub fn gvt(&self) -> Option<OrderKey> {
+    pub(crate) fn gvt(&self) -> Option<OrderKey> {
         let mut min: Option<OrderKey> = None;
         for tile in &self.tiles {
             for k in
@@ -485,7 +485,7 @@ impl SimState {
     /// Register a new task and place it in its destination tile's task
     /// queue, spilling older idle tasks if the queue is full. Returns the
     /// new task's id.
-    pub fn add_task(&mut self, desc: TaskDescriptor) -> TaskId {
+    pub(crate) fn add_task(&mut self, desc: TaskDescriptor) -> TaskId {
         let tile = desc.tile;
         let ts = desc.ts;
         let id = self.tasks.add(desc);
@@ -503,7 +503,7 @@ impl SimState {
 
     /// Spill a batch of the latest-key idle tasks of `tile` to memory,
     /// freeing task-queue entries (Section II-B "spills").
-    pub fn spill_from_tile(&mut self, tile: TileId) {
+    pub(crate) fn spill_from_tile(&mut self, tile: TileId) {
         let batch = self.cfg.queues.spill_batch.max(1);
         let mut spilled = 0;
         while spilled < batch {
@@ -538,7 +538,7 @@ impl SimState {
 
     /// Refill a batch of the earliest-key spilled tasks of `tile` back into
     /// its task queue. Returns how many were refilled.
-    pub fn refill_tile(&mut self, tile: TileId) -> usize {
+    pub(crate) fn refill_tile(&mut self, tile: TileId) -> usize {
         let batch = self.cfg.queues.spill_batch.max(1);
         let cap = self.faults.effective_task_queue_cap(tile, self.cfg.task_queue_per_tile());
         let mut refilled = 0;
@@ -563,7 +563,7 @@ impl SimState {
     /// by the commit protocol when the globally earliest unfinished task
     /// sits in a spill buffer: it must become dispatchable or the GVT can
     /// never advance past it).
-    pub fn unspill_task(&mut self, task: TaskId) {
+    pub(crate) fn unspill_task(&mut self, task: TaskId) {
         if self.tasks.status(task) != TaskStatus::Spilled {
             return;
         }
@@ -580,7 +580,7 @@ impl SimState {
     /// stealing: no latency, no traffic). Returns the stolen task, if any.
     /// A task still in flight to `victim` under [`NocModel::Contention`]
     /// (delivery cycle in the future) cannot be stolen before it arrives.
-    pub fn steal_task(&mut self, thief: TileId, victim: TileId) -> Option<TaskId> {
+    pub(crate) fn steal_task(&mut self, thief: TileId, victim: TileId) -> Option<TaskId> {
         if thief == victim {
             return None;
         }
@@ -780,7 +780,7 @@ impl SimState {
 
     /// Register a completed execution's read/write sets in the line table so
     /// later accesses by other tasks can detect conflicts against it.
-    pub fn register_access_sets(&mut self, task: TaskId) {
+    pub(crate) fn register_access_sets(&mut self, task: TaskId) {
         let key = self.tasks.key(task);
         let body = self.tasks.body(task);
         self.line_table.register(key, &body.read_set, &body.write_set);
@@ -804,7 +804,7 @@ impl SimState {
     /// size allocates only if it outgrows every previous cascade. Not
     /// reentrant (an abort cannot trigger another abort — the cascade
     /// already computes the full closure).
-    pub fn abort_task(&mut self, victim: TaskId, aborter_tile: TileId) {
+    pub(crate) fn abort_task(&mut self, victim: TaskId, aborter_tile: TileId) {
         // 1. Compute the abort set (closure over children and dependents).
         let mut set = std::mem::take(&mut self.scratch_abort_set);
         let mut stack = std::mem::take(&mut self.scratch_abort_stack);
@@ -863,14 +863,11 @@ impl SimState {
             let tile = self.tasks.tile(t);
             let status = self.tasks.status(t);
             let key = self.tasks.key(t);
-            let already_aborted = self.tasks.is_aborted(t);
-            let executed = !already_aborted
-                && matches!(status, TaskStatus::Running { .. } | TaskStatus::Finished);
-            // Announce each doomed task once: a Running member that an
-            // earlier cascade already aborted (still draining on its core)
-            // was announced then, so a second cascade reaching it is not a
-            // new abort.
-            if !status.is_terminal() && !already_aborted {
+            let executed = matches!(status, TaskStatus::Running | TaskStatus::Finished);
+            // Announce each doomed task once: a Doomed member (still
+            // draining on its core) was announced by the cascade that
+            // doomed it, so a second cascade reaching it is not a new abort.
+            if !status.is_terminal() && !matches!(status, TaskStatus::Doomed { .. }) {
                 let cycles = if executed { self.tasks.body(t).exec_cycles } else { 0 };
                 let ts = self.tasks.ts(t);
                 self.observers.abort(&AbortEvent {
@@ -902,15 +899,19 @@ impl SimState {
                     // dispatch.
                     self.note_wake(tile);
                 }
-                TaskStatus::Running { .. } => {
+                TaskStatus::Running => {
                     // The core keeps executing the doomed task until its
                     // scheduled finish; the engine requeues or discards it
-                    // then. Mark it so. A discard decision is sticky: once a
-                    // parent abort dooms the task it must never be requeued.
-                    self.tasks.set_aborted(t, true);
-                    let doomed = self.tasks.pending_discard(t) || discard[i];
-                    self.tasks.set_pending_discard(t, doomed);
-                    self.tasks.body_mut(t).reset_speculation_only();
+                    // then.
+                    self.tasks.set_status(t, TaskStatus::Doomed { discard: discard[i] });
+                    self.tasks.body_mut(t).reset_execution();
+                    continue;
+                }
+                TaskStatus::Doomed { discard: earlier } => {
+                    // A discard decision is sticky: once a parent abort
+                    // dooms the task it must never be requeued.
+                    let discard = earlier || discard[i];
+                    self.tasks.set_status(t, TaskStatus::Doomed { discard });
                     continue;
                 }
                 TaskStatus::Committed | TaskStatus::Discarded => continue,
@@ -932,21 +933,11 @@ impl SimState {
         }
     }
 
-    /// Requeue or discard a running task whose execution was aborted, once
-    /// its core finally releases it.
-    pub fn settle_aborted_running_task(&mut self, task: TaskId) {
-        self.requeue_or_discard(task, self.tasks.pending_discard(task));
-    }
-
-    /// Reset an aborted task's execution and count the abort, then discard
-    /// it (its parent's re-execution re-creates it) or requeue it idle on
-    /// its tile.
-    fn requeue_or_discard(&mut self, task: TaskId, discard: bool) {
-        let body = self.tasks.body_mut(task);
-        body.reset_execution();
-        body.abort_count += 1;
-        self.tasks.set_aborted(task, false);
-        self.tasks.set_pending_discard(task, false);
+    /// Reset an aborted task's execution, then discard it (its parent's
+    /// re-execution re-creates it) or requeue it idle on its tile. A doomed
+    /// running task comes here once its core releases it.
+    pub(crate) fn requeue_or_discard(&mut self, task: TaskId, discard: bool) {
+        self.tasks.body_mut(task).reset_execution();
         if discard {
             self.tasks.set_status(task, TaskStatus::Discarded);
             self.remaining_tasks -= 1;
@@ -967,7 +958,7 @@ impl SimState {
     /// speculative state (reclaiming its arena body slot) and account its
     /// cycles. Returns `(tile, bucket, exec_cycles)` so the engine can
     /// inform the mapper.
-    pub fn commit_task(&mut self, task: TaskId) -> (TileId, Option<u16>, u64) {
+    pub(crate) fn commit_task(&mut self, task: TaskId) -> (TileId, Option<u16>, u64) {
         debug_assert_eq!(
             self.tasks.status(task),
             TaskStatus::Finished,
@@ -1011,7 +1002,7 @@ impl SimState {
     /// Whether `task` may commit ahead of earlier-created tasks with the same
     /// timestamp: its parent must have committed and no uncommitted
     /// earlier-key task may have touched its data in a conflicting way.
-    pub fn can_commit_relaxed(&self, task: TaskId) -> bool {
+    pub(crate) fn can_commit_relaxed(&self, task: TaskId) -> bool {
         if self.tasks.status(task) != TaskStatus::Finished {
             return false;
         }
@@ -1073,6 +1064,8 @@ mod tests {
 
     use super::*;
     use crate::observer::SimObserver;
+    use crate::task::TaskArgs;
+    use swarm_types::Hint;
 
     /// Every network and link-occupancy event, in emission order, and for
     /// each network event the occupancy events emitted since the previous
@@ -1141,5 +1134,102 @@ mod tests {
         }
         assert_eq!(dup.hops, plain.hops);
         assert_eq!(dup_links, plain_links);
+    }
+
+    /// Every abort event, in emission order.
+    #[derive(Default)]
+    struct Aborts(Vec<AbortEvent>);
+
+    impl SimObserver for Aborts {
+        fn on_abort(&mut self, event: &AbortEvent) {
+            self.0.push(*event);
+        }
+    }
+
+    /// The word the running child wrote speculatively.
+    const CHILD_WORD: Addr = 0x40;
+
+    /// A 16-core machine whose tile 0 holds a finished parent (ts 1, 40
+    /// cycles) and its child running on a core (ts 2, 70 cycles in, having
+    /// written [`CHILD_WORD`]), recording every abort event.
+    fn finished_parent_and_running_child() -> (SimState, Rc<RefCell<Aborts>>, TaskId, TaskId) {
+        let mut state = SimState::new(SystemConfig::with_cores(16));
+        let aborts = Rc::new(RefCell::new(Aborts::default()));
+        state.observers.attach(Box::new(Rc::clone(&aborts)));
+        let tile = TileId(0);
+        let add = |state: &mut SimState, ts, parent| {
+            let id = state.add_task(TaskDescriptor {
+                fid: 0,
+                ts,
+                hint: Hint::None,
+                hint_hash: None,
+                bucket: None,
+                args: TaskArgs::default(),
+                parent,
+                tile,
+            });
+            let key = state.tasks.key(id);
+            state.idle_remove(tile, &key);
+            id
+        };
+        let parent = add(&mut state, 1, None);
+        state.tasks.body_mut(parent).exec_cycles = 40;
+        state.mark_finished(parent);
+        let child = add(&mut state, 2, Some(parent));
+        state.tasks.body_mut(parent).children.push(child);
+        state.tiles[tile.index()].running.push(child);
+        state.tasks.set_status(child, TaskStatus::Running);
+        let undo = state.mem.store_logged(CHILD_WORD, 7);
+        let body = state.tasks.body_mut(child);
+        body.exec_cycles = 70;
+        body.write_set.push(LineAddr::containing(CHILD_WORD));
+        body.undo.push(undo);
+        state.register_access_sets(child);
+        (state, aborts, parent, child)
+    }
+
+    /// A running task hit by two cascades, one of which also aborts its
+    /// parent, in either order: announced once, as the executed run it was;
+    /// discarded because one cascade said so; settled exactly once, when its
+    /// core's `Finish` releases it.
+    #[test]
+    fn a_doomed_run_is_announced_once_and_settled_once_at_its_finish() {
+        for parent_first in [false, true] {
+            let (mut state, aborts, parent, child) = finished_parent_and_running_child();
+            let cascades = if parent_first { [parent, child] } else { [child, parent] };
+            let mut parent_aborted = false;
+            for victim in cascades {
+                state.abort_task(victim, TileId(1));
+                parent_aborted |= victim == parent;
+                let doomed = TaskStatus::Doomed { discard: parent_aborted };
+                assert_eq!(state.tasks.status(child), doomed);
+                assert!(!state.tasks.key_is_live_for_abort(child));
+                // Still draining on its core, and the run still counts it.
+                assert_eq!(state.tiles[0].running, [child]);
+                assert_eq!(state.remaining_tasks, 2);
+            }
+            assert_eq!(state.mem.load(CHILD_WORD), 0, "the child's write was rolled back");
+            assert!(state.line_table.is_empty(), "no doomed or requeued access set stays");
+            let announced: Vec<_> =
+                aborts.borrow().0.iter().map(|a| (a.task, a.executed, a.cycles)).collect();
+            let (parent_event, child_event) = ((parent, true, 40), (child, true, 70));
+            let expected = if parent_first {
+                [parent_event, child_event]
+            } else {
+                [child_event, parent_event]
+            };
+            assert_eq!(announced, expected);
+
+            // The core's `Finish`, as the engine handles it.
+            state.tiles[0].running.clear();
+            let TaskStatus::Doomed { discard } = state.tasks.status(child) else {
+                panic!("the child is doomed until its finish");
+            };
+            state.requeue_or_discard(child, discard);
+            assert_eq!(state.tasks.status(child), TaskStatus::Discarded);
+            assert_eq!(state.remaining_tasks, 1, "only the requeued parent remains");
+            assert_eq!(state.tiles[0].idle.iter().copied().collect::<Vec<_>>(), [(1, parent)]);
+            assert_eq!(aborts.borrow().0.len(), 2, "settling announces nothing");
+        }
     }
 }

@@ -5,47 +5,51 @@
 //! this module holds the value types that describe a task at enqueue time
 //! and its lifecycle status.
 
-use swarm_types::{CoreId, Hint, TaskFnId, TaskId, TileId, Timestamp};
+use swarm_types::{Hint, TaskFnId, TaskId, TileId, Timestamp};
 
 /// The commit-order key of a task: tasks appear to execute in `(timestamp,
 /// creation id)` order. Children always have larger ids than their parents,
 /// so a parent always precedes its children in this order.
-pub type OrderKey = (Timestamp, TaskId);
+pub(crate) type OrderKey = (Timestamp, TaskId);
 
 /// A task as handed to the hardware at enqueue time: the contents of a
 /// task-queue entry, before an id is assigned by the
 /// [`crate::arena::TaskArena`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskDescriptor {
+pub(crate) struct TaskDescriptor {
     /// Task function to run.
-    pub fid: TaskFnId,
+    pub(crate) fid: TaskFnId,
     /// Program-order timestamp.
-    pub ts: Timestamp,
+    pub(crate) ts: Timestamp,
     /// Spatial hint, with `SAMEHINT` already resolved against the parent.
-    pub hint: Hint,
+    pub(crate) hint: Hint,
     /// 16-bit hashed hint used by the dispatch serialization logic.
-    pub hint_hash: Option<u16>,
+    pub(crate) hint_hash: Option<u16>,
     /// Load-balancer bucket (only set when the active mapper uses buckets).
-    pub bucket: Option<u16>,
+    pub(crate) bucket: Option<u16>,
     /// Task arguments.
-    pub args: TaskArgs,
+    pub(crate) args: TaskArgs,
     /// Parent task, if any (initial tasks have none).
-    pub parent: Option<TaskId>,
+    pub(crate) parent: Option<TaskId>,
     /// Tile whose task unit will hold this task.
-    pub tile: TileId,
+    pub(crate) tile: TileId,
 }
 
 /// Where a task currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskStatus {
+pub(crate) enum TaskStatus {
     /// In a tile's task queue, waiting to be dispatched.
     Idle,
     /// Executing (speculatively) on a core.
-    Running {
-        /// Core executing the task.
-        core: CoreId,
-        /// Cycle at which the execution completes.
-        finish_at: u64,
+    Running,
+    /// Aborted while running: the core drains the doomed execution until
+    /// its scheduled finish, which then requeues the task or, if `discard`,
+    /// discards it. A later cascade reaching the task can only set
+    /// `discard`, never clear it.
+    Doomed {
+        /// Whether a cascade that also aborted the task's parent reached it
+        /// (the parent's re-execution re-creates it).
+        discard: bool,
     },
     /// Finished execution; holds a commit-queue entry awaiting the GVT.
     Finished,
@@ -59,13 +63,8 @@ pub enum TaskStatus {
 }
 
 impl TaskStatus {
-    /// Whether the task still occupies a task-queue entry in its tile.
-    pub fn holds_task_queue_entry(self) -> bool {
-        matches!(self, TaskStatus::Idle | TaskStatus::Running { .. } | TaskStatus::Finished)
-    }
-
     /// Whether the task is finished with its current execution attempt.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, TaskStatus::Committed | TaskStatus::Discarded)
     }
 }
@@ -94,15 +93,15 @@ impl InitialTask {
 /// A child task requested by a running task body, before it has been
 /// assigned an id and a destination tile.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingChild {
+pub(crate) struct PendingChild {
     /// Task function.
-    pub fid: TaskFnId,
+    pub(crate) fid: TaskFnId,
     /// Timestamp (must be >= the parent's).
-    pub ts: Timestamp,
+    pub(crate) ts: Timestamp,
     /// Hint as given by the program (may be `SAMEHINT`).
-    pub hint: Hint,
+    pub(crate) hint: Hint,
     /// Arguments.
-    pub args: TaskArgs,
+    pub(crate) args: TaskArgs,
 }
 
 /// Number of task arguments held inline (the paper passes up to three in
@@ -113,7 +112,7 @@ const INLINE_ARGS: usize = 3;
 /// task with at most three arguments allocates nothing; more spill to the
 /// heap. Dereferences to the argument slice.
 #[derive(Clone, Default)]
-pub struct TaskArgs(ArgWords);
+pub(crate) struct TaskArgs(ArgWords);
 
 #[derive(Clone)]
 enum ArgWords {
@@ -187,13 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn status_queue_occupancy() {
-        assert!(TaskStatus::Idle.holds_task_queue_entry());
-        assert!(TaskStatus::Finished.holds_task_queue_entry());
-        assert!(!TaskStatus::Spilled.holds_task_queue_entry());
-        assert!(!TaskStatus::Committed.holds_task_queue_entry());
+    fn only_committed_and_discarded_are_terminal() {
         assert!(TaskStatus::Committed.is_terminal());
         assert!(TaskStatus::Discarded.is_terminal());
         assert!(!TaskStatus::Idle.is_terminal());
+        assert!(!TaskStatus::Doomed { discard: true }.is_terminal());
     }
 }

@@ -4,18 +4,25 @@
 //! Each case here pins a historical silent failure: `--scale full` used to
 //! run at Small while claiming a full-scale invocation, unknown `--flags`
 //! and unparsable `--schedulers`/`--apps` lists were dropped without a
-//! word, and a trailing flag with no value was ignored outright.
+//! word, and a trailing flag with no value was ignored outright. A reader
+//! that closes stdout early (`swarm chaos | head -1`) used to make the
+//! next `println!` panic with exit 101.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+
+/// `cargo run` of `swarm <args...>`, not yet started.
+fn swarm_command(args: &[&str]) -> Command {
+    let mut command = Command::new(env!("CARGO"));
+    command
+        .args(["run", "--quiet", "--bin", "swarm", "--"])
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"));
+    command
+}
 
 /// Run `swarm <args...>` and return (exit code, stdout, stderr).
 fn swarm(args: &[&str]) -> (i32, String, String) {
-    let output = Command::new(env!("CARGO"))
-        .args(["run", "--quiet", "--bin", "swarm", "--"])
-        .args(args)
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("the swarm binary runs");
+    let output = swarm_command(args).output().expect("the swarm binary runs");
     (
         output.status.code().expect("an exit code"),
         String::from_utf8_lossy(&output.stdout).into_owned(),
@@ -181,4 +188,20 @@ fn command_help_exits_zero_with_usage() {
     let (code, stdout, _) = swarm(&["fig2", "--help"]);
     assert_eq!(code, 0);
     assert!(stdout.contains("--scale"), "help text lists the shared flags:\n{stdout}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let mut child = swarm_command(&["chaos", "--scale", "tiny", "--jobs", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the swarm binary starts");
+    // Close the pipe's only read end before the command prints its header.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("the command ends");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    // 141 (128 + SIGPIPE), not the panic exit code 101.
+    assert_eq!(output.status.code(), Some(141), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
 }

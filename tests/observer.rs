@@ -1,7 +1,7 @@
 //! The observer interface sees everything the built-in statistics see.
 //!
-//! `RunStats` is accumulated by `swarm_sim::StatsObserver`, which consumes
-//! the same event stream any custom observer attached through
+//! `RunStats` is accumulated by the engine's built-in statistics observer,
+//! which consumes the same event stream any custom observer attached through
 //! `SimBuilder::observer` receives. These tests prove the equivalence on a
 //! real Table I benchmark: a hand-written observer must reconstruct the
 //! built-in commit/abort counts exactly, so future metrics (e.g. NoC
