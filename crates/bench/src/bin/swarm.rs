@@ -72,19 +72,10 @@ fn main() {
         Some("list") => print_command_table(),
         Some(name) => match registry::find(name) {
             Some(spec) => {
-                let rest = &args[1..];
-                if rest.iter().any(|a| a == "--help" || a == "-h") {
-                    // Intercepted here so the help text can include the
-                    // command table; the shared parser would otherwise
-                    // print only the flag summary.
-                    println!("swarm {}: {}", spec.name, spec.about);
-                    println!();
-                    print_usage();
-                } else {
-                    let code = (spec.run)(rest);
-                    if code != swarm_bench::exit_code::OK {
-                        std::process::exit(code);
-                    }
+                // Each command parses its own flags, `--help` included.
+                let code = (spec.run)(&args[1..]);
+                if code != exit_code::OK {
+                    std::process::exit(code);
                 }
             }
             None => {

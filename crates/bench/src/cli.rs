@@ -58,6 +58,8 @@ pub struct ExtraFlag {
     pub name: &'static str,
     /// Whether the flag consumes the following token as its value.
     pub takes_value: bool,
+    /// One line describing the flag in the command's `--help` text.
+    pub help: &'static str,
 }
 
 /// The shared flags, for usage text and did-you-mean suggestions.
@@ -263,8 +265,11 @@ impl Default for HarnessArgs {
     }
 }
 
-/// Print the shared flag usage (the per-command `--help` text).
-fn print_flag_usage() {
+/// Print a figure command's `--help` text: the shared flags, then the
+/// command's own `extras`.
+fn print_flag_usage(extras: &[ExtraFlag]) {
+    println!("usage: swarm <command> [flags...]");
+    println!();
     println!("common flags (all figure commands):");
     println!("  --cores A,B,C           core counts to sweep (default 1,4,16,64)");
     println!("  --scale tiny|small|medium");
@@ -277,6 +282,14 @@ fn print_flag_usage() {
     println!("  --jobs N                worker threads (default: all hardware threads)");
     println!("  --on-error fail|collect");
     println!("                          failure policy for the experiment pool");
+    if !extras.is_empty() {
+        println!("flags of this command:");
+    }
+    for extra in extras {
+        let spelling =
+            if extra.takes_value { format!("{} VALUE", extra.name) } else { extra.name.into() };
+        println!("  {spelling:<24}{}", extra.help);
+    }
 }
 
 impl HarnessArgs {
@@ -310,7 +323,7 @@ impl HarnessArgs {
                 Ok(parsed)
             }
             Err(UsageError::Help) => {
-                print_flag_usage();
+                print_flag_usage(extras);
                 Err(crate::exit_code::OK)
             }
             Err(UsageError::Invalid(msg)) => {
@@ -591,8 +604,8 @@ mod tests {
     #[test]
     fn extra_flags_are_tolerated_when_declared() {
         let extras = [
-            ExtraFlag { name: "--json", takes_value: false },
-            ExtraFlag { name: "--plan", takes_value: true },
+            ExtraFlag { name: "--json", takes_value: false, help: "" },
+            ExtraFlag { name: "--plan", takes_value: true, help: "" },
         ];
         let args = HarnessArgs::parse_from_with(s(&["--json", "--cores", "1,2"]), &extras)
             .expect("declared extra flag parses");
@@ -722,7 +735,7 @@ mod tests {
         let apps = parse_err(&["--apps", "des", "--cores", "1", "--apps", "bfs"]);
         assert_eq!(apps, "--apps given twice");
         assert_eq!(parse_err(&["--seed", "1", "--seed", "1"]), "--seed given twice");
-        let extras = [ExtraFlag { name: "--plan", takes_value: true }];
+        let extras = [ExtraFlag { name: "--plan", takes_value: true, help: "" }];
         let plans = s(&["--plan", "duplicate@1", "--plan", "abort-storm@2"]);
         match HarnessArgs::parse_from_with(plans, &extras) {
             Err(UsageError::Invalid(msg)) => assert_eq!(msg, "--plan given twice"),

@@ -38,7 +38,11 @@ const FAULT_CYCLE: u64 = 100;
 /// Run the `chaos` command with the argument slice that follows the
 /// subcommand name (`swarm chaos <args...>`).
 pub fn run(raw: &[String]) -> i32 {
-    let extras = [crate::ExtraFlag { name: "--plan", takes_value: true }];
+    let extras = [crate::ExtraFlag {
+        name: "--plan",
+        takes_value: true,
+        help: "check one fault plan, e.g. lost-wake:ts=50@100",
+    }];
     let args = match HarnessArgs::parse_args_with(raw, &extras) {
         Ok(args) => args,
         Err(code) => return code,

@@ -68,7 +68,11 @@ const RUNS_PER_APP: usize = 6;
 /// Run the `summary` command with the argument slice that follows the
 /// subcommand name (`swarm summary <args...>`).
 pub fn run(args: &[String]) -> i32 {
-    let extras = [crate::ExtraFlag { name: "--json", takes_value: false }];
+    let extras = [crate::ExtraFlag {
+        name: "--json",
+        takes_value: false,
+        help: "print one JSON line instead of the table",
+    }];
     let args = match HarnessArgs::parse_args_with(args, &extras) {
         Ok(args) => args,
         Err(code) => return code,

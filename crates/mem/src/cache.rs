@@ -351,7 +351,9 @@ impl CacheModel {
         TileId(swarm_types::hash_to_range(line.0, self.num_tiles) as u32)
     }
 
-    fn tile_of(&self, core: CoreId) -> TileId {
+    /// The tile `core` belongs to.
+    #[inline]
+    pub fn tile_of(&self, core: CoreId) -> TileId {
         match self.tile_shift {
             Some(shift) => TileId(core.0 >> shift),
             None => core.tile(self.cores_per_tile),

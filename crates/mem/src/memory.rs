@@ -192,11 +192,6 @@ impl SimMemory {
         self.footprint
     }
 
-    /// Total number of stores performed (including rolled-back ones).
-    pub fn store_count(&self) -> u64 {
-        self.store_seq
-    }
-
     /// Iterate over all (address, value) pairs ever written, in ascending
     /// address order (word-aligned pages first, then any unaligned words).
     pub fn iter(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
@@ -267,14 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn store_count_tracks_all_stores() {
-        let mut mem = SimMemory::new();
-        mem.store(0, 1);
-        mem.store_logged(0, 2);
-        assert_eq!(mem.store_count(), 2);
-    }
-
-    #[test]
     fn iter_reports_written_words() {
         let mut mem = SimMemory::new();
         mem.store(64, 5);
@@ -316,7 +303,6 @@ mod tests {
             mem.store(16, 2);
         }
         assert_eq!(mem.footprint_words(), 2);
-        assert_eq!(mem.store_count(), 10);
     }
 
     #[test]

@@ -160,26 +160,6 @@ impl Mesh {
         };
         (TileId(tile), self.tile_at(nx, ny))
     }
-
-    /// Average hop distance between distinct tiles (useful as a sanity check
-    /// and in the analytical tests).
-    pub fn mean_hops(&self) -> f64 {
-        let n = self.num_tiles();
-        if n <= 1 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    total += self.hops(TileId(a as u32), TileId(b as u32));
-                    pairs += 1;
-                }
-            }
-        }
-        total as f64 / pairs as f64
-    }
 }
 
 #[cfg(test)]
@@ -243,14 +223,6 @@ mod tests {
         let m = Mesh::new(1, 1);
         assert_eq!(m.num_tiles(), 1);
         assert_eq!(m.latency(TileId(0), TileId(0)), 0);
-        assert_eq!(m.mean_hops(), 0.0);
-    }
-
-    #[test]
-    fn mean_hops_grows_with_mesh_size() {
-        let small = Mesh::new(2, 2).mean_hops();
-        let large = Mesh::new(8, 8).mean_hops();
-        assert!(large > small);
     }
 
     #[test]

@@ -52,25 +52,6 @@ pub trait SwarmApp {
     }
 }
 
-/// Result of executing one task body, handed back to the engine for
-/// integration into the task's speculative record.
-#[derive(Debug)]
-pub(crate) struct ExecutionOutcome {
-    /// Cycles consumed by the execution (memory, compute and task-management
-    /// overheads).
-    pub cycles: u64,
-    /// Distinct cache lines read.
-    pub read_lines: Vec<LineAddr>,
-    /// Distinct cache lines written.
-    pub write_lines: Vec<LineAddr>,
-    /// Undo-log entries for every store performed (already applied).
-    pub undo: Vec<UndoEntry>,
-    /// Word-granular access trace (profiling only).
-    pub trace: Vec<(Addr, bool)>,
-    /// Children requested via [`TaskCtx::enqueue`].
-    pub children: Vec<PendingChild>,
-}
-
 /// Execution context handed to a running task.
 ///
 /// All methods charge simulated cycles to the running task; the sum becomes
@@ -81,19 +62,21 @@ pub struct TaskCtx<'a> {
     core: CoreId,
     ts: Timestamp,
     cycles: u64,
-    // Plain vecs, deduplicated once at outcome time: a task's footprint is a
-    // handful of lines, so push + sort + dedup beats per-access hashing, and
-    // the sorted result is deterministic regardless of access order.
+    // The task's own arena-body buffers, taken out of its slot while the
+    // body runs. The line lists are plain vecs, deduplicated once at finish:
+    // a task's footprint is a handful of lines, so push + sort + dedup beats
+    // per-access hashing, and the sorted result is deterministic regardless
+    // of access order.
     read_lines: Vec<LineAddr>,
     write_lines: Vec<LineAddr>,
     undo: Vec<UndoEntry>,
     trace: Vec<(Addr, bool)>,
-    children: Vec<PendingChild>,
+    spawned: Vec<PendingChild>,
 }
 
 /// Record the line holding `addr`, unless it is the line just recorded (the
-/// list is deduplicated at outcome time anyway; this keeps runs of accesses
-/// to one line from growing it).
+/// list is deduplicated at finish anyway; this keeps runs of accesses to one
+/// line from growing it).
 #[inline]
 fn push_line(lines: &mut Vec<LineAddr>, addr: Addr) {
     let line = LineAddr::containing(addr);
@@ -106,34 +89,34 @@ impl<'a> TaskCtx<'a> {
     /// Create a context for `task` running on `core`. Charges the base task
     /// overhead (dequeue + task body setup) immediately.
     ///
-    /// The access-tracking containers are borrowed from the state's
-    /// recycled buffers (one execution is in flight at a time) and the
-    /// children list from a pool (one children buffer stays in flight per
-    /// busy core until its `Finish` event), so a steady-state dispatch
-    /// allocates nothing; [`TaskCtx::into_outcome`] and the engine return
-    /// them once the outcome is integrated.
+    /// The context records straight into the task's own arena body: it takes
+    /// the body's (empty) read/write sets, undo log, trace and spawned-child
+    /// list out of the slot, and [`TaskCtx::finish`] puts them back. The
+    /// slot keeps their capacity across its tenants, so a steady-state
+    /// dispatch allocates nothing.
     pub(crate) fn new(state: &'a mut SimState, task: TaskId, core: CoreId, ts: Timestamp) -> Self {
-        let base = TASK_BASE_COST + TASK_MGMT_COST;
-        let read_lines = std::mem::take(&mut state.ctx_read_buf);
-        let write_lines = std::mem::take(&mut state.ctx_write_buf);
-        let undo = std::mem::take(&mut state.ctx_undo);
-        let trace = std::mem::take(&mut state.ctx_trace);
-        let children = state.ctx_children_pool.pop().unwrap_or_default();
+        let body = state.tasks.body_mut(task);
+        debug_assert!(body.read_set.is_empty() && body.write_set.is_empty());
+        debug_assert!(body.undo.is_empty() && body.access_trace.is_empty());
+        debug_assert!(body.spawned.is_empty());
+        let read_lines = std::mem::take(&mut body.read_set);
+        let write_lines = std::mem::take(&mut body.write_set);
+        let undo = std::mem::take(&mut body.undo);
+        let trace = std::mem::take(&mut body.access_trace);
+        let spawned = std::mem::take(&mut body.spawned);
         // The previous body's last access says nothing about this one's.
         state.last_access = None;
-        debug_assert!(read_lines.is_empty() && write_lines.is_empty());
-        debug_assert!(undo.is_empty() && trace.is_empty() && children.is_empty());
         TaskCtx {
             state,
             task,
             core,
             ts,
-            cycles: base,
+            cycles: TASK_BASE_COST + TASK_MGMT_COST,
             read_lines,
             write_lines,
             undo,
             trace,
-            children,
+            spawned,
         }
     }
 
@@ -190,7 +173,7 @@ impl<'a> TaskCtx<'a> {
     pub fn enqueue(&mut self, fid: TaskFnId, ts: Timestamp, hint: Hint, args: &[u64]) {
         assert!(ts >= self.ts, "child timestamp {ts} is lower than parent timestamp {}", self.ts);
         self.cycles += TASK_MGMT_COST;
-        self.children.push(PendingChild { fid, ts, hint, args: args.into() });
+        self.spawned.push(PendingChild { fid, ts, hint, args: args.into() });
     }
 
     /// Cycles charged so far.
@@ -198,18 +181,23 @@ impl<'a> TaskCtx<'a> {
         self.cycles
     }
 
-    /// Tear the context down into an [`ExecutionOutcome`], charging the
-    /// finish overhead.
-    pub(crate) fn into_outcome(mut self) -> ExecutionOutcome {
+    /// Charge the finish overhead and hand the recorded buffers back to the
+    /// task's body. Returns the execution's cycles.
+    pub(crate) fn finish(mut self) -> u64 {
         self.cycles += TASK_MGMT_COST;
-        let TaskCtx { cycles, mut read_lines, mut write_lines, undo, trace, children, .. } = self;
         // Sort + dedup the line lists: their order feeds line_table
         // registration and abort-cascade traversal, so it must not depend on
         // the order the task body happened to touch memory in.
-        read_lines.sort_unstable();
-        read_lines.dedup();
-        write_lines.sort_unstable();
-        write_lines.dedup();
-        ExecutionOutcome { cycles, read_lines, write_lines, undo, trace, children }
+        self.read_lines.sort_unstable();
+        self.read_lines.dedup();
+        self.write_lines.sort_unstable();
+        self.write_lines.dedup();
+        let body = self.state.tasks.body_mut(self.task);
+        body.read_set = self.read_lines;
+        body.write_set = self.write_lines;
+        body.undo = self.undo;
+        body.access_trace = self.trace;
+        body.spawned = self.spawned;
+        self.cycles
     }
 }

@@ -18,16 +18,18 @@
 //!   kept for the whole run — ids are handed out monotonically and never
 //!   recycled, because `(ts, id)` is the architectural commit order.
 //! * **The body** ([`TaskBody`]: arguments, read/write sets, undo log,
-//!   children, trace) lives in a free-listed slot pool. A slot is
-//!   reclaimed when its task commits or is discarded, and its `Vec`
-//!   capacities are retained, so in steady state task creation and
-//!   retirement allocate nothing and live memory is bounded by the number
-//!   of in-flight tasks.
+//!   trace, the children its execution asked for and those it created)
+//!   lives in a free-listed slot pool. It is the one home of a task's
+//!   speculative state: a running body records straight into it (see
+//!   [`crate::TaskCtx::new`]). A slot is reclaimed when its task commits or
+//!   is discarded, and its `Vec` capacities are retained, so in steady
+//!   state task execution, creation and retirement allocate nothing and
+//!   live memory is bounded by the number of in-flight tasks.
 
 use swarm_mem::UndoEntry;
 use swarm_types::{Addr, Hint, LineAddr, TaskFnId, TaskId, TileId, Timestamp};
 
-use crate::task::{OrderKey, TaskArgs, TaskDescriptor, TaskStatus};
+use crate::task::{OrderKey, PendingChild, TaskArgs, TaskDescriptor, TaskStatus};
 
 /// Body-slot index marking "body reclaimed" (task committed or discarded).
 const NO_BODY: u32 = u32::MAX;
@@ -53,6 +55,9 @@ pub(crate) struct TaskBody {
     pub(crate) write_set: Vec<LineAddr>,
     /// Undo-log entries of the current execution (already applied).
     pub(crate) undo: Vec<UndoEntry>,
+    /// Children requested by the current execution; the engine creates
+    /// them when the execution finishes un-doomed.
+    pub(crate) spawned: Vec<PendingChild>,
     /// Children created by the current execution.
     pub(crate) children: Vec<TaskId>,
     /// Word-granular accesses (addr, is_write) recorded when profiling on.
@@ -69,6 +74,7 @@ impl TaskBody {
         self.read_set.clear();
         self.write_set.clear();
         self.undo.clear();
+        self.spawned.clear();
         self.children.clear();
         self.access_trace.clear();
         self.exec_cycles = 0;
@@ -311,11 +317,14 @@ mod tests {
         body.read_set.push(LineAddr(1));
         body.write_set.push(LineAddr(2));
         body.children.push(TaskId(9));
+        let args = TaskArgs::from(&[][..]);
+        body.spawned.push(PendingChild { fid: 1, ts: 2, hint: Hint::None, args });
         body.exec_cycles = 100;
         body.reset_execution();
         assert!(body.read_set.is_empty());
         assert!(body.write_set.is_empty());
         assert!(body.children.is_empty());
+        assert!(body.spawned.is_empty());
         assert_eq!(body.exec_cycles, 0);
     }
 }

@@ -20,23 +20,24 @@
 //! ascending `(cycle, schedule order)` — the explicit ordering contract is
 //! documented on [`TimingWheel::schedule`], so the `Event` type needs no
 //! `Ord` of its own. The hot loop allocates nothing in steady state: task
-//! records come from the state's free-listed arena, execution buffers are
-//! recycled between bodies, and the per-core pending-children lists reuse
-//! their capacity across dispatches.
+//! records come from the state's free-listed arena, and a running body
+//! records its accesses, undo log and requested children straight into its
+//! own arena body, whose buffers keep their capacity across the slot's
+//! tenants.
 
 use swarm_mem::SimMemory;
 use swarm_noc::{flits_for_bytes, TrafficClass};
 use swarm_types::config::GVT_EPOCH;
 use swarm_types::{CoreId, Hint, SimError, SimResult, SystemConfig, TaskId, TileId, Timestamp};
 
-use crate::app::{ExecutionOutcome, SwarmApp, TaskCtx};
+use crate::app::{SwarmApp, TaskCtx};
 use crate::event_queue::TimingWheel;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::mapper::TaskMapper;
 use crate::observer::{CoreWaitEvent, DequeueEvent, FaultInjectedEvent, SimObserver, WaitKind};
 use crate::state::{CoreState, SimState};
 use crate::stats::RunStats;
-use crate::task::{OrderKey, PendingChild, TaskArgs, TaskDescriptor, TaskStatus};
+use crate::task::{OrderKey, TaskArgs, TaskDescriptor, TaskStatus};
 
 /// Safety limit on executed task bodies (including aborted re-executions);
 /// exceeding it aborts the run with [`SimError::TaskLimitExceeded`].
@@ -73,10 +74,6 @@ pub struct Engine {
     events: TimingWheel<Event>,
     now: u64,
     executed_bodies: u64,
-    /// Children requested by the task currently running on each core; they
-    /// become visible when the core's execution finishes un-aborted. The
-    /// buffers recycle their capacity across dispatches.
-    pending_children: Vec<Vec<PendingChild>>,
     /// Queued `Finish`/`TryDispatch` events, with a `Sweep` counting once
     /// per core in its mask. When this hits zero with tasks remaining and a
     /// GVT tick commits nothing, no future event can change the state: the
@@ -116,16 +113,13 @@ impl Engine {
         app: Box<dyn SwarmApp>,
         mapper: Box<dyn TaskMapper>,
     ) -> Self {
-        let state = SimState::new(cfg);
-        let num_cores = state.cfg.num_cores();
         Engine {
-            state,
+            state: SimState::new(cfg),
             app,
             mapper,
             events: TimingWheel::new(),
             now: 0,
             executed_bodies: 0,
-            pending_children: vec![Vec::new(); num_cores],
             pending_core_events: 0,
             events_processed: 0,
             sweep_masks: Vec::new(),
@@ -721,28 +715,11 @@ impl Engine {
             });
         }
 
-        let outcome = self.execute_body(candidate, core);
+        let exec_cycles = self.execute_body(candidate, core).max(1);
         self.executed_bodies += 1;
-        let exec_cycles = outcome.cycles.max(1);
         let finish_at = self.now + exec_cycles;
-        {
-            let ExecutionOutcome { read_lines, write_lines, undo, trace, children, .. } = outcome;
-            let body = self.state.tasks.body_mut(candidate);
-            body.exec_cycles = exec_cycles;
-            // Copy the outcome into the body's slot-resident buffers (which
-            // keep their capacity across the slot's tenants) and hand the
-            // outcome buffers back for the next execution.
-            debug_assert!(body.read_set.is_empty() && body.undo.is_empty());
-            body.read_set.extend_from_slice(&read_lines);
-            body.write_set.extend_from_slice(&write_lines);
-            body.undo.extend_from_slice(&undo);
-            body.access_trace.extend_from_slice(&trace);
-            self.state.recycle_exec_buffers(read_lines, write_lines, undo, trace);
-            self.state.tasks.set_status(candidate, TaskStatus::Running);
-            let slot = &mut self.pending_children[core.index()];
-            debug_assert!(slot.is_empty());
-            *slot = children;
-        }
+        self.state.tasks.body_mut(candidate).exec_cycles = exec_cycles;
+        self.state.tasks.set_status(candidate, TaskStatus::Running);
         // The task is not registered now: the abort that sent an earlier
         // execution back to the idle queue unregistered it (the line table's
         // register-once invariant, checked in debug builds).
@@ -752,7 +729,9 @@ impl Engine {
         Ok(())
     }
 
-    fn execute_body(&mut self, task: TaskId, core: CoreId) -> ExecutionOutcome {
+    /// Run `task`'s body on `core`, recording into its arena body; returns
+    /// the execution's cycles.
+    fn execute_body(&mut self, task: TaskId, core: CoreId) -> u64 {
         // Borrow the argument buffer out of the task's body for the duration
         // of the call instead of cloning it (the body cannot observe its own
         // argument list through the context).
@@ -760,9 +739,9 @@ impl Engine {
         let args = std::mem::take(&mut self.state.tasks.body_mut(task).args);
         let mut ctx = TaskCtx::new(&mut self.state, task, core, ts);
         self.app.run_task(fid, ts, &args, &mut ctx);
-        let outcome = ctx.into_outcome();
+        let cycles = ctx.finish();
         self.state.tasks.body_mut(task).args = args;
-        outcome
+        cycles
     }
 
     // ------------------------------------------------------------------
@@ -776,21 +755,21 @@ impl Engine {
         let tile = self.state.tile_of_core(core);
         self.state.tiles[tile.index()].running.retain(|&t| t != task);
 
-        let mut children = std::mem::take(&mut self.pending_children[core.index()]);
         if let TaskStatus::Doomed { discard } = self.state.tasks.status(task) {
-            // The execution was doomed while in flight: drop the children it
-            // wanted to create and requeue (or discard) the task itself.
-            children.clear();
+            // The execution was doomed while in flight, which dropped the
+            // children it asked for: requeue (or discard) the task itself.
             self.state.requeue_or_discard(task, discard);
         } else {
             self.state.mark_finished(task);
             // Children become visible to the system when their parent's
-            // execution completes.
-            for child in children.drain(..) {
+            // execution completes. The list leaves the body while
+            // `enqueue_task` records each new child id in it.
+            let mut spawned = std::mem::take(&mut self.state.tasks.body_mut(task).spawned);
+            for child in spawned.drain(..) {
                 self.enqueue_task(child.fid, child.ts, child.hint, child.args, Some(task))?;
             }
+            self.state.tasks.body_mut(task).spawned = spawned;
         }
-        self.state.recycle_children(children);
 
         self.state.cores[core.index()] = CoreState::Idle { since: self.now };
         self.process_wakes();
@@ -1096,6 +1075,86 @@ mod tests {
         assert_eq!(stats.tasks_aborted, 1, "the write aborts the later reader once");
         assert_eq!(*latencies.borrow(), [34, 8, 2]);
         assert_eq!(stats.runtime_cycles, 5200);
+    }
+
+    /// The line the [`DoomedParent`] parent reads and its earlier rival
+    /// writes.
+    const DOOM_LINE: u64 = 0x8000;
+
+    /// Tile 0 runs a root (ts 0) that computes and then enqueues a writer
+    /// (ts 1). Tile 1 meanwhile runs a long parent (ts 5) that reads the
+    /// writer's line and asks for two children (ts 6 and 7). The writer
+    /// dispatches while the parent is still running, so its write dooms the
+    /// parent mid-flight; the parent's re-execution asks for the same two
+    /// children again.
+    struct DoomedParent;
+
+    impl SwarmApp for DoomedParent {
+        fn name(&self) -> &str {
+            "doomed-parent"
+        }
+        fn initial_tasks(&self) -> Vec<InitialTask> {
+            vec![
+                InitialTask::new(0, 0, Hint::value(0), vec![]),
+                InitialTask::new(2, 5, Hint::value(1), vec![]),
+            ]
+        }
+        fn run_task(&self, fid: u16, ts: u64, _args: &[u64], ctx: &mut TaskCtx<'_>) {
+            match fid {
+                0 => {
+                    ctx.compute(1_000);
+                    ctx.enqueue(1, 1, Hint::value(0), &[]);
+                }
+                1 => ctx.write(DOOM_LINE, ts),
+                2 => {
+                    ctx.read(DOOM_LINE);
+                    ctx.compute(10_000);
+                    ctx.enqueue(3, 6, Hint::value(1), &[]);
+                    ctx.enqueue(3, 7, Hint::value(1), &[]);
+                }
+                _ => ctx.compute(10),
+            }
+        }
+        fn num_task_fns(&self) -> usize {
+            4
+        }
+    }
+
+    /// Records the timestamp of every commit and every abort.
+    #[derive(Default)]
+    struct CommitsAndAborts {
+        commits: Vec<Timestamp>,
+        aborts: Vec<crate::observer::AbortEvent>,
+    }
+
+    impl SimObserver for CommitsAndAborts {
+        fn on_commit(&mut self, event: &crate::observer::CommitEvent<'_>) {
+            self.commits.push(event.ts);
+        }
+        fn on_abort(&mut self, event: &crate::observer::AbortEvent) {
+            self.aborts.push(*event);
+        }
+    }
+
+    #[test]
+    fn a_parent_doomed_while_running_creates_only_its_re_executions_children() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(CommitsAndAborts::default()));
+        let mut engine =
+            Engine::new(SystemConfig::with_cores(2), Box::new(DoomedParent), Box::new(ByValue));
+        engine.add_observer(Box::new(std::rc::Rc::clone(&log)));
+        let stats = engine.run().expect("every task commits");
+        let log = log.borrow();
+        // The parent was doomed once, mid-flight: it had executed its whole
+        // body (over 10,000 cycles) and was still on its core.
+        assert_eq!(log.aborts.len(), 1, "{:?}", log.aborts);
+        let abort = log.aborts[0];
+        assert_eq!((abort.ts, abort.executed), (5, true));
+        assert!(abort.cycles > 10_000, "{abort:?}");
+        // The doomed execution's two children were never created: each
+        // child timestamp commits exactly once, from the re-execution.
+        assert_eq!(log.commits, [0, 1, 5, 6, 7]);
+        assert_eq!(stats.tasks_committed, 5);
+        assert_eq!(stats.tasks_aborted, 1);
     }
 
     #[test]

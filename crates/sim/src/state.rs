@@ -27,7 +27,7 @@ use crate::observer::{
     AbortEvent, CommitEvent, LinkOccupancyEvent, NetworkEvent, ObserverHub, SpillDirection,
     SpillEvent,
 };
-use crate::task::{OrderKey, PendingChild, TaskDescriptor, TaskStatus};
+use crate::task::{OrderKey, TaskDescriptor, TaskStatus};
 
 /// What a core is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,10 +144,6 @@ pub(crate) struct SimState {
     /// Live fault switches (see [`crate::fault`]). All disabled unless a
     /// fault plan flipped one mid-run, so fault-free runs are unaffected.
     pub(crate) faults: FaultRuntime,
-    /// `log2(cores_per_tile)` when the count is a power of two, so
-    /// [`SimState::tile_of_core`] — called several times per task — can
-    /// shift instead of divide.
-    tile_shift: Option<u32>,
     /// The running body's previous access (see [`LastLineAccess`]); `None`
     /// before its first. [`crate::TaskCtx::new`] resets it.
     pub(crate) last_access: Option<LastLineAccess>,
@@ -167,20 +163,6 @@ pub(crate) struct SimState {
     scratch_undo: Vec<UndoEntry>,
     /// [`SimState::send_message`]: link ids of the route being walked.
     scratch_route: Vec<u32>,
-
-    // Execution-context buffers recycled between task-body executions (at
-    // most one body runs at a time): [`crate::TaskCtx`] takes them on
-    // dispatch and the engine returns them once the outcome is integrated.
-    pub(crate) ctx_read_buf: Vec<LineAddr>,
-    pub(crate) ctx_write_buf: Vec<LineAddr>,
-    pub(crate) ctx_undo: Vec<UndoEntry>,
-    pub(crate) ctx_trace: Vec<(Addr, bool)>,
-    /// Pool of `PendingChild` buffers. Unlike the buffers above, a task's
-    /// children list outlives its execution event (it sits with the engine
-    /// until the `Finish` event integrates it), so one buffer is in flight
-    /// per busy core and a single recycle slot would leak capacity on every
-    /// concurrent dispatch burst.
-    pub(crate) ctx_children_pool: Vec<Vec<PendingChild>>,
 }
 
 impl SimState {
@@ -220,21 +202,12 @@ impl SimState {
             observers: ObserverHub::new(num_tiles),
             wake_tiles: Vec::new(),
             faults: FaultRuntime::default(),
-            tile_shift: cfg
-                .cores_per_tile
-                .is_power_of_two()
-                .then(|| cfg.cores_per_tile.trailing_zeros()),
             scratch_victims: Vec::new(),
             scratch_abort_set: Vec::new(),
             scratch_abort_stack: Vec::new(),
             scratch_abort_discard: Vec::new(),
             scratch_undo: Vec::new(),
             scratch_route: Vec::new(),
-            ctx_read_buf: Vec::new(),
-            ctx_write_buf: Vec::new(),
-            ctx_undo: Vec::new(),
-            ctx_trace: Vec::new(),
-            ctx_children_pool: Vec::new(),
             cfg,
         }
     }
@@ -374,10 +347,7 @@ impl SimState {
     /// The tile a core belongs to.
     #[inline]
     pub(crate) fn tile_of_core(&self, core: CoreId) -> TileId {
-        match self.tile_shift {
-            Some(shift) => TileId(core.0 >> shift),
-            None => core.tile(self.cfg.cores_per_tile),
-        }
+        self.caches.tile_of(core)
     }
 
     /// Mark a running task as finished: move it to the commit queue. (The
@@ -450,32 +420,6 @@ impl SimState {
         if !self.wake_tiles.contains(&tile) {
             self.wake_tiles.push(tile);
         }
-    }
-
-    /// Return a (cleared) `PendingChild` buffer to the pool for a later
-    /// task execution to accumulate children into.
-    pub(crate) fn recycle_children(&mut self, mut buf: Vec<PendingChild>) {
-        buf.clear();
-        self.ctx_children_pool.push(buf);
-    }
-
-    /// Return the execution-outcome buffers (cleared) after the engine has
-    /// copied their contents into the task's body.
-    pub(crate) fn recycle_exec_buffers(
-        &mut self,
-        mut reads: Vec<LineAddr>,
-        mut writes: Vec<LineAddr>,
-        mut undo: Vec<UndoEntry>,
-        mut trace: Vec<(Addr, bool)>,
-    ) {
-        reads.clear();
-        writes.clear();
-        undo.clear();
-        trace.clear();
-        self.ctx_read_buf = reads;
-        self.ctx_write_buf = writes;
-        self.ctx_undo = undo;
-        self.ctx_trace = trace;
     }
 
     // ------------------------------------------------------------------

@@ -6,8 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::TileId;
-
 // Fixed parameters of the simulated machine: the paper's Table II and the
 // Swarm task unit (Jeffrey et al., MICRO 2015). No experiment varies them,
 // so they are constants rather than `SystemConfig` fields; result-cache keys
@@ -267,11 +265,6 @@ impl SystemConfig {
         (LB_BUCKETS_PER_TILE * self.num_tiles()).max(1)
     }
 
-    /// The tile that is the static-NUCA home of an L3 line.
-    pub fn l3_home(&self, line: crate::ids::LineAddr) -> TileId {
-        TileId(crate::hashing::hash_to_range(line.0, self.num_tiles()) as u32)
-    }
-
     /// Validate internal consistency; returns a human-readable description of
     /// the first problem found.
     ///
@@ -312,7 +305,6 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::LineAddr;
 
     #[test]
     fn default_matches_paper_table2() {
@@ -348,16 +340,6 @@ mod tests {
         let cfg = SystemConfig::single_core();
         assert_eq!(cfg.num_cores(), 1);
         assert_eq!(cfg.num_tiles(), 1);
-    }
-
-    #[test]
-    fn l3_home_is_stable_and_in_range() {
-        let cfg = SystemConfig::with_cores(16);
-        for l in 0..1000u64 {
-            let home = cfg.l3_home(LineAddr(l));
-            assert!(home.index() < cfg.num_tiles());
-            assert_eq!(home, cfg.l3_home(LineAddr(l)));
-        }
     }
 
     #[test]

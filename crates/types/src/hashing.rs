@@ -140,9 +140,6 @@ impl std::hash::BuildHasher for FastBuildHasher {
 /// A `HashMap` keyed through [`FastHasher`] (deterministic, one cheap hash).
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
-/// A `HashSet` keyed through [`FastHasher`] (deterministic, one cheap hash).
-pub type FastHashSet<K> = std::collections::HashSet<K, FastBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,7 +22,6 @@ pub const HINT_BUCKET_BITS: u32 = 10;
 /// use swarm_types::Hint;
 ///
 /// let h = Hint::value(0xF00);
-/// assert!(h.is_value());
 /// assert_eq!(h.raw(), Some(0xF00));
 /// assert_eq!(Hint::None.raw(), None);
 /// ```
@@ -64,11 +63,6 @@ impl Hint {
             Hint::Value(v) => Some(v),
             Hint::None | Hint::Same => None,
         }
-    }
-
-    /// Whether this is a concrete integer hint.
-    pub fn is_value(self) -> bool {
-        matches!(self, Hint::Value(_))
     }
 
     /// Resolve `SAMEHINT` against the parent's hint. `NOHINT` and concrete
@@ -165,7 +159,6 @@ mod tests {
             assert_eq!(h.raw(), None);
             assert_eq!(h.hash16(), None);
             assert_eq!(h.bucket(1024), None);
-            assert!(!h.is_value());
         }
     }
 

@@ -33,7 +33,7 @@ pub use config::{CacheConfig, NocConfig, NocModel, QueueConfig, SystemConfig};
 pub use error::{SimError, SimResult};
 pub use hashing::{
     fast_mix64, hash64, hash_to_bucket, hash_to_range, hash_to_u16, FastBuildHasher, FastHashMap,
-    FastHashSet, FastHasher,
+    FastHasher,
 };
 pub use hint::{Hint, HINT_BUCKET_BITS};
 pub use ids::{Addr, CoreId, LineAddr, TaskFnId, TaskId, TileId, Timestamp, CACHE_LINE_BYTES};

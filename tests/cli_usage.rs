@@ -185,9 +185,25 @@ fn chaos_runs_its_battery_under_the_selected_noc() {
 
 #[test]
 fn command_help_exits_zero_with_usage() {
-    let (code, stdout, _) = swarm(&["fig2", "--help"]);
-    assert_eq!(code, 0);
-    assert!(stdout.contains("--scale"), "help text lists the shared flags:\n{stdout}");
+    // (command, what its help must show, what it must not show): each
+    // command prints its own flags, not another command's.
+    let cases: [(&str, &[&str], &[&str]); 5] = [
+        ("fig2", &["--scale"], &["--json", "--plan"]),
+        ("serve", &["--tcp", "--cache-dir", "--mem-entries"], &["--scale"]),
+        ("sysconfig", &["usage: swarm sysconfig"], &["--scale"]),
+        ("chaos", &["--scale", "--plan"], &["--json"]),
+        ("summary", &["--scale", "--json"], &["--plan"]),
+    ];
+    for (command, present, absent) in cases {
+        let (code, stdout, stderr) = swarm(&[command, "--help"]);
+        assert_eq!(code, 0, "{command} --help\nstderr:\n{stderr}");
+        for flag in present {
+            assert!(stdout.contains(flag), "{command} --help lacks {flag}:\n{stdout}");
+        }
+        for flag in absent {
+            assert!(!stdout.contains(flag), "{command} --help shows {flag}:\n{stdout}");
+        }
+    }
 }
 
 #[test]
